@@ -10,8 +10,7 @@ backward equation, which drives the exponential-utility portfolio module.
 
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
-from .grid import (BrownianEnsemble, ContractionBudget, TimeGrid,
-                   build_contraction_partition, build_uniform_grid,
+from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, load_ensemble, sample_ensemble,
                    save_ensemble, segment_windows)
 from .regression import (FittedConditional, RegressionBasis, TreeOracle,
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "FdeflowError", "InvalidArgumentError", "InvalidStateError",
     "InsufficientWeightError", "PicardDivergedError",
-    "TimeGrid", "ContractionBudget", "BrownianEnsemble",
-    "build_uniform_grid", "build_contraction_partition",
-    "contraction_window_length", "segment_windows",
+    "TimeGrid", "BrownianEnsemble",
+    "build_uniform_grid", "contraction_window_length", "segment_windows",
     "sample_ensemble", "save_ensemble", "load_ensemble",
     "RegressionBasis", "FittedConditional", "TreeOracle",
     "fit_conditional", "extract_density", "oracle_conditional",

@@ -6,7 +6,8 @@ through named sub-streams, and identical config plus seed reproduces CSV
 outputs byte for byte (wall-clock timings live only in the JSON sidecars).
 
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config or
-environment errors, 3 solver divergence.
+environment errors, 3 solver divergence or numerical breakdown (too little
+importance weight for a reweighted fit, or a non-finite state).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .errors import FdeflowError, InvalidArgumentError, PicardDivergedError
+from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
+                     InvalidStateError, PicardDivergedError)
 from .fde import export_solution, solve_global
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
@@ -34,6 +36,7 @@ from .portfolio import (export_portfolio_results, solve_portfolio,
 from .regression import polynomial_basis, quantile_linear_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
+ENDOWMENTS = {"zero": "merton", "tanh": "endowment"}   # [market] endowment -> fixture
 LOCK_NAME = ".fdeflow.lock"
 
 # absolute slack added to per-step drift bounds; guards the exact-null case
@@ -192,6 +195,9 @@ def load_config(path) -> ExperimentConfig:
             raw = parser.get("market", key)
             if key == "endowment":
                 cfg.market[key] = raw.strip()
+                if cfg.market[key] not in ENDOWMENTS:
+                    raise ConfigError(f"[market] endowment must be one of "
+                                      f"{tuple(ENDOWMENTS)}, got {raw.strip()!r}")
             else:
                 try:
                     cfg.market[key] = float(raw)
@@ -303,13 +309,13 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("pde_oracle_sup", worst, 0.02))
     elif name == "const_forward":
         c = cfg.fixture_params.get("c", 0.5)
-        mc = build_measure_change(sol, coeffs, ensemble, 0.0)
+        mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble, 0.0)
         b_t = ensemble.increments[:, :, 0].sum(axis=1)
         exact = np.exp(-c * b_t - 0.5 * c * c * T)
         out.append(_dev("weight_formula_dev", np.abs(mc.weights - exact).max(), 1e-10))
         dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
         out.append(_dev("weight_mean_dev_se", dev_se, 5.0))
-        weak = assemble_weak_solution(sol, mc, coeffs)
+        weak = bundle["weak"] = assemble_weak_solution(sol, mc, coeffs)
         out.append(_dev("weak_residual_weighted_rms", weak.residual["weighted_rms"], 0.1))
         fresh = sample_ensemble(build_uniform_grid(T, 1), ensemble.num_paths, 1,
                                 substream_seed(cfg.seed, f"{name}:evaluation-ensemble"))
@@ -454,7 +460,8 @@ def run(cfg: ExperimentConfig) -> RunReport:
     if cfg.problem == "verify-suite":
         rows = []
         for name in FIXTURES:
-            bundle, assertions = _evaluate_fixture(name, cfg, out_dir, report)
+            # index the result so no bundle stays alive through the next solve
+            assertions = _evaluate_fixture(name, cfg, out_dir, report)[1]
             rows += [(name, a) for a in assertions]
             report.assertions += assertions
         verdicts = out_dir / "verdicts.csv"
@@ -464,9 +471,12 @@ def run(cfg: ExperimentConfig) -> RunReport:
         name = cfg.fixture
         bundle, assertions = _evaluate_fixture(name, cfg, out_dir, report)
         if cfg.problem == "qbsde-weak" and bundle.get("portfolio") is None:
-            mc = build_measure_change(bundle["sol"], bundle["coeffs"],
-                                      bundle["ensemble"], 0.0)
-            weak = assemble_weak_solution(bundle["sol"], mc, bundle["coeffs"])
+            if "weak" not in bundle:   # const_forward's checks have built them already
+                bundle["measure_change"] = build_measure_change(
+                    bundle["sol"], bundle["coeffs"], bundle["ensemble"], 0.0)
+                bundle["weak"] = assemble_weak_solution(
+                    bundle["sol"], bundle["measure_change"], bundle["coeffs"])
+            mc, weak = bundle["measure_change"], bundle["weak"]
             wcsv = out_dir / f"{name}_weak.csv"
             wjson = out_dir / f"{name}_weak.json"
             export_weak_solution(weak, wcsv, wjson, path_limit=cfg.export_paths,
@@ -480,7 +490,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
         _write_verdicts_csv(verdicts, rows)
         report.outputs.append(verdicts)
     elif cfg.problem == "portfolio":
-        fixture_name = "endowment" if cfg.market.get("endowment", "zero") != "zero" else "merton"
+        fixture_name = ENDOWMENTS[cfg.market.get("endowment", "zero")]
         cfg.fixture_params = {k: v for k, v in cfg.market.items() if k != "endowment"}
         bundle, assertions = _evaluate_fixture(fixture_name, cfg, out_dir, report)
         report.assertions += assertions
@@ -494,12 +504,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
         fh.write("\n")
     report.outputs.append(report_path)
     return report
-
-
-def verify_suite(cfg: ExperimentConfig) -> RunReport:
-    """Run every shipped fixture with its assertion set and a summary table."""
-    cfg.problem = "verify-suite"
-    return run(cfg)
 
 
 def _acquire_lock(out_dir: Path):
@@ -569,6 +573,9 @@ def main(argv=None) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"solver divergence: {exc} (report dumped to {dump})")
+        return 3
+    except (InsufficientWeightError, InvalidStateError) as exc:
+        print(f"numerical breakdown: {exc}")
         return 3
     except InvalidArgumentError as exc:
         print(f"config error: {exc}")

@@ -230,11 +230,11 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     lip = coeffs.c2 if terminal_lipschitz is None else terminal_lipschitz
     length = float(window_grid.points[-1] - window_grid.points[0])
     if coeffs.c1 > 0 and not force:
-        bound = min(1.0 / (8.0 * coeffs.c1 * (1.0 + lip)), 1.0)
-        if np.sqrt(length) > bound * (1 + 1e-12):
+        ell = contraction_window_length(coeffs.c1, lip)
+        if length > ell * (1 + 1e-12):
             raise InvalidArgumentError(
-                f"window length {length:.6g} violates the contraction rule "
-                f"sqrt(length) <= {bound:.6g}; pass force=True to override")
+                f"window length {length:.6g} exceeds the contraction window "
+                f"length {ell:.6g}; pass force=True to override")
 
     t = window_grid.points
     dt = window_grid.dt
@@ -524,6 +524,19 @@ def empirical_pathwise_uniqueness(coeffs: CoefficientSet, grid: TimeGrid, x0,
             "solutions": sols}
 
 
+def write_path_csv(path, columns, block: np.ndarray) -> None:
+    """Write rows ``path,step,<floats>`` from a (P, steps, F) block.
+
+    ``columns`` names the F value columns. Values are written with ``repr``,
+    so every cell parses back to the exact float64 it came from.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["path", "step", *columns]) + "\n")
+        for p, rows in enumerate(np.asarray(block, dtype=float).tolist()):
+            fh.writelines(f"{p},{k}," + ",".join(map(repr, row)) + "\n"
+                          for k, row in enumerate(rows))
+
+
 def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,
                     path_limit: int | None = None, config_echo: dict | None = None):
     """Write per-path rows (path, step, t, V.., X.., Y.., Z..) plus a JSON sidecar."""
@@ -531,22 +544,14 @@ def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,
     K = sol.grid.num_steps
     n = sol.V.shape[2]
     d = sol.X.shape[2]
-    cols = (["path", "step", "t"]
-            + [f"V{i}" for i in range(n)] + [f"X{j}" for j in range(d)]
+    cols = (["t"] + [f"V{i}" for i in range(n)] + [f"X{j}" for j in range(d)]
             + [f"Y{i}" for i in range(n)]
             + [f"Z{i}{j}" for i in range(n) for j in range(d)])
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p in range(P):
-            for k in range(K + 1):
-                z_row = (sol.Z[p, k].ravel() if k < K
-                         else np.zeros(n * d))
-                vals = ([float(sol.grid.points[k])]
-                        + [float(v) for v in sol.V[p, k]]
-                        + [float(v) for v in sol.X[p, k]]
-                        + [float(v) for v in sol.Y[p, k]]
-                        + [float(v) for v in z_row])
-                fh.write(f"{p},{k}," + ",".join(repr(v) for v in vals) + "\n")
+    z = np.zeros((P, K + 1, n * d))
+    z[:, :K] = sol.Z[:P].reshape(P, K, n * d)
+    t = np.broadcast_to(sol.grid.points[None, :, None], (P, K + 1, 1))
+    write_path_csv(csv_path, cols,
+                   np.concatenate([t, sol.V[:P], sol.X[:P], sol.Y[:P], z], axis=2))
     if sidecar_path is not None:
         side = {
             "seed": sol.seed,

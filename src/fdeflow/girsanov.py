@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import CoefficientSet, FdeSolution
+from .fde import CoefficientSet, FdeSolution, write_path_csv
 from .grid import BrownianEnsemble, TimeGrid
-from .regression import RegressionBasis, polynomial_basis, monomial_exponents, _monomial_design
+from .regression import RegressionBasis, StepRegression, polynomial_basis
 
 
 @dataclass
@@ -149,29 +149,6 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
                         weights=mc.weights, residual=report)
 
 
-def _weighted_surface_fit(states, targets, basis, weights):
-    """Weighted ridge regression returning an evaluator over raw states."""
-    states = np.asarray(states, float)
-    if states.ndim == 1:
-        states = states[:, None]
-    center = states.mean(axis=0)
-    scale = np.maximum(states.std(axis=0), 1e-12)
-    exps = monomial_exponents(states.shape[1], basis.p)
-    A = _monomial_design((states - center) / scale, exps)
-    Aw = A * weights[:, None]
-    gram = Aw.T @ A
-    lam = 1e-8 * float(np.linalg.eigvalsh(gram)[-1])
-    coef = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), Aw.T @ targets)
-
-    def evaluate(pts):
-        pts = np.asarray(pts, float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return _monomial_design((pts - center) / scale, exps) @ coef
-
-    return evaluate
-
-
 def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
                        basis: RegressionBasis | None = None, *,
                        probe_steps=None, region_halfwidth: float = 2.0,
@@ -218,9 +195,9 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         dw = mc.w_paths[:, k + 1] - mc.w_paths[:, k]
         P, n = dmp.shape
         target = (dmp[:, :, None] * dw[:, None, :] / dt[k]).reshape(P, n * d)
-        p_fit = _weighted_surface_fit(sol.X[:, k], target, basis, mc.weights)
+        p_fit = StepRegression(sol.X[:, k], basis, weights=mc.weights)
+        zp = p_fit.fit(target, step_index=k).evaluate(mesh)
         zq = sol.z_fits[k].evaluate(mesh).reshape(mesh.shape[0], n * d)
-        zp = p_fit(mesh)
         disc = float(np.abs(zq - zp).max())
         per_probe.append({"step": int(k), "t": float(t[k]), "discrepancy": disc})
         worst = max(worst, disc)
@@ -246,7 +223,6 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
         f_sq[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
     remaining = np.cumsum(f_sq[:, ::-1], axis=1)[:, ::-1]
 
-    from .regression import StepRegression
     per_probe = []
     sup99 = 0.0
     for pt in probe_times:
@@ -273,19 +249,13 @@ def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
     K = weak.grid.num_steps
     n = weak.Y.shape[2]
     d = weak.W.shape[2]
-    cols = (["path", "step", "t"] + [f"Y{i}" for i in range(n)]
+    cols = (["t"] + [f"Y{i}" for i in range(n)]
             + [f"Z{i}{j}" for i in range(n) for j in range(d)]
             + [f"W{j}" for j in range(d)])
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p in range(P):
-            for k in range(K + 1):
-                z_row = weak.Z[p, k].ravel() if k < K else np.zeros(n * d)
-                vals = ([float(weak.grid.points[k])]
-                        + [float(v) for v in weak.Y[p, k]]
-                        + [float(v) for v in z_row]
-                        + [float(v) for v in weak.W[p, k]])
-                fh.write(f"{p},{k}," + ",".join(repr(v) for v in vals) + "\n")
+    z = np.zeros((P, K + 1, n * d))
+    z[:, :K] = weak.Z[:P].reshape(P, K, n * d)
+    t = np.broadcast_to(weak.grid.points[None, :, None], (P, K + 1, 1))
+    write_path_csv(csv_path, cols, np.concatenate([t, weak.Y[:P], z, weak.W[:P]], axis=2))
     if sidecar_path is not None:
         side = {"residual": {k: float(v) for k, v in weak.residual.items()},
                 "weights": {

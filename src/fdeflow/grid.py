@@ -1,4 +1,4 @@
-"""Time discretization, contraction-compliant partitioning, and Brownian ensembles.
+"""Time discretization, the contraction window rule, and Brownian ensembles.
 
 The Brownian sampler is counter-based: path ``i`` always consumes the raw
 Philox outputs ``[i*K*dim, (i+1)*K*dim)``, so a path's increments depend only
@@ -9,7 +9,6 @@ keeps the counter alignment exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,38 +61,19 @@ class TimeGrid:
         return TimeGrid(self.points[start:stop + 1].copy())
 
 
-@dataclass
-class ContractionBudget:
-    """Lipschitz data controlling the admissible window length.
-
-    ``c1`` bounds the drivers, ``c_grad`` bounds the gradient of the fitted
-    value maps (falls back to the terminal Lipschitz constant when solving a
-    single interval).
-    """
-
-    c1: float
-    c_grad: float = 0.0
-
-    def __post_init__(self):
-        if not (self.c1 > 0):
-            raise InvalidArgumentError(f"c1 must be positive, got {self.c1}")
-        if self.c_grad < 0:
-            raise InvalidArgumentError(f"c_grad must be >= 0, got {self.c_grad}")
-
-    @property
-    def mesh_bound(self) -> float:
-        """Largest admissible mesh: sqrt(mesh) <= 1/(8*c1*(1+c_grad)) and <= 1."""
-        root = min(1.0 / (8.0 * self.c1 * (1.0 + self.c_grad)), 1.0)
-        return root * root
-
-
 def contraction_window_length(c1: float, c_grad: float) -> float:
-    """Admissible window length for given Lipschitz data; 1 when c1 == 0."""
+    """Largest window length with sqrt(length) <= min(1/(8*c1*(1+c_grad)), 1).
+
+    ``c1`` bounds the drivers and ``c_grad`` the gradient of the terminal map
+    the window consumes. The Picard map contracts on any window this short;
+    the length is 1 when c1 == 0.
+    """
     if c1 < 0 or c_grad < 0:
         raise InvalidArgumentError("Lipschitz constants must be non-negative")
     if c1 == 0.0:
         return 1.0
-    return ContractionBudget(c1, c_grad).mesh_bound
+    root = min(1.0 / (8.0 * c1 * (1.0 + c_grad)), 1.0)
+    return root * root
 
 
 def build_uniform_grid(T: float, K: int) -> TimeGrid:
@@ -103,17 +83,6 @@ def build_uniform_grid(T: float, K: int) -> TimeGrid:
     if int(K) < 1 or int(K) != K:
         raise InvalidArgumentError(f"step count must be a positive integer, got {K}")
     return TimeGrid(np.linspace(0.0, float(T), int(K) + 1))
-
-
-def build_contraction_partition(T: float, budget: ContractionBudget) -> TimeGrid:
-    """Coarsest uniform grid whose mesh satisfies the contraction bound."""
-    if not (T > 0):
-        raise InvalidArgumentError(f"horizon must be positive, got {T}")
-    bound = budget.mesh_bound
-    K = max(1, math.ceil(T / bound - 1e-12))
-    grid = build_uniform_grid(T, K)
-    assert math.sqrt(grid.mesh) <= min(1.0 / (8.0 * budget.c1 * (1.0 + budget.c_grad)), 1.0) + 1e-12
-    return grid
 
 
 def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fde import CoefficientSet, FdeSolution, solve_global
+from .fde import CoefficientSet, FdeSolution, solve_global, write_path_csv
 from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import RegressionBasis, polynomial_basis
@@ -350,10 +350,6 @@ def export_portfolio_results(psol: PortfolioSolution, json_path, *,
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if pi_csv_path is not None:
-        P = psol.pi_star.shape[0] if path_limit is None else min(path_limit, psol.pi_star.shape[0])
-        with open(pi_csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("path,step,t,pi_star\n")
-            for p in range(P):
-                for k in range(psol.grid.num_steps):
-                    fh.write(f"{p},{k},{float(psol.grid.points[k])!r},"
-                             f"{float(psol.pi_star[p, k])!r}\n")
+        pi = psol.pi_star[:path_limit]
+        t = np.broadcast_to(psol.grid.points[:-1], pi.shape)
+        write_path_csv(pi_csv_path, ["t", "pi_star"], np.stack([t, pi], axis=2))

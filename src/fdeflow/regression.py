@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-RIDGE_FACTOR = 1e-8          # ridge = RIDGE_FACTOR * (largest design singular value)^2
+RIDGE_FACTOR = 1e-8          # ridge = RIDGE_FACTOR * (largest Gram eigenvalue)
 MIN_PATHS_PER_FUNCTION = 10  # required sample-to-basis ratio
 _DEGENERATE_SPAN = 1e-12
 
@@ -217,86 +217,22 @@ class FittedConditional:
 
     __call__ = evaluate
 
-    def to_record(self) -> str:
-        """One-line plain-text record (step, basis descriptor, coefficients, residual)."""
-        fields = [
-            f"step={self.step_index}",
-            f"basis={self.basis.kind}:{self.basis.p}:{self.basis.state_dim}",
-            f"residual={float(self.residual_l2)!r}",
-            f"warning={int(self.warning)}",
-            f"out_shape={','.join(str(v) for v in self.out_shape) if self.out_shape else '-'}",
-        ]
-        if isinstance(self._evaluator, _ConstantEvaluator):
-            fields.append("mode=constant")
-            fields.append("values=" + _encode_floats(self._evaluator.value))
-        elif isinstance(self._evaluator, _HatEvaluator):
-            fields.append("mode=hat")
-            fields.append("knots=" + _encode_floats(self._evaluator.knots))
-            fields.append("values=" + _encode_floats(self._evaluator.values.ravel()))
-        else:
-            ev = self._evaluator
-            fields.append("mode=poly")
-            fields.append("center=" + _encode_floats(ev.center))
-            fields.append("scale=" + _encode_floats(ev.scale))
-            fields.append("lo=" + _encode_floats(ev.lo))
-            fields.append("hi=" + _encode_floats(ev.hi))
-            fields.append("coef_std=" + _encode_floats(ev.coef_std.ravel()))
-        fields.append("coef=" + _encode_floats(self.coefficients.ravel()))
-        return " ".join(fields)
-
-    @classmethod
-    def from_record(cls, record: str) -> "FittedConditional":
-        kv = dict(tok.split("=", 1) for tok in record.split())
-        kind, p, dim = kv["basis"].split(":")
-        basis = RegressionBasis(kind, int(p), int(dim))
-        out_shape = None if kv["out_shape"] == "-" else tuple(
-            int(v) for v in kv["out_shape"].split(","))
-        n_out = int(np.prod(out_shape)) if out_shape else None
-        mode = kv["mode"]
-        if mode == "constant":
-            values = _decode_floats(kv["values"])
-            if n_out is None:
-                n_out = values.size
-            evaluator = _ConstantEvaluator(values)
-            coef = _decode_floats(kv["coef"]).reshape(-1, n_out)
-        elif mode == "hat":
-            knots = _decode_floats(kv["knots"])
-            flat = _decode_floats(kv["values"])
-            n_out = n_out or flat.size // knots.size
-            evaluator = _HatEvaluator(knots, flat.reshape(knots.size, n_out))
-            coef = _decode_floats(kv["coef"]).reshape(knots.size, n_out)
-        else:
-            exps = monomial_exponents(basis.state_dim, basis.p)
-            coef_flat = _decode_floats(kv["coef_std"])
-            n_out = n_out or coef_flat.size // len(exps)
-            evaluator = _PolynomialEvaluator(
-                coef_flat.reshape(len(exps), n_out), exps,
-                _decode_floats(kv["center"]), _decode_floats(kv["scale"]),
-                _decode_floats(kv["lo"]), _decode_floats(kv["hi"]))
-            coef = _decode_floats(kv["coef"]).reshape(len(exps), n_out)
-        return cls(coefficients=coef, basis=basis, step_index=int(kv["step"]),
-                   residual_l2=float(kv["residual"]), warning=bool(int(kv["warning"])),
-                   out_shape=out_shape, _evaluator=evaluator)
-
-
-def _encode_floats(arr) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(arr, dtype=float).ravel())
-
-
-def _decode_floats(s: str) -> np.ndarray:
-    return np.array([float(v) for v in s.split(",")], dtype=float)
-
 
 class StepRegression:
     """Shared design for several fits against the same conditioning states.
 
     Builds the (optionally box-restricted) design matrix and its regularized
     Gram factorization once; ``fit`` then solves per target set. The ridge
-    parameter is RIDGE_FACTOR times the largest design singular value squared.
+    parameter is RIDGE_FACTOR times the largest eigenvalue of the Gram matrix.
+    Optional per-path ``weights`` (for instance importance weights) turn the
+    fit into weighted least squares: the Gram matrix is (A*w).T @ A, the
+    right-hand side (A*w).T @ y, and the degenerate fallback the weighted mean.
+    Weights apply to the rows that ``fit_window`` keeps; the reported
+    ``residual_l2`` stays the plain rms over those rows.
     """
 
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
-                 fit_window: tuple | None = None):
+                 fit_window: tuple | None = None, weights: np.ndarray | None = None):
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
@@ -318,6 +254,13 @@ class StepRegression:
             else:
                 self.warning = True  # window too thin, fall back to all paths
         self.fit_states = sel
+        self.weights = None
+        if weights is not None:
+            w = np.asarray(weights, dtype=float)
+            if w.shape != (states.shape[0],) or not np.all(np.isfinite(w) & (w >= 0)):
+                raise InvalidArgumentError(
+                    "weights must be finite, non-negative, one per path")
+            self.weights = w[self.mask] if self.mask is not None else w
         span = sel.max(axis=0) - sel.min(axis=0)
         self.degenerate = bool(np.all(span < _DEGENERATE_SPAN))
         if self.degenerate:
@@ -337,7 +280,9 @@ class StepRegression:
                 self.degenerate = True
                 return
             self._design = self._hat_design(sel[:, 0])
-        gram = self._design.T @ self._design
+        self._design_w = (self._design if self.weights is None
+                          else self._design * self.weights[:, None])
+        gram = self._design_w.T @ self._design
         eigs = np.linalg.eigvalsh(gram)
         smax2 = float(eigs[-1])
         if eigs[0] < 1e-12 * smax2:
@@ -365,15 +310,15 @@ class StepRegression:
             raise InvalidArgumentError("state and target path counts differ")
         tsel = targets[self.mask] if self.mask is not None else targets
         if self.degenerate:
-            mean = tsel.mean(axis=0)
+            mean = (tsel.mean(axis=0) if self.weights is None
+                    else np.average(tsel, axis=0, weights=self.weights))
             resid = float(np.sqrt(np.mean((tsel - mean) ** 2)))
             coef = np.zeros((self.basis.n_functions, mean.size))
             coef[0] = mean
             return FittedConditional(coef, self.basis, step_index, resid,
                                      warning=self.warning, out_shape=out_shape,
                                      _evaluator=_ConstantEvaluator(mean))
-        rhs = self._design.T @ tsel
-        coef_std = np.linalg.solve(self._gram_reg, rhs)
+        coef_std = np.linalg.solve(self._gram_reg, self._design_w.T @ tsel)
         resid = float(np.sqrt(np.mean((self._design @ coef_std - tsel) ** 2)))
         if self.basis.kind == "polynomial":
             evaluator = _PolynomialEvaluator(coef_std, self.exps, self.center,

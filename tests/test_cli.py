@@ -60,6 +60,33 @@ sigma_bar_s = 0.2
     assert "gamma" in capsys.readouterr().out
 
 
+def _shipped_config(name, tmp_path, **overrides):
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "configs" / name).read_text()
+    lines = []
+    for line in text.splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    return _write(tmp_path, "\n".join(lines) + "\n", name=name)
+
+
+def test_endowment_typo_exits_two(tmp_path, capsys):
+    cfg = _shipped_config("portfolio.cfg", tmp_path, endowment="zer0",
+                          out=tmp_path / "out")
+    assert cli.main(["run", cfg]) == 2
+    assert "zer0" in capsys.readouterr().out
+
+
+def test_insufficient_weight_exits_three_without_traceback(tmp_path, capsys):
+    # a large market price of risk leaves the importance weights with an
+    # effective sample size too small for the reweighted Z fit
+    cfg = _shipped_config("portfolio.cfg", tmp_path, mu_s=3, out=tmp_path / "out")
+    assert cli.main(["run", cfg, "--paths", "4000"]) == 3
+    text = capsys.readouterr().out
+    assert text.count("\n") == 1 and "effective sample size" in text
+    assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
+
+
 def test_unknown_problem_and_fixture_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\nproblem = nonsense\n")
     assert cli.main(["run", cfg]) == 2

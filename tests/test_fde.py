@@ -219,8 +219,15 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
     side = tmp_path / "sol.json"
     ff.export_solution(sol, csv, side, path_limit=3, config_echo={"fixture": "tanh"})
     lines = csv.read_text().splitlines()
-    assert lines[0].startswith("path,step,t,V0,X0,Y0,Z00")
+    assert lines[0] == "path,step,t,V0,X0,Y0,Z00"
     assert len(lines) == 1 + 3 * (grid.num_steps + 1)
+    K = grid.num_steps
+    for line in lines[1:]:
+        p, k, *cells = line.split(",")
+        p, k = int(p), int(k)
+        z = sol.Z[p, k, 0, 0] if k < K else 0.0
+        expected = [grid.points[k], sol.V[p, k, 0], sol.X[p, k, 0], sol.Y[p, k, 0], z]
+        assert [float(c) for c in cells] == expected
     import json
     payload = json.loads(side.read_text())
     assert payload["config"] == {"fixture": "tanh"}

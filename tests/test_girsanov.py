@@ -142,6 +142,13 @@ def test_weak_export(tmp_path, const_forward_solution):
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,Y0,Z00,W0"
     assert len(lines) == 1 + 2 * (grid.num_steps + 1)
+    K = grid.num_steps
+    for line in lines[1:]:
+        p, k, *cells = line.split(",")
+        p, k = int(p), int(k)
+        z = weak.Z[p, k, 0, 0] if k < K else 0.0
+        expected = [grid.points[k], weak.Y[p, k, 0], z, weak.W[p, k, 0]]
+        assert [float(c) for c in cells] == expected
     import json
     payload = json.loads(side.read_text())
     assert payload["weights"]["mean"] == pytest.approx(mc.weight_mean)

@@ -22,28 +22,33 @@ def test_uniform_grid_rejects_bad_inputs():
         ff.build_uniform_grid(1.0, 0)
 
 
-def test_contraction_budget_validation():
+def test_contraction_window_length_validation():
     with pytest.raises(InvalidArgumentError):
-        ff.ContractionBudget(c1=0.0)
+        ff.contraction_window_length(-1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
-        ff.ContractionBudget(c1=1.0, c_grad=-0.1)
+        ff.contraction_window_length(1.0, -0.1)
+    # no coupling: any window up to length 1 contracts
+    assert ff.contraction_window_length(0.0, 3.0) == 1.0
+
+
+def _contraction_partition(T, c1, c_grad):
+    ell = ff.contraction_window_length(c1, c_grad)
+    return ff.build_uniform_grid(T, max(1, int(np.ceil(T / ell - 1e-12))))
 
 
 def test_contraction_partition_examples():
-    g = ff.build_contraction_partition(1.0, ff.ContractionBudget(1.0, 0.0))
-    assert g.num_steps == 64
+    assert ff.contraction_window_length(1.0, 0.0) == 1.0 / 64
+    assert _contraction_partition(1.0, 1.0, 0.0).num_steps == 64
     # weak coupling: the bound caps at 1, one interval suffices
-    g1 = ff.build_contraction_partition(1.0, ff.ContractionBudget(1.0 / 16, 1.0))
-    assert g1.num_steps == 1
-    g4 = ff.build_contraction_partition(4.0, ff.ContractionBudget(1.0, 0.0))
-    assert g4.num_steps == 256
+    assert ff.contraction_window_length(1.0 / 16, 1.0) == 1.0
+    assert _contraction_partition(1.0, 1.0 / 16, 1.0).num_steps == 1
+    assert _contraction_partition(4.0, 1.0, 0.0).num_steps == 256
 
 
 @given(st.floats(0.05, 10.0), st.floats(0.0, 5.0), st.floats(0.1, 8.0))
 @settings(max_examples=50, deadline=None)
 def test_partition_mesh_rule_holds(c1, c_grad, T):
-    budget = ff.ContractionBudget(c1, c_grad)
-    g = ff.build_contraction_partition(T, budget)
+    g = _contraction_partition(T, c1, c_grad)
     assert np.sqrt(g.mesh) <= min(1.0 / (8 * c1 * (1 + c_grad)), 1.0) + 1e-12
     assert g.points[0] == 0.0 and g.points[-1] == pytest.approx(T)
 

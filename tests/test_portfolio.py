@@ -203,3 +203,7 @@ def test_portfolio_export(tmp_path, merton_small):
     lines = pi_csv.read_text().splitlines()
     assert lines[0] == "path,step,t,pi_star"
     assert len(lines) == 1 + 2 * grid.num_steps
+    for line in lines[1:]:
+        p, k, t, pi = line.split(",")
+        p, k = int(p), int(k)
+        assert [float(t), float(pi)] == [grid.points[k], psol.pi_star[p, k]]

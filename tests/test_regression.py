@@ -151,17 +151,6 @@ def test_quantile_linear_basis_fits_and_extrapolates_linearly():
     assert np.allclose(np.diff(far, 2), 0.0, atol=1e-9)
 
 
-def test_record_roundtrip_polynomial_and_hat():
-    x = RNG.standard_normal(3000)
-    for basis in (ff.polynomial_basis(4, 1), ff.quantile_linear_basis(8)):
-        fit = ff.fit_conditional(x, np.sin(x), basis, step_index=7)
-        back = ff.FittedConditional.from_record(fit.to_record())
-        probes = np.linspace(-3, 3, 17)
-        assert back.step_index == 7
-        assert np.allclose(back.evaluate(probes), fit.evaluate(probes), rtol=1e-12)
-        assert back.residual_l2 == pytest.approx(fit.residual_l2)
-
-
 @given(st.integers(1, 2), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_raw_coefficients_reproduce_standardized_polynomial(dim, degree):
@@ -240,3 +229,48 @@ def test_step_regression_shares_design_across_targets():
     direct1 = ff.fit_conditional(x, np.sin(x), ff.polynomial_basis(3, 1))
     assert np.allclose(f1.evaluate(probes), direct1.evaluate(probes), rtol=1e-12)
     assert not np.allclose(f1.evaluate(probes), f2.evaluate(probes))
+
+
+def test_unit_weights_match_unweighted_fit():
+    x = RNG.standard_normal(4000)
+    y = np.sin(x)[:, None]
+    basis = ff.polynomial_basis(4, 1)
+    plain = StepRegression(x, basis).fit(y)
+    unit = StepRegression(x, basis, weights=np.ones(x.size)).fit(y)
+    probes = np.linspace(-2, 2, 9)
+    # numpy computes A.T @ A by a symmetric rank-k update and (A*w).T @ A by
+    # a general product, so the two Gram matrices agree only up to rounding
+    assert np.allclose(unit.coefficients, plain.coefficients, rtol=1e-10, atol=0)
+    assert np.allclose(unit.evaluate(probes), plain.evaluate(probes), rtol=1e-10, atol=0)
+
+
+def test_integer_weights_match_duplicated_rows():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3000, 2))
+    y = np.column_stack([np.tanh(x[:, 0]) * x[:, 1], x[:, 0] ** 2])
+    w = rng.integers(1, 4, x.shape[0])
+    basis = ff.polynomial_basis(2, 2)
+    box = ((-2.0, -2.0), (2.0, 2.0))
+    weighted = StepRegression(x, basis, fit_window=box, weights=w).fit(y)
+    dup = StepRegression(np.repeat(x, w, axis=0), basis, fit_window=box).fit(
+        np.repeat(y, w, axis=0))
+    probes = rng.uniform(-1.5, 1.5, (25, 2))
+    # the designs are standardized on different rows, so only rounding and
+    # the 1e-8 ridge separate the two fits
+    assert np.allclose(weighted.evaluate(probes), dup.evaluate(probes), rtol=0, atol=1e-7)
+
+
+def test_degenerate_weighted_fit_is_weighted_mean():
+    target = RNG.standard_normal((1000, 2))
+    w = RNG.uniform(0.0, 3.0, 1000)
+    fit = StepRegression(np.zeros(1000), ff.polynomial_basis(3, 1), weights=w).fit(target)
+    expected = np.average(target, axis=0, weights=w)
+    assert np.allclose(fit.evaluate(np.array([0.0, 1.0])), expected, rtol=1e-14)
+
+
+def test_weights_must_be_finite_non_negative_per_path():
+    x = RNG.standard_normal(500)
+    basis = ff.polynomial_basis(2, 1)
+    for bad in (np.ones(499), np.full(500, -1.0), np.full(500, np.nan)):
+        with pytest.raises(InvalidArgumentError):
+            StepRegression(x, basis, weights=bad)
