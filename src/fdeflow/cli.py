@@ -133,6 +133,16 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
+def _check_fixture_keys(section, fixture, keys):
+    """Reject parameter keys that the fixture's build function does not read."""
+    known = FIXTURES[fixture].params
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"[{section}] fixture {fixture} does not read {', '.join(unknown)}; "
+            f"it reads {', '.join(sorted(known)) or 'no parameters'}")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key=value config file with section headers."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -182,9 +192,10 @@ def load_config(path) -> ExperimentConfig:
         cfg.fixture = need("coefficients", "fixture").strip()
         if cfg.fixture not in FIXTURES:
             raise ConfigError(f"[coefficients] fixture: unknown fixture {cfg.fixture!r}")
-        for key in parser.options("coefficients"):
-            if key != "fixture":
-                cfg.fixture_params[key] = float(parser.get("coefficients", key))
+        keys = [k for k in parser.options("coefficients") if k != "fixture"]
+        _check_fixture_keys("coefficients", cfg.fixture, keys)
+        for key in keys:
+            cfg.fixture_params[key] = opt("coefficients", key, float)
     elif problem == "portfolio":
         if not parser.has_section("market"):
             raise ConfigError("missing required section [market]")
@@ -199,10 +210,9 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"[market] endowment must be one of "
                                       f"{tuple(ENDOWMENTS)}, got {raw.strip()!r}")
             else:
-                try:
-                    cfg.market[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"[market] {key}: {exc}") from exc
+                cfg.market[key] = opt("market", key, float)
+        _check_fixture_keys("market", ENDOWMENTS[cfg.market.get("endowment", "zero")],
+                            [k for k in cfg.market if k != "endowment"])
     if not np.isfinite(cfg.tol) or cfg.tol <= 0:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
     return cfg
@@ -275,12 +285,13 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     coeffs = bundle["coeffs"]
     T = grid.horizon
     out = []
+    params = {**get_fixture(name).params, **cfg.fixture_params}
     if name == "trivial":
         out.append(_dev("y_deviation_max", np.abs(sol.Y - 1.0).max(), 1e-6))
         out.append(_dev("z_rms", float(np.sqrt(np.mean(sol.Z ** 2))), 1e-6))
         out.append(_dev("v_max", np.abs(sol.V).max(), 0.0, exact=True))
     elif name == "const_driver":
-        c = cfg.fixture_params.get("c", 0.3)
+        c = params["c"]
         v_dev = np.abs(sol.V[:, :, 0] - c * grid.points[None, :]).max()
         out.append(_dev("v_affine_dev", v_dev, 1e-9))
         y_dev = max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])).max()
@@ -298,7 +309,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("heat_oracle_sup", worst, 0.02))
         out.append(_dev("y0_abs", abs(float(sol.y0_mean[0])), 0.01))
     elif name == "linear_driver":
-        a = cfg.fixture_params.get("a", 0.5)
+        a = params["a"]
         cn = oracles.CrankNicolsonOracle(a, np.sin, T)
         xs = _probe_grid()
         worst = 0.0
@@ -308,7 +319,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
             worst = max(worst, float(np.abs(fitted - cn.at(grid.points[k], xs)).max()))
         out.append(_dev("pde_oracle_sup", worst, 0.02))
     elif name == "const_forward":
-        c = cfg.fixture_params.get("c", 0.5)
+        c = params["c"]
         mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble, 0.0)
         b_t = ensemble.increments[:, :, 0].sum(axis=1)
         exact = np.exp(-c * b_t - 0.5 * c * c * T)

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, PicardDivergedError
-from .grid import TimeGrid, BrownianEnsemble, contraction_window_length, segment_windows
-from .regression import RegressionBasis, StepRegression, polynomial_basis
+from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
+                   segment_windows, uniform_steps_within)
+from .regression import RegressionBasis, StepRegression, bitwise_equal, polynomial_basis
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 50
@@ -231,7 +232,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     length = float(window_grid.points[-1] - window_grid.points[0])
     if coeffs.c1 > 0 and not force:
         ell = contraction_window_length(coeffs.c1, lip)
-        if length > ell * (1 + 1e-12):
+        if length > ell * (1 + WINDOW_RTOL):
             raise InvalidArgumentError(
                 f"window length {length:.6g} exceeds the contraction window "
                 f"length {ell:.6g}; pass force=True to override")
@@ -249,6 +250,14 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
 
     report = PicardReport(window=(float(t[0]), float(t[-1])), iterations=0,
                           distances=[], converged=False, tol=tol)
+    # a step's regression and the terminal values last as long as their
+    # states: rebuilt only on a pass whose states changed bitwise. Keeping
+    # the regressions holds two designs per step between passes. With c1 == 0
+    # h and f ignore (Y, Z), so the second pass only confirms the first;
+    # one reuse does not pay for that memory, and the regressions are not kept.
+    keep = coeffs.c1 > 0
+    regressions = [None] * m
+    terminal = None   # (X[:, m], terminal_map(X[:, m]))
     prev_psi = None
     passes = 0
     result = None
@@ -262,17 +271,24 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + increments[:, k]
         if not np.all(np.isfinite(X[:, m])) or not np.all(np.isfinite(V[:, m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
-        xi = _as_2d(terminal_map(X[:, m]), n, "terminal_map output") + V[:, m]
+        if terminal is None or not bitwise_equal(terminal[0], X[:, m]):
+            terminal = (X[:, m], _as_2d(terminal_map(X[:, m]), n, "terminal_map output"))
+        xi = terminal[1] + V[:, m]
 
         y_fits = [None] * m
         z_fits = [None] * m
         Y[m] = xi - V[:, m]
         M_next = xi
         for k in range(m - 1, -1, -1):
-            window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
-            sr = StepRegression(X[:, k], basis, fit_window=window_box)
+            sr = regressions[k]
+            if sr is None or not sr.built_on(X[:, k]):
+                window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
+                sr = StepRegression(X[:, k], basis, fit_window=window_box)
+                if keep:
+                    regressions[k] = sr
+            design = sr.in_sample_design()
             y_fits[k] = sr.fit(xi - V[:, k], step_index=k)
-            yk = y_fits[k].evaluate(X[:, k])
+            yk = y_fits[k].evaluate_on(design)
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[k] = yk
@@ -280,12 +296,14 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             dM = M_next - M_k
             ztgt = (dM[:, :, None] * increments[:, k, None, :] / dt[k]).reshape(P, n * d)
             z_fits[k] = sr.fit(ztgt, step_index=k, out_shape=(n, d))
-            Z[k] = z_fits[k].evaluate(X[:, k])
+            Z[k] = z_fits[k].evaluate_on(design)
             M_next = M_k
 
-        psi = np.concatenate([V.reshape(P, -1), X.reshape(P, -1)], axis=1)
         if prev_psi is not None:
-            dist = float(np.abs(psi - prev_psi).max())
+            # sup distance of the iterate psi = (V, X); max is exact, so taking
+            # it per array gives the distance of the concatenated iterate
+            dist = float(np.maximum(np.abs(V - prev_psi[0]).max(),
+                                    np.abs(X - prev_psi[1]).max()))
             report.distances.append(dist)
             report.iterations = len(report.distances)
             if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
@@ -297,7 +315,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             if dist <= tol * polish_factor:
                 result = (V, X, y_fits, z_fits)
                 break
-        prev_psi = psi
+        prev_psi = (V, X)
         result = (V, X, y_fits, z_fits)
 
     report.empirical_factor = _empirical_factor(report.distances)
@@ -325,11 +343,21 @@ def _segment_backward(grid: TimeGrid, ell_interior: float, ell_last: float):
     K = grid.num_steps
     pts = grid.points
     a = K - 1
-    while a > 0 and pts[K] - pts[a - 1] <= ell_last * (1 + 1e-12):
+    while a > 0 and pts[K] - pts[a - 1] <= ell_last * (1 + WINDOW_RTOL):
         a -= 1
     if a == 0:
         return [(0, K)]
     return segment_windows(grid.window(0, a), ell_interior) + [(a, K)]
+
+
+def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
+    """The Y and Z maps of one step at ``states``, read from one shared design.
+
+    Both fits come from the same StepRegression, so they share its clip box,
+    centre, scale and exponents; the design is freed on return.
+    """
+    design = y_fit.design(states)
+    return y_fit.evaluate_on(design), z_fit.evaluate_on(design)
 
 
 def _exploration_rng(seed: int, window_index: int):
@@ -379,12 +407,12 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     if window_max_length is not None:
         ell_interior = min(ell_interior, float(window_max_length))
         ell_last = min(ell_last, float(window_max_length))
-    if grid.mesh > min(ell_interior, ell_last) * (1 + 1e-12) and not force:
-        need = int(np.ceil(grid.horizon / min(ell_interior, ell_last)))
+    ell = min(ell_interior, ell_last)
+    if grid.mesh > ell * (1 + WINDOW_RTOL) and not force:
         raise InvalidArgumentError(
             f"grid mesh {grid.mesh:.6g} is coarser than the contraction window "
-            f"length {min(ell_interior, ell_last):.6g}; use at least {need} steps "
-            f"or pass force=True")
+            f"length {ell:.6g}; use at least {uniform_steps_within(grid.horizon, ell)} "
+            f"steps or pass force=True")
     windows = _segment_backward(grid, ell_interior, ell_last)
 
     # exploration geometry: uniform box widened with time plus a drift margin
@@ -442,11 +470,10 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         vloc = np.zeros((P, n))
         V[:, a] = offset
         for k in range(a, b):
-            yk = phi_fits[k].evaluate(X[:, k])
+            yk, Z[:, k] = evaluate_step_maps(phi_fits[k], z_fits[k], X[:, k])
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[:, k] = yk
-            Z[:, k] = z_fits[k].evaluate(X[:, k])
             vloc = vloc + coeffs.eval_h(t[k], Y[:, k], Z[:, k]) * dt[k]
             V[:, k + 1] = offset + vloc
             X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[:, k], Z[:, k]) * dt[k] \

@@ -28,7 +28,7 @@ class Fixture:
     num_paths: int
     basis: RegressionBasis
     c4: float
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # every key build() reads, with its default
     description: str = ""
 
     def build(self, **overrides):
@@ -52,7 +52,7 @@ def _build_trivial(params):
 
 
 def _build_const_driver(params):
-    c = float(params.get("c", 0.3))
+    c = float(params["c"])
     return CoefficientSet(
         n=1, d=1, h=lambda t, y, z: np.full_like(y, c), f=_zero_drift,
         phi=lambda x: np.zeros((x.shape[0], 1)),
@@ -67,7 +67,7 @@ def _build_tanh_terminal(params):
 
 
 def _build_linear_driver(params):
-    a = float(params.get("a", 0.5))
+    a = float(params["a"])
     return CoefficientSet(
         n=1, d=1, h=lambda t, y, z: a * y, f=_zero_drift,
         phi=lambda x: np.sin(x[:, :1]),
@@ -75,7 +75,7 @@ def _build_linear_driver(params):
 
 
 def _build_const_forward(params):
-    c = float(params.get("c", 0.5))
+    c = float(params["c"])
     return CoefficientSet(
         n=1, d=1, h=_zeros_like_y,
         f=lambda t, y, z: np.full((y.shape[0], 1), c),
@@ -85,21 +85,21 @@ def _build_const_forward(params):
 
 def _merton_market(params):
     return MarketModel(
-        mu_s=float(params.get("mu_s", 0.1)),
-        sigma_bar_s=float(params.get("sigma_bar_s", 0.2)),
-        mu_v=float(params.get("mu_v", 0.05)),
-        sigma_v=float(params.get("sigma_v", 0.3)),
-        sigma_bar_v=float(params.get("sigma_bar_v", 0.1)),
-        gamma=float(params.get("gamma", 1.0)),
+        mu_s=float(params["mu_s"]),
+        sigma_bar_s=float(params["sigma_bar_s"]),
+        mu_v=float(params["mu_v"]),
+        sigma_v=float(params["sigma_v"]),
+        sigma_bar_v=float(params["sigma_bar_v"]),
+        gamma=float(params["gamma"]),
         g=None,
-        x0=float(params.get("x0", 0.0)),
-        v0=float(params.get("v0", 1.0)),
-        s0=float(params.get("s0", 1.0)))
+        x0=float(params["x0"]),
+        v0=float(params["v0"]),
+        s0=float(params["s0"]))
 
 
 def _build_endowment(params):
-    scale = float(params.get("endowment_scale", 0.3))
-    v0 = float(params.get("v0", 1.0))
+    scale = float(params["endowment_scale"])
+    v0 = float(params["v0"])
 
     def g(v, s):
         return scale * np.tanh(np.log(v / v0))
@@ -111,6 +111,9 @@ def _build_endowment(params):
         g=g, g_bound=scale, g_lip_log=scale,
         x0=model.x0, v0=v0, s0=model.s0)
 
+
+_MARKET_DEFAULTS = {"mu_s": 0.1, "sigma_bar_s": 0.2, "mu_v": 0.05, "sigma_v": 0.3,
+                    "sigma_bar_v": 0.1, "gamma": 1.0, "x0": 0.0, "v0": 1.0, "s0": 1.0}
 
 _BUILDERS = {
     "trivial": _build_trivial,
@@ -147,12 +150,12 @@ FIXTURES = {
         description="constant drift: closed-form exponential weights"),
     "merton": Fixture(
         name="merton", kind="portfolio", T=1.0, K=50, num_paths=100_000,
-        basis=polynomial_basis(3, 2), c4=0.0,
+        basis=polynomial_basis(3, 2), c4=0.0, params=dict(_MARKET_DEFAULTS),
         description="no endowment: classical exponential-utility benchmark"),
     "endowment": Fixture(
         name="endowment", kind="portfolio", T=1.0, K=50, num_paths=100_000,
         basis=polynomial_basis(3, 2), c4=0.5,
-        params={"endowment_scale": 0.3},
+        params={**_MARKET_DEFAULTS, "endowment_scale": 0.3},
         description="bounded endowment on the nontradeable asset"),
 }
 

@@ -17,6 +17,7 @@ from scipy.special import ndtri
 from .errors import InvalidArgumentError
 
 ENSEMBLE_MAGIC = "FDEB1"
+WINDOW_RTOL = 1e-12   # relative slack when a length is compared with a window length
 
 
 @dataclass
@@ -85,6 +86,24 @@ def build_uniform_grid(T: float, K: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(T), int(K) + 1))
 
 
+def uniform_steps_within(T: float, length: float) -> int:
+    """A step count whose uniform grid on [0, T] has mesh <= length * (1 + WINDOW_RTOL).
+
+    Every larger count passes too. ``np.linspace`` puts point i at
+    fl(i * fl(T/K)), within eps * T of i*T/K, so the mesh exceeds T/K by at
+    most 2 * eps * T; the count keeps T/K at least 4 * eps * T below the
+    bound, which also covers the rounding of this computation. It is the
+    fewest passing count unless T/K lands that close to the bound.
+    """
+    if not (T > 0) or not (length > 0):
+        raise InvalidArgumentError("horizon and window length must be positive")
+    room = length * (1 + WINDOW_RTOL) - 4 * np.finfo(float).eps * T
+    if not (room > 0):
+        raise InvalidArgumentError(
+            f"window length {length:.6g} is below the float64 resolution of the horizon {T:.6g}")
+    return int(np.ceil(T / room))
+
+
 def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:
     """Split grid steps into contiguous windows of length <= max_length.
 
@@ -98,7 +117,7 @@ def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:
     a = 0
     while a < grid.num_steps:
         b = a + 1
-        while b < grid.num_steps and pts[b + 1] - pts[a] <= max_length * (1 + 1e-12):
+        while b < grid.num_steps and pts[b + 1] - pts[a] <= max_length * (1 + WINDOW_RTOL):
             b += 1
         windows.append((a, b))
         a = b

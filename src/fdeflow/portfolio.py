@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fde import CoefficientSet, FdeSolution, solve_global, write_path_csv
+from .fde import (CoefficientSet, FdeSolution, evaluate_step_maps, solve_global,
+                  write_path_csv)
 from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import RegressionBasis, polynomial_basis
@@ -280,9 +281,12 @@ def verify_martingale_optimality(psol: PortfolioSolution, model: MarketModel,
     w_state = eval_ensemble.brownian_paths()  # canonical state starts at 0
 
     sol = psol.fde_sol
-    y_surf = [sol.phi_fits[k].evaluate(w_state[:, k])[:, 0] for k in range(K)]
+    y_surf, z_surf = [], []
+    for k in range(K):
+        yk, zk = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w_state[:, k])
+        y_surf.append(yk[:, 0])
+        z_surf.append(zk[:, 0, :])
     y_surf.append(psol.coeffs.eval_phi(w_state[:, K])[:, 0])
-    z_surf = [sol.z_fits[k].evaluate(w_state[:, k])[:, 0, :] for k in range(K)]
 
     strategies = {"pi_star": 0.0}
     for dlt in deltas:

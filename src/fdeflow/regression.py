@@ -92,6 +92,18 @@ def _monomial_design(u: np.ndarray, exps) -> np.ndarray:
     return A
 
 
+def _hat_design(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    A = np.zeros((x.size, k.size))
+    idx = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
+    left = k[idx]
+    width = k[idx + 1] - left
+    lam = np.clip((x - left) / width, 0.0, 1.0)
+    rows = np.arange(x.size)
+    A[rows, idx] = 1.0 - lam
+    A[rows, idx + 1] = lam
+    return A
+
+
 def _standardized_to_raw(coef: np.ndarray, exps, center: np.ndarray,
                          scale: np.ndarray) -> np.ndarray:
     """Re-express coefficients of ((x-c)/s)^e monomials on raw x^e monomials."""
@@ -118,53 +130,111 @@ def _standardized_to_raw(coef: np.ndarray, exps, center: np.ndarray,
     return raw
 
 
-class _PolynomialEvaluator:
-    def __init__(self, coef_std, exps, center, scale, lo, hi):
-        self.coef_std = coef_std
+def _as_states(states, state_dim: int) -> np.ndarray:
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
+    if states.shape[1] != state_dim:
+        raise InvalidArgumentError(
+            f"state dim {states.shape[1]} != basis dim {state_dim}")
+    return states
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two float64 arrays have the same shape and the same bits.
+
+    Stricter than ``np.array_equal``, which takes -0.0 for 0.0; a design
+    built on either would differ in the sign of its zeros.
+    """
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# The reductions below go one column at a time: on the strided (P, d) views
+# the solver passes in, that is several times faster than one call over
+# axis 0, and min, max, clip and comparisons are exact either way.
+
+def _column_bounds(states: np.ndarray):
+    cols = range(states.shape[1])
+    return (np.array([states[:, j].min() for j in cols]),
+            np.array([states[:, j].max() for j in cols]))
+
+
+def _in_box(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    inside = np.ones(states.shape[0], dtype=bool)
+    for j in range(states.shape[1]):
+        col = states[:, j]
+        inside &= (col >= lo[j]) & (col <= hi[j])
+    return inside
+
+
+def _clip_columns(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    out = np.empty(states.shape)
+    for j in range(states.shape[1]):
+        np.clip(states[:, j], lo[j], hi[j], out=out[:, j])
+    return out
+
+
+class _PolynomialSurface:
+    """Clip box, centre, scale and exponents shared by the fits of one design.
+
+    Inside the box a fit is the standardized monomial design times its
+    coefficients; outside, each dimension adds the boundary gradient times
+    the distance past the box (linear continuation).
+    """
+
+    def __init__(self, exps, center, scale, lo, hi):
         self.exps = exps
         self.center = center
         self.scale = scale
         self.lo = lo
         self.hi = hi
+        # per dimension j: the monomials with e_j > 0, their exponent e_j
+        # (the derivative's factor) and their exponents with e_j lowered by 1
+        self._slopes = []
+        for j in range(center.size):
+            terms = [(i, e[j], tuple(v - (1 if k == j else 0) for k, v in enumerate(e)))
+                     for i, e in enumerate(exps) if e[j] > 0]
+            self._slopes.append(([i for i, _, _ in terms],
+                                 np.array([f for _, f, _ in terms], float)[:, None],
+                                 [r for _, _, r in terms]))
 
-    def _inside(self, states):
-        u = (states - self.center) / self.scale
-        return _monomial_design(u, self.exps) @ self.coef_std
-
-    def _gradient_dim(self, states, j):
-        reduced = [(i, e[j], tuple(v - (1 if k == j else 0) for k, v in enumerate(e)))
-                   for i, e in enumerate(self.exps) if e[j] > 0]
-        if not reduced:
-            return np.zeros((states.shape[0], self.coef_std.shape[1]))
-        u = (states - self.center) / self.scale
-        A = _monomial_design(u, [r[2] for r in reduced])
-        C = self.coef_std[[r[0] for r in reduced]] * np.array([r[1] for r in reduced], float)[:, None]
-        return (A @ C) / self.scale[j]
-
-    def __call__(self, states):
-        clipped = np.clip(states, self.lo, self.hi)
-        out = self._inside(clipped)
+    def design(self, states):
+        clipped = _clip_columns(states, self.lo, self.hi)
+        u = (clipped - self.center) / self.scale
         over = states - clipped
+        tails = []
         if np.any(over):
             for j in range(states.shape[1]):
                 mask = over[:, j] != 0.0
                 if mask.any():
-                    out[mask] += self._gradient_dim(clipped[mask], j) * over[mask, j:j + 1]
+                    tails.append((j, mask, _monomial_design(u[mask], self._slopes[j][2]),
+                                  over[mask, j:j + 1]))
+        return _monomial_design(u, self.exps), tails
+
+    def apply(self, design, coef):
+        inside, tails = design
+        out = inside @ coef
+        for j, mask, slope_design, step in tails:
+            index, factor, _ = self._slopes[j]
+            out[mask] += (slope_design @ (coef[index] * factor)) / self.scale[j] * step
         return out
 
 
-class _HatEvaluator:
-    def __init__(self, knots, values):
-        self.knots = knots    # (m,)
-        self.values = values  # (m, n_out)
+class _HatSurface:
+    """Hat-function knots; outside them a fit continues with its end slopes."""
 
-    def __call__(self, states):
-        x = states[:, 0]
+    def __init__(self, knots):
+        self.knots = knots    # (m,)
+
+    def design(self, states):
+        return states[:, 0]
+
+    def apply(self, x, values):
         k = self.knots
         # np.interp per output column with end-slope linear continuation
-        out = np.empty((x.size, self.values.shape[1]))
-        for c in range(self.values.shape[1]):
-            v = self.values[:, c]
+        out = np.empty((x.size, values.shape[1]))
+        for c in range(values.shape[1]):
+            v = values[:, c]
             y = np.interp(x, k, v)
             if k.size >= 2:
                 left = x < k[0]
@@ -179,12 +249,27 @@ class _HatEvaluator:
         return out
 
 
-class _ConstantEvaluator:
-    def __init__(self, value):
-        self.value = value  # (n_out,)
+class _ConstantSurface:
+    """The degenerate fit: the (weighted) mean target on every row."""
 
-    def __call__(self, states):
-        return np.broadcast_to(self.value, (states.shape[0], self.value.size)).copy()
+    def design(self, states):
+        return states.shape[0]
+
+    def apply(self, rows, value):
+        return np.broadcast_to(value, (rows, value.size)).copy()
+
+
+@dataclass(frozen=True)
+class EvaluationDesign:
+    """A surface's design at one set of states.
+
+    Every fit of the StepRegression that made the surface evaluates from it,
+    so fits sharing states share one design.
+    """
+
+    surface: object
+    rows: int
+    data: object = field(repr=False)
 
 
 @dataclass
@@ -201,19 +286,27 @@ class FittedConditional:
     residual_l2: float
     warning: bool = False
     out_shape: tuple | None = None
-    _evaluator: object = field(default=None, repr=False)
+    _surface: object = field(default=None, repr=False)
+    _coef: np.ndarray | None = field(default=None, repr=False)
+
+    def design(self, states: np.ndarray) -> EvaluationDesign:
+        """Evaluation design of ``states``; any fit of the same StepRegression
+        can evaluate from it."""
+        states = _as_states(states, self.basis.state_dim)
+        return EvaluationDesign(self._surface, states.shape[0], self._surface.design(states))
+
+    def evaluate_on(self, design: EvaluationDesign) -> np.ndarray:
+        """Evaluate at the states ``design`` was built on; bitwise equal to
+        ``evaluate`` on those states."""
+        if design.surface is not self._surface:
+            raise InvalidArgumentError("evaluation design belongs to another regression")
+        out = self._surface.apply(design.data, self._coef)
+        if self.out_shape is not None:
+            return out.reshape((design.rows,) + tuple(self.out_shape))
+        return out
 
     def evaluate(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        if states.shape[1] != self.basis.state_dim:
-            raise InvalidArgumentError(
-                f"state dim {states.shape[1]} != basis dim {self.basis.state_dim}")
-        out = self._evaluator(states)
-        if self.out_shape is not None:
-            return out.reshape((states.shape[0],) + tuple(self.out_shape))
-        return out
+        return self.evaluate_on(self.design(states))
 
     __call__ = evaluate
 
@@ -229,25 +322,28 @@ class StepRegression:
     right-hand side (A*w).T @ y, and the degenerate fallback the weighted mean.
     Weights apply to the rows that ``fit_window`` keeps; the reported
     ``residual_l2`` stays the plain rms over those rows.
+
+    Reuse rule: a regression lasts as long as its states. When a caller's
+    states are bitwise equal to the ones it was built on (``built_on``), the
+    caller keeps it, and with it the design, the Gram matrix, the ridge, the
+    eigenvalue check and the in-sample evaluation design
+    (``in_sample_design``), instead of building them again.
     """
 
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
                  fit_window: tuple | None = None, weights: np.ndarray | None = None):
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        if states.shape[1] != basis.state_dim:
-            raise InvalidArgumentError(
-                f"state dim {states.shape[1]} != basis dim {basis.state_dim}")
+        states = _as_states(states, basis.state_dim)
         self.basis = basis
         self.states = states
         self.warning = False
+        self._in_sample = None
         n_req = MIN_PATHS_PER_FUNCTION * basis.n_functions
         self.mask = None
         sel = states
         if fit_window is not None:
-            lo, hi = (np.asarray(v, dtype=float) for v in fit_window)
-            mask = np.all((states >= lo) & (states <= hi), axis=1)
+            lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (basis.state_dim,))
+                      for v in fit_window)
+            mask = _in_box(states, lo, hi)
             if mask.sum() >= n_req:
                 self.mask = mask
                 sel = states[mask]
@@ -261,25 +357,24 @@ class StepRegression:
                 raise InvalidArgumentError(
                     "weights must be finite, non-negative, one per path")
             self.weights = w[self.mask] if self.mask is not None else w
-        span = sel.max(axis=0) - sel.min(axis=0)
-        self.degenerate = bool(np.all(span < _DEGENERATE_SPAN))
+        lo, hi = _column_bounds(sel)
+        self.degenerate = bool(np.all(hi - lo < _DEGENERATE_SPAN))
+        self._surface = _ConstantSurface()
         if self.degenerate:
             return
-        self.lo = sel.min(axis=0)
-        self.hi = sel.max(axis=0)
         if basis.kind == "polynomial":
-            self.center = sel.mean(axis=0)
-            self.scale = np.maximum(sel.std(axis=0), _DEGENERATE_SPAN)
-            self.exps = monomial_exponents(basis.state_dim, basis.p)
-            u = (sel - self.center) / self.scale
-            self._design = _monomial_design(u, self.exps)
+            center = sel.mean(axis=0)
+            scale = np.maximum(sel.std(axis=0), _DEGENERATE_SPAN)
+            exps = monomial_exponents(basis.state_dim, basis.p)
+            self._design = _monomial_design((sel - center) / scale, exps)
+            self._surface = _PolynomialSurface(exps, center, scale, lo, hi)
         else:
-            knots = np.quantile(sel[:, 0], np.linspace(0.0, 1.0, basis.p + 1))
-            self.knots = np.unique(knots)
-            if self.knots.size < 2:
+            knots = np.unique(np.quantile(sel[:, 0], np.linspace(0.0, 1.0, basis.p + 1)))
+            if knots.size < 2:
                 self.degenerate = True
                 return
-            self._design = self._hat_design(sel[:, 0])
+            self._design = _hat_design(knots, sel[:, 0])
+            self._surface = _HatSurface(knots)
         self._design_w = (self._design if self.weights is None
                           else self._design * self.weights[:, None])
         gram = self._design_w.T @ self._design
@@ -289,17 +384,20 @@ class StepRegression:
             self.warning = True
         self._gram_reg = gram + RIDGE_FACTOR * smax2 * np.eye(gram.shape[0])
 
-    def _hat_design(self, x: np.ndarray) -> np.ndarray:
-        k = self.knots
-        A = np.zeros((x.size, k.size))
-        idx = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
-        left = k[idx]
-        width = k[idx + 1] - left
-        lam = np.clip((x - left) / width, 0.0, 1.0)
-        rows = np.arange(x.size)
-        A[rows, idx] = 1.0 - lam
-        A[rows, idx + 1] = lam
-        return A
+    def built_on(self, states: np.ndarray) -> bool:
+        """True when ``states`` are bitwise the states this regression was built on."""
+        return bitwise_equal(_as_states(states, self.basis.state_dim), self.states)
+
+    def in_sample_design(self) -> EvaluationDesign:
+        """Evaluation design of the states this regression was built on.
+
+        Built on first use and kept; every fit of this regression evaluates
+        from it, bitwise as ``fit.evaluate(self.states)`` would.
+        """
+        if self._in_sample is None:
+            self._in_sample = EvaluationDesign(self._surface, self.states.shape[0],
+                                               self._surface.design(self.states))
+        return self._in_sample
 
     def fit(self, targets: np.ndarray, step_index: int = 0,
             out_shape: tuple | None = None) -> FittedConditional:
@@ -317,19 +415,15 @@ class StepRegression:
             coef[0] = mean
             return FittedConditional(coef, self.basis, step_index, resid,
                                      warning=self.warning, out_shape=out_shape,
-                                     _evaluator=_ConstantEvaluator(mean))
+                                     _surface=self._surface, _coef=mean)
         coef_std = np.linalg.solve(self._gram_reg, self._design_w.T @ tsel)
         resid = float(np.sqrt(np.mean((self._design @ coef_std - tsel) ** 2)))
-        if self.basis.kind == "polynomial":
-            evaluator = _PolynomialEvaluator(coef_std, self.exps, self.center,
-                                             self.scale, self.lo, self.hi)
-            coef = _standardized_to_raw(coef_std, self.exps, self.center, self.scale)
-        else:
-            evaluator = _HatEvaluator(self.knots, coef_std)
-            coef = coef_std
+        surface = self._surface
+        coef = (_standardized_to_raw(coef_std, surface.exps, surface.center, surface.scale)
+                if self.basis.kind == "polynomial" else coef_std)
         return FittedConditional(coef, self.basis, step_index, resid,
                                  warning=self.warning, out_shape=out_shape,
-                                 _evaluator=evaluator)
+                                 _surface=surface, _coef=coef_std)
 
 
 def fit_conditional(state_at_k: np.ndarray, target: np.ndarray,

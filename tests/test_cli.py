@@ -95,6 +95,35 @@ def test_unknown_problem_and_fixture_exit_two(tmp_path, capsys):
     assert cli.main(["run", cfg2]) == 2
 
 
+def test_non_numeric_coefficient_exits_two(tmp_path, capsys):
+    body = TRIVIAL_CFG.replace("fixture = trivial", "fixture = const_driver\nc = abc")
+    cfg = _write(tmp_path, body.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    text = capsys.readouterr().out
+    assert text.startswith("config error") and "abc" in text and "Traceback" not in text
+
+
+def test_unknown_fixture_keys_exit_two_and_name_known_keys(tmp_path, capsys):
+    # a typo must not solve silently with the default c = 0.3
+    body = TRIVIAL_CFG.replace("fixture = trivial", "fixture = const_driver\ncc = 0.9")
+    cfg = _write(tmp_path, body.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    text = capsys.readouterr().out
+    assert "cc" in text and "it reads c" in text
+    body = TRIVIAL_CFG.replace("fixture = trivial", "fixture = trivial\nc = 0.9")
+    cfg = _write(tmp_path, body.format(out=tmp_path / "out"), name="c2.cfg")
+    assert cli.main(["run", cfg]) == 2
+    assert "no parameters" in capsys.readouterr().out
+    body = TRIVIAL_CFG.replace("fixture = trivial", "fixture = const_driver\nc = 0.9")
+    cfg = cli.load_config(_write(tmp_path, body.format(out=tmp_path / "out"), name="c3.cfg"))
+    assert cfg.fixture_params == {"c": 0.9}
+    # [market] keys are the market fixture's parameters
+    text = open(_shipped_config("portfolio.cfg", tmp_path)).read()
+    cfg = _write(tmp_path, text.replace("mu_v = ", "mu_vv = "), name="p.cfg")
+    assert cli.main(["run", cfg]) == 2
+    assert "does not read mu_vv" in capsys.readouterr().out
+
+
 def test_divergence_exits_three_with_report(tmp_path, capsys):
     # an unreachable tolerance exhausts max_iter on a fixture whose iterate
     # distances are nonzero floats

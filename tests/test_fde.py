@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError, PicardDivergedError
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
+from fdeflow.regression import StepRegression
 
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
@@ -89,6 +92,63 @@ def test_picard_window_mesh_precondition_and_divergence():
     assert err.value.report.iterations >= 1
 
 
+def _record_designs(monkeypatch):
+    """Record (box lower edge, states) of every StepRegression built."""
+    built = []
+    original = StepRegression.__init__
+
+    def recording(self, states, basis, fit_window=None, weights=None):
+        original(self, states, basis, fit_window, weights)
+        built.append((float(np.ravel(fit_window[0])[0]), self.states.copy()))
+
+    monkeypatch.setattr(StepRegression, "__init__", recording)
+    return built
+
+
+@pytest.mark.parametrize("case", ["f_zero", "f_of_z", "c1_zero"])
+def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
+    # f = 0: the forward states repeat bitwise on every pass, so each step's
+    # design is built once and the terminal map runs once at the start
+    # states and once at X_T. f = Z/2: only step 0 (fixed starts) repeats.
+    # c1 = 0: the second pass only confirms the first, and nothing is kept.
+    f = (lambda t, y, z: 0.5 * z[:, 0, :]) if case == "f_of_z" else None
+    c1 = 0.0 if case == "c1_zero" else 0.5
+    coeffs = _coeffs(h=lambda t, y, z: c1 * y, f=f,
+                     phi=lambda x: np.sin(x[:, :1]), c1=c1, c2=1.0)
+    m = 4
+    ell = ff.contraction_window_length(0.5, 1.0)
+    grid = ff.TimeGrid(np.linspace(0.0, ell, m + 1))
+    ens = ff.sample_ensemble(ff.build_uniform_grid(ell, m), 5000, 1, 16)
+    starts = np.random.default_rng(16).uniform(-2.0, 2.0, (5000, 1))
+    terminal_calls = []
+
+    def terminal_map(x):
+        terminal_calls.append(x.shape[0])
+        return coeffs.eval_phi(x)
+
+    built = _record_designs(monkeypatch)
+    _, report = ff.picard_window(coeffs, grid, terminal_map, starts, ens.increments,
+                                 basis=ff.polynomial_basis(3, 1),
+                                 fit_window_fn=lambda t: (-50.0 - t, 50.0 + t))
+    passes = report.iterations + 1
+    assert report.converged and passes >= (2 if case == "c1_zero" else 3)
+    by_step = {}
+    for edge, states in built:
+        by_step.setdefault(edge, []).append(states)
+    assert len(by_step) == m
+    if case != "f_of_z":
+        assert len(built) == (m * passes if case == "c1_zero" else m)
+        assert len(terminal_calls) == 2
+        return
+    assert len(by_step[-50.0]) == 1   # t = 0: the window's fixed starts
+    for edge, runs in by_step.items():
+        if edge != -50.0:
+            assert len(runs) == passes
+            assert all(not np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                       for a, b in zip(runs, runs[1:]))
+    assert len(terminal_calls) == 1 + passes
+
+
 def test_contraction_factor_on_compliant_window():
     # driver with real coupling, window right at the admissible length
     coeffs = _coeffs(h=lambda t, y, z: 1.0 * y,
@@ -152,6 +212,18 @@ def test_solve_global_rejects_too_coarse_grid():
     ens = ff.sample_ensemble(grid, 2000, 1, 14)
     with pytest.raises(InvalidArgumentError, match="coarser"):
         ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0)
+    # c1 = 3, c2 = c4 = 4, T = 3: ceil(T / ell) = 43200 steps leave the mesh
+    # 3.4e-12 above ell, so the suggestion must be a count that passes
+    coeffs = _coeffs(h=lambda t, y, z: 3.0 * np.sin(y), phi=lambda x: np.tanh(4.0 * x[:, :1]),
+                     c1=3.0, c2=4.0)
+    grid = ff.build_uniform_grid(3.0, 8)
+    ens = ff.sample_ensemble(grid, 50, 1, 14)
+    with pytest.raises(InvalidArgumentError, match="coarser") as err:
+        ff.solve_global(coeffs, grid, 0.0, ens, c4=4.0)
+    steps = int(re.search(r"use at least (\d+) steps", str(err.value)).group(1))
+    ell = ff.contraction_window_length(3.0, 4.0)
+    assert steps <= np.ceil(3.0 / ell) + 1
+    assert ff.build_uniform_grid(3.0, steps).mesh <= ell * (1 + 1e-12)
 
 
 def test_cn_oracle_matches_analytic_solution():

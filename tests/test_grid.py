@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
+from fdeflow.grid import WINDOW_RTOL, uniform_steps_within
 
 
 def test_uniform_grid_examples():
@@ -33,7 +34,7 @@ def test_contraction_window_length_validation():
 
 def _contraction_partition(T, c1, c_grad):
     ell = ff.contraction_window_length(c1, c_grad)
-    return ff.build_uniform_grid(T, max(1, int(np.ceil(T / ell - 1e-12))))
+    return ff.build_uniform_grid(T, uniform_steps_within(T, ell))
 
 
 def test_contraction_partition_examples():
@@ -46,10 +47,15 @@ def test_contraction_partition_examples():
 
 
 @given(st.floats(0.05, 10.0), st.floats(0.0, 5.0), st.floats(0.1, 8.0))
+@example(3.0, 4.0, 3.0)   # ceil(T / ell) = 43200 steps overshoot ell by 3.4e-12
 @settings(max_examples=50, deadline=None)
 def test_partition_mesh_rule_holds(c1, c_grad, T):
     g = _contraction_partition(T, c1, c_grad)
     assert np.sqrt(g.mesh) <= min(1.0 / (8 * c1 * (1 + c_grad)), 1.0) + 1e-12
+    # the step count passes the solver's own mesh check, and so does one more step
+    ell = ff.contraction_window_length(c1, c_grad)
+    assert g.mesh <= ell * (1 + WINDOW_RTOL)
+    assert ff.build_uniform_grid(T, g.num_steps + 1).mesh <= ell * (1 + WINDOW_RTOL)
     assert g.points[0] == 0.0 and g.points[-1] == pytest.approx(T)
 
 

@@ -274,3 +274,81 @@ def test_weights_must_be_finite_non_negative_per_path():
     for bad in (np.ones(499), np.full(500, -1.0), np.full(500, np.nan)):
         with pytest.raises(InvalidArgumentError):
             StepRegression(x, basis, weights=bad)
+
+
+def _reference_polynomial(fit, states):
+    # the surface arithmetic written out whole-array: clip to the fit box,
+    # standardized design times coefficients, then per dimension the
+    # boundary gradient times the distance past the box
+    from fdeflow.regression import _monomial_design
+    s = fit._surface
+    clipped = np.clip(states, s.lo, s.hi)
+    out = _monomial_design((clipped - s.center) / s.scale, s.exps) @ fit._coef
+    over = states - clipped
+    for j in range(states.shape[1]):
+        mask = over[:, j] != 0.0
+        if not mask.any():
+            continue
+        terms = [(i, e[j], tuple(v - (1 if k == j else 0) for k, v in enumerate(e)))
+                 for i, e in enumerate(s.exps) if e[j] > 0]
+        A = _monomial_design((clipped[mask] - s.center) / s.scale, [r for _, _, r in terms])
+        C = fit._coef[[i for i, _, _ in terms]] * np.array([f for _, f, _ in terms], float)[:, None]
+        out[mask] += (A @ C) / s.scale[j] * over[mask, j:j + 1]
+    return out
+
+
+def _sharing_case(name):
+    rng = np.random.default_rng(31)
+    if name == "poly_1d_deg7":
+        x = rng.standard_normal((6000, 1))
+        return x, ff.polynomial_basis(7, 1), (-1.5, 1.5), np.array([[-4.0], [0.1], [5.0]])
+    if name == "poly_2d_deg3":
+        x = rng.standard_normal((6000, 2))
+        return (x, ff.polynomial_basis(3, 2), ((-1.2, -2.0), (1.6, 1.0)),
+                np.array([[-3.0, 0.0], [0.2, 4.0], [5.0, -5.0], [0.1, 0.1]]))
+    if name == "quantile_linear":
+        x = rng.standard_normal((6000, 1))
+        return x, ff.quantile_linear_basis(8), (-2.0, 2.0), np.array([[-6.0], [0.3], [6.0]])
+    x = np.full((6000, 1), 0.25)   # degenerate: every state equal
+    return x, ff.polynomial_basis(3, 1), None, np.array([[-1.0], [0.25], [3.0]])
+
+
+@pytest.mark.parametrize("name", ["poly_1d_deg7", "poly_2d_deg3", "quantile_linear",
+                                  "degenerate"])
+def test_shared_and_in_sample_designs_match_evaluate_bitwise(name):
+    states, basis, box, far = _sharing_case(name)
+    rng = np.random.default_rng(5)
+    sr = StepRegression(states, basis, fit_window=box)
+    y_fit = sr.fit(np.sin(states.sum(axis=1)) + 0.1 * rng.standard_normal(states.shape[0]))
+    z_fit = sr.fit(rng.standard_normal((states.shape[0], 2)), out_shape=(1, 2))
+    probes = np.concatenate([states[:50], far])
+    if box is not None:
+        # rows the fit box dropped, and probes past it, take the linear continuation
+        assert sr.mask is not None and not sr.mask.all()
+        lo, hi = (np.broadcast_to(v, (basis.state_dim,)) for v in box)
+        assert np.array_equal(sr.mask, np.all((states >= lo) & (states <= hi), axis=1))
+    in_sample = sr.in_sample_design()
+    assert sr.in_sample_design() is in_sample
+    shared = y_fit.design(probes)
+    for fit in (y_fit, z_fit):
+        assert np.array_equal(fit.evaluate_on(in_sample), fit.evaluate(states))
+        assert np.array_equal(fit.evaluate_on(shared), fit.evaluate(probes))
+        if basis.kind == "polynomial" and not sr.degenerate:
+            assert np.array_equal(fit._surface.lo, sr.fit_states.min(axis=0))
+            assert np.array_equal(fit._surface.hi, sr.fit_states.max(axis=0))
+            flat = fit.evaluate(probes).reshape(probes.shape[0], -1)
+            assert np.array_equal(flat, _reference_polynomial(fit, probes))
+    other = StepRegression(states, basis, fit_window=box).fit(states[:, :1])
+    with pytest.raises(InvalidArgumentError):
+        other.evaluate_on(shared)
+
+
+def test_built_on_compares_bits():
+    x = RNG.standard_normal((500, 1))
+    x[0] = 0.0
+    sr = StepRegression(x, ff.polynomial_basis(2, 1))
+    assert sr.built_on(x.copy()) and sr.built_on(x[:, 0])
+    flipped = x.copy()
+    flipped[0] = -0.0   # equal as a number, not as bits
+    assert not sr.built_on(flipped)
+    assert not sr.built_on(x[:499])
