@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import os
 import time
 import zlib
@@ -26,7 +25,7 @@ import numpy as np
 from . import oracles
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
-from .fde import export_solution, solve_global
+from .fde import export_solution, solve_global, write_json
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
                        check_z_invariance, export_weak_solution)
@@ -150,12 +149,18 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
+    # every key looked up, by section: a key or section not in here is
+    # one that no field reads
+    asked = {}
+
     def need(section, key):
+        asked.setdefault(section, []).append(key)
         if not parser.has_option(section, key):
             raise ConfigError(f"missing required field [{section}] {key}")
         return parser.get(section, key)
 
     def opt(section, key, cast, default=None):
+        asked.setdefault(section, []).append(key)
         if not parser.has_option(section, key):
             return default
         raw = parser.get(section, key)
@@ -203,16 +208,24 @@ def load_config(path) -> ExperimentConfig:
             if not parser.has_option("market", key):
                 raise ConfigError(f"missing required field [market] {key}")
         for key in parser.options("market"):
-            raw = parser.get("market", key)
             if key == "endowment":
-                cfg.market[key] = raw.strip()
+                cfg.market[key] = opt("market", key, str).strip()
                 if cfg.market[key] not in ENDOWMENTS:
                     raise ConfigError(f"[market] endowment must be one of "
-                                      f"{tuple(ENDOWMENTS)}, got {raw.strip()!r}")
+                                      f"{tuple(ENDOWMENTS)}, got {cfg.market[key]!r}")
             else:
                 cfg.market[key] = opt("market", key, float)
         _check_fixture_keys("market", ENDOWMENTS[cfg.market.get("endowment", "zero")],
                             [k for k in cfg.market if k != "endowment"])
+    for section in parser.sections():
+        if section not in asked:
+            raise ConfigError(
+                f"problem {problem} reads no section [{section}]; it reads "
+                + ", ".join(f"[{name}]" for name in asked))
+        unknown = sorted(set(parser.options(section)) - {k.lower() for k in asked[section]})
+        if unknown:
+            raise ConfigError(f"[{section}] does not read {', '.join(unknown)}; "
+                              f"it reads {', '.join(asked[section])}")
     if not np.isfinite(cfg.tol) or cfg.tol <= 0:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
     return cfg
@@ -482,19 +495,17 @@ def run(cfg: ExperimentConfig) -> RunReport:
         name = cfg.fixture
         bundle, assertions = _evaluate_fixture(name, cfg, out_dir, report)
         if cfg.problem == "qbsde-weak" and bundle.get("portfolio") is None:
-            if "weak" not in bundle:   # const_forward's checks have built them already
-                bundle["measure_change"] = build_measure_change(
+            if "weak" not in bundle:   # const_forward's checks have built and checked them
+                mc = bundle["measure_change"] = build_measure_change(
                     bundle["sol"], bundle["coeffs"], bundle["ensemble"], 0.0)
-                bundle["weak"] = assemble_weak_solution(
-                    bundle["sol"], bundle["measure_change"], bundle["coeffs"])
-            mc, weak = bundle["measure_change"], bundle["weak"]
+                bundle["weak"] = assemble_weak_solution(bundle["sol"], mc, bundle["coeffs"])
+                dev_se = abs(float(mc.weight_mean) - 1.0) / mc.weight_stderr
+                assertions.append(_dev("weight_mean_dev_se", dev_se, 5.0))
             wcsv = out_dir / f"{name}_weak.csv"
             wjson = out_dir / f"{name}_weak.json"
-            export_weak_solution(weak, wcsv, wjson, path_limit=cfg.export_paths,
+            export_weak_solution(bundle["weak"], wcsv, wjson, path_limit=cfg.export_paths,
                                  config_echo=cfg.echo())
             report.outputs += [wcsv, wjson]
-            dev_se = abs(float(mc.weight_mean) - 1.0) / mc.weight_stderr
-            assertions.append(_dev("weight_mean_dev_se", dev_se, 5.0))
         report.assertions += assertions
         rows = [(name, a) for a in assertions]
         verdicts = out_dir / "verdicts.csv"
@@ -510,11 +521,26 @@ def run(cfg: ExperimentConfig) -> RunReport:
         report.outputs.append(verdicts)
     report.wall_clock["total"] = time.perf_counter() - t_start
     report_path = out_dir / "run_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report.to_json())
     report.outputs.append(report_path)
     return report
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when the lock records a positive PID that no process has."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8").strip().removeprefix("pid="))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):   # alive under another user, or not a PID
+        pass
+    return False
 
 
 def _acquire_lock(out_dir: Path):
@@ -523,8 +549,14 @@ def _acquire_lock(out_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ConfigError(
-            f"output directory is locked by another run: {lock} (remove if stale)")
+        if not _lock_is_stale(lock):
+            raise ConfigError(
+                f"output directory is locked by another run: {lock} (remove if stale)")
+        lock.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise ConfigError(f"output directory is locked by another run: {lock}")
     with os.fdopen(fd, "w") as fh:
         fh.write(f"pid={os.getpid()}\n")
     return lock
@@ -572,17 +604,10 @@ def main(argv=None) -> int:
         return 2
     except PicardDivergedError as exc:
         dump = Path(cfg.out_dir) / "picard_report.json"
-        rep = exc.report
         payload = {"error": str(exc)}
-        if rep is not None:
-            payload["report"] = {
-                "window": list(rep.window), "iterations": rep.iterations,
-                "distances": [float(v) for v in rep.distances],
-                "converged": rep.converged,
-                "empirical_factor": float(rep.empirical_factor)}
-        with open(dump, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if exc.report is not None:
+            payload["report"] = exc.report.to_json()
+        write_json(dump, payload)
         print(f"solver divergence: {exc} (report dumped to {dump})")
         return 3
     except (InsufficientWeightError, InvalidStateError) as exc:

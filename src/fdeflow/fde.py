@@ -35,7 +35,8 @@ import numpy as np
 from .errors import InvalidArgumentError, PicardDivergedError
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
                    segment_windows, uniform_steps_within)
-from .regression import RegressionBasis, StepRegression, bitwise_equal, polynomial_basis
+from .regression import (RegressionBasis, StepRegression, bitwise_equal, density_target,
+                         polynomial_basis)
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 50
@@ -55,6 +56,11 @@ def _as_2d(arr, n, name):
     return out
 
 
+def _require_finite(name, *outputs):
+    if not all(np.all(np.isfinite(out)) for out in outputs):
+        raise InvalidArgumentError(f"{name} returned non-finite values on spot-check inputs")
+
+
 @dataclass
 class CoefficientSet:
     """Driver, drift, and terminal data with their declared constants.
@@ -62,7 +68,8 @@ class CoefficientSet:
     h(t, y, z) -> (P, n), f(t, y, z) -> (P, d), phi(x) -> (P, n) with
     y: (P, n), z: (P, n, d), x: (P, d), all vectorized over paths.
     Lipschitz constants and the terminal bound are spot-checked on random
-    input pairs at construction; violations are rejected.
+    input pairs at construction; violations and non-finite outputs are
+    rejected.
     """
 
     n: int
@@ -100,15 +107,20 @@ class CoefficientSet:
         dyz = (np.linalg.norm(y - y2, axis=1)
                + np.linalg.norm((z - z2).reshape(m, -1), axis=1))
         for t in (0.0, 0.37, 1.0):
-            dh = np.linalg.norm(self.eval_h(t, y, z) - self.eval_h(t, y2, z2), axis=1)
+            h1, h2 = self.eval_h(t, y, z), self.eval_h(t, y2, z2)
+            _require_finite("h", h1, h2)
+            dh = np.linalg.norm(h1 - h2, axis=1)
             if np.any(dh > self.c1 * dyz * (1 + slack) + slack):
                 raise InvalidArgumentError(
                     f"h violates the declared Lipschitz constant c1={self.c1}")
-            df = np.linalg.norm(self.eval_f(t, y, z) - self.eval_f(t, y2, z2), axis=1)
+            f1, f2 = self.eval_f(t, y, z), self.eval_f(t, y2, z2)
+            _require_finite("f", f1, f2)
+            df = np.linalg.norm(f1 - f2, axis=1)
             if np.any(df > self.c1 * dyz * (1 + slack) + slack):
                 raise InvalidArgumentError(
                     f"f violates the declared Lipschitz constant c1={self.c1}")
         phix, phix2 = self.eval_phi(x), self.eval_phi(x2)
+        _require_finite("phi", phix, phix2)
         dphi = np.linalg.norm(phix - phix2, axis=1)
         if np.any(dphi > self.c2 * np.linalg.norm(x - x2, axis=1) * (1 + slack) + slack):
             raise InvalidArgumentError(
@@ -128,6 +140,13 @@ class PicardReport:
     converged: bool
     tol: float
     empirical_factor: float = 0.0
+
+    def to_json(self) -> dict:
+        """The report as written to the summary and divergence JSON files."""
+        return {"window": list(self.window), "iterations": self.iterations,
+                "distances": [float(v) for v in self.distances],
+                "converged": self.converged,
+                "empirical_factor": float(self.empirical_factor)}
 
     def iterations_to(self, tol: float) -> int:
         """Correction passes needed to first reach the given tolerance."""
@@ -160,13 +179,6 @@ class FdeSolution:
     @property
     def num_paths(self) -> int:
         return self.V.shape[0]
-
-    def y_surface(self, k: int, states: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted Y map at step k (k < K)."""
-        return self.phi_fits[k].evaluate(states)
-
-    def z_surface(self, k: int, states: np.ndarray) -> np.ndarray:
-        return self.z_fits[k].evaluate(states)
 
 
 @dataclass
@@ -287,15 +299,14 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                 if keep:
                     regressions[k] = sr
             design = sr.in_sample_design()
-            y_fits[k] = sr.fit(xi - V[:, k], step_index=k)
+            y_fits[k] = sr.fit(xi - V[:, k])
             yk = y_fits[k].evaluate_on(design)
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[k] = yk
             M_k = yk + V[:, k]
-            dM = M_next - M_k
-            ztgt = (dM[:, :, None] * increments[:, k, None, :] / dt[k]).reshape(P, n * d)
-            z_fits[k] = sr.fit(ztgt, step_index=k, out_shape=(n, d))
+            z_fits[k] = sr.fit(density_target(M_next - M_k, increments[:, k], dt[k]),
+                               out_shape=(n, d))
             Z[k] = z_fits[k].evaluate_on(design)
             M_next = M_k
 
@@ -551,6 +562,13 @@ def empirical_pathwise_uniqueness(coeffs: CoefficientSet, grid: TimeGrid, x0,
             "solutions": sols}
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_path_csv(path, columns, block: np.ndarray) -> None:
     """Write rows ``path,step,<floats>`` from a (P, steps, F) block.
 
@@ -586,14 +604,7 @@ def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,
             "y0_stderr": None if sol.y0_stderr is None else [float(v) for v in sol.y0_stderr],
             "residuals": {k: float(v) for k, v in sol.residuals.items()},
             "windows": [[int(a), int(b)] for a, b in sol.window_bounds],
-            "iteration_log": [
-                {"window": list(r.window), "iterations": r.iterations,
-                 "distances": [float(v) for v in r.distances],
-                 "converged": r.converged,
-                 "empirical_factor": float(r.empirical_factor)}
-                for r in sol.iteration_log],
+            "iteration_log": [r.to_json() for r in sol.iteration_log],
             "config": config_echo or {},
         }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(sidecar_path, side)

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import CoefficientSet, FdeSolution, write_path_csv
+from .fde import CoefficientSet, FdeSolution, write_json, write_path_csv
 from .grid import BrownianEnsemble, TimeGrid
-from .regression import RegressionBasis, StepRegression, polynomial_basis
+from .regression import (MIN_PATHS_PER_FUNCTION, RegressionBasis, StepRegression,
+                         density_target, polynomial_basis)
 
 
 @dataclass
@@ -168,9 +169,10 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         stored = sol.z_fits[K // 2].basis
         basis = stored if stored.kind == "polynomial" else polynomial_basis(3, d)
     ess = mc.effective_sample_size
-    if ess < 10 * basis.n_functions:
+    if ess < MIN_PATHS_PER_FUNCTION * basis.n_functions:
         raise InsufficientWeightError(
-            f"effective sample size {ess:.1f} below {10 * basis.n_functions}")
+            f"effective sample size {ess:.1f} below "
+            f"{MIN_PATHS_PER_FUNCTION * basis.n_functions}")
     if probe_steps is None:
         probe_steps = sorted({max(1, K // 4), K // 2, max(1, (3 * K) // 4)})
     center = sol.x0 if sol.x0 is not None else np.zeros(d)
@@ -193,11 +195,9 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], mc.f_values[:, k])
         dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
         dw = mc.w_paths[:, k + 1] - mc.w_paths[:, k]
-        P, n = dmp.shape
-        target = (dmp[:, :, None] * dw[:, None, :] / dt[k]).reshape(P, n * d)
         p_fit = StepRegression(sol.X[:, k], basis, weights=mc.weights)
-        zp = p_fit.fit(target, step_index=k).evaluate(mesh)
-        zq = sol.z_fits[k].evaluate(mesh).reshape(mesh.shape[0], n * d)
+        zp = p_fit.fit(density_target(dmp, dw, dt[k])).evaluate(mesh)
+        zq = sol.z_fits[k].evaluate(mesh).reshape(zp.shape)
         disc = float(np.abs(zq - zp).max())
         per_probe.append({"step": int(k), "t": float(t[k]), "discrepancy": disc})
         worst = max(worst, disc)
@@ -233,7 +233,7 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
             est = np.zeros(sol.num_paths)
         else:
             sr = StepRegression(sol.X[:, idx], basis)
-            fit = sr.fit(remaining[:, idx][:, None], step_index=idx)
+            fit = sr.fit(remaining[:, idx][:, None])
             est = fit.evaluate(sol.X[:, idx])[:, 0]
         p99 = float(np.quantile(est, 0.99))
         per_probe.append({"t": float(t[idx]), "mean": float(est.mean()), "p99": p99})
@@ -244,7 +244,6 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
 def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
                          path_limit: int | None = None, config_echo: dict | None = None):
     """CSV of (path, step, t, Y.., Z.., W..) plus a weights-summary sidecar."""
-    import json
     P = weak.Y.shape[0] if path_limit is None else min(path_limit, weak.Y.shape[0])
     K = weak.grid.num_steps
     n = weak.Y.shape[2]
@@ -266,6 +265,4 @@ def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
                         weak.weights.sum() ** 2 / np.sum(weak.weights ** 2)),
                 },
                 "config": config_echo or {}}
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(sidecar_path, side)

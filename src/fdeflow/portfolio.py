@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fde import (CoefficientSet, FdeSolution, evaluate_step_maps, solve_global,
-                  write_path_csv)
+                  write_json, write_path_csv)
 from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import RegressionBasis, polynomial_basis
@@ -93,6 +93,8 @@ class MarketModel:
         ls, ls2 = np.log(self.s0) + rng.normal(0, 1.5, (2, m))
         g1 = np.asarray(self.g(np.exp(lv), np.exp(ls)), dtype=float)
         g2 = np.asarray(self.g(np.exp(lv2), np.exp(ls2)), dtype=float)
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise InvalidArgumentError("g returned non-finite values on spot-check inputs")
         if np.any(np.abs(g1) > self.g_bound * (1 + slack) + 1e-12):
             raise InvalidArgumentError(f"g violates the declared bound {self.g_bound}")
         dist = np.abs(lv - lv2) + np.abs(ls - ls2)
@@ -328,7 +330,6 @@ def export_portfolio_results(psol: PortfolioSolution, json_path, *,
                              pi_csv_path=None, path_limit: int | None = None,
                              config_echo: dict | None = None):
     """Results JSON (y0, value, strategy summary, drift table) and optional pi* CSV."""
-    import json
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
@@ -350,9 +351,7 @@ def export_portfolio_results(psol: PortfolioSolution, json_path, *,
                     "step_drift": [float(v) for v in r["step_drift"]],
                     "step_se": [float(v) for v in r["step_se"]]}
             for label, r in rep["strategies"].items()}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, summary)
     if pi_csv_path is not None:
         pi = psol.pi_star[:path_limit]
         t = np.broadcast_to(psol.grid.points[:-1], pi.shape)

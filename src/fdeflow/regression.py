@@ -1,10 +1,10 @@
-"""Regression-based conditional expectations and the martingale-density estimator.
+"""Regression-based conditional expectations and the covariance-identity Z target.
 
 Least-squares Monte Carlo: project per-path payoffs onto basis functions of a
-conditioning state. Fits can be restricted to a state box (the standard
-in-region trick from exercise-boundary regressions); outside the box a fitted
-surface continues linearly from the boundary, which keeps far-tail
-evaluations bounded without distorting the fit region.
+conditioning state, through ``StepRegression``. Fits can be restricted to a
+state box (the standard in-region trick from exercise-boundary regressions);
+outside the box a fitted surface continues linearly from the boundary, which
+keeps far-tail evaluations bounded without distorting the fit region.
 
 An exact binomial-lattice oracle backs the regressions at desk scale.
 """
@@ -102,32 +102,6 @@ def _hat_design(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     A[rows, idx] = 1.0 - lam
     A[rows, idx + 1] = lam
     return A
-
-
-def _standardized_to_raw(coef: np.ndarray, exps, center: np.ndarray,
-                         scale: np.ndarray) -> np.ndarray:
-    """Re-express coefficients of ((x-c)/s)^e monomials on raw x^e monomials."""
-    index = {e: i for i, e in enumerate(exps)}
-    raw = np.zeros_like(coef)
-    d = center.size
-    for i, e in enumerate(exps):
-        # expand prod_j ((x_j - c_j)/s_j)^{e_j} term by term
-        terms = [((), 1.0)]
-        for j in range(d):
-            ej = e[j]
-            if ej == 0:
-                terms = [(ex + (0,), w) for ex, w in terms]
-                continue
-            sj = scale[j] ** ej
-            new_terms = []
-            for ex, w in terms:
-                for i_j in range(ej + 1):
-                    wj = math.comb(ej, i_j) * ((-center[j]) ** (ej - i_j)) / sj
-                    new_terms.append((ex + (i_j,), w * wj))
-            terms = new_terms
-        for ex, w in terms:
-            raw[index[ex]] += w * coef[i]
-    return raw
 
 
 def _as_states(states, state_dim: int) -> np.ndarray:
@@ -276,14 +250,11 @@ class EvaluationDesign:
 class FittedConditional:
     """A fitted conditional-mean surface for one time step.
 
-    ``coefficients`` are reported on the raw basis (plain monomials, or hat
-    node values); evaluation uses the internally standardized representation.
+    Holds the coefficients on the surface's standardized basis (monomials of
+    the centred and scaled state, or hat node values); ``evaluate`` reads it.
     """
 
-    coefficients: np.ndarray
     basis: RegressionBasis
-    step_index: int
-    residual_l2: float
     warning: bool = False
     out_shape: tuple | None = None
     _surface: object = field(default=None, repr=False)
@@ -320,8 +291,8 @@ class StepRegression:
     Optional per-path ``weights`` (for instance importance weights) turn the
     fit into weighted least squares: the Gram matrix is (A*w).T @ A, the
     right-hand side (A*w).T @ y, and the degenerate fallback the weighted mean.
-    Weights apply to the rows that ``fit_window`` keeps; the reported
-    ``residual_l2`` stays the plain rms over those rows.
+    Weights apply to the rows that ``fit_window`` keeps. Fewer than
+    MIN_PATHS_PER_FUNCTION paths per basis function are rejected.
 
     Reuse rule: a regression lasts as long as its states. When a caller's
     states are bitwise equal to the ones it was built on (``built_on``), the
@@ -333,11 +304,15 @@ class StepRegression:
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
                  fit_window: tuple | None = None, weights: np.ndarray | None = None):
         states = _as_states(states, basis.state_dim)
+        n_req = MIN_PATHS_PER_FUNCTION * basis.n_functions
+        if states.shape[0] < n_req:
+            raise InvalidArgumentError(
+                f"need at least {n_req} paths for {basis.n_functions} basis "
+                f"functions, got {states.shape[0]}")
         self.basis = basis
         self.states = states
         self.warning = False
         self._in_sample = None
-        n_req = MIN_PATHS_PER_FUNCTION * basis.n_functions
         self.mask = None
         sel = states
         if fit_window is not None:
@@ -399,8 +374,7 @@ class StepRegression:
                                                self._surface.design(self.states))
         return self._in_sample
 
-    def fit(self, targets: np.ndarray, step_index: int = 0,
-            out_shape: tuple | None = None) -> FittedConditional:
+    def fit(self, targets: np.ndarray, out_shape: tuple | None = None) -> FittedConditional:
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 1:
             targets = targets[:, None]
@@ -408,77 +382,23 @@ class StepRegression:
             raise InvalidArgumentError("state and target path counts differ")
         tsel = targets[self.mask] if self.mask is not None else targets
         if self.degenerate:
-            mean = (tsel.mean(axis=0) if self.weights is None
+            coef = (tsel.mean(axis=0) if self.weights is None
                     else np.average(tsel, axis=0, weights=self.weights))
-            resid = float(np.sqrt(np.mean((tsel - mean) ** 2)))
-            coef = np.zeros((self.basis.n_functions, mean.size))
-            coef[0] = mean
-            return FittedConditional(coef, self.basis, step_index, resid,
-                                     warning=self.warning, out_shape=out_shape,
-                                     _surface=self._surface, _coef=mean)
-        coef_std = np.linalg.solve(self._gram_reg, self._design_w.T @ tsel)
-        resid = float(np.sqrt(np.mean((self._design @ coef_std - tsel) ** 2)))
-        surface = self._surface
-        coef = (_standardized_to_raw(coef_std, surface.exps, surface.center, surface.scale)
-                if self.basis.kind == "polynomial" else coef_std)
-        return FittedConditional(coef, self.basis, step_index, resid,
-                                 warning=self.warning, out_shape=out_shape,
-                                 _surface=surface, _coef=coef_std)
+        else:
+            coef = np.linalg.solve(self._gram_reg, self._design_w.T @ tsel)
+        return FittedConditional(self.basis, warning=self.warning, out_shape=out_shape,
+                                 _surface=self._surface, _coef=coef)
 
 
-def fit_conditional(state_at_k: np.ndarray, target: np.ndarray,
-                    basis: RegressionBasis, step_index: int = 0,
-                    fit_window: tuple | None = None) -> FittedConditional:
-    """Least-squares projection of per-path payoffs onto basis functions of the state.
+def density_target(dM: np.ndarray, dB: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path regression target of Z over one step: dM dB^T / dt, flattened.
 
-    Parameters
-    ----------
-    state_at_k : (P,) or (P, state_dim) conditioning states
-    target : (P,) or (P, m) payoffs
-    basis : RegressionBasis
-    fit_window : optional (lo, hi) box restricting the design region
-
-    Returns
-    -------
-    FittedConditional whose ``evaluate`` gives the fitted conditional mean.
+    dM: (P, n) martingale increments, dB: (P, d) Brownian increments. By the
+    covariance identity, E[dM dB^T | F_k] / dt estimates the martingale
+    representation integrand Z_k; fit it with ``out_shape=(n, d)``.
     """
-    state_at_k = np.asarray(state_at_k, dtype=float)
-    P = state_at_k.shape[0]
-    tgt = np.asarray(target, dtype=float)
-    if tgt.shape[0] != P:
-        raise InvalidArgumentError("state and target path counts differ")
-    if P < MIN_PATHS_PER_FUNCTION * basis.n_functions:
-        raise InvalidArgumentError(
-            f"need at least {MIN_PATHS_PER_FUNCTION * basis.n_functions} paths "
-            f"for {basis.n_functions} basis functions, got {P}")
-    return StepRegression(state_at_k, basis, fit_window).fit(tgt, step_index)
-
-
-def extract_density(martingale_increment: np.ndarray, brownian_increment: np.ndarray,
-                    state_at_k: np.ndarray, basis: RegressionBasis, dt: float,
-                    step_index: int = 0, fit_window: tuple | None = None) -> FittedConditional:
-    """Estimate the martingale-representation integrand at one step.
-
-    Regresses increment * dB / dt componentwise on basis functions of the
-    state (the conditional-covariance identity for Ito integrands). The result
-    evaluates to an (n, d) matrix per path.
-    """
-    dM = np.asarray(martingale_increment, dtype=float)
-    if dM.ndim == 1:
-        dM = dM[:, None]
-    dB = np.asarray(brownian_increment, dtype=float)
-    if dB.ndim == 1:
-        dB = dB[:, None]
-    if dM.shape[0] != dB.shape[0]:
-        raise InvalidArgumentError("increment path counts differ")
-    if not (dt > 0):
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
     P, n = dM.shape
-    d = dB.shape[1]
-    target = (dM[:, :, None] * dB[:, None, :] / dt).reshape(P, n * d)
-    fit = fit_conditional(state_at_k, target, basis, step_index, fit_window)
-    fit.out_shape = (n, d)
-    return fit
+    return (dM[:, :, None] * dB[:, None, :] / dt).reshape(P, n * dB.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,29 @@ def test_unknown_fixture_keys_exit_two_and_name_known_keys(tmp_path, capsys):
     assert "does not read mu_vv" in capsys.readouterr().out
 
 
+def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
+    # a typo must not run silently with the default; configparser lowercases
+    # keys, so the grid's T and K arrive as t and k and still count as read
+    cases = [
+        ("seed = 4242", "seed = 4242\nnum_path = 10", "does not read num_path",
+         "it reads problem, seed, num_paths, out"),
+        ("K = 16", "K = 16\ndt = 0.1", "does not read dt", "it reads T, K, c4"),
+        ("K = 16", "K = 16\n\n[solver]\ntols = 1e-9", "does not read tols", "it reads tol,"),
+        ("K = 16", "K = 16\n\n[output]\nexport_path = 5", "does not read export_path",
+         "it reads export_paths, quiet"),
+        ("K = 16", "K = 16\n\n[solvr]\ntol = 1e-9", "reads no section [solvr]",
+         "[solver]"),
+        ("K = 16", "K = 16\n\n[market]\ngamma = 1", "reads no section [market]",
+         "[coefficients]"),
+    ]
+    for i, (old, new, named, known) in enumerate(cases):
+        body = TRIVIAL_CFG.replace(old, new).format(out=tmp_path / "out")
+        assert cli.main(["run", _write(tmp_path, body, name=f"c{i}.cfg")]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("config error") and named in text and known in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_divergence_exits_three_with_report(tmp_path, capsys):
     # an unreachable tolerance exhausts max_iter on a fixture whose iterate
     # distances are nonzero floats
@@ -164,6 +187,23 @@ def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
     assert "locked" in capsys.readouterr().out
 
 
+def test_lock_of_an_exited_process_is_retaken(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
+    (out / cli.LOCK_NAME).write_text(f"pid={os.getpid()}\n")   # a live process
+    assert cli.main(["run", cfg]) == 2
+    assert "locked" in capsys.readouterr().out
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / cli.LOCK_NAME).write_text(f"pid={child.pid}\n")
+    assert cli.main(["run", cfg, "--quiet"]) == 0
+    assert not (out / cli.LOCK_NAME).exists()
+
+
 def test_qbsde_weak_problem_writes_weak_artifacts(tmp_path):
     body = """
 [run]
@@ -187,6 +227,9 @@ c4 = 1.0
     assert (out / "const_forward_weak.csv").exists()
     weak = json.loads((out / "const_forward_weak.json").read_text())
     assert "weights" in weak and "residual" in weak
+    names = [line.split(",")[1] for line in
+             (out / "verdicts.csv").read_text().splitlines()[1:]]
+    assert "weight_mean_dev_se" in names and len(names) == len(set(names))
 
 
 def test_seed_and_paths_overrides_apply(tmp_path):

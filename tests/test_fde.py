@@ -33,6 +33,17 @@ def test_coefficient_validation_rejects_lipschitz_violations():
     _coeffs(phi=lambda x: np.tanh(x[:, :1]), c2=1.0)
 
 
+def test_coefficient_validation_rejects_non_finite_outputs():
+    # NaN fails every comparison, so the Lipschitz and bound checks alone pass it
+    nan_far = lambda v: np.where(np.abs(v) > 3.0, np.nan, 0.0)
+    with pytest.raises(InvalidArgumentError, match="h returned non-finite"):
+        _coeffs(h=lambda t, y, z: nan_far(y), c1=1.0)
+    with pytest.raises(InvalidArgumentError, match="f returned non-finite"):
+        _coeffs(f=lambda t, y, z: nan_far(y), c1=1.0)
+    with pytest.raises(InvalidArgumentError, match="phi returned non-finite"):
+        _coeffs(phi=lambda x: np.tanh(x[:, :1]) + nan_far(x[:, :1]), c2=1.0)
+
+
 def test_picard_window_trivial_problem():
     coeffs = _coeffs()
     grid = ff.build_uniform_grid(1.0, 8)

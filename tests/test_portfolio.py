@@ -22,6 +22,12 @@ def test_model_validation():
                        g=lambda v, s: np.log(v), g_bound=1.0, g_lip_log=1.0)
 
 
+def test_model_validation_rejects_non_finite_endowment():
+    g = lambda v, s: np.where(np.abs(np.log(v)) > 2.0, np.inf, 0.1 * np.tanh(np.log(v)))
+    with pytest.raises(InvalidArgumentError, match="g returned non-finite"):
+        ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, g=g, g_bound=1.0, g_lip_log=1.0)
+
+
 def test_build_fbsde_driver_and_integrand_values():
     model = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, gamma=1.0)
     coeffs, transform = ff.build_portfolio_fbsde(model, 1.0)

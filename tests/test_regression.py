@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
-from fdeflow.regression import StepRegression, monomial_exponents, _standardized_to_raw
+from fdeflow.regression import StepRegression, density_target
 
 RNG = np.random.default_rng(42)
 
 # exact lattice value of E[max(B_1, 0)] at depth 10, frozen from enumeration
 TREE_HALF_NORMAL_10 = 0.38910838396603104
 HALF_NORMAL_MEAN = 0.3989422804014327
+
+
+def _fit(states, target, basis, **kwargs):
+    return StepRegression(states, basis).fit(target, **kwargs)
+
+
+def _rms(a, b):
+    return float(np.sqrt(np.mean((np.asarray(a) - np.asarray(b)) ** 2)))
 
 
 def _brownian(paths, t_points, seed=0):
@@ -24,28 +31,30 @@ def _brownian(paths, t_points, seed=0):
 
 def test_constant_target_fit_is_exact():
     x = RNG.standard_normal(2000)
-    fit = ff.fit_conditional(x, np.full(2000, 3.25), ff.polynomial_basis(3, 1))
+    fit = _fit(x, np.full(2000, 3.25), ff.polynomial_basis(3, 1))
     # the always-on ridge leaves a machine-level shrinkage, nothing more
-    assert fit.residual_l2 == pytest.approx(0.0, abs=1e-5)
+    assert _rms(fit.evaluate(x), 3.25) == pytest.approx(0.0, abs=1e-5)
     assert np.allclose(fit.evaluate(np.linspace(-2, 2, 9)), 3.25, atol=1e-5)
 
 
 def test_brownian_projection_recovers_identity():
     # E[B_T | B_t] = B_t
     b = _brownian(100_000, np.array([0.0, 0.5, 1.0]), seed=1)
-    fit = ff.fit_conditional(b[:, 1], b[:, 2], ff.polynomial_basis(2, 1))
-    coef = fit.coefficients[:, 0]
-    assert abs(coef[1] - 1.0) <= 0.02
-    assert abs(coef[0]) <= 0.02 and abs(coef[2]) <= 0.02
+    fit = _fit(b[:, 1], b[:, 2], ff.polynomial_basis(2, 1))
+    # coefficients within 0.02 of (0, 1, 0) put the fit within 0.02 (1 + |x| + x^2)
+    probes = np.linspace(-2, 2, 41)
+    assert np.all(np.abs(fit.evaluate(probes)[:, 0] - probes)
+                  <= 0.02 * (1 + np.abs(probes) + probes ** 2))
 
 
 def test_brownian_square_projection_matches_tree_oracle():
     # E[B_T^2 | F_t] = B_t^2 + (T - t) at t = 0.5, T = 1
     b = _brownian(100_000, np.array([0.0, 0.5, 1.0]), seed=2)
-    fit = ff.fit_conditional(b[:, 1], b[:, 2] ** 2, ff.polynomial_basis(2, 1))
-    coef = fit.coefficients[:, 0]
-    assert abs(coef[2] - 1.0) <= 0.05
-    assert abs(coef[0] - 0.5) <= 0.05
+    fit = _fit(b[:, 1], b[:, 2] ** 2, ff.polynomial_basis(2, 1))
+    # constant within 0.05 of 0.5 and quadratic term within 0.05 of 1
+    probes = np.linspace(-2, 2, 41)
+    assert np.all(np.abs(fit.evaluate(probes)[:, 0] - (probes ** 2 + 0.5))
+                  <= 0.05 * (1 + probes ** 2) + 0.05 * np.abs(probes))
     # tree states are exact conditional states for the remaining half interval
     tree = ff.TreeOracle(depth=10, dt=0.05)
     vals = ff.oracle_conditional(tree, lambda x: x[:, 0] ** 2, 0)
@@ -60,8 +69,9 @@ def test_brownian_square_projection_matches_tree_oracle():
 def test_extract_density_brownian_is_one():
     t = np.array([0.0, 0.4, 0.8])
     b = _brownian(100_000, t, seed=3)
-    dM = b[:, 2] - b[:, 1]
-    fit = ff.extract_density(dM, dM, b[:, 1], ff.polynomial_basis(2, 1), dt=0.4)
+    dM = b[:, 2:3] - b[:, 1:2]
+    fit = _fit(b[:, 1], density_target(dM, dM, 0.4), ff.polynomial_basis(2, 1),
+               out_shape=(1, 1))
     z = fit.evaluate(np.linspace(-1.5, 1.5, 7))
     assert z.shape == (7, 1, 1)
     assert np.abs(z - 1.0).max() <= 0.05
@@ -72,10 +82,11 @@ def test_extract_density_square_martingale_slope():
     t = np.array([0.0, 0.5, 0.6])
     b = _brownian(100_000, t, seed=4)
     m = b ** 2 - t[None, :]
-    fit = ff.extract_density(m[:, 2] - m[:, 1], b[:, 2] - b[:, 1], b[:, 1],
-                             ff.polynomial_basis(2, 1), dt=0.1)
-    coef = fit.coefficients[:, 0]
-    assert abs(coef[1] - 2.0) <= 0.1
+    target = density_target(m[:, 2:3] - m[:, 1:2], b[:, 2:3] - b[:, 1:2], 0.1)
+    fit = _fit(b[:, 1], target, ff.polynomial_basis(2, 1), out_shape=(1, 1))
+    # the fitted slope, a central difference of the quadratic fit, is exact
+    z = fit.evaluate(np.array([-1.0, 1.0]))[:, 0, 0]
+    assert abs((z[1] - z[0]) / 2 - 2.0) <= 0.1
     # slope agrees with a regression on exact lattice values of the integrand
     states = np.linspace(-1.5, 1.5, 13)[:, None]
     assert np.abs(fit.evaluate(states)[:, 0, 0] - 2 * states[:, 0]).max() <= 0.1
@@ -84,25 +95,34 @@ def test_extract_density_square_martingale_slope():
 def test_extract_density_constant_martingale_is_zero():
     t = np.array([0.0, 0.5, 1.0])
     b = _brownian(50_000, t, seed=5)
-    dM = np.zeros(50_000)
-    fit = ff.extract_density(dM, b[:, 2] - b[:, 1], b[:, 1],
-                             ff.polynomial_basis(2, 1), dt=0.5)
-    assert np.abs(fit.coefficients).max() <= 0.05
+    dM = np.zeros((50_000, 1))
+    fit = _fit(b[:, 1], density_target(dM, b[:, 2:3] - b[:, 1:2], 0.5),
+               ff.polynomial_basis(2, 1), out_shape=(1, 1))
+    assert np.abs(fit.evaluate(np.linspace(-2, 2, 21))).max() <= 0.05
+
+
+def test_density_target_is_the_outer_product_over_dt():
+    rng = np.random.default_rng(12)
+    dM = rng.standard_normal((300, 1))
+    dB = rng.standard_normal((300, 2))
+    expected = (dM[:, :, None] * dB[:, None, :] / 0.1).reshape(300, 2)
+    assert np.array_equal(density_target(dM, dB, 0.1), expected)
 
 
 def test_fit_requires_enough_paths():
     basis = ff.polynomial_basis(3, 1)
     x = RNG.standard_normal(basis.n_functions * 10 - 1)
     with pytest.raises(InvalidArgumentError):
-        ff.fit_conditional(x, x, basis)
+        StepRegression(x, basis)
+    StepRegression(np.append(x, 0.5), basis)   # exactly 10 paths per function
     with pytest.raises(InvalidArgumentError):
-        ff.fit_conditional(x[:20], x[:19], ff.polynomial_basis(1, 1))
+        StepRegression(x[:20], ff.polynomial_basis(1, 1)).fit(x[:19])
 
 
 def test_rank_deficient_design_sets_warning():
     x = RNG.standard_normal(5000)
     states = np.column_stack([x, x])  # collinear second dimension
-    fit = ff.fit_conditional(states, x, ff.polynomial_basis(2, 2))
+    fit = _fit(states, x, ff.polynomial_basis(2, 2))
     assert fit.warning
     assert np.isfinite(fit.evaluate(states[:10])).all()
 
@@ -110,7 +130,7 @@ def test_rank_deficient_design_sets_warning():
 def test_degenerate_states_fall_back_to_plain_average():
     states = np.zeros(1000)
     target = RNG.standard_normal(1000)
-    fit = ff.fit_conditional(states, target, ff.polynomial_basis(3, 1))
+    fit = _fit(states, target, ff.polynomial_basis(3, 1))
     assert np.allclose(fit.evaluate(np.array([0.0, 1.0])), target.mean())
 
 
@@ -120,10 +140,12 @@ def test_linearity_is_exact_coefficientwise():
     t2 = x ** 2 + 0.1 * RNG.standard_normal(5000)
     basis = ff.polynomial_basis(3, 1)
     a, b = 2.0, -0.7
-    f1 = ff.fit_conditional(x, t1, basis)
-    f2 = ff.fit_conditional(x, t2, basis)
-    f12 = ff.fit_conditional(x, a * t1 + b * t2, basis)
-    assert np.allclose(f12.coefficients, a * f1.coefficients + b * f2.coefficients,
+    f1 = _fit(x, t1, basis)
+    f2 = _fit(x, t2, basis)
+    f12 = _fit(x, a * t1 + b * t2, basis)
+    probes = np.linspace(-2, 2, 21)
+    assert np.allclose(f12.evaluate(probes),
+                       a * f1.evaluate(probes) + b * f2.evaluate(probes),
                        rtol=1e-8, atol=1e-10)
 
 
@@ -132,45 +154,24 @@ def test_tower_property_within_residual_budget():
     b = _brownian(50_000, t, seed=6)
     xi = np.tanh(b[:, 3])
     basis = ff.polynomial_basis(5, 1)
-    late = ff.fit_conditional(b[:, 2], xi, basis)
-    early_direct = ff.fit_conditional(b[:, 1], xi, basis)
-    early_tower = ff.fit_conditional(b[:, 1], late.evaluate(b[:, 2])[:, 0], basis)
-    diff = np.sqrt(np.mean(
-        (early_tower.evaluate(b[:, 1]) - early_direct.evaluate(b[:, 1])) ** 2))
-    assert diff <= 2 * (late.residual_l2 + early_direct.residual_l2)
+    late = _fit(b[:, 2], xi, basis)
+    early_direct = _fit(b[:, 1], xi, basis)
+    early_tower = _fit(b[:, 1], late.evaluate(b[:, 2])[:, 0], basis)
+    diff = _rms(early_tower.evaluate(b[:, 1]), early_direct.evaluate(b[:, 1]))
+    residuals = (_rms(late.evaluate(b[:, 2])[:, 0], xi)
+                 + _rms(early_direct.evaluate(b[:, 1])[:, 0], xi))
+    assert diff <= 2 * residuals
 
 
 def test_quantile_linear_basis_fits_and_extrapolates_linearly():
     x = RNG.standard_normal(50_000)
-    fit = ff.fit_conditional(x, np.tanh(x) + 0.05 * RNG.standard_normal(x.size),
-                             ff.quantile_linear_basis(16))
+    fit = _fit(x, np.tanh(x) + 0.05 * RNG.standard_normal(x.size),
+               ff.quantile_linear_basis(16))
     probes = np.linspace(-1.8, 1.8, 25)
     assert np.abs(fit.evaluate(probes)[:, 0] - np.tanh(probes)).max() <= 0.05
     # beyond the data the continuation is linear in the outermost segment
     far = fit.evaluate(np.array([6.0, 7.0, 8.0]))[:, 0]
     assert np.allclose(np.diff(far, 2), 0.0, atol=1e-9)
-
-
-@given(st.integers(1, 2), st.integers(1, 4))
-@settings(max_examples=20, deadline=None)
-def test_raw_coefficients_reproduce_standardized_polynomial(dim, degree):
-    rng = np.random.default_rng(dim * 10 + degree)
-    exps = monomial_exponents(dim, degree)
-    coef = rng.standard_normal((len(exps), 1))
-    center = rng.standard_normal(dim)
-    scale = rng.uniform(0.5, 2.0, dim)
-    raw = _standardized_to_raw(coef, exps, center, scale)
-    pts = rng.standard_normal((50, dim))
-    u = (pts - center) / scale
-    def poly(points, c):
-        out = np.zeros(points.shape[0])
-        for e, cc in zip(exps, c[:, 0]):
-            term = np.ones(points.shape[0]) * cc
-            for j, ej in enumerate(e):
-                term *= points[:, j] ** ej
-            out += term
-        return out
-    assert np.allclose(poly(u, coef), poly(pts, raw), rtol=1e-8, atol=1e-8)
 
 
 def test_tree_oracle_basics():
@@ -213,7 +214,7 @@ def test_regression_converges_to_tree_values_with_paths():
     devs = {}
     for paths in (10_000, 100_000):
         b = _brownian(paths, t, seed=11)
-        fit = ff.fit_conditional(b[:, 1], np.tanh(b[:, 2]), ff.polynomial_basis(5, 1))
+        fit = _fit(b[:, 1], np.tanh(b[:, 2]), ff.polynomial_basis(5, 1))
         mid = np.abs(states5) <= 1.0
         devs[paths] = np.sqrt(np.mean(
             (fit.evaluate(states5[mid, None])[:, 0] - exact[mid]) ** 2))
@@ -226,7 +227,7 @@ def test_step_regression_shares_design_across_targets():
     f1 = sr.fit(np.sin(x)[:, None])
     f2 = sr.fit(np.cos(x)[:, None])
     probes = np.linspace(-1, 1, 5)[:, None]
-    direct1 = ff.fit_conditional(x, np.sin(x), ff.polynomial_basis(3, 1))
+    direct1 = _fit(x, np.sin(x), ff.polynomial_basis(3, 1))
     assert np.allclose(f1.evaluate(probes), direct1.evaluate(probes), rtol=1e-12)
     assert not np.allclose(f1.evaluate(probes), f2.evaluate(probes))
 
@@ -240,7 +241,6 @@ def test_unit_weights_match_unweighted_fit():
     probes = np.linspace(-2, 2, 9)
     # numpy computes A.T @ A by a symmetric rank-k update and (A*w).T @ A by
     # a general product, so the two Gram matrices agree only up to rounding
-    assert np.allclose(unit.coefficients, plain.coefficients, rtol=1e-10, atol=0)
     assert np.allclose(unit.evaluate(probes), plain.evaluate(probes), rtol=1e-10, atol=0)
 
 
