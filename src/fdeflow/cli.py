@@ -145,7 +145,10 @@ def _check_fixture_keys(section, fixture, keys):
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key=value config file with section headers."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -228,6 +231,11 @@ def load_config(path) -> ExperimentConfig:
                               f"it reads {', '.join(asked[section])}")
     if not np.isfinite(cfg.tol) or cfg.tol <= 0:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"[solver] max_iter must be at least 1, got {cfg.max_iter}")
+    if cfg.export_paths < 0:
+        raise ConfigError(
+            f"[output] export_paths must be non-negative, got {cfg.export_paths}")
     return cfg
 
 
@@ -333,7 +341,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("pde_oracle_sup", worst, 0.02))
     elif name == "const_forward":
         c = params["c"]
-        mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble, 0.0)
+        mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble)
         b_t = ensemble.increments[:, :, 0].sum(axis=1)
         exact = np.exp(-c * b_t - 0.5 * c * c * T)
         out.append(_dev("weight_formula_dev", np.abs(mc.weights - exact).max(), 1e-10))
@@ -344,13 +352,14 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         fresh = sample_ensemble(build_uniform_grid(T, 1), ensemble.num_paths, 1,
                                 substream_seed(cfg.seed, f"{name}:evaluation-ensemble"))
         fresh_bt = fresh.increments[:, 0, 0]
+        w_t = sol.X[:, -1, 0]   # the shifted motion W is the forward state
         for label, fn in (("tanh", np.tanh),
                           ("clipped_identity", lambda x: np.clip(x, -1.0, 1.0))):
-            wtd = float(np.sum(mc.weights * fn(mc.w_paths[:, -1, 0])) / np.sum(mc.weights))
+            wtd = float(np.sum(mc.weights * fn(w_t)) / np.sum(mc.weights))
             ref_vals = fn(fresh_bt)
             ref = float(ref_vals.mean())
             se = float(np.sqrt(
-                np.var(mc.weights * fn(mc.w_paths[:, -1, 0]), ddof=1) / ensemble.num_paths
+                np.var(mc.weights * fn(w_t), ddof=1) / ensemble.num_paths
                 + ref_vals.var(ddof=1) / fresh.num_paths))
             out.append(_dev(f"reweighted_mean_dev_sigma_{label}", abs(wtd - ref) / se, 3.0))
         zinv = check_z_invariance(sol, mc, coeffs)
@@ -399,7 +408,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
     # out-of-sample optimality
     eval_seed = substream_seed(cfg.seed, "portfolio:evaluation-ensemble")
     eval_ens = sample_ensemble(psol.grid, psol.fde_sol.num_paths, 2, eval_seed)
-    report = verify_martingale_optimality(psol, model, (0.5, 1.0, -0.5, -1.0), eval_ens)
+    report = verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
     psol.optimality_report = report
     star = report["strategies"]["pi_star"]
     if model.g is None:
@@ -497,7 +506,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
         if cfg.problem == "qbsde-weak" and bundle.get("portfolio") is None:
             if "weak" not in bundle:   # const_forward's checks have built and checked them
                 mc = bundle["measure_change"] = build_measure_change(
-                    bundle["sol"], bundle["coeffs"], bundle["ensemble"], 0.0)
+                    bundle["sol"], bundle["coeffs"], bundle["ensemble"])
                 bundle["weak"] = assemble_weak_solution(bundle["sol"], mc, bundle["coeffs"])
                 dev_se = abs(float(mc.weight_mean) - 1.0) / mc.weight_stderr
                 assertions.append(_dev("weight_mean_dev_se", dev_se, 5.0))

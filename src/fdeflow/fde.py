@@ -170,7 +170,6 @@ class FdeSolution:
     iteration_log: list                 # PicardReport per window
     residuals: dict = field(default_factory=dict)
     window_bounds: list = field(default_factory=list)   # (a, b) step-index pairs
-    window_v_terminals: np.ndarray | None = None        # (P, n_windows, n) local V at window ends
     y0_mean: np.ndarray | None = None
     y0_stderr: np.ndarray | None = None
     x0: np.ndarray | None = None
@@ -208,8 +207,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                   start_x, increments: np.ndarray, *, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, basis: RegressionBasis | None = None,
                   terminal_lipschitz: float | None = None, force: bool = False,
-                  initial_guess=None, polish_factor: float = DEFAULT_POLISH,
-                  fit_window_fn=None, clip_bound: float | None = None):
+                  initial_guess=None, fit_window_fn=None,
+                  clip_bound: float | None = None):
     """Solve the window fixed-point problem by Picard iteration.
 
     Parameters
@@ -323,7 +322,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                     f"Picard iteration diverged (distance {dist:.3g})", report)
             if dist <= tol:
                 report.converged = True
-            if dist <= tol * polish_factor:
+            if dist <= tol * DEFAULT_POLISH:
                 result = (V, X, y_fits, z_fits)
                 break
         prev_psi = (V, X)
@@ -340,9 +339,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     sol = FdeSolution(
         grid=window_grid, V=V, X=X, Y=np.stack(Y, axis=1), Z=np.stack(Z[:m], axis=1),
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report],
-        residuals={"terminal_rms": 0.0},
-        window_bounds=[(0, m)],
-        window_v_terminals=V[:, -1][:, None, :].copy(),
+        residuals={"terminal_rms": 0.0}, window_bounds=[(0, m)],
         x0=start[0].copy() if np.ptp(start, axis=0).max() == 0 else None,
         seed=None)
     return sol, report
@@ -380,9 +377,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
                  c4: float | None = None, tol: float = DEFAULT_TOL, *,
                  basis: RegressionBasis | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  exploration_radius: float = 2.2, exploration_floor: float = 1.0,
-                 clip_y: bool = True, polish_factor: float = DEFAULT_POLISH,
-                 window_max_length: float | None = None, initial_guess=None,
-                 force: bool = False) -> FdeSolution:
+                 clip_y: bool = True, window_max_length: float | None = None,
+                 initial_guess=None, force: bool = False) -> FdeSolution:
     """Solve the coupled system on [0, T] and return the assembled solution.
 
     Runs a backward sweep over contraction-compliant windows, each solved by
@@ -457,8 +453,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         wsol, wrep = picard_window(
             coeffs, grid.window(a, b), terminal_map, starts, ensemble.increments[:, a:b],
             tol=tol, max_iter=max_iter, basis=basis, terminal_lipschitz=lip,
-            force=force, initial_guess=initial_guess, polish_factor=polish_factor,
-            fit_window_fn=box, clip_bound=clip_bound)
+            force=force, initial_guess=initial_guess, fit_window_fn=box,
+            clip_bound=clip_bound)
         reports[wi] = wrep
         for k in range(a, b):
             phi_fits[k] = wsol.phi_fits[k - a]
@@ -475,9 +471,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     Y = np.zeros((P, K + 1, n))
     Z = np.zeros((P, K, n, d))
     X[:, 0] = x0v
-    v_terminals = np.zeros((P, len(windows), n))
     offset = np.zeros((P, n))
-    for wi, (a, b) in enumerate(windows):
+    for a, b in windows:
         vloc = np.zeros((P, n))
         V[:, a] = offset
         for k in range(a, b):
@@ -489,7 +484,6 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
             V[:, k + 1] = offset + vloc
             X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[:, k], Z[:, k]) * dt[k] \
                 + ensemble.increments[:, k]
-        v_terminals[:, wi] = vloc
         offset = offset + vloc
     Y[:, K] = coeffs.eval_phi(X[:, K])
 
@@ -499,9 +493,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
 
     sol = FdeSolution(
         grid=grid, V=V, X=X, Y=Y, Z=Z, phi_fits=phi_fits, z_fits=z_fits,
-        iteration_log=reports, window_bounds=windows,
-        window_v_terminals=v_terminals, y0_mean=y0_mean, y0_stderr=y0_stderr,
-        x0=x0v, seed=ensemble.seed)
+        iteration_log=reports, window_bounds=windows, y0_mean=y0_mean,
+        y0_stderr=y0_stderr, x0=x0v, seed=ensemble.seed)
     rep = check_fbsde_residual(sol, coeffs, ensemble)
     sol.residuals = {"terminal_rms": rep.terminal_rms,
                      "backward_rms": rep.backward_rms,

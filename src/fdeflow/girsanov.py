@@ -10,9 +10,10 @@ with W solves the quadratic equation
 
 with Z invariant under the measure change (the density representation does
 not depend on the equivalent measure). The discrete exponential uses
-exp(N - [N]/2), which is positive by construction; the running state X of the
-forward solve coincides with W path by path, since both are the same Euler
-recursion.
+exp(N - [N]/2), which is positive by construction. W is not built here: the
+forward state X of the solve is the same Euler recursion, so X is W path by
+path, and the measure change keeps only the terminal weights and the drift
+values f(t_k, Y_k, Z_k).
 """
 
 from __future__ import annotations
@@ -32,19 +33,15 @@ from .regression import (MIN_PATHS_PER_FUNCTION, RegressionBasis, StepRegression
 class MeasureChange:
     """Exponential-martingale reweighting data.
 
-    n_integral[k] is the discrete stochastic integral N at step k,
-    log_weights[k] = N_k - [N]_k / 2, weights are the terminal Radon-Nikodym
-    values, and w_paths is the drift-shifted Brownian motion (equal to the
-    forward state path by path).
+    weights are the terminal Radon-Nikodym values exp(N_K - [N]_K / 2), with
+    N_K = -sum <f_k, dB_k> and [N]_K = sum |f_k|^2 dt_k, and f_values the
+    drift at the left endpoint of every step. The shifted motion W is the
+    solve's forward state X.
     """
 
     grid: TimeGrid
-    n_integral: np.ndarray          # (P, K+1)
-    quadratic_variation: np.ndarray  # (P, K+1)
-    log_weights: np.ndarray         # (P, K+1)
     weights: np.ndarray             # (P,) terminal
-    w_paths: np.ndarray             # (P, K+1, d)
-    f_values: np.ndarray = field(repr=False, default=None)  # (P, K, d)
+    f_values: np.ndarray = field(repr=False)   # (P, K, d), left endpoints
     seed: int | None = None
 
     @property
@@ -79,48 +76,40 @@ class WeakSolution:
 
 
 def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
-                         ensemble: BrownianEnsemble, x0) -> MeasureChange:
-    """Discrete N, [N], exp(N - [N]/2), and the shifted motion W.
+                         ensemble: BrownianEnsemble) -> MeasureChange:
+    """Terminal weights exp(N - [N]/2) and the drift values they are built from.
 
-    f is evaluated at left endpoints on the stored (Y, Z), matching the Euler
-    convention of the forward solve, so W reproduces X bitwise.
+    f is evaluated at left endpoints on the stored (Y, Z), the values the
+    forward solve stepped X with, so X is the shifted motion W.
     """
     if sol.seed is not None and sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
     P = sol.num_paths
     K = sol.grid.num_steps
-    d = coeffs.d
     t = sol.grid.points
     dt = sol.grid.dt
-    x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,))
 
-    f_values = np.empty((P, K, d))
+    f_values = np.empty((P, K, coeffs.d))
     for k in range(K):
         f_values[:, k] = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
     if not np.all(np.isfinite(f_values)):
         raise InvalidStateError("drift f produced non-finite values")
 
-    n_int = np.zeros((P, K + 1))
-    qv = np.zeros((P, K + 1))
-    w = np.empty((P, K + 1, d))
-    w[:, 0] = x0v
+    n_int = np.zeros(P)
+    qv = np.zeros(P)
     for k in range(K):
-        db = ensemble.increments[:, k]
-        n_int[:, k + 1] = n_int[:, k] - np.einsum("pd,pd->p", f_values[:, k], db)
-        qv[:, k + 1] = qv[:, k] + np.einsum("pd,pd->p", f_values[:, k], f_values[:, k]) * dt[k]
-        w[:, k + 1] = w[:, k] + f_values[:, k] * dt[k] + db
-    log_w = n_int - 0.5 * qv
-    weights = np.exp(log_w[:, K])
+        n_int = n_int - np.einsum("pd,pd->p", f_values[:, k], ensemble.increments[:, k])
+        qv = qv + np.einsum("pd,pd->p", f_values[:, k], f_values[:, k]) * dt[k]
+    weights = np.exp(n_int - 0.5 * qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(grid=sol.grid, n_integral=n_int, quadratic_variation=qv,
-                         log_weights=log_w, weights=weights, w_paths=w,
-                         f_values=f_values, seed=ensemble.seed)
+    return MeasureChange(grid=sol.grid, weights=weights, f_values=f_values,
+                         seed=ensemble.seed)
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
                            coeffs: CoefficientSet) -> WeakSolution:
-    """Package (Y, Z, W, weights) and check the weak integral equation.
+    """Package (Y, Z, W = X, weights) and check the weak integral equation.
 
     The per-path residual is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
@@ -132,11 +121,11 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     K = sol.grid.num_steps
     t = sol.grid.points
     dt = sol.grid.dt
-    resid = sol.Y[:, 0] - coeffs.eval_phi(mc.w_paths[:, K])
+    resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X[:, K])
     for k in range(K):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], mc.f_values[:, k])
-        dw = mc.w_paths[:, k + 1] - mc.w_paths[:, k]
+        dw = sol.X[:, k + 1] - sol.X[:, k]
         zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], dw)
         resid = resid - hk * dt[k] - zf * dt[k] + zdw
     sq = np.einsum("pn,pn->p", resid, resid)
@@ -146,7 +135,7 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
               "weight_mean": mc.weight_mean,
               "weight_stderr": mc.weight_stderr,
               "effective_sample_size": mc.effective_sample_size}
-    return WeakSolution(grid=sol.grid, Y=sol.Y, Z=sol.Z, W=mc.w_paths,
+    return WeakSolution(grid=sol.grid, Y=sol.Y, Z=sol.Z, W=sol.X,
                         weights=mc.weights, residual=report)
 
 
@@ -194,7 +183,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], mc.f_values[:, k])
         dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
-        dw = mc.w_paths[:, k + 1] - mc.w_paths[:, k]
+        dw = sol.X[:, k + 1] - sol.X[:, k]
         p_fit = StepRegression(sol.X[:, k], basis, weights=mc.weights)
         zp = p_fit.fit(density_target(dmp, dw, dt[k])).evaluate(mesh)
         zq = sol.z_fits[k].evaluate(mesh).reshape(zp.shape)
@@ -261,8 +250,7 @@ def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
                     "mean": float(weak.weights.mean()),
                     "variance": float(weak.weights.var(ddof=1)),
                     "max": float(weak.weights.max()),
-                    "effective_sample_size": float(
-                        weak.weights.sum() ** 2 / np.sum(weak.weights ** 2)),
+                    "effective_sample_size": weak.residual["effective_sample_size"],
                 },
                 "config": config_echo or {}}
         write_json(sidecar_path, side)

@@ -236,7 +236,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     basis = basis or polynomial_basis(3, 2)
     sol = solve_global(coeffs, grid, np.zeros(2), ensemble, c4=c4, tol=tol,
                        basis=basis, **solve_kwargs)
-    mc = build_measure_change(sol, coeffs, ensemble, np.zeros(2))
+    mc = build_measure_change(sol, coeffs, ensemble)
     weak = assemble_weak_solution(sol, mc, coeffs)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
@@ -250,8 +250,8 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
                              transform=transform, seed=ensemble.seed)
 
 
-def verify_martingale_optimality(psol: PortfolioSolution, model: MarketModel,
-                                 deltas, eval_ensemble: BrownianEnsemble) -> dict:
+def verify_martingale_optimality(psol: PortfolioSolution, deltas,
+                                 eval_ensemble: BrownianEnsemble) -> dict:
     """Drift statistics of -exp(-gamma (X + Y)) under pi* and perturbations.
 
     Simulates wealth on a fresh ensemble (the shifted motion is a Brownian
@@ -259,7 +259,8 @@ def verify_martingale_optimality(psol: PortfolioSolution, model: MarketModel,
     directly), reads Y and Z off the fitted surfaces, and estimates per-step
     and total drifts. A first-order martingale control variate (exact zero
     conditional mean) removes the dominant noise, making the quadratic
-    supermartingale gap of perturbed strategies visible at desk scale.
+    supermartingale gap of perturbed strategies visible at desk scale. The
+    market, the initial wealth included, is the solve's ``psol.model``.
 
     Refuses to run on the solve ensemble: in-sample evaluation would inherit
     regression look-ahead bias.
@@ -296,7 +297,7 @@ def verify_martingale_optimality(psol: PortfolioSolution, model: MarketModel,
 
     results = {}
     for label, dlt in strategies.items():
-        wealth = np.full(P, float(model.x0))
+        wealth = np.full(P, float(psol.model.x0))
         step_drift = np.empty(K)
         step_se = np.empty(K)
         total = np.zeros(P)

@@ -115,7 +115,7 @@ def test_criterion_05_girsanov_weights(acceptance):
     b = acceptance("const_forward")
     sol, grid, ens, coeffs = b["sol"], b["grid"], b["ensemble"], b["coeffs"]
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     b_t = ens.increments[:, :, 0].sum(axis=1)
     formula_dev = float(np.abs(mc.weights - np.exp(-c * b_t - 0.5 * c * c * T)).max())
     mean_dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
@@ -124,7 +124,7 @@ def test_criterion_05_girsanov_weights(acceptance):
     fresh_bt = fresh.increments[:, 0, 0]
     worst_sigma = 0.0
     for fn in (np.tanh, lambda x: np.clip(x, -1.0, 1.0)):
-        lhs_terms = mc.weights * fn(mc.w_paths[:, -1, 0])
+        lhs_terms = mc.weights * fn(sol.X[:, -1, 0])
         lhs = lhs_terms.mean() / mc.weights.mean()
         rhs = fn(fresh_bt).mean()
         se = np.sqrt(lhs_terms.var(ddof=1) / ens.num_paths
@@ -147,7 +147,7 @@ def test_criterion_06_z_invariance(acceptance):
             psol = b["portfolio"]
             rep = ff.check_z_invariance(psol.fde_sol, psol.measure_change, psol.coeffs)
         else:
-            mc = ff.build_measure_change(b["sol"], b["coeffs"], b["ensemble"], 0.0)
+            mc = ff.build_measure_change(b["sol"], b["coeffs"], b["ensemble"])
             rep = ff.check_z_invariance(b["sol"], mc, b["coeffs"])
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
@@ -185,10 +185,10 @@ def test_criterion_08_merton_benchmark(acceptance):
 
 def test_criterion_09_martingale_optimality(acceptance):
     b = acceptance("merton")
-    psol, model = b["portfolio"], b["model"]
+    psol = b["portfolio"]
     fresh = ff.sample_ensemble(psol.grid, psol.fde_sol.num_paths, 2,
                                cli.substream_seed(ACCEPT_SEED, "criterion9:eval"))
-    report = ff.verify_martingale_optimality(psol, model, (0.5, 1.0, -0.5, -1.0), fresh)
+    report = ff.verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), fresh)
     star = report["strategies"]["pi_star"]
     star_total_ok = abs(star["total_drift"]) <= 3 * star["total_se"]
     star_step_ok = bool(np.all(

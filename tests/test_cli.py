@@ -144,6 +144,22 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         assert cli.main(["run", _write(tmp_path, body, name=f"c{i}.cfg")]) == 2
         text = capsys.readouterr().out
         assert text.startswith("config error") and named in text and known in text
+    # bodies that configparser itself cannot read, and values out of range;
+    # both are caught before the solve, so no output directory appears
+    cases = [
+        ("[run]\n", "", "contains no section headers"),
+        ("[grid]", "[grid]\nT = 2.0\n\n[grid]", "section 'grid' already exists"),
+        ("K = 16", "K = 16\nK = 32", "option 'k' in section 'grid' already exists"),
+        ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 1"),
+        ("K = 16", "K = 16\n\n[output]\nexport_paths = -1",
+         "export_paths must be non-negative"),
+    ]
+    for i, (old, new, named) in enumerate(cases):
+        body = TRIVIAL_CFG.replace(old, new).format(out=tmp_path / "out")
+        assert cli.main(["run", _write(tmp_path, body, name=f"p{i}.cfg")]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("config error") and named in text
+        assert text.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

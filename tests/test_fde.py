@@ -196,11 +196,6 @@ def test_solve_global_offset_gluing_identity():
     sol = ff.solve_global(coeffs, grid, 0.0, ens, window_max_length=0.5)
     assert len(sol.window_bounds) == 2
     assert np.abs(sol.V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
-    # the running-offset construction is exact at window boundaries
-    (a0, b0), (a1, b1) = sol.window_bounds
-    assert np.array_equal(sol.V[:, b0], sol.window_v_terminals[:, 0])
-    assert np.array_equal(
-        sol.V[:, b1], sol.window_v_terminals[:, 0] + sol.window_v_terminals[:, 1])
 
 
 def test_solve_global_linear_driver_vs_pde_oracle():
@@ -254,8 +249,7 @@ def test_check_residual_detects_zeroed_z(const_forward_solution):
     stripped = ff.FdeSolution(
         grid=sol.grid, V=sol.V, X=sol.X, Y=sol.Y, Z=np.zeros_like(sol.Z),
         phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
-        residuals={}, window_bounds=sol.window_bounds,
-        window_v_terminals=sol.window_v_terminals, x0=sol.x0, seed=sol.seed)
+        residuals={}, window_bounds=sol.window_bounds, x0=sol.x0, seed=sol.seed)
     inflated = ff.check_fbsde_residual(stripped, coeffs, ens)
     # h ignores z here, so r_new = r_old + Z dB exactly; predict the inflation
     # from the stored arrays

@@ -7,32 +7,48 @@ from fdeflow.errors import InsufficientWeightError, InvalidArgumentError
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
-    assert np.abs(mc.n_integral).max() == 0.0
+    mc = ff.build_measure_change(sol, coeffs, ens)
     assert np.all(mc.weights == 1.0)
-    # with f == 0 the shifted motion is x + B, and it equals X bitwise
-    assert np.array_equal(mc.w_paths, sol.X)
-    paths = ens.brownian_paths()
-    assert np.allclose(mc.w_paths, paths, atol=0.0)
+    # with f == 0 the shifted motion W = X is x + B
+    assert np.allclose(sol.X, ens.brownian_paths(), atol=0.0)
 
 
 def test_constant_drift_weights_match_closed_form(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     b_t = ens.increments[:, :, 0].sum(axis=1)
     assert np.abs(mc.weights - np.exp(-c * b_t - 0.5 * c * c * T)).max() <= 1e-12
     assert np.all(mc.weights > 0)
     assert abs(mc.weight_mean - 1.0) <= 5 * mc.weight_stderr
-    # W is the forward state path by path
-    assert np.array_equal(mc.w_paths, sol.X)
+
+
+def test_weights_are_the_discrete_stochastic_exponential(const_forward_solution,
+                                                         merton_small):
+    coeffs, _, ens_1d, sol_1d = const_forward_solution
+    _, _, ens_2d, psol = merton_small
+    cases = [(ff.build_measure_change(sol_1d, coeffs, ens_1d), ens_1d, sol_1d),
+             (psol.measure_change, ens_2d, psol.fde_sol)]
+    for mc, ens, sol in cases:
+        assert mc.f_values.shape == ens.increments.shape
+        assert np.any(mc.f_values != 0.0)
+        # N_{k+1} = N_k - <f_k, dB_k>, [N]_{k+1} = [N]_k + |f_k|^2 dt_k, from 0
+        N = np.zeros(ens.num_paths)
+        QV = np.zeros(ens.num_paths)
+        for k in range(ens.grid.num_steps):
+            f = mc.f_values[:, k]
+            N = N - np.einsum("pd,pd->p", f, ens.increments[:, k])
+            QV = QV + np.einsum("pd,pd->p", f, f) * ens.grid.dt[k]
+        assert np.array_equal(np.exp(N - QV / 2), mc.weights)
+        # X solves the Euler recursion of W = x + B + int f ds exactly
+        assert sol.residuals["forward_max"] == 0.0
 
 
 def test_reweighted_terminal_moments(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
-    w_t = mc.w_paths[:, -1, 0]
+    mc = ff.build_measure_change(sol, coeffs, ens)
+    w_t = sol.X[:, -1, 0]
     # raw mean drifts by c*T; the reweighted mean recenters at the start point
     assert abs(w_t.mean() - c * T) <= 5 / np.sqrt(ens.num_paths)
     weighted_mean = float(np.sum(mc.weights * w_t) / np.sum(mc.weights))
@@ -43,12 +59,12 @@ def test_reweighted_terminal_moments(const_forward_solution):
 
 def test_change_of_measure_identity_against_fresh_ensemble(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     fresh = ff.sample_ensemble(ff.build_uniform_grid(grid.horizon, 1),
                                ens.num_paths, 1, 777)
     fresh_bt = fresh.increments[:, 0, 0]
     for fn in (np.tanh, lambda x: np.clip(x, -1.0, 1.0)):
-        lhs_terms = mc.weights * fn(mc.w_paths[:, -1, 0])
+        lhs_terms = mc.weights * fn(sol.X[:, -1, 0])
         lhs = lhs_terms.mean() / mc.weights.mean()
         rhs = fn(fresh_bt).mean()
         se = np.sqrt(lhs_terms.var(ddof=1) / ens.num_paths
@@ -63,7 +79,7 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
         f=lambda t, y, z: np.full((y.shape[0], 1), 0.5),
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
     sol = ff.solve_global(coeffs, grid, 0.0, ens)
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     weak = ff.assemble_weak_solution(sol, mc, coeffs)
     assert weak.residual["weighted_rms"] <= 1e-6
     assert weak.Z is sol.Z
@@ -72,7 +88,7 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
 
 def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     weak = ff.assemble_weak_solution(sol, mc, coeffs)
     # f == 0: the weak residual telescopes the per-step backward residuals
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
@@ -87,7 +103,7 @@ def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
 
 def test_z_invariance_on_drifted_problem(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     report = ff.check_z_invariance(sol, mc, coeffs, basis=ff.polynomial_basis(5, 1))
     assert report["max_discrepancy"] <= 0.05
     assert len(report["per_probe"]) == 3
@@ -101,7 +117,7 @@ def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
         phi=lambda x: np.tanh(x[:, :1]), c1=0.0, c2=1.0, m_bound=1.0)
     sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0,
                           basis=ff.polynomial_basis(7, 1))
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     with pytest.raises(InsufficientWeightError):
         ff.check_z_invariance(sol, mc, coeffs)
 
@@ -128,13 +144,13 @@ def test_bmo_rejects_off_grid_probe(tanh_solution):
 
 def test_weight_tail_mass_is_small(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     assert mc.tail_mass_above_quantile(0.999) < 0.01
 
 
 def test_weak_export(tmp_path, const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens, 0.0)
+    mc = ff.build_measure_change(sol, coeffs, ens)
     weak = ff.assemble_weak_solution(sol, mc, coeffs)
     csv = tmp_path / "weak.csv"
     side = tmp_path / "weak.json"

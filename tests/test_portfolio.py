@@ -138,13 +138,13 @@ def test_reweighted_asset_drift(merton_small):
 def test_optimality_refuses_solve_ensemble(merton_small):
     model, grid, ens, psol = merton_small
     with pytest.raises(InvalidArgumentError):
-        ff.verify_martingale_optimality(psol, model, (0.5,), ens)
+        ff.verify_martingale_optimality(psol, (0.5,), ens)
 
 
 def test_optimality_drifts_on_merton(merton_small):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 100_000, 2, 6060)
-    report = ff.verify_martingale_optimality(psol, model, (0.5, 1.0, -0.5, -1.0), fresh)
+    report = ff.verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), fresh)
     psol.optimality_report = report
     star = report["strategies"]["pi_star"]
     assert abs(star["total_drift"]) <= 3 * star["total_se"] + 1e-4
@@ -171,7 +171,7 @@ def test_optimality_zero_market(merton_small):
     psol = ff.solve_portfolio(model, grid, ens, c4=0.0,
                               basis=ff.polynomial_basis(3, 2))
     fresh = ff.sample_ensemble(grid, 100_000, 2, 6061)
-    report = ff.verify_martingale_optimality(psol, model, (1.0,), fresh)
+    report = ff.verify_martingale_optimality(psol, (1.0,), fresh)
     res = report["strategies"]["pi_star+1"]
     assert res["total_drift"] < -3 * res["total_se"]
     q = merton_drift_factor(1.0, 0.2, 1.0)
@@ -198,7 +198,7 @@ def test_portfolio_export(tmp_path, merton_small):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 20_000, 2, 6062)
     psol.optimality_report = ff.verify_martingale_optimality(
-        psol, model, (0.5,), fresh)
+        psol, (0.5,), fresh)
     out = tmp_path / "portfolio.json"
     pi_csv = tmp_path / "pi.csv"
     ff.export_portfolio_results(psol, out, pi_csv_path=pi_csv, path_limit=2)
