@@ -13,8 +13,8 @@ from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, load_ensemble, sample_ensemble,
                    save_ensemble, segment_windows)
-from .regression import (FittedConditional, RegressionBasis, StepRegression, TreeOracle,
-                         oracle_conditional, polynomial_basis, quantile_linear_basis)
+from .regression import (FittedConditional, RegressionBasis, StepRegression,
+                         polynomial_basis, quantile_linear_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, ResidualReport,
                   check_fbsde_residual, empirical_pathwise_uniqueness,
                   export_solution, picard_window, solve_global)
@@ -34,8 +34,7 @@ __all__ = [
     "TimeGrid", "BrownianEnsemble",
     "build_uniform_grid", "contraction_window_length", "segment_windows",
     "sample_ensemble", "save_ensemble", "load_ensemble",
-    "RegressionBasis", "StepRegression", "FittedConditional", "TreeOracle",
-    "oracle_conditional",
+    "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis", "quantile_linear_basis",
     "CoefficientSet", "FdeSolution", "PicardReport", "ResidualReport",
     "picard_window", "solve_global", "check_fbsde_residual",

@@ -231,6 +231,17 @@ def load_config(path) -> ExperimentConfig:
                               f"it reads {', '.join(asked[section])}")
     if not np.isfinite(cfg.tol) or cfg.tol <= 0:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
+    if not np.isfinite(cfg.exploration_radius) or cfg.exploration_radius < 0:
+        raise ConfigError(f"[solver] exploration_radius must be finite and non-negative, "
+                          f"got {cfg.exploration_radius}")
+    if not np.isfinite(cfg.exploration_floor):
+        raise ConfigError(
+            f"[solver] exploration_floor must be finite, got {cfg.exploration_floor}")
+    if cfg.basis_degree is not None and cfg.basis_degree < 1:
+        raise ConfigError(f"[solver] basis_degree must be at least 1, got {cfg.basis_degree}")
+    if cfg.basis_kind not in (None, "polynomial", "quantile-linear"):
+        raise ConfigError(f"[solver] basis_kind must be polynomial or quantile-linear, "
+                          f"got {cfg.basis_kind!r}")
     if cfg.max_iter < 1:
         raise ConfigError(f"[solver] max_iter must be at least 1, got {cfg.max_iter}")
     if cfg.export_paths < 0:
@@ -242,13 +253,11 @@ def load_config(path) -> ExperimentConfig:
 def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
     if cfg.basis_kind is None and cfg.basis_degree is None:
         return fixture.basis
-    kind = cfg.basis_kind or fixture.basis.kind
-    p = cfg.basis_degree or fixture.basis.p
+    kind = fixture.basis.kind if cfg.basis_kind is None else cfg.basis_kind
+    p = fixture.basis.p if cfg.basis_degree is None else cfg.basis_degree
     if kind == "polynomial":
         return polynomial_basis(p, fixture.basis.state_dim)
-    if kind == "quantile-linear":
-        return quantile_linear_basis(p)
-    raise ConfigError(f"[solver] basis_kind: unknown kind {kind!r}")
+    return quantile_linear_basis(p)
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
@@ -278,7 +287,7 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
     return {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": coeffs}
 
 
-def _common_assertions(bundle, tol) -> list:
+def _common_assertions(bundle) -> list:
     sol = bundle["sol"]
     out = []
     factor = max((r.empirical_factor for r in sol.iteration_log), default=0.0)
@@ -466,7 +475,7 @@ def _evaluate_fixture(name, cfg, out_dir, report):
     bundle = _solve_fixture(fixture, cfg)
     solve_time = time.perf_counter() - t0
     report.wall_clock[f"{name}:solve"] = solve_time
-    assertions = _common_assertions(bundle, cfg.tol)
+    assertions = _common_assertions(bundle)
     if fixture.kind == "portfolio":
         assertions += _portfolio_assertions(bundle, cfg)
     else:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PicardDivergedError
+from .errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
                    segment_windows, uniform_steps_within)
 from .regression import (RegressionBasis, StepRegression, bitwise_equal, density_target,
@@ -262,11 +262,14 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     report = PicardReport(window=(float(t[0]), float(t[-1])), iterations=0,
                           distances=[], converged=False, tol=tol)
     # a step's regression and the terminal values last as long as their
-    # states: rebuilt only on a pass whose states changed bitwise. Keeping
-    # the regressions holds two designs per step between passes. With c1 == 0
-    # h and f ignore (Y, Z), so the second pass only confirms the first;
-    # one reuse does not pay for that memory, and the regressions are not kept.
+    # states: rebuilt only on a pass whose states changed bitwise. A kept
+    # regression holds one design when its fit keeps every row (as at the
+    # window's first step) and two otherwise. With c1 == 0 h and f ignore
+    # (Y, Z), so the second pass only confirms the first; one reuse does not
+    # pay for that memory, and the regressions are not kept.
     keep = coeffs.c1 > 0
+    # every pass reads each step's increments twice; read them contiguously
+    dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
     regressions = [None] * m
     terminal = None   # (X[:, m], terminal_map(X[:, m]))
     prev_psi = None
@@ -279,7 +282,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         X[:, 0] = start
         for k in range(m):
             V[:, k + 1] = V[:, k] + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
-            X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + increments[:, k]
+            X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
         if not np.all(np.isfinite(X[:, m])) or not np.all(np.isfinite(V[:, m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
         if terminal is None or not bitwise_equal(terminal[0], X[:, m]):
@@ -304,7 +307,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[k] = yk
             M_k = yk + V[:, k]
-            z_fits[k] = sr.fit(density_target(M_next - M_k, increments[:, k], dt[k]),
+            z_fits[k] = sr.fit(density_target(M_next - M_k, dB[k], dt[k]),
                                out_shape=(n, d))
             Z[k] = z_fits[k].evaluate_on(design)
             M_next = M_k
@@ -406,6 +409,10 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,)).copy()
     if not np.all(np.isfinite(x0v)):
         raise InvalidArgumentError("x0 must be finite")
+    if not (np.isfinite(exploration_radius) and exploration_radius >= 0
+            and np.isfinite(exploration_floor)):
+        raise InvalidArgumentError("exploration_radius must be finite and non-negative, "
+                                   "and exploration_floor finite")
 
     # the last window's terminal map is phi (constant c2); interior windows
     # consume fitted maps whose gradient bound is the c4 config
@@ -476,11 +483,13 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         vloc = np.zeros((P, n))
         V[:, a] = offset
         for k in range(a, b):
-            yk, Z[:, k] = evaluate_step_maps(phi_fits[k], z_fits[k], X[:, k])
+            yk, zk = evaluate_step_maps(phi_fits[k], z_fits[k], X[:, k])
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
-            Y[:, k] = yk
+            Y[:, k], Z[:, k] = yk, zk
             vloc = vloc + coeffs.eval_h(t[k], Y[:, k], Z[:, k]) * dt[k]
+            if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
+                raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
             V[:, k + 1] = offset + vloc
             X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[:, k], Z[:, k]) * dt[k] \
                 + ensemble.increments[:, k]

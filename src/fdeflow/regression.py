@@ -5,8 +5,6 @@ conditioning state, through ``StepRegression``. Fits can be restricted to a
 state box (the standard in-region trick from exercise-boundary regressions);
 outside the box a fitted surface continues linearly from the boundary, which
 keeps far-tail evaluations bounded without distorting the fit region.
-
-An exact binomial-lattice oracle backs the regressions at desk scale.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from .errors import InvalidArgumentError
 RIDGE_FACTOR = 1e-8          # ridge = RIDGE_FACTOR * (largest Gram eigenvalue)
 MIN_PATHS_PER_FUNCTION = 10  # required sample-to-basis ratio
 _DEGENERATE_SPAN = 1e-12
+_DESIGN_BLOCK_ROWS = 8192     # rows per monomial-design block (about 1 MiB, a core cache)
 
 
 @dataclass(frozen=True)
@@ -74,21 +73,30 @@ def monomial_exponents(state_dim: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _monomial_design(u: np.ndarray, exps) -> np.ndarray:
-    P, d = u.shape
+    """The (P, len(exps)) design of monomials u^e of the (P, d) states u.
+
+    Reads one column of u at a time, so a transposed dimension-major buffer
+    is read contiguously. Each product multiplies its factors left to right,
+    lower dimensions first, and writes the last one straight into its column.
+    Rows go in blocks whose powers and design rows stay in a core's cache.
+    """
     maxdeg = max((max(e) for e in exps), default=0)
-    pows = []
-    for j in range(d):
-        col = [np.ones(P)]
-        for _ in range(maxdeg):
-            col.append(col[-1] * u[:, j])
-        pows.append(col)
-    A = np.empty((P, len(exps)))
-    for i, e in enumerate(exps):
-        c = None
-        for j, ej in enumerate(e):
-            if ej:
-                c = pows[j][ej] if c is None else c * pows[j][ej]
-        A[:, i] = 1.0 if c is None else c
+    A = np.empty((u.shape[0], len(exps)))
+    for r in range(0, u.shape[0], _DESIGN_BLOCK_ROWS):
+        block = A[r:r + _DESIGN_BLOCK_ROWS]
+        pows = [[None, col[r:r + _DESIGN_BLOCK_ROWS]] for col in u.T]
+        for col in pows:
+            while len(col) <= maxdeg:
+                col.append(col[-1] * col[1])
+        for i, e in enumerate(exps):
+            factors = [pows[j][ej] for j, ej in enumerate(e) if ej]
+            if len(factors) < 2:
+                block[:, i] = factors[0] if factors else 1.0
+                continue
+            c = factors[0]
+            for f in factors[1:-1]:
+                c = c * f
+            np.multiply(c, factors[-1], out=block[:, i])
     return A
 
 
@@ -125,7 +133,7 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 # The reductions below go one column at a time: on the strided (P, d) views
 # the solver passes in, that is several times faster than one call over
-# axis 0, and min, max, clip and comparisons are exact either way.
+# axis 0, and min, max and comparisons are exact either way.
 
 def _column_bounds(states: np.ndarray):
     cols = range(states.shape[1])
@@ -139,13 +147,6 @@ def _in_box(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         col = states[:, j]
         inside &= (col >= lo[j]) & (col <= hi[j])
     return inside
-
-
-def _clip_columns(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    out = np.empty(states.shape)
-    for j in range(states.shape[1]):
-        np.clip(states[:, j], lo[j], hi[j], out=out[:, j])
-    return out
 
 
 class _PolynomialSurface:
@@ -173,17 +174,24 @@ class _PolynomialSurface:
                                  [r for _, _, r in terms]))
 
     def design(self, states):
-        clipped = _clip_columns(states, self.lo, self.hi)
-        u = (clipped - self.center) / self.scale
-        over = states - clipped
+        # one dimension at a time into dimension-major buffers, reading each
+        # (often strided) state column once: copy, clip, take the overshoot,
+        # then standardize the clipped column in place
+        over = np.empty(states.shape[::-1])
+        u = np.empty(over.shape)
+        for j, col in enumerate(states.T):
+            over[j] = col
+            np.clip(over[j], self.lo[j], self.hi[j], out=u[j])
+            over[j] -= u[j]
+            u[j] -= self.center[j]
+            u[j] /= self.scale[j]
         tails = []
-        if np.any(over):
-            for j in range(states.shape[1]):
-                mask = over[:, j] != 0.0
-                if mask.any():
-                    tails.append((j, mask, _monomial_design(u[mask], self._slopes[j][2]),
-                                  over[mask, j:j + 1]))
-        return _monomial_design(u, self.exps), tails
+        for j in range(u.shape[0]):
+            mask = over[j] != 0.0
+            if mask.any():
+                tails.append((j, mask, _monomial_design(u[:, mask].T, self._slopes[j][2]),
+                              over[j, mask][:, None]))
+        return _monomial_design(u.T, self.exps), tails
 
     def apply(self, design, coef):
         inside, tails = design
@@ -298,7 +306,9 @@ class StepRegression:
     states are bitwise equal to the ones it was built on (``built_on``), the
     caller keeps it, and with it the design, the Gram matrix, the ridge, the
     eigenvalue check and the in-sample evaluation design
-    (``in_sample_design``), instead of building them again.
+    (``in_sample_design``), instead of building them again. When a polynomial
+    fit keeps every row, the in-sample design is the fit design itself, so
+    a kept regression holds one design.
     """
 
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
@@ -341,7 +351,11 @@ class StepRegression:
             center = sel.mean(axis=0)
             scale = np.maximum(sel.std(axis=0), _DEGENERATE_SPAN)
             exps = monomial_exponents(basis.state_dim, basis.p)
-            self._design = _monomial_design((sel - center) / scale, exps)
+            u = np.empty(sel.shape[::-1])
+            for j, col in enumerate(sel.T):
+                np.subtract(col, center[j], out=u[j])
+                u[j] /= scale[j]
+            self._design = _monomial_design(u.T, exps)
             self._surface = _PolynomialSurface(exps, center, scale, lo, hi)
         else:
             knots = np.unique(np.quantile(sel[:, 0], np.linspace(0.0, 1.0, basis.p + 1)))
@@ -367,11 +381,18 @@ class StepRegression:
         """Evaluation design of the states this regression was built on.
 
         Built on first use and kept; every fit of this regression evaluates
-        from it, bitwise as ``fit.evaluate(self.states)`` would.
+        from it, bitwise as ``fit.evaluate(self.states)`` would. A polynomial
+        fit that keeps every row has its clip box at the min and max of these
+        states, so nothing is clipped, no row takes the linear continuation,
+        and the fit design is already that design.
         """
         if self._in_sample is None:
-            self._in_sample = EvaluationDesign(self._surface, self.states.shape[0],
-                                               self._surface.design(self.states))
+            rows = self.states.shape[0]
+            if isinstance(self._surface, _PolynomialSurface) and self.fit_states.shape[0] == rows:
+                data = (self._design, [])
+            else:
+                data = self._surface.design(self.states)
+            self._in_sample = EvaluationDesign(self._surface, rows, data)
         return self._in_sample
 
     def fit(self, targets: np.ndarray, out_shape: tuple | None = None) -> FittedConditional:
@@ -399,67 +420,3 @@ def density_target(dM: np.ndarray, dB: np.ndarray, dt: float) -> np.ndarray:
     """
     P, n = dM.shape
     return (dM[:, :, None] * dB[:, None, :] / dt).reshape(P, n * dB.shape[1])
-
-
-# ---------------------------------------------------------------------------
-# exact lattice oracle
-# ---------------------------------------------------------------------------
-
-MAX_TREE_DEPTH = 20
-
-
-@dataclass
-class TreeOracle:
-    """Recombining +-sqrt(dt) lattice: exact, enumerable stand-in for a Brownian motion.
-
-    Increments are Rademacher with magnitude sqrt(dt) per dimension, matching
-    Brownian mean and variance exactly at every step.
-    """
-
-    depth: int
-    dt: float
-    dim: int = 1
-    x0: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.depth <= MAX_TREE_DEPTH):
-            raise InvalidArgumentError(
-                f"depth must be in [1, {MAX_TREE_DEPTH}], got {self.depth}")
-        if not (self.dt > 0):
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
-        if self.dim < 1:
-            raise InvalidArgumentError(f"dim must be >= 1, got {self.dim}")
-
-    def level_states(self, level: int) -> np.ndarray:
-        """States at a level, shape (level+1,)*dim + (dim,)."""
-        step = math.sqrt(self.dt)
-        axis = self.x0 + step * (2.0 * np.arange(level + 1) - level)
-        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        return np.stack(grids, axis=-1)
-
-
-def oracle_conditional(tree: TreeOracle, payoff, step_index: int) -> np.ndarray:
-    """Exact conditional expectation of payoff(X_T) at every level-k node.
-
-    Backward induction over the full outcome set; children in each dimension
-    are equally likely. payoff maps (N, dim) states to (N,) or (N, m) values.
-    """
-    if not (0 <= step_index <= tree.depth):
-        raise InvalidArgumentError(f"step_index out of range: {step_index}")
-    states = tree.level_states(tree.depth)
-    flat = states.reshape(-1, tree.dim)
-    vals = np.asarray(payoff(flat), dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    vals = vals.reshape(states.shape[:-1] + (vals.shape[-1],))
-    for level in range(tree.depth - 1, step_index - 1, -1):
-        nxt = vals
-        shape = (level + 1,) * tree.dim + (nxt.shape[-1],)
-        vals = np.zeros(shape)
-        # average the 2^dim children: index i_j -> {i_j, i_j + 1}
-        for combo in np.ndindex(*([2] * tree.dim)):
-            sl = tuple(slice(c, c + level + 1) for c in combo)
-            vals += nxt[sl]
-        vals /= 2 ** tree.dim
-    return vals[..., 0] if squeeze else vals

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdeflow import cli
+from fdeflow.errors import InvalidArgumentError
 
 
 def _write(tmp_path, body, name="config.cfg"):
@@ -153,6 +154,17 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 1"),
         ("K = 16", "K = 16\n\n[output]\nexport_paths = -1",
          "export_paths must be non-negative"),
+        # a non-finite or inverted exploration box would crash the solve;
+        # degree 0 and an empty kind would run silently with the fixture's basis
+        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = nan",
+         "exploration_radius must be finite"),
+        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = -2.2",
+         "exploration_radius must be finite and non-negative"),
+        ("K = 16", "K = 16\n\n[solver]\nexploration_floor = inf",
+         "exploration_floor must be finite"),
+        ("K = 16", "K = 16\n\n[solver]\nbasis_degree = 0", "basis_degree must be at least 1"),
+        ("K = 16", "K = 16\n\n[solver]\nbasis_kind =",
+         "basis_kind must be polynomial or quantile-linear, got ''"),
     ]
     for i, (old, new, named) in enumerate(cases):
         body = TRIVIAL_CFG.replace(old, new).format(out=tmp_path / "out")
@@ -161,6 +173,14 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         assert text.startswith("config error") and named in text
         assert text.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_basis_for_does_not_replace_a_zero_degree():
+    fixture = cli.FIXTURES["trivial"]
+    cfg = cli.ExperimentConfig(problem="fbsde", basis_degree=2)
+    assert cli._basis_for(cfg, fixture).p == 2
+    with pytest.raises(InvalidArgumentError, match="basis size"):
+        cli._basis_for(cli.ExperimentConfig(problem="fbsde", basis_degree=0), fixture)
 
 
 def test_divergence_exits_three_with_report(tmp_path, capsys):

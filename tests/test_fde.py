@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import fdeflow as ff
-from fdeflow.errors import InvalidArgumentError, PicardDivergedError
+from fdeflow import fde
+from fdeflow.errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
@@ -230,6 +231,37 @@ def test_solve_global_rejects_too_coarse_grid():
     ell = ff.contraction_window_length(3.0, 4.0)
     assert steps <= np.ceil(3.0 / ell) + 1
     assert ff.build_uniform_grid(3.0, steps).mesh <= ell * (1 + 1e-12)
+
+
+def test_solve_global_rejects_non_finite_exploration_settings():
+    grid = ff.build_uniform_grid(1.0, 8)
+    ens = ff.sample_ensemble(grid, 2000, 1, 15)
+    for kwargs in ({"exploration_radius": np.nan}, {"exploration_radius": -1.0},
+                   {"exploration_floor": np.inf}):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            ff.solve_global(_coeffs(), grid, 0.0, ens, **kwargs)
+
+
+@pytest.mark.parametrize("bad", ["y", "z"])
+def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
+    # a fitted surface that returns NaN at one step must stop the assembly
+    # there, before the value reaches later steps and y0
+    calls = []
+
+    def nan_at_step_5(y_fit, z_fit, states):
+        yk, zk = evaluate(y_fit, z_fit, states)
+        if len(calls) == 5:
+            (yk if bad == "y" else zk)[3] = np.nan
+        calls.append(states.shape[0])
+        return yk, zk
+
+    evaluate = fde.evaluate_step_maps
+    monkeypatch.setattr(fde, "evaluate_step_maps", nan_at_step_5)
+    grid = ff.build_uniform_grid(1.0, 8)
+    ens = ff.sample_ensemble(grid, 2000, 1, 16)
+    with pytest.raises(InvalidStateError, match="step 5"):
+        ff.solve_global(_coeffs(), grid, 0.0, ens)
+    assert len(calls) == 6
 
 
 def test_cn_oracle_matches_analytic_solution():

@@ -1,9 +1,12 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
-from fdeflow.regression import StepRegression, density_target
+from fdeflow.regression import StepRegression, bitwise_equal, density_target
 
 RNG = np.random.default_rng(42)
 
@@ -27,6 +30,69 @@ def _brownian(paths, t_points, seed=0):
     out = np.zeros((paths, t_points.size))
     out[:, 1:] = np.cumsum(inc, axis=1)
     return out
+
+
+# An exact lattice oracle for the regressions at desk scale: conditional
+# expectations by backward induction over every outcome of a binomial walk.
+
+MAX_TREE_DEPTH = 20
+
+
+@dataclass
+class TreeOracle:
+    """Recombining +-sqrt(dt) lattice: exact, enumerable stand-in for a Brownian motion.
+
+    Increments are Rademacher with magnitude sqrt(dt) per dimension, matching
+    Brownian mean and variance exactly at every step.
+    """
+
+    depth: int
+    dt: float
+    dim: int = 1
+    x0: float = 0.0
+
+    def __post_init__(self):
+        if not (0 < self.depth <= MAX_TREE_DEPTH):
+            raise InvalidArgumentError(
+                f"depth must be in [1, {MAX_TREE_DEPTH}], got {self.depth}")
+        if not (self.dt > 0):
+            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
+        if self.dim < 1:
+            raise InvalidArgumentError(f"dim must be >= 1, got {self.dim}")
+
+    def level_states(self, level: int) -> np.ndarray:
+        """States at a level, shape (level+1,)*dim + (dim,)."""
+        step = math.sqrt(self.dt)
+        axis = self.x0 + step * (2.0 * np.arange(level + 1) - level)
+        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        return np.stack(grids, axis=-1)
+
+
+def oracle_conditional(tree: TreeOracle, payoff, step_index: int) -> np.ndarray:
+    """Exact conditional expectation of payoff(X_T) at every level-k node.
+
+    Backward induction over the full outcome set; children in each dimension
+    are equally likely. payoff maps (N, dim) states to (N,) or (N, m) values.
+    """
+    if not (0 <= step_index <= tree.depth):
+        raise InvalidArgumentError(f"step_index out of range: {step_index}")
+    states = tree.level_states(tree.depth)
+    flat = states.reshape(-1, tree.dim)
+    vals = np.asarray(payoff(flat), dtype=float)
+    squeeze = vals.ndim == 1
+    if squeeze:
+        vals = vals[:, None]
+    vals = vals.reshape(states.shape[:-1] + (vals.shape[-1],))
+    for level in range(tree.depth - 1, step_index - 1, -1):
+        nxt = vals
+        shape = (level + 1,) * tree.dim + (nxt.shape[-1],)
+        vals = np.zeros(shape)
+        # average the 2^dim children: index i_j -> {i_j, i_j + 1}
+        for combo in np.ndindex(*([2] * tree.dim)):
+            sl = tuple(slice(c, c + level + 1) for c in combo)
+            vals += nxt[sl]
+        vals /= 2 ** tree.dim
+    return vals[..., 0] if squeeze else vals
 
 
 def test_constant_target_fit_is_exact():
@@ -56,8 +122,8 @@ def test_brownian_square_projection_matches_tree_oracle():
     assert np.all(np.abs(fit.evaluate(probes)[:, 0] - (probes ** 2 + 0.5))
                   <= 0.05 * (1 + probes ** 2) + 0.05 * np.abs(probes))
     # tree states are exact conditional states for the remaining half interval
-    tree = ff.TreeOracle(depth=10, dt=0.05)
-    vals = ff.oracle_conditional(tree, lambda x: x[:, 0] ** 2, 0)
+    tree = TreeOracle(depth=10, dt=0.05)
+    vals = oracle_conditional(tree, lambda x: x[:, 0] ** 2, 0)
     assert vals == pytest.approx(0.5)  # root: E[B_{0.5}^2] over the lattice half
     states = tree.level_states(10).reshape(-1, 1)
     exact = states[:, 0] ** 2 + 0.5
@@ -175,39 +241,39 @@ def test_quantile_linear_basis_fits_and_extrapolates_linearly():
 
 
 def test_tree_oracle_basics():
-    tree = ff.TreeOracle(depth=2, dt=0.5)
-    ones = ff.oracle_conditional(tree, lambda x: np.ones(x.shape[0]), 0)
+    tree = TreeOracle(depth=2, dt=0.5)
+    ones = oracle_conditional(tree, lambda x: np.ones(x.shape[0]), 0)
     assert ones == pytest.approx(1.0)
-    mart = ff.oracle_conditional(tree, lambda x: x[:, 0], 1)
+    mart = oracle_conditional(tree, lambda x: x[:, 0], 1)
     assert np.allclose(mart, tree.level_states(1)[:, 0])
 
 
 def test_tree_oracle_half_normal_value():
-    tree = ff.TreeOracle(depth=10, dt=0.1)
-    root = float(ff.oracle_conditional(tree, lambda x: np.maximum(x[:, 0], 0.0), 0).item())
+    tree = TreeOracle(depth=10, dt=0.1)
+    root = float(oracle_conditional(tree, lambda x: np.maximum(x[:, 0], 0.0), 0).item())
     assert root == pytest.approx(TREE_HALF_NORMAL_10, abs=1e-12)
     assert abs(root - HALF_NORMAL_MEAN) <= 0.05
 
 
 def test_tree_oracle_two_dimensional():
-    tree = ff.TreeOracle(depth=4, dt=0.25, dim=2)
-    vals = ff.oracle_conditional(tree, lambda x: x[:, 0] + x[:, 1], 2)
+    tree = TreeOracle(depth=4, dt=0.25, dim=2)
+    vals = oracle_conditional(tree, lambda x: x[:, 0] + x[:, 1], 2)
     states = tree.level_states(2)
     assert np.allclose(vals, states[..., 0] + states[..., 1])
 
 
 def test_tree_depth_cap():
     with pytest.raises(InvalidArgumentError):
-        ff.TreeOracle(depth=21, dt=0.01)
-    tree = ff.TreeOracle(depth=3, dt=0.1)
+        TreeOracle(depth=21, dt=0.01)
+    tree = TreeOracle(depth=3, dt=0.1)
     with pytest.raises(InvalidArgumentError):
-        ff.oracle_conditional(tree, lambda x: x[:, 0], 4)
+        oracle_conditional(tree, lambda x: x[:, 0], 4)
 
 
 def test_regression_converges_to_tree_values_with_paths():
     # deviation from exact lattice conditionals shrinks like 1/sqrt(paths)
-    tree = ff.TreeOracle(depth=10, dt=0.1)
-    exact_fn = lambda s: ff.oracle_conditional(tree, lambda x: np.tanh(x[:, 0]), 5)
+    tree = TreeOracle(depth=10, dt=0.1)
+    exact_fn = lambda s: oracle_conditional(tree, lambda x: np.tanh(x[:, 0]), 5)
     states5 = tree.level_states(5).reshape(-1)
     exact = exact_fn(None)
     t = np.array([0.0, 0.5, 1.0])
@@ -276,14 +342,29 @@ def test_weights_must_be_finite_non_negative_per_path():
             StepRegression(x, basis, weights=bad)
 
 
+def _monomials(u, exps):
+    # the columns u^e in the order of exps: each power by repeated
+    # multiplication, then the powers multiplied left to right over dimensions
+    cols = []
+    for e in exps:
+        col = np.ones(u.shape[0])
+        for j, ej in enumerate(e):
+            if ej:
+                power = u[:, j]
+                for _ in range(ej - 1):
+                    power = power * u[:, j]
+                col = col * power
+        cols.append(col)
+    return np.column_stack(cols)
+
+
 def _reference_polynomial(fit, states):
     # the surface arithmetic written out whole-array: clip to the fit box,
     # standardized design times coefficients, then per dimension the
     # boundary gradient times the distance past the box
-    from fdeflow.regression import _monomial_design
     s = fit._surface
     clipped = np.clip(states, s.lo, s.hi)
-    out = _monomial_design((clipped - s.center) / s.scale, s.exps) @ fit._coef
+    out = _monomials((clipped - s.center) / s.scale, s.exps) @ fit._coef
     over = states - clipped
     for j in range(states.shape[1]):
         mask = over[:, j] != 0.0
@@ -291,7 +372,7 @@ def _reference_polynomial(fit, states):
             continue
         terms = [(i, e[j], tuple(v - (1 if k == j else 0) for k, v in enumerate(e)))
                  for i, e in enumerate(s.exps) if e[j] > 0]
-        A = _monomial_design((clipped[mask] - s.center) / s.scale, [r for _, _, r in terms])
+        A = _monomials((clipped[mask] - s.center) / s.scale, [r for _, _, r in terms])
         C = fit._coef[[i for i, _, _ in terms]] * np.array([f for _, f, _ in terms], float)[:, None]
         out[mask] += (A @ C) / s.scale[j] * over[mask, j:j + 1]
     return out
@@ -352,3 +433,43 @@ def test_built_on_compares_bits():
     flipped[0] = -0.0   # equal as a number, not as bits
     assert not sr.built_on(flipped)
     assert not sr.built_on(x[:499])
+
+
+@pytest.mark.parametrize("name", ["poly_1d_deg7", "poly_2d_deg3"])
+def test_strided_states_design_as_their_contiguous_copy(name):
+    # the solver hands in (P, K+1, d)[:, k] views; their designs and values
+    # must not depend on the layout. 20,000 rows span several row blocks.
+    states, basis, box, far = _sharing_case(name)
+    paths = np.random.default_rng(8).normal(0.0, 1.5, (20_000, 6, basis.state_dim))
+    paths[:far.shape[0], 4] = far
+    view = paths[:, 4]
+    copy = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous
+    assert bitwise_equal(StepRegression(view, basis)._design,
+                         StepRegression(copy, basis)._design)
+    fit = StepRegression(states, basis, fit_window=box).fit(np.sin(states.sum(axis=1)))
+    (inside, tails), (inside_copy, tails_copy) = fit.design(view).data, fit.design(copy).data
+    assert bitwise_equal(inside, inside_copy)
+    # rows past the box in every dimension
+    assert len(tails) == len(tails_copy) == basis.state_dim
+    for (j, mask, slope, step), (j2, mask2, slope2, step2) in zip(tails, tails_copy):
+        assert j == j2 and np.array_equal(mask, mask2)
+        assert bitwise_equal(slope, slope2) and bitwise_equal(step, step2)
+    assert bitwise_equal(fit.evaluate(view), fit.evaluate(copy))
+    assert bitwise_equal(fit.evaluate(view), _reference_polynomial(fit, copy))
+
+
+@pytest.mark.parametrize("box", ["none", "every_state"])
+def test_in_sample_design_is_the_fit_design_when_the_fit_keeps_every_row(box):
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((4000, 3, 2))[:, 1]
+    # a box whose edges are the extreme states still holds every row
+    window = None if box == "none" else (states.min(axis=0), states.max(axis=0))
+    sr = StepRegression(states, ff.polynomial_basis(3, 2), fit_window=window)
+    assert sr.fit_states.shape == states.shape
+    design = sr.in_sample_design()
+    assert design.data[0] is sr._design and design.data[1] == []
+    y_fit = sr.fit(np.sin(states.sum(axis=1)))
+    z_fit = sr.fit(rng.standard_normal((states.shape[0], 2)), out_shape=(1, 2))
+    for fit in (y_fit, z_fit):
+        assert bitwise_equal(fit.evaluate_on(design), fit.evaluate(states))
