@@ -11,13 +11,11 @@ backward equation, which drives the exponential-utility portfolio module.
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
-                   contraction_window_length, load_ensemble, sample_ensemble,
-                   save_ensemble, segment_windows)
+                   contraction_window_length, sample_ensemble, segment_windows)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis, quantile_linear_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, ResidualReport,
-                  check_fbsde_residual, empirical_pathwise_uniqueness,
-                  export_solution, picard_window, solve_global)
+                  check_fbsde_residual, export_solution, picard_window, solve_global)
 from .girsanov import (MeasureChange, WeakSolution, assemble_weak_solution,
                        bmo_diagnostic, build_measure_change, check_z_invariance,
                        export_weak_solution)
@@ -33,12 +31,11 @@ __all__ = [
     "InsufficientWeightError", "PicardDivergedError",
     "TimeGrid", "BrownianEnsemble",
     "build_uniform_grid", "contraction_window_length", "segment_windows",
-    "sample_ensemble", "save_ensemble", "load_ensemble",
+    "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis", "quantile_linear_basis",
     "CoefficientSet", "FdeSolution", "PicardReport", "ResidualReport",
-    "picard_window", "solve_global", "check_fbsde_residual",
-    "empirical_pathwise_uniqueness", "export_solution",
+    "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
     "MeasureChange", "WeakSolution", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",
     "export_weak_solution",

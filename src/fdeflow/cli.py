@@ -42,6 +42,9 @@ LOCK_NAME = ".fdeflow.lock"
 # where the control variate leaves only second-order noise
 _DRIFT_ATOL = 5e-5
 
+# errors that exit 3 (numerical breakdown); config and argument errors exit 2
+_BREAKDOWNS = (PicardDivergedError, InsufficientWeightError, InvalidStateError)
+
 
 class ConfigError(FdeflowError):
     """Config parse or validation failure (exit code 2)."""
@@ -63,13 +66,15 @@ class RunReport:
     outputs: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     config_echo: dict = field(default_factory=dict)
+    error: str | None = None        # set, with its exit code, when the run failed
+    exit_code: int | None = None
 
     @property
     def all_passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "problem": self.problem,
             "seed": self.seed,
             "assertions": [
@@ -79,6 +84,9 @@ class RunReport:
             "wall_clock": {k: float(v) for k, v in self.wall_clock.items()},
             "config": self.config_echo,
         }
+        if self.error is not None:
+            out.update(error=self.error, exit_code=self.exit_code)
+        return out
 
 
 @dataclass
@@ -304,6 +312,11 @@ def _common_assertions(bundle) -> list:
     return out
 
 
+def _z_rms(sol) -> float:
+    """Root mean square of Z, summed in the order of a path-major (C-order) array."""
+    return float(np.sqrt(np.mean(np.ascontiguousarray(sol.Z) ** 2)))
+
+
 def _probe_grid(halfwidth=2.0, count=21):
     return np.linspace(-halfwidth, halfwidth, count)
 
@@ -318,7 +331,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     params = {**get_fixture(name).params, **cfg.fixture_params}
     if name == "trivial":
         out.append(_dev("y_deviation_max", np.abs(sol.Y - 1.0).max(), 1e-6))
-        out.append(_dev("z_rms", float(np.sqrt(np.mean(sol.Z ** 2))), 1e-6))
+        out.append(_dev("z_rms", _z_rms(sol), 1e-6))
         out.append(_dev("v_max", np.abs(sol.V).max(), 0.0, exact=True))
     elif name == "const_driver":
         c = params["c"]
@@ -327,7 +340,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         y_dev = max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])).max()
                     for k in range(grid.num_steps + 1))
         out.append(_dev("y_affine_dev", y_dev, 1e-2))
-        out.append(_dev("z_rms", float(np.sqrt(np.mean(sol.Z ** 2))), 1e-6))
+        out.append(_dev("z_rms", _z_rms(sol), 1e-6))
     elif name == "tanh_terminal":
         xs = _probe_grid()
         worst = 0.0
@@ -351,7 +364,8 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     elif name == "const_forward":
         c = params["c"]
         mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble)
-        b_t = ensemble.increments[:, :, 0].sum(axis=1)
+        # summed over a path-major copy: the order of the sum is that of a C-order array
+        b_t = np.ascontiguousarray(ensemble.increments[:, :, 0]).sum(axis=1)
         exact = np.exp(-c * b_t - 0.5 * c * c * T)
         out.append(_dev("weight_formula_dev", np.abs(mc.weights - exact).max(), 1e-10))
         dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
@@ -404,8 +418,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
         pi_ref = mu0 / (model.gamma * model.sigma_bar_s ** 2)
         out.append(_dev("pi_star_dev", float(np.abs(psol.pi_star - pi_ref).max()), 0.05))
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
-        out.append(_dev("merton_z_rms",
-                        float(np.sqrt(np.mean(psol.fde_sol.Z ** 2))), 1e-3))
+        out.append(_dev("merton_z_rms", _z_rms(psol.fde_sol), 1e-3))
     else:
         K = psol.grid.num_steps
         probes = [float(psol.grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)]
@@ -494,11 +507,29 @@ def _evaluate_fixture(name, cfg, out_dir, report):
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
-    """Execute the configured problem; returns the report (no exit-code logic)."""
+    """Execute the configured problem and write its report; a package error
+    that ends the run with exit 2 or 3 is recorded there, then re-raised."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(problem=cfg.problem, seed=cfg.seed, config_echo=cfg.echo())
     t_start = time.perf_counter()
+    failure = None
+    try:
+        _run_problem(cfg, out_dir, report)
+    except (ConfigError, InvalidArgumentError, *_BREAKDOWNS) as exc:
+        failure = exc
+        report.error = str(exc)
+        report.exit_code = 3 if isinstance(exc, _BREAKDOWNS) else 2
+    report.wall_clock["total"] = time.perf_counter() - t_start
+    report_path = out_dir / "run_report.json"
+    write_json(report_path, report.to_json())
+    report.outputs.append(report_path)
+    if failure is not None:
+        raise failure
+    return report
+
+
+def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> None:
     if cfg.problem == "verify-suite":
         rows = []
         for name in FIXTURES:
@@ -537,11 +568,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
         verdicts = out_dir / "verdicts.csv"
         _write_verdicts_csv(verdicts, [(fixture_name, a) for a in assertions])
         report.outputs.append(verdicts)
-    report.wall_clock["total"] = time.perf_counter() - t_start
-    report_path = out_dir / "run_report.json"
-    write_json(report_path, report.to_json())
-    report.outputs.append(report_path)
-    return report
 
 
 def _lock_is_stale(lock: Path) -> bool:
@@ -628,7 +654,7 @@ def main(argv=None) -> int:
         write_json(dump, payload)
         print(f"solver divergence: {exc} (report dumped to {dump})")
         return 3
-    except (InsufficientWeightError, InvalidStateError) as exc:
+    except _BREAKDOWNS as exc:
         print(f"numerical breakdown: {exc}")
         return 3
     except InvalidArgumentError as exc:

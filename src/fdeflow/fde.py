@@ -158,7 +158,10 @@ class PicardReport:
 
 @dataclass
 class FdeSolution:
-    """The quadruple (V, X, Y, Z) on a grid plus the fitted per-step maps."""
+    """The quadruple (V, X, Y, Z) on a grid plus the fitted per-step maps.
+
+    Each array is the (P, ...) transposed view of a step-major buffer, so
+    ``arr[:, k]`` is contiguous."""
 
     grid: TimeGrid
     V: np.ndarray                       # (P, K+1, n)
@@ -268,45 +271,45 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     # (Y, Z), so the second pass only confirms the first; one reuse does not
     # pay for that memory, and the regressions are not kept.
     keep = coeffs.c1 > 0
-    # every pass reads each step's increments twice; read them contiguously
+    # each step's increments, contiguous: a view of a sampled ensemble, else a copy
     dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
     regressions = [None] * m
-    terminal = None   # (X[:, m], terminal_map(X[:, m]))
+    terminal = None   # (X[m], terminal_map(X[m]))
     prev_psi = None
     passes = 0
     result = None
     while passes < max_iter:
         passes += 1
-        V = np.zeros((P, m + 1, n))
-        X = np.empty((P, m + 1, d))
-        X[:, 0] = start
+        V = np.zeros((m + 1, P, n))
+        X = np.empty((m + 1, P, d))
+        X[0] = start
         for k in range(m):
-            V[:, k + 1] = V[:, k] + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
-            X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
-        if not np.all(np.isfinite(X[:, m])) or not np.all(np.isfinite(V[:, m])):
+            V[k + 1] = V[k] + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
+            X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
+        if not np.all(np.isfinite(X[m])) or not np.all(np.isfinite(V[m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
-        if terminal is None or not bitwise_equal(terminal[0], X[:, m]):
-            terminal = (X[:, m], _as_2d(terminal_map(X[:, m]), n, "terminal_map output"))
-        xi = terminal[1] + V[:, m]
+        if terminal is None or not bitwise_equal(terminal[0], X[m]):
+            terminal = (X[m], _as_2d(terminal_map(X[m]), n, "terminal_map output"))
+        xi = terminal[1] + V[m]
 
         y_fits = [None] * m
         z_fits = [None] * m
-        Y[m] = xi - V[:, m]
+        Y[m] = xi - V[m]
         M_next = xi
         for k in range(m - 1, -1, -1):
             sr = regressions[k]
-            if sr is None or not sr.built_on(X[:, k]):
+            if sr is None or not sr.built_on(X[k]):
                 window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
-                sr = StepRegression(X[:, k], basis, fit_window=window_box)
+                sr = StepRegression(X[k], basis, fit_window=window_box)
                 if keep:
                     regressions[k] = sr
             design = sr.in_sample_design()
-            y_fits[k] = sr.fit(xi - V[:, k])
+            y_fits[k] = sr.fit(xi - V[k])
             yk = y_fits[k].evaluate_on(design)
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[k] = yk
-            M_k = yk + V[:, k]
+            M_k = yk + V[k]
             z_fits[k] = sr.fit(density_target(M_next - M_k, dB[k], dt[k]),
                                out_shape=(n, d))
             Z[k] = z_fits[k].evaluate_on(design)
@@ -340,7 +343,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
 
     V, X, y_fits, z_fits = result
     sol = FdeSolution(
-        grid=window_grid, V=V, X=X, Y=np.stack(Y, axis=1), Z=np.stack(Z[:m], axis=1),
+        grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
+        Y=np.stack(Y).transpose(1, 0, 2), Z=np.stack(Z[:m]).transpose(1, 0, 2, 3),
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report],
         residuals={"terminal_rms": 0.0}, window_bounds=[(0, m)],
         x0=start[0].copy() if np.ptp(start, axis=0).max() == 0 else None,
@@ -473,35 +477,36 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     # forward assembly on the actual ensemble
     t = grid.points
     dt = grid.dt
-    V = np.zeros((P, K + 1, n))
-    X = np.empty((P, K + 1, d))
-    Y = np.zeros((P, K + 1, n))
-    Z = np.zeros((P, K, n, d))
-    X[:, 0] = x0v
+    V = np.zeros((K + 1, P, n))
+    X = np.empty((K + 1, P, d))
+    Y = np.zeros((K + 1, P, n))
+    Z = np.zeros((K, P, n, d))
+    X[0] = x0v
     offset = np.zeros((P, n))
     for a, b in windows:
         vloc = np.zeros((P, n))
-        V[:, a] = offset
+        V[a] = offset
         for k in range(a, b):
-            yk, zk = evaluate_step_maps(phi_fits[k], z_fits[k], X[:, k])
+            yk, zk = evaluate_step_maps(phi_fits[k], z_fits[k], X[k])
             if clip_bound is not None:
                 np.clip(yk, -clip_bound, clip_bound, out=yk)
-            Y[:, k], Z[:, k] = yk, zk
-            vloc = vloc + coeffs.eval_h(t[k], Y[:, k], Z[:, k]) * dt[k]
+            Y[k], Z[k] = yk, zk
+            vloc = vloc + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
             if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
                 raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
-            V[:, k + 1] = offset + vloc
-            X[:, k + 1] = X[:, k] + coeffs.eval_f(t[k], Y[:, k], Z[:, k]) * dt[k] \
+            V[k + 1] = offset + vloc
+            X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] \
                 + ensemble.increments[:, k]
         offset = offset + vloc
-    Y[:, K] = coeffs.eval_phi(X[:, K])
+    Y[K] = coeffs.eval_phi(X[K])
 
-    xi = Y[:, K] + V[:, K]
+    xi = Y[K] + V[K]
     y0_mean = xi.mean(axis=0)
     y0_stderr = xi.std(axis=0, ddof=1) / np.sqrt(P)
 
     sol = FdeSolution(
-        grid=grid, V=V, X=X, Y=Y, Z=Z, phi_fits=phi_fits, z_fits=z_fits,
+        grid=grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2), Y=Y.transpose(1, 0, 2),
+        Z=Z.transpose(1, 0, 2, 3), phi_fits=phi_fits, z_fits=z_fits,
         iteration_log=reports, window_bounds=windows, y0_mean=y0_mean,
         y0_stderr=y0_stderr, x0=x0v, seed=ensemble.seed)
     rep = check_fbsde_residual(sol, coeffs, ensemble)
@@ -542,26 +547,6 @@ def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
     return ResidualReport(terminal_rms=terminal,
                           backward_rms=float(np.sqrt(back_sq / K)),
                           forward_max=fwd_max)
-
-
-def empirical_pathwise_uniqueness(coeffs: CoefficientSet, grid: TimeGrid, x0,
-                                  ensemble: BrownianEnsemble, guesses=None,
-                                  **solve_kwargs) -> dict:
-    """Gap between two solves started from independent initial guesses.
-
-    Both solves share the ensemble and exploration noise; only the Picard
-    starting point differs. Contraction makes the fixed point guess-free, so
-    the gap should stay within a small multiple of the Picard tolerance.
-    """
-    if guesses is None:
-        g0 = max(coeffs.m_bound, 1.0)
-        guesses = (g0, -g0)
-    sols = [solve_global(coeffs, grid, x0, ensemble, initial_guess=g, **solve_kwargs)
-            for g in guesses]
-    y_gap = float(np.abs(sols[0].Y - sols[1].Y).max())
-    z_gap = float(np.abs(sols[0].Z - sols[1].Z).max())
-    return {"y_gap": y_gap, "z_gap": z_gap, "max_gap": max(y_gap, z_gap),
-            "solutions": sols}
 
 
 def write_json(path, obj) -> None:

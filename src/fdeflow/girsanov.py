@@ -35,13 +35,13 @@ class MeasureChange:
 
     weights are the terminal Radon-Nikodym values exp(N_K - [N]_K / 2), with
     N_K = -sum <f_k, dB_k> and [N]_K = sum |f_k|^2 dt_k, and f_values the
-    drift at the left endpoint of every step. The shifted motion W is the
-    solve's forward state X.
+    drift at the left endpoint of every step, stored step-major and handed out
+    as its (P, K, d) view. The shifted motion W is the solve's forward state X.
     """
 
     grid: TimeGrid
     weights: np.ndarray             # (P,) terminal
-    f_values: np.ndarray = field(repr=False)   # (P, K, d), left endpoints
+    f_values: np.ndarray = field(repr=False)   # (P, K, d) view, left endpoints
     seed: int | None = None
 
     @property
@@ -89,22 +89,22 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     t = sol.grid.points
     dt = sol.grid.dt
 
-    f_values = np.empty((P, K, coeffs.d))
+    f_values = np.empty((K, P, coeffs.d))
     for k in range(K):
-        f_values[:, k] = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
+        f_values[k] = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
     if not np.all(np.isfinite(f_values)):
         raise InvalidStateError("drift f produced non-finite values")
 
     n_int = np.zeros(P)
     qv = np.zeros(P)
     for k in range(K):
-        n_int = n_int - np.einsum("pd,pd->p", f_values[:, k], ensemble.increments[:, k])
-        qv = qv + np.einsum("pd,pd->p", f_values[:, k], f_values[:, k]) * dt[k]
+        n_int = n_int - np.einsum("pd,pd->p", f_values[k], ensemble.increments[:, k])
+        qv = qv + np.einsum("pd,pd->p", f_values[k], f_values[k]) * dt[k]
     weights = np.exp(n_int - 0.5 * qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(grid=sol.grid, weights=weights, f_values=f_values,
-                         seed=ensemble.seed)
+    return MeasureChange(grid=sol.grid, weights=weights,
+                         f_values=f_values.transpose(1, 0, 2), seed=ensemble.seed)
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
@@ -128,6 +128,8 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
         dw = sol.X[:, k + 1] - sol.X[:, k]
         zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], dw)
         resid = resid - hk * dt[k] - zf * dt[k] + zdw
+    if not np.all(np.isfinite(resid)):
+        raise InvalidStateError("weak solution: non-finite residual")
     sq = np.einsum("pn,pn->p", resid, resid)
     weighted_rms = float(np.sqrt(np.sum(mc.weights * sq) / np.sum(mc.weights)))
     report = {"weighted_rms": weighted_rms,
@@ -206,6 +208,8 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
     t = sol.grid.points
     dt = sol.grid.dt
     basis = basis or polynomial_basis(2, coeffs.d)
+    # path-major: a probe's column of ``remaining`` is a fit target, and the
+    # fit's product sums it in an order that depends on its strides
     f_sq = np.empty((sol.num_paths, K))
     for k in range(K):
         fk = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])

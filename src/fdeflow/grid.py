@@ -16,8 +16,8 @@ from scipy.special import ndtri
 
 from .errors import InvalidArgumentError
 
-ENSEMBLE_MAGIC = "FDEB1"
 WINDOW_RTOL = 1e-12   # relative slack when a length is compared with a window length
+_SAMPLE_BLOCK_WORDS = 1 << 16   # raw words drawn per sampling block (512 KiB)
 
 
 @dataclass
@@ -128,8 +128,10 @@ def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:
 class BrownianEnsemble:
     """Gaussian increments for num_paths independent d-dimensional motions.
 
-    increments[i, k, j] ~ N(0, dt_k), laid out path-major, step-minor,
-    dimension-innermost. Immutable after construction by convention.
+    increments[i, k, j] ~ N(0, dt_k). ``sample_ensemble`` stores them step-major
+    and hands out the (P, K, dim) transposed view, so ``increments[:, k]`` is
+    contiguous; a C-order array gives bitwise the same results, only slower.
+    Immutable after construction by convention.
     """
 
     grid: TimeGrid
@@ -145,17 +147,11 @@ class BrownianEnsemble:
                 f"increment shape {self.increments.shape} != {expected}")
 
     def brownian_paths(self) -> np.ndarray:
-        """Cumulative sums with a zero column prepended; shape (P, K+1, dim)."""
-        P = self.num_paths
-        out = np.zeros((P, self.grid.num_steps + 1, self.dim))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
-
-
-def _raw_to_normals(raw: np.ndarray) -> np.ndarray:
-    # top 53 bits -> uniform on (0,1), then inverse normal CDF
-    u = (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) + 2.0 ** -54
-    return ndtri(u)
+        """Cumulative sums with a zero step prepended; shape (P, K+1, dim),
+        stored step-major like the increments."""
+        out = np.zeros((self.grid.num_steps + 1, self.num_paths, self.dim))
+        np.cumsum(self.increments.transpose(1, 0, 2), axis=0, out=out[1:])
+        return out.transpose(1, 0, 2)
 
 
 def sample_ensemble(grid: TimeGrid, num_paths: int, dim: int, seed: int) -> BrownianEnsemble:
@@ -165,36 +161,19 @@ def sample_ensemble(grid: TimeGrid, num_paths: int, dim: int, seed: int) -> Brow
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     K = grid.num_steps
-    raw = np.random.Philox(key=int(seed)).random_raw(num_paths * K * dim)
-    z = _raw_to_normals(raw).reshape(num_paths, K, dim)
-    z *= np.sqrt(grid.dt)[None, :, None]
+    # the stream is drawn in blocks of whole paths, so path i still gets the
+    # words [i*K*dim, (i+1)*K*dim) and no full-size word array exists
+    bitgen = np.random.Philox(key=int(seed))
+    scale = np.sqrt(grid.dt)[:, None, None]
+    block = max(1, _SAMPLE_BLOCK_WORDS // (K * dim))
+    z = np.empty((K, num_paths, dim))
+    for i in range(0, num_paths, block):
+        rows = min(block, num_paths - i)
+        raw = bitgen.random_raw(rows * K * dim)
+        # top 53 bits -> uniform on (0,1), then the inverse normal CDF
+        u = (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) + 2.0 ** -54
+        out = z[:, i:i + rows]
+        ndtri(u.reshape(rows, K, dim), out=out.transpose(1, 0, 2))
+        out *= scale
     return BrownianEnsemble(grid=grid, num_paths=num_paths, dim=dim,
-                            seed=int(seed), increments=z)
-
-
-def save_ensemble(ensemble: BrownianEnsemble, path) -> None:
-    """Write an ensemble to a flat numeric file.
-
-    Layout: one ASCII header line ``FDEB1 K num_paths dim seed``, then the
-    K+1 grid points as little-endian float64, then the increments path-major,
-    step-minor, dimension-innermost.
-    """
-    with open(path, "wb") as fh:
-        header = f"{ENSEMBLE_MAGIC} {ensemble.grid.num_steps} {ensemble.num_paths} {ensemble.dim} {ensemble.seed}\n"
-        fh.write(header.encode("ascii"))
-        fh.write(ensemble.grid.points.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
-
-
-def load_ensemble(path) -> BrownianEnsemble:
-    """Read an ensemble written by save_ensemble."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 5 or header[0] != ENSEMBLE_MAGIC:
-            raise InvalidArgumentError(f"not a {ENSEMBLE_MAGIC} ensemble file: {path}")
-        K, num_paths, dim, seed = (int(v) for v in header[1:])
-        pts = np.frombuffer(fh.read(8 * (K + 1)), dtype="<f8")
-        inc = np.frombuffer(fh.read(8 * num_paths * K * dim), dtype="<f8")
-    grid = TimeGrid(pts.copy())
-    return BrownianEnsemble(grid=grid, num_paths=num_paths, dim=dim, seed=seed,
-                            increments=inc.reshape(num_paths, K, dim).copy())
+                            seed=int(seed), increments=z.transpose(1, 0, 2))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidStateError
 from .fde import (CoefficientSet, FdeSolution, evaluate_step_maps, solve_global,
                   write_json, write_path_csv)
 from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
@@ -243,7 +243,8 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     value = -float(np.exp(-model.gamma * (model.x0 + y0)))
     mu = model.mu_s_fn()
     base = np.array([mu(t) for t in grid.points[:-1]])
-    pi_star = -sol.Z[:, :, 0, 1] + base[None, :] / (model.gamma * model.sigma_bar_s ** 2)
+    z_bar = np.ascontiguousarray(sol.Z[:, :, 0, 1])   # path-major: step means sum in C order
+    pi_star = -z_bar + base[None, :] / (model.gamma * model.sigma_bar_s ** 2)
     return PortfolioSolution(model=model, grid=grid, y0=y0, y0_stderr=y0_stderr,
                              value=value, pi_star=pi_star, weak_sol=weak,
                              fde_sol=sol, measure_change=mc, coeffs=coeffs,
@@ -263,7 +264,8 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     market, the initial wealth included, is the solve's ``psol.model``.
 
     Refuses to run on the solve ensemble: in-sample evaluation would inherit
-    regression look-ahead bias.
+    regression look-ahead bias. Raises InvalidStateError, naming the step,
+    on a non-finite surface value or drift.
     """
     if eval_ensemble.seed == psol.seed:
         raise InvalidArgumentError(
@@ -287,6 +289,8 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     y_surf, z_surf = [], []
     for k in range(K):
         yk, zk = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w_state[:, k])
+        if not (np.isfinite(yk).all() and np.isfinite(zk).all()):
+            raise InvalidStateError(f"optimality check: non-finite Y or Z surface at step {k}")
         y_surf.append(yk[:, 0])
         z_surf.append(zk[:, 0, :])
     y_surf.append(psol.coeffs.eval_phi(w_state[:, K])[:, 0])
@@ -311,6 +315,8 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
             incr = u_next - u_prev - cv
             step_drift[k] = incr.mean()
             step_se[k] = incr.std(ddof=1) / np.sqrt(P)
+            if not np.isfinite(step_drift[k]):
+                raise InvalidStateError(f"optimality check: non-finite {label} drift at step {k}")
             total += incr
             wealth = wealth_next
             u_prev = u_next

@@ -131,9 +131,9 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# The reductions below go one column at a time: on the strided (P, d) views
-# the solver passes in, that is several times faster than one call over
-# axis 0, and min, max and comparisons are exact either way.
+# The reductions below go one column at a time: on the (P, d) states the
+# solver passes in, that is several times faster than one call over axis 0,
+# and min, max and comparisons are exact either way.
 
 def _column_bounds(states: np.ndarray):
     cols = range(states.shape[1])

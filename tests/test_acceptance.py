@@ -209,7 +209,7 @@ def test_criterion_09_martingale_optimality(acceptance):
     assert dominated_ok
 
 
-def test_criterion_10_empirical_pathwise_uniqueness():
+def test_criterion_10_empirical_pathwise_uniqueness(pathwise_uniqueness):
     # driven by the Picard tolerance, not the Monte Carlo size: a reduced
     # ensemble keeps the check honest and quick
     tol = 1e-4
@@ -227,7 +227,7 @@ def test_criterion_10_empirical_pathwise_uniqueness():
         ens = ff.sample_ensemble(grid, 20_000, dim,
                                  cli.substream_seed(ACCEPT_SEED, f"{name}:uniq"))
         g0 = max(coeffs.m_bound, 1.0)
-        rep = ff.empirical_pathwise_uniqueness(
+        rep = pathwise_uniqueness(
             coeffs, grid, x0, ens, guesses=(g0, -g0), c4=fixture.c4,
             tol=tol, basis=fixture.basis)
         worst = max(worst, rep["max_gap"])

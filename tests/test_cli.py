@@ -59,6 +59,8 @@ sigma_bar_s = 0.2
     code = cli.main(["run", cfg])
     assert code == 2
     assert "gamma" in capsys.readouterr().out
+    # a config that fails to load writes no report
+    assert not (tmp_path / "out" / "run_report.json").exists()
 
 
 def _shipped_config(name, tmp_path, **overrides):
@@ -86,6 +88,9 @@ def test_insufficient_weight_exits_three_without_traceback(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.count("\n") == 1 and "effective sample size" in text
     assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["exit_code"] == 3 and "effective sample size" in report["error"]
+    assert report["problem"] == "portfolio" and "merton:solve" in report["wall_clock"]
 
 
 def test_unknown_problem_and_fixture_exit_two(tmp_path, capsys):
@@ -212,6 +217,19 @@ max_iter = 3
     assert dump["report"]["iterations"] >= 1
     assert not dump["report"]["converged"]
     assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["exit_code"] == 3 and report["error"] == dump["error"]
+
+
+def test_argument_error_inside_the_run_exits_two_with_report(tmp_path, capsys):
+    # a grid coarser than the contraction window fails in the solver
+    body = TRIVIAL_CFG.replace("fixture = trivial", "fixture = linear_driver")
+    cfg = _write(tmp_path, body.replace("K = 16", "K = 2").format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    assert "contraction window" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["exit_code"] == 2 and "contraction window" in report["error"]
+    assert report["assertions"] == []
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
@@ -221,6 +239,8 @@ def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
     cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
     assert cli.main(["run", cfg]) == 2
     assert "locked" in capsys.readouterr().out
+    # the run that holds the directory owns its report
+    assert not (out / "run_report.json").exists()
 
 
 def test_lock_of_an_exited_process_is_retaken(tmp_path, capsys):

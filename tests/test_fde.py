@@ -188,6 +188,38 @@ def test_solve_global_single_window_equals_picard(unit_ensemble_1d):
     assert sol.y0_stderr[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", ["linear_driver", "endowment"])
+def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
+    # the step-major layout changes where numbers sit, never their values
+    fixture = ff.get_fixture(name)
+    grid = ff.build_uniform_grid(fixture.T, fixture.K)
+    if fixture.kind == "portfolio":
+        coeffs, _ = ff.build_portfolio_fbsde(fixture.build(), fixture.T)
+        x0 = np.zeros(2)
+    else:
+        coeffs, x0 = fixture.build(), 0.0
+    ens = ff.sample_ensemble(grid, 4000, coeffs.d, 31)
+    c_order = ff.BrownianEnsemble(grid, ens.num_paths, ens.dim, ens.seed,
+                                  increments=np.ascontiguousarray(ens.increments))
+    runs = []
+    for e in (ens, c_order):
+        sol = ff.solve_global(coeffs, grid, x0, e, c4=fixture.c4, basis=fixture.basis)
+        runs.append((sol, ff.build_measure_change(sol, coeffs, e)))
+    (sol, mc), (ref, ref_mc) = runs
+    assert coeffs.c1 > 0
+    for field in ("V", "X", "Y", "Z", "y0_mean"):
+        assert np.array_equal(_bits(getattr(sol, field)), _bits(getattr(ref, field))), field
+    assert sol.residuals == ref.residuals
+    assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
+    assert np.array_equal(_bits(mc.f_values), _bits(ref_mc.f_values))
+    assert all(sol.X[:, k].flags.c_contiguous for k in range(grid.num_steps + 1))
+    assert all(mc.f_values[:, k].flags.c_contiguous for k in range(grid.num_steps))
+
+
 def test_solve_global_offset_gluing_identity():
     c = 0.3
     coeffs = _coeffs(h=lambda t, y, z: np.full_like(y, c),
@@ -299,12 +331,12 @@ def test_residual_requires_matching_ensemble(tanh_solution):
         ff.check_fbsde_residual(sol, coeffs, other)
 
 
-def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
+def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d, pathwise_uniqueness):
     grid, ens = unit_ensemble_1d
-    report = ff.empirical_pathwise_uniqueness(_coeffs(), grid, 0.0, ens)
+    report = pathwise_uniqueness(_coeffs(), grid, 0.0, ens)
     assert report["max_gap"] <= 1e-9
     coeffs = ff.get_fixture("tanh_terminal").build()
-    report = ff.empirical_pathwise_uniqueness(
+    report = pathwise_uniqueness(
         coeffs, grid, 0.0, ens, guesses=(1.0, -1.0), c4=1.0,
         basis=ff.polynomial_basis(7, 1))
     assert report["max_gap"] <= 2e-4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fdeflow as ff
-from fdeflow.errors import InsufficientWeightError, InvalidArgumentError
+from fdeflow.errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
@@ -84,6 +84,21 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
     assert weak.residual["weighted_rms"] <= 1e-6
     assert weak.Z is sol.Z
     assert np.array_equal(weak.Y[:, -1], coeffs.eval_phi(weak.W[:, -1]))
+
+
+def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, monkeypatch):
+    coeffs, grid, ens, sol = const_forward_solution
+    mc = ff.build_measure_change(sol, coeffs, ens)
+    phi = coeffs.eval_phi
+
+    def nan_on_path_9(x):
+        out = phi(x)
+        out[9] = np.nan
+        return out
+
+    monkeypatch.setattr(coeffs, "eval_phi", nan_on_path_9)
+    with pytest.raises(InvalidStateError, match="non-finite residual"):
+        ff.assemble_weak_solution(sol, mc, coeffs)
 
 
 def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):

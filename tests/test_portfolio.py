@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fdeflow as ff
-from fdeflow.errors import InvalidArgumentError
+from fdeflow import portfolio
+from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
@@ -139,6 +142,28 @@ def test_optimality_refuses_solve_ensemble(merton_small):
     model, grid, ens, psol = merton_small
     with pytest.raises(InvalidArgumentError):
         ff.verify_martingale_optimality(psol, (0.5,), ens)
+
+
+def test_optimality_rejects_a_non_finite_surface_or_drift(merton_small, monkeypatch):
+    model, grid, ens, psol = merton_small
+    fresh = ff.sample_ensemble(grid, 2_000, 2, 6063)
+    calls = []
+
+    def nan_at_step_7(y_fit, z_fit, states):
+        calls.append(None)
+        yk, zk = ff.fde.evaluate_step_maps(y_fit, z_fit, states)
+        if len(calls) == 8:
+            yk[3] = np.nan
+        return yk, zk
+
+    with monkeypatch.context() as m:
+        m.setattr(portfolio, "evaluate_step_maps", nan_at_step_7)
+        with pytest.raises(InvalidStateError, match="surface at step 7"):
+            ff.verify_martingale_optimality(psol, (0.5,), fresh)
+    t5 = grid.points[5]
+    nan_mu = dataclasses.replace(model, mu_s=lambda t: np.nan if t == t5 else model.mu_s)
+    with pytest.raises(InvalidStateError, match="pi_star drift at step 5"):
+        ff.verify_martingale_optimality(dataclasses.replace(psol, model=nan_mu), (0.5,), fresh)
 
 
 def test_optimality_drifts_on_merton(merton_small):
