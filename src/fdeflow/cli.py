@@ -46,6 +46,10 @@ _DRIFT_ATOL = 5e-5
 _BREAKDOWNS = (PicardDivergedError, InsufficientWeightError, InvalidStateError)
 
 
+def _exit_code(exc: FdeflowError) -> int:
+    return 3 if isinstance(exc, _BREAKDOWNS) else 2
+
+
 class ConfigError(FdeflowError):
     """Config parse or validation failure (exit code 2)."""
 
@@ -519,7 +523,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
     except (ConfigError, InvalidArgumentError, *_BREAKDOWNS) as exc:
         failure = exc
         report.error = str(exc)
-        report.exit_code = 3 if isinstance(exc, _BREAKDOWNS) else 2
+        report.exit_code = _exit_code(exc)
     report.wall_clock["total"] = time.perf_counter() - t_start
     report_path = out_dir / "run_report.json"
     write_json(report_path, report.to_json())
@@ -643,23 +647,19 @@ def main(argv=None) -> int:
     try:
         lock = _acquire_lock(Path(cfg.out_dir))
         report = run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
-    except PicardDivergedError as exc:
-        dump = Path(cfg.out_dir) / "picard_report.json"
-        payload = {"error": str(exc)}
-        if exc.report is not None:
-            payload["report"] = exc.report.to_json()
-        write_json(dump, payload)
-        print(f"solver divergence: {exc} (report dumped to {dump})")
-        return 3
-    except _BREAKDOWNS as exc:
-        print(f"numerical breakdown: {exc}")
-        return 3
-    except InvalidArgumentError as exc:
-        print(f"config error: {exc}")
-        return 2
+    except (ConfigError, InvalidArgumentError, *_BREAKDOWNS) as exc:
+        if isinstance(exc, PicardDivergedError):
+            dump = Path(cfg.out_dir) / "picard_report.json"
+            payload = {"error": str(exc)}
+            if exc.report is not None:
+                payload["report"] = exc.report.to_json()
+            write_json(dump, payload)
+            print(f"solver divergence: {exc} (report dumped to {dump})")
+        elif _exit_code(exc) == 3:
+            print(f"numerical breakdown: {exc}")
+        else:
+            print(f"config error: {exc}")
+        return _exit_code(exc)
     finally:
         if lock is not None and lock.exists():
             lock.unlink()

@@ -16,6 +16,8 @@ import fdeflow as ff
 from fdeflow import cli
 from fdeflow.oracles import CrankNicolsonOracle, heat_value, merton_y0
 
+from _helpers import empirical_pathwise_uniqueness
+
 ACCEPT_SEED = 20260808
 FBSDE_FIXTURES = ("trivial", "const_driver", "tanh_terminal", "linear_driver",
                   "const_forward")
@@ -209,7 +211,7 @@ def test_criterion_09_martingale_optimality(acceptance):
     assert dominated_ok
 
 
-def test_criterion_10_empirical_pathwise_uniqueness(pathwise_uniqueness):
+def test_criterion_10_empirical_pathwise_uniqueness():
     # driven by the Picard tolerance, not the Monte Carlo size: a reduced
     # ensemble keeps the check honest and quick
     tol = 1e-4
@@ -227,7 +229,7 @@ def test_criterion_10_empirical_pathwise_uniqueness(pathwise_uniqueness):
         ens = ff.sample_ensemble(grid, 20_000, dim,
                                  cli.substream_seed(ACCEPT_SEED, f"{name}:uniq"))
         g0 = max(coeffs.m_bound, 1.0)
-        rep = pathwise_uniqueness(
+        rep = empirical_pathwise_uniqueness(
             coeffs, grid, x0, ens, guesses=(g0, -g0), c4=fixture.c4,
             tol=tol, basis=fixture.basis)
         worst = max(worst, rep["max_gap"])

@@ -9,6 +9,8 @@ from fdeflow.errors import InvalidArgumentError, InvalidStateError, PicardDiverg
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
+from _helpers import empirical_pathwise_uniqueness
+
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
 
@@ -331,12 +333,12 @@ def test_residual_requires_matching_ensemble(tanh_solution):
         ff.check_fbsde_residual(sol, coeffs, other)
 
 
-def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d, pathwise_uniqueness):
+def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
-    report = pathwise_uniqueness(_coeffs(), grid, 0.0, ens)
+    report = empirical_pathwise_uniqueness(_coeffs(), grid, 0.0, ens)
     assert report["max_gap"] <= 1e-9
     coeffs = ff.get_fixture("tanh_terminal").build()
-    report = pathwise_uniqueness(
+    report = empirical_pathwise_uniqueness(
         coeffs, grid, 0.0, ens, guesses=(1.0, -1.0), c4=1.0,
         basis=ff.polynomial_basis(7, 1))
     assert report["max_gap"] <= 2e-4
