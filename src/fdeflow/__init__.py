@@ -14,8 +14,8 @@ from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, sample_ensemble, segment_windows)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis, quantile_linear_basis)
-from .fde import (CoefficientSet, FdeSolution, PicardReport, ResidualReport,
-                  check_fbsde_residual, export_solution, picard_window, solve_global)
+from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
+                  export_solution, picard_window, solve_global)
 from .girsanov import (MeasureChange, WeakSolution, assemble_weak_solution,
                        bmo_diagnostic, build_measure_change, check_z_invariance,
                        export_weak_solution)
@@ -34,7 +34,7 @@ __all__ = [
     "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis", "quantile_linear_basis",
-    "CoefficientSet", "FdeSolution", "PicardReport", "ResidualReport",
+    "CoefficientSet", "FdeSolution", "PicardReport",
     "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
     "MeasureChange", "WeakSolution", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",

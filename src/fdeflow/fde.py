@@ -183,13 +183,6 @@ class FdeSolution:
         return self.V.shape[0]
 
 
-@dataclass
-class ResidualReport:
-    terminal_rms: float
-    backward_rms: float
-    forward_max: float
-
-
 def _empirical_factor(distances, floor=1e-13):
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > floor]
     return float(max(ratios)) if ratios else 0.0
@@ -509,20 +502,19 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         Z=Z.transpose(1, 0, 2, 3), phi_fits=phi_fits, z_fits=z_fits,
         iteration_log=reports, window_bounds=windows, y0_mean=y0_mean,
         y0_stderr=y0_stderr, x0=x0v, seed=ensemble.seed)
-    rep = check_fbsde_residual(sol, coeffs, ensemble)
-    sol.residuals = {"terminal_rms": rep.terminal_rms,
-                     "backward_rms": rep.backward_rms,
-                     "forward_max": rep.forward_max}
+    sol.residuals = check_fbsde_residual(sol, coeffs, ensemble)
     return sol
 
 
 def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
-                         ensemble: BrownianEnsemble) -> ResidualReport:
+                         ensemble: BrownianEnsemble) -> dict:
     """Discrete residuals of both equations on the solve ensemble.
 
     Backward: Y_{k+1} - Y_k + h dt - Z dB per path and step (rms reported).
     Forward: X_{k+1} - X_k - f dt - dB, exactly zero since X is built by that
-    recursion. Terminal: rms of Y_K - phi(X_K).
+    recursion. Terminal: rms of Y_K - phi(X_K). Returns the dict that
+    ``FdeSolution.residuals`` stores: ``terminal_rms``, ``backward_rms`` and
+    ``forward_max``.
     """
     if sol.seed is not None and sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
@@ -544,9 +536,9 @@ def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
         back_sq += float(np.mean(rb ** 2))
         fwd_max = max(fwd_max, float(np.abs(rf).max()))
     terminal = float(np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X[:, K])) ** 2)))
-    return ResidualReport(terminal_rms=terminal,
-                          backward_rms=float(np.sqrt(back_sq / K)),
-                          forward_max=fwd_max)
+    return {"terminal_rms": terminal,
+            "backward_rms": float(np.sqrt(back_sq / K)),
+            "forward_max": fwd_max}
 
 
 def write_json(path, obj) -> None:

@@ -12,13 +12,14 @@ with Z invariant under the measure change (the density representation does
 not depend on the equivalent measure). The discrete exponential uses
 exp(N - [N]/2), which is positive by construction. W is not built here: the
 forward state X of the solve is the same Euler recursion, so X is W path by
-path, and the measure change keeps only the terminal weights and the drift
-values f(t_k, Y_k, Z_k).
+path. The measure change keeps only the terminal weights; a stage that needs
+the drift f(t_k, Y_k, Z_k) evaluates it at the steps it reads, one step at a
+time, so no (P, K, d) array of drift values is held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +34,14 @@ from .regression import (MIN_PATHS_PER_FUNCTION, RegressionBasis, StepRegression
 class MeasureChange:
     """Exponential-martingale reweighting data.
 
-    weights are the terminal Radon-Nikodym values exp(N_K - [N]_K / 2), with
-    N_K = -sum <f_k, dB_k> and [N]_K = sum |f_k|^2 dt_k, and f_values the
-    drift at the left endpoint of every step, stored step-major and handed out
-    as its (P, K, d) view. The shifted motion W is the solve's forward state X.
+    Keeps only the terminal weights: the Radon-Nikodym values
+    exp(N_K - [N]_K / 2), with N_K = -sum <f_k, dB_k> and
+    [N]_K = sum |f_k|^2 dt_k over the left-endpoint drifts f_k. The shifted
+    motion W is the solve's forward state X.
     """
 
     grid: TimeGrid
     weights: np.ndarray             # (P,) terminal
-    f_values: np.ndarray = field(repr=False)   # (P, K, d) view, left endpoints
     seed: int | None = None
 
     @property
@@ -75,9 +75,14 @@ class WeakSolution:
     residual: dict
 
 
+def _drift(sol: FdeSolution, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    """f(t_k, Y_k, Z_k), the drift the forward solve stepped X with at step k."""
+    return coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
+
+
 def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
                          ensemble: BrownianEnsemble) -> MeasureChange:
-    """Terminal weights exp(N - [N]/2) and the drift values they are built from.
+    """Terminal weights exp(N - [N]/2), accumulated one step at a time.
 
     f is evaluated at left endpoints on the stored (Y, Z), the values the
     forward solve stepped X with, so X is the shifted motion W.
@@ -85,26 +90,19 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     if sol.seed is not None and sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
     P = sol.num_paths
-    K = sol.grid.num_steps
-    t = sol.grid.points
     dt = sol.grid.dt
-
-    f_values = np.empty((K, P, coeffs.d))
-    for k in range(K):
-        f_values[k] = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
-    if not np.all(np.isfinite(f_values)):
-        raise InvalidStateError("drift f produced non-finite values")
-
     n_int = np.zeros(P)
     qv = np.zeros(P)
-    for k in range(K):
-        n_int = n_int - np.einsum("pd,pd->p", f_values[k], ensemble.increments[:, k])
-        qv = qv + np.einsum("pd,pd->p", f_values[k], f_values[k]) * dt[k]
+    for k in range(sol.grid.num_steps):
+        fk = _drift(sol, coeffs, k)
+        if not np.all(np.isfinite(fk)):
+            raise InvalidStateError(f"drift f produced non-finite values at step {k}")
+        n_int = n_int - np.einsum("pd,pd->p", fk, ensemble.increments[:, k])
+        qv = qv + np.einsum("pd,pd->p", fk, fk) * dt[k]
     weights = np.exp(n_int - 0.5 * qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(grid=sol.grid, weights=weights,
-                         f_values=f_values.transpose(1, 0, 2), seed=ensemble.seed)
+    return MeasureChange(grid=sol.grid, weights=weights, seed=ensemble.seed)
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
@@ -114,7 +112,8 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     The per-path residual is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
     reported as a weighted rms since the equation lives under the target
-    measure. Z is the solve's array unchanged (invariance realized literally).
+    measure. Z is the solve's array unchanged (invariance realized literally);
+    f is evaluated again at each step the recurrence reads.
     """
     if not np.array_equal(mc.grid.points, sol.grid.points):
         raise InvalidArgumentError("measure change and solution grids differ")
@@ -124,7 +123,7 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X[:, K])
     for k in range(K):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], mc.f_values[:, k])
+        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
         dw = sol.X[:, k + 1] - sol.X[:, k]
         zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], dw)
         resid = resid - hk * dt[k] - zf * dt[k] + zdw
@@ -183,7 +182,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     for k in probe_steps:
         mesh = probe_mesh(sol.X[:, k])
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], mc.f_values[:, k])
+        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
         dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
         dw = sol.X[:, k + 1] - sol.X[:, k]
         p_fit = StepRegression(sol.X[:, k], basis, weights=mc.weights)
@@ -212,7 +211,7 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
     # fit's product sums it in an order that depends on its strides
     f_sq = np.empty((sol.num_paths, K))
     for k in range(K):
-        fk = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
+        fk = _drift(sol, coeffs, k)
         f_sq[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
     remaining = np.cumsum(f_sq[:, ::-1], axis=1)[:, ::-1]
 

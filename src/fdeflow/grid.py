@@ -146,13 +146,6 @@ class BrownianEnsemble:
             raise InvalidArgumentError(
                 f"increment shape {self.increments.shape} != {expected}")
 
-    def brownian_paths(self) -> np.ndarray:
-        """Cumulative sums with a zero step prepended; shape (P, K+1, dim),
-        stored step-major like the increments."""
-        out = np.zeros((self.grid.num_steps + 1, self.num_paths, self.dim))
-        np.cumsum(self.increments.transpose(1, 0, 2), axis=0, out=out[1:])
-        return out.transpose(1, 0, 2)
-
 
 def sample_ensemble(grid: TimeGrid, num_paths: int, dim: int, seed: int) -> BrownianEnsemble:
     """Draw a Brownian increment ensemble on the grid, deterministic in seed."""

@@ -211,12 +211,12 @@ class PortfolioSolution:
     seed: int
     optimality_report: dict | None = None
 
-    def pi_star_reference(self) -> np.ndarray:
-        """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on the stored arrays."""
-        mu = self.model.mu_s_fn()
-        base = np.array([mu(t) for t in self.grid.points[:-1]])
-        return -self.fde_sol.Z[:, :, 0, 1] + base[None, :] / (
-            self.model.gamma * self.model.sigma_bar_s ** 2)
+
+def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
+    """mu_S(t_k) / (gamma sigma_S^2) at the left endpoints t_0, ..., t_{K-1}."""
+    mu = model.mu_s_fn()
+    return np.array([mu(t) for t in grid.points[:-1]]) / (
+        model.gamma * model.sigma_bar_s ** 2)
 
 
 def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -241,10 +241,10 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     value = -float(np.exp(-model.gamma * (model.x0 + y0)))
-    mu = model.mu_s_fn()
-    base = np.array([mu(t) for t in grid.points[:-1]])
-    z_bar = np.ascontiguousarray(sol.Z[:, :, 0, 1])   # path-major: step means sum in C order
-    pi_star = -z_bar + base[None, :] / (model.gamma * model.sigma_bar_s ** 2)
+    # path-major: the per-step mean and std sum a column of a C-order array
+    pi_star = np.empty((sol.num_paths, grid.num_steps))
+    np.negative(sol.Z[:, :, 0, 1], out=pi_star)
+    pi_star += merton_fraction(model, grid)
     return PortfolioSolution(model=model, grid=grid, y0=y0, y0_stderr=y0_stderr,
                              value=value, pi_star=pi_star, weak_sol=weak,
                              fde_sol=sol, measure_change=mc, coeffs=coeffs,
@@ -262,6 +262,10 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     conditional mean) removes the dominant noise, making the quadratic
     supermartingale gap of perturbed strategies visible at desk scale. The
     market, the initial wealth included, is the solve's ``psol.model``.
+
+    Streams the steps: the Brownian state is a running sum of the increments
+    and only one step's surfaces are held, so memory is O(P) whatever K is;
+    every strategy advances its own wealth, utility and running total.
 
     Refuses to run on the solve ensemble: in-sample evaluation would inherit
     regression look-ahead bias. Raises InvalidStateError, naming the step,
@@ -282,53 +286,55 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     gamma = psol.model.gamma
     sbs = psol.model.sigma_bar_s
     mu = psol.model.mu_s_fn()
+    frac = merton_fraction(psol.model, psol.grid)
     dW = eval_ensemble.increments
-    w_state = eval_ensemble.brownian_paths()  # canonical state starts at 0
-
     sol = psol.fde_sol
-    y_surf, z_surf = [], []
-    for k in range(K):
-        yk, zk = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w_state[:, k])
+
+    def surfaces(k, w):
+        if k == K:
+            return psol.coeffs.eval_phi(w)[:, 0], None
+        yk, zk = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w)
         if not (np.isfinite(yk).all() and np.isfinite(zk).all()):
             raise InvalidStateError(f"optimality check: non-finite Y or Z surface at step {k}")
-        y_surf.append(yk[:, 0])
-        z_surf.append(zk[:, 0, :])
-    y_surf.append(psol.coeffs.eval_phi(w_state[:, K])[:, 0])
+        return yk[:, 0], zk[:, 0, :]
 
+    w = np.zeros((P, 2))   # canonical state starts at 0
+    y_k, z_k = surfaces(0, w)
     strategies = {"pi_star": 0.0}
     for dlt in deltas:
         strategies[f"pi_star{dlt:+g}"] = float(dlt)
-
-    results = {}
+    results, state = {}, {}
     for label, dlt in strategies.items():
         wealth = np.full(P, float(psol.model.x0))
-        step_drift = np.empty(K)
-        step_se = np.empty(K)
-        total = np.zeros(P)
-        u_prev = -np.exp(-gamma * (wealth + y_surf[0]))
-        for k in range(K):
-            zv, zbar = z_surf[k][:, 0], z_surf[k][:, 1]
-            pi = -zbar + mu(t[k]) / (gamma * sbs ** 2) + dlt
-            wealth_next = wealth + pi * (mu(t[k]) * dt[k] + sbs * dW[:, k, 1])
-            u_next = -np.exp(-gamma * (wealth_next + y_surf[k + 1]))
-            cv = u_prev * (-gamma) * ((pi * sbs + zbar) * dW[:, k, 1] + zv * dW[:, k, 0])
+        results[label] = {"delta": dlt, "step_drift": np.empty(K), "step_se": np.empty(K)}
+        state[label] = (wealth, np.zeros(P), -np.exp(-gamma * (wealth + y_k)))
+    for k in range(K):
+        w = w + dW[:, k]   # the sequential sum of the increments, as a cumsum
+        y_next, z_next = surfaces(k + 1, w)
+        zv, zbar = z_k[:, 0], z_k[:, 1]
+        dw1 = dW[:, k, 1]
+        gain = mu(t[k]) * dt[k] + sbs * dw1
+        zv_dw0 = zv * dW[:, k, 0]
+        for label, res in results.items():
+            wealth, total, u_prev = state[label]
+            pi = -zbar + frac[k] + res["delta"]
+            wealth_next = wealth + pi * gain
+            u_next = -np.exp(-gamma * (wealth_next + y_next))
+            cv = u_prev * (-gamma) * ((pi * sbs + zbar) * dw1 + zv_dw0)
             incr = u_next - u_prev - cv
-            step_drift[k] = incr.mean()
-            step_se[k] = incr.std(ddof=1) / np.sqrt(P)
-            if not np.isfinite(step_drift[k]):
+            res["step_drift"][k] = incr.mean()
+            res["step_se"][k] = incr.std(ddof=1) / np.sqrt(P)
+            if not np.isfinite(res["step_drift"][k]):
                 raise InvalidStateError(f"optimality check: non-finite {label} drift at step {k}")
             total += incr
-            wealth = wealth_next
-            u_prev = u_next
-        results[label] = {
-            "delta": dlt,
-            "step_drift": step_drift,
-            "step_se": step_se,
-            "total_drift": float(total.mean()),
-            "total_se": float(total.std(ddof=1) / np.sqrt(P)),
-            "value_estimate": float(u_prev.mean()),
-            "value_se": float(u_prev.std(ddof=1) / np.sqrt(P)),
-        }
+            state[label] = (wealth_next, total, u_next)
+        y_k, z_k = y_next, z_next
+    for label, res in results.items():
+        _, total, u = state[label]
+        res.update(total_drift=float(total.mean()),
+                   total_se=float(total.std(ddof=1) / np.sqrt(P)),
+                   value_estimate=float(u.mean()),
+                   value_se=float(u.std(ddof=1) / np.sqrt(P)))
     return {"strategies": results, "eval_seed": eval_ensemble.seed,
             "num_paths": P, "deltas": [float(d) for d in deltas]}
 

@@ -22,3 +22,82 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, 
     z_gap = float(np.abs(sols[0].Z - sols[1].Z).max())
     return {"y_gap": y_gap, "z_gap": z_gap, "max_gap": max(y_gap, z_gap),
             "solutions": sols}
+
+
+def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
+    """Cumulative sums with a zero step prepended; shape (P, K+1, dim),
+    stored step-major like the increments."""
+    out = np.zeros((ensemble.grid.num_steps + 1, ensemble.num_paths, ensemble.dim))
+    np.cumsum(ensemble.increments.transpose(1, 0, 2), axis=0, out=out[1:])
+    return out.transpose(1, 0, 2)
+
+
+def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
+    """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on the stored arrays."""
+    mu = psol.model.mu_s_fn()
+    base = np.array([mu(t) for t in psol.grid.points[:-1]])
+    return -psol.fde_sol.Z[:, :, 0, 1] + base[None, :] / (
+        psol.model.gamma * psol.model.sigma_bar_s ** 2)
+
+
+def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
+                           eval_ensemble: ff.BrownianEnsemble) -> dict:
+    """Reference optimality check on whole arrays: the full Brownian paths and
+    every step's surfaces are built first, then each strategy walks all steps.
+
+    The same drift statistics as ``verify_martingale_optimality``, computed
+    strategy by strategy instead of step by step; the validation and
+    finiteness checks are left out.
+    """
+    K = psol.grid.num_steps
+    t = psol.grid.points
+    dt = psol.grid.dt
+    P = eval_ensemble.num_paths
+    gamma = psol.model.gamma
+    sbs = psol.model.sigma_bar_s
+    mu = psol.model.mu_s_fn()
+    dW = eval_ensemble.increments
+    w_state = brownian_paths(eval_ensemble)  # canonical state starts at 0
+
+    sol = psol.fde_sol
+    y_surf, z_surf = [], []
+    for k in range(K):
+        yk, zk = ff.fde.evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w_state[:, k])
+        y_surf.append(yk[:, 0])
+        z_surf.append(zk[:, 0, :])
+    y_surf.append(psol.coeffs.eval_phi(w_state[:, K])[:, 0])
+
+    strategies = {"pi_star": 0.0}
+    for dlt in deltas:
+        strategies[f"pi_star{dlt:+g}"] = float(dlt)
+
+    results = {}
+    for label, dlt in strategies.items():
+        wealth = np.full(P, float(psol.model.x0))
+        step_drift = np.empty(K)
+        step_se = np.empty(K)
+        total = np.zeros(P)
+        u_prev = -np.exp(-gamma * (wealth + y_surf[0]))
+        for k in range(K):
+            zv, zbar = z_surf[k][:, 0], z_surf[k][:, 1]
+            pi = -zbar + mu(t[k]) / (gamma * sbs ** 2) + dlt
+            wealth_next = wealth + pi * (mu(t[k]) * dt[k] + sbs * dW[:, k, 1])
+            u_next = -np.exp(-gamma * (wealth_next + y_surf[k + 1]))
+            cv = u_prev * (-gamma) * ((pi * sbs + zbar) * dW[:, k, 1] + zv * dW[:, k, 0])
+            incr = u_next - u_prev - cv
+            step_drift[k] = incr.mean()
+            step_se[k] = incr.std(ddof=1) / np.sqrt(P)
+            total += incr
+            wealth = wealth_next
+            u_prev = u_next
+        results[label] = {
+            "delta": dlt,
+            "step_drift": step_drift,
+            "step_se": step_se,
+            "total_drift": float(total.mean()),
+            "total_se": float(total.std(ddof=1) / np.sqrt(P)),
+            "value_estimate": float(u_prev.mean()),
+            "value_se": float(u_prev.std(ddof=1) / np.sqrt(P)),
+        }
+    return {"strategies": results, "eval_seed": eval_ensemble.seed,
+            "num_paths": P, "deltas": [float(d) for d in deltas]}

@@ -9,7 +9,7 @@ from fdeflow.errors import InvalidArgumentError, InvalidStateError, PicardDiverg
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
-from _helpers import empirical_pathwise_uniqueness
+from _helpers import brownian_paths, empirical_pathwise_uniqueness
 
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
@@ -56,7 +56,7 @@ def test_picard_window_trivial_problem():
     assert report.converged and report.iterations == 1
     assert report.distances[-1] == 0.0
     assert np.abs(sol.V).max() == 0.0
-    paths = ens.brownian_paths()[:, :, 0]
+    paths = brownian_paths(ens)[:, :, 0]
     assert np.array_equal(sol.X[:, :, 0], paths)
     assert np.abs(sol.Y - 1.0).max() <= 1e-6
     assert np.abs(sol.Z).max() <= 1e-6
@@ -217,9 +217,7 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
         assert np.array_equal(_bits(getattr(sol, field)), _bits(getattr(ref, field))), field
     assert sol.residuals == ref.residuals
     assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
-    assert np.array_equal(_bits(mc.f_values), _bits(ref_mc.f_values))
     assert all(sol.X[:, k].flags.c_contiguous for k in range(grid.num_steps + 1))
-    assert all(mc.f_values[:, k].flags.c_contiguous for k in range(grid.num_steps))
 
 
 def test_solve_global_offset_gluing_identity():
@@ -309,9 +307,9 @@ def test_cn_oracle_matches_analytic_solution():
 def test_check_residual_detects_zeroed_z(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     base = ff.check_fbsde_residual(sol, coeffs, ens)
-    assert base.forward_max == 0.0
+    assert base["forward_max"] == 0.0
     # coarse unit-test grid: the sqrt(dt) discretization floor dominates
-    assert base.backward_rms <= 0.02
+    assert base["backward_rms"] <= 0.02
     stripped = ff.FdeSolution(
         grid=sol.grid, V=sol.V, X=sol.X, Y=sol.Y, Z=np.zeros_like(sol.Z),
         phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
@@ -322,8 +320,8 @@ def test_check_residual_detects_zeroed_z(const_forward_solution):
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
     r_old = np.diff(sol.Y, axis=1) - zdb  # h == 0 for this fixture
     predicted = np.sqrt(np.mean((r_old + zdb) ** 2))
-    assert inflated.backward_rms == pytest.approx(predicted, rel=1e-9)
-    assert inflated.backward_rms > 3 * base.backward_rms
+    assert inflated["backward_rms"] == pytest.approx(predicted, rel=1e-9)
+    assert inflated["backward_rms"] > 3 * base["backward_rms"]
 
 
 def test_residual_requires_matching_ensemble(tanh_solution):

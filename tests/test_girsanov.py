@@ -4,13 +4,15 @@ import pytest
 import fdeflow as ff
 from fdeflow.errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 
+from _helpers import brownian_paths
+
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
     assert np.all(mc.weights == 1.0)
     # with f == 0 the shifted motion W = X is x + B
-    assert np.allclose(sol.X, ens.brownian_paths(), atol=0.0)
+    assert np.allclose(sol.X, brownian_paths(ens), atol=0.0)
 
 
 def test_constant_drift_weights_match_closed_form(const_forward_solution):
@@ -27,16 +29,20 @@ def test_weights_are_the_discrete_stochastic_exponential(const_forward_solution,
                                                          merton_small):
     coeffs, _, ens_1d, sol_1d = const_forward_solution
     _, _, ens_2d, psol = merton_small
-    cases = [(ff.build_measure_change(sol_1d, coeffs, ens_1d), ens_1d, sol_1d),
-             (psol.measure_change, ens_2d, psol.fde_sol)]
-    for mc, ens, sol in cases:
-        assert mc.f_values.shape == ens.increments.shape
-        assert np.any(mc.f_values != 0.0)
+    cases = [(ff.build_measure_change(sol_1d, coeffs, ens_1d), ens_1d, sol_1d, coeffs),
+             (psol.measure_change, ens_2d, psol.fde_sol, psol.coeffs)]
+    for mc, ens, sol, cs in cases:
+        t = ens.grid.points
+        # the left-endpoint drifts, rebuilt from the stored (Y, Z), step-major
+        f_values = np.stack([cs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
+                             for k in range(ens.grid.num_steps)]).transpose(1, 0, 2)
+        assert f_values.shape == ens.increments.shape
+        assert np.any(f_values != 0.0)
         # N_{k+1} = N_k - <f_k, dB_k>, [N]_{k+1} = [N]_k + |f_k|^2 dt_k, from 0
         N = np.zeros(ens.num_paths)
         QV = np.zeros(ens.num_paths)
         for k in range(ens.grid.num_steps):
-            f = mc.f_values[:, k]
+            f = f_values[:, k]
             N = N - np.einsum("pd,pd->p", f, ens.increments[:, k])
             QV = QV + np.einsum("pd,pd->p", f, f) * ens.grid.dt[k]
         assert np.array_equal(np.exp(N - QV / 2), mc.weights)

@@ -7,6 +7,8 @@ import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
 from fdeflow.grid import WINDOW_RTOL, BrownianEnsemble, TimeGrid, uniform_steps_within
 
+from _helpers import brownian_paths
+
 ENSEMBLE_MAGIC = "FDEB1"
 
 
@@ -108,7 +110,7 @@ def test_ensemble_increment_statistics():
     var = ens.increments.var()
     assert 0.98 <= var <= 1.02
     # terminal value is a zero-mean martingale: 5 sigma band
-    term = ens.brownian_paths()[:, -1, 0]
+    term = brownian_paths(ens)[:, -1, 0]
     assert abs(term.mean()) <= 5.0 / np.sqrt(term.size)
 
 
@@ -140,7 +142,7 @@ def test_brownian_paths_are_the_cumsum_of_a_c_order_copy():
     inc = np.ascontiguousarray(ens.increments)
     ref = np.concatenate([np.zeros((500, 1, 2)), np.cumsum(inc, axis=1)], axis=1)
     for e in (ens, BrownianEnsemble(g, 500, 2, 8, increments=inc)):
-        w = e.brownian_paths()
+        w = brownian_paths(e)
         assert np.array_equal(w.view(np.uint64), ref.view(np.uint64))
         assert w[:, 4].flags.c_contiguous
 

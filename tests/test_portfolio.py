@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import fdeflow as ff
 from fdeflow import portfolio
 from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
+
+from _helpers import pi_star_reference, whole_array_optimality
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -85,7 +88,7 @@ def test_merton_benchmark_small(merton_small):
     assert np.abs(psol.pi_star - 2.5).max() <= 0.05
     assert psol.y0_stderr <= 1e-4 / 3
     # identity holds on the stored arrays exactly
-    assert np.abs(psol.pi_star - psol.pi_star_reference()).max() == 0.0
+    assert np.abs(psol.pi_star - pi_star_reference(psol)).max() == 0.0
     assert psol.weak_sol.residual["weighted_rms"] <= 0.01
     # quadrature oracle agrees with the closed form
     assert merton_y0(0.1, 0.2, 1.0, 1.0) == pytest.approx(0.125, abs=1e-12)
@@ -204,13 +207,19 @@ def test_optimality_zero_market(merton_small):
     assert res["total_drift"] == pytest.approx(predicted, abs=6 * res["total_se"])
 
 
-def test_endowment_pipeline_runs():
+@pytest.fixture(scope="module")
+def endowment_small():
     # the endowment Lipschitz data needs a finer grid than the merton fixture
     grid = ff.build_uniform_grid(1.0, 50)
     ens = ff.sample_ensemble(grid, 20_000, 2, 2222)
     model = ff.get_fixture("endowment").build()
     psol = ff.solve_portfolio(model, grid, ens, c4=0.5,
                               basis=ff.polynomial_basis(3, 2))
+    return grid, ens, psol
+
+
+def test_endowment_pipeline_runs(endowment_small):
+    grid, ens, psol = endowment_small
     assert psol.weak_sol.residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
@@ -238,3 +247,46 @@ def test_portfolio_export(tmp_path, merton_small):
         p, k, t, pi = line.split(",")
         p, k = int(p), int(k)
         assert [float(t), float(pi)] == [grid.points[k], psol.pi_star[p, k]]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+def test_streamed_optimality_is_bitwise_the_whole_array_check(endowment_small):
+    grid, ens, psol = endowment_small
+    fresh = ff.sample_ensemble(grid, ens.num_paths, 2, 6064)
+    deltas = (0.5, 1.0, -0.5, -1.0)
+    got = ff.verify_martingale_optimality(psol, deltas, fresh)
+    ref = whole_array_optimality(psol, deltas, fresh)
+    assert list(got["strategies"]) == list(ref["strategies"])
+    assert {k: v for k, v in got.items() if k != "strategies"} == {
+        k: v for k, v in ref.items() if k != "strategies"}
+    for label, r in ref["strategies"].items():
+        g = got["strategies"][label]
+        assert g["delta"] == r["delta"]
+        for key in ("step_drift", "step_se", "total_drift", "total_se",
+                    "value_estimate", "value_se"):
+            assert np.array_equal(_bits(g[key]), _bits(r[key])), (label, key)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that Python and numpy allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
+    grid, ens, psol = endowment_small
+    P, K = ens.num_paths, grid.num_steps
+    fresh = ff.sample_ensemble(grid, P, 2, 6065)
+    # one (P, K+1, 2) float64 array: the Brownian paths of the fresh ensemble
+    peak = _traced_peak(ff.verify_martingale_optimality, psol, (0.5, 1.0, -0.5, -1.0), fresh)
+    assert peak < P * (K + 1) * 2 * 8
+    # one (P, K, d) float64 array: the drift at every step
+    peak = _traced_peak(ff.build_measure_change, psol.fde_sol, psol.coeffs, ens)
+    assert peak < P * K * 2 * 8
