@@ -579,37 +579,55 @@ def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> Non
         report.outputs.append(verdicts)
 
 
-def _lock_is_stale(lock: Path) -> bool:
-    """True when the lock records a positive PID that no process has."""
+def _stale_pid(lock: Path) -> int | None:
+    """The positive PID a lock records when no process has it, else None."""
     try:
         pid = int(lock.read_text(encoding="utf-8").strip().removeprefix("pid="))
     except (OSError, ValueError):
-        return False
+        return None
     if pid <= 0:
-        return False
+        return None
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
-        return True
+        return pid
     except (OSError, OverflowError):   # alive under another user, or not a PID
         pass
-    return False
+    return None
 
 
 def _acquire_lock(out_dir: Path):
+    """Create the output directory's lock file, holding ``pid=<this PID>``.
+
+    A stale lock (its PID is gone) is taken over under a claim file named
+    for that PID: ``O_EXCL`` lets one run hold the claim, and the holder
+    re-reads the lock, then renames a file with its own PID over it. So of
+    two runs that find the same stale lock, one takes it and the other
+    reports the directory locked.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
+    locked = ConfigError(f"output directory is locked by another run: {lock} (remove if stale)")
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        if not _lock_is_stale(lock):
-            raise ConfigError(
-                f"output directory is locked by another run: {lock} (remove if stale)")
-        lock.unlink(missing_ok=True)
+        stale = _stale_pid(lock)
+        if stale is None:
+            raise locked from None
+        claim = out_dir / f"{LOCK_NAME}.claim-{stale}"
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except FileExistsError:
-            raise ConfigError(f"output directory is locked by another run: {lock}")
+            raise locked from None
+        try:
+            if _stale_pid(lock) != stale:   # another run took it over first
+                raise locked
+            mine = out_dir / f"{LOCK_NAME}.{os.getpid()}"
+            mine.write_text(f"pid={os.getpid()}\n", encoding="utf-8")
+            os.replace(mine, lock)
+        finally:
+            claim.unlink()
+        return lock
     with os.fdopen(fd, "w") as fh:
         fh.write(f"pid={os.getpid()}\n")
     return lock
@@ -666,8 +684,11 @@ def main(argv=None) -> int:
             print(f"config error: {exc}")
         return _exit_code(exc)
     finally:
-        if lock is not None and lock.exists():
-            lock.unlink()
+        try:   # remove the lock only while it still records this run
+            if lock is not None and lock.read_text(encoding="utf-8") == f"pid={os.getpid()}\n":
+                lock.unlink()
+        except FileNotFoundError:
+            pass
 
     if not cfg.quiet:
         width = max((len(a.name) for a in report.assertions), default=10)

@@ -258,11 +258,12 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     report = PicardReport(window=(float(t[0]), float(t[-1])), iterations=0,
                           distances=[], converged=False, tol=tol)
     # a step's regression and the terminal values last as long as their
-    # states: rebuilt only on a pass whose states changed bitwise. A kept
-    # regression holds one design when its fit keeps every row (as at the
-    # window's first step) and two otherwise. With c1 == 0 h and f ignore
-    # (Y, Z), so the second pass only confirms the first; one reuse does not
-    # pay for that memory, and the regressions are not kept.
+    # states: rebuilt only on a pass whose states changed bitwise. Step 0's
+    # states are the starts on every pass, so its regression is kept without
+    # a compare. A kept regression holds one design when its fit keeps every
+    # row (as at the window's first step) and two otherwise. With c1 == 0 h
+    # and f ignore (Y, Z), so the second pass only confirms the first; one
+    # reuse does not pay for that memory, and the regressions are not kept.
     keep = coeffs.c1 > 0
     # each step's increments, contiguous: a view of a sampled ensemble, else a copy
     dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
@@ -291,7 +292,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         M_next = xi
         for k in range(m - 1, -1, -1):
             sr = regressions[k]
-            if sr is None or not sr.built_on(X[k]):
+            if sr is None or (k > 0 and not sr.built_on(X[k])):
                 window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
                 sr = StepRegression(X[k], basis, fit_window=window_box)
                 if keep:
@@ -310,9 +311,10 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
 
         if prev_psi is not None:
             # sup distance of the iterate psi = (V, X); max is exact, so taking
-            # it per array gives the distance of the concatenated iterate
-            dist = float(np.maximum(np.abs(V - prev_psi[0]).max(),
-                                    np.abs(X - prev_psi[1]).max()))
+            # it per array gives the distance of the concatenated iterate.
+            # Row 0 is (0, start) on every pass and adds nothing.
+            dist = float(np.maximum(np.abs(V[1:] - prev_psi[0][1:]).max(),
+                                    np.abs(X[1:] - prev_psi[1][1:]).max()))
             report.distances.append(dist)
             report.iterations = len(report.distances)
             if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
@@ -340,7 +342,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         Y=np.stack(Y).transpose(1, 0, 2), Z=np.stack(Z[:m]).transpose(1, 0, 2, 3),
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report],
         residuals={"terminal_rms": 0.0}, window_bounds=[(0, m)],
-        x0=start[0].copy() if np.ptp(start, axis=0).max() == 0 else None,
+        x0=start[0].copy() if all(col.min() == col.max() for col in start.T) else None,
         seed=None)
     return sol, report
 
@@ -377,8 +379,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
                  c4: float | None = None, tol: float = DEFAULT_TOL, *,
                  basis: RegressionBasis | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  exploration_radius: float = 2.2, exploration_floor: float = 1.0,
-                 clip_y: bool = True, window_max_length: float | None = None,
-                 initial_guess=None, force: bool = False) -> FdeSolution:
+                 clip_y: bool = True, initial_guess=None,
+                 force: bool = False) -> FdeSolution:
     """Solve the coupled system on [0, T] and return the assembled solution.
 
     Runs a backward sweep over contraction-compliant windows, each solved by
@@ -389,8 +391,11 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     gluing rule, X by restarting each window at the previous terminal state,
     (Y, Z) read windowwise from the fitted maps.
 
-    ``c4`` is the gradient bound used by the partition rule; it defaults to
-    the terminal Lipschitz constant. The reported y0 is the plain path average
+    The windows come from the declared constants alone: the last one from
+    (c1, c2), the interior ones from (c1, c4) through
+    ``contraction_window_length``. ``c4`` is the gradient bound of the fitted
+    maps the interior windows consume; it defaults to the terminal Lipschitz
+    constant. The reported y0 is the plain path average
     of phi(X_T) + V_T on the actual ensemble, with its standard error.
     """
     if ensemble.dim != coeffs.d:
@@ -415,9 +420,6 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     # consume fitted maps whose gradient bound is the c4 config
     ell_interior = contraction_window_length(coeffs.c1, c4_eff)
     ell_last = contraction_window_length(coeffs.c1, coeffs.c2)
-    if window_max_length is not None:
-        ell_interior = min(ell_interior, float(window_max_length))
-        ell_last = min(ell_last, float(window_max_length))
     ell = min(ell_interior, ell_last)
     if grid.mesh > ell * (1 + WINDOW_RTOL) and not force:
         raise InvalidArgumentError(

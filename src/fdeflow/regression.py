@@ -174,31 +174,31 @@ class _PolynomialSurface:
                                  [r for _, _, r in terms]))
 
     def design(self, states):
-        # one dimension at a time into dimension-major buffers, reading each
-        # (often strided) state column once: copy, clip, take the overshoot,
-        # then standardize the clipped column in place
+        """Inside design plus a tail ``(j, rows, slope design, overshoot)`` for
+        each dimension j with rows past the box; ``rows`` are row indices."""
+        # one (often strided) state column at a time into dimension-major
+        # buffers: clip it, take the overshoot, standardize the clipped column
         over = np.empty(states.shape[::-1])
         u = np.empty(over.shape)
         for j, col in enumerate(states.T):
-            over[j] = col
-            np.clip(over[j], self.lo[j], self.hi[j], out=u[j])
-            over[j] -= u[j]
+            np.clip(col, self.lo[j], self.hi[j], out=u[j])
+            np.subtract(col, u[j], out=over[j])
             u[j] -= self.center[j]
             u[j] /= self.scale[j]
         tails = []
         for j in range(u.shape[0]):
-            mask = over[j] != 0.0
-            if mask.any():
-                tails.append((j, mask, _monomial_design(u[:, mask].T, self._slopes[j][2]),
-                              over[j, mask][:, None]))
+            rows = np.flatnonzero(over[j])
+            if rows.size:
+                tails.append((j, rows, _monomial_design(u[:, rows].T, self._slopes[j][2]),
+                              over[j, rows][:, None]))
         return _monomial_design(u.T, self.exps), tails
 
     def apply(self, design, coef):
         inside, tails = design
         out = inside @ coef
-        for j, mask, slope_design, step in tails:
+        for j, rows, slope_design, step in tails:
             index, factor, _ = self._slopes[j]
-            out[mask] += (slope_design @ (coef[index] * factor)) / self.scale[j] * step
+            out[rows] += (slope_design @ (coef[index] * factor)) / self.scale[j] * step
         return out
 
 
@@ -302,6 +302,11 @@ class StepRegression:
     Weights apply to the rows that ``fit_window`` keeps. Fewer than
     MIN_PATHS_PER_FUNCTION paths per basis function are rejected.
 
+    A box that drops rows sets the boolean ``mask`` and gathers states,
+    targets and weights by the indices of the kept rows. A box that keeps
+    every row leaves ``mask`` None and reads the operands C-contiguous, as a
+    gather would give them.
+
     Reuse rule: a regression lasts as long as its states. When a caller's
     states are bitwise equal to the ones it was built on (``built_on``), the
     caller keeps it, and with it the design, the Gram matrix, the ridge, the
@@ -324,24 +329,28 @@ class StepRegression:
         self.warning = False
         self._in_sample = None
         self.mask = None
-        sel = states
+        self._rows = None        # indices of the kept rows when the box drops some
+        self._boxed = False      # a box holds the fit, so its operands are contiguous
         if fit_window is not None:
             lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (basis.state_dim,))
                       for v in fit_window)
             mask = _in_box(states, lo, hi)
-            if mask.sum() >= n_req:
-                self.mask = mask
-                sel = states[mask]
-            else:
+            kept = int(np.count_nonzero(mask))
+            if kept < n_req:
                 self.warning = True  # window too thin, fall back to all paths
-        self.fit_states = sel
+            else:
+                self._boxed = True
+                if kept < states.shape[0]:
+                    self.mask = mask
+                    self._rows = np.flatnonzero(mask)
+        self.fit_states = sel = self._fit_rows(states)
         self.weights = None
         if weights is not None:
             w = np.asarray(weights, dtype=float)
             if w.shape != (states.shape[0],) or not np.all(np.isfinite(w) & (w >= 0)):
                 raise InvalidArgumentError(
                     "weights must be finite, non-negative, one per path")
-            self.weights = w[self.mask] if self.mask is not None else w
+            self.weights = self._fit_rows(w)
         lo, hi = _column_bounds(sel)
         self.degenerate = bool(np.all(hi - lo < _DEGENERATE_SPAN))
         self._surface = _ConstantSurface()
@@ -373,6 +382,12 @@ class StepRegression:
             self.warning = True
         self._gram_reg = gram + RIDGE_FACTOR * smax2 * np.eye(gram.shape[0])
 
+    def _fit_rows(self, arr: np.ndarray) -> np.ndarray:
+        """The rows of a per-path array that the fit reads."""
+        if self._rows is not None:
+            return np.take(arr, self._rows, axis=0)
+        return np.ascontiguousarray(arr) if self._boxed else arr
+
     def built_on(self, states: np.ndarray) -> bool:
         """True when ``states`` are bitwise the states this regression was built on."""
         return bitwise_equal(_as_states(states, self.basis.state_dim), self.states)
@@ -401,7 +416,7 @@ class StepRegression:
             targets = targets[:, None]
         if targets.shape[0] != self.states.shape[0]:
             raise InvalidArgumentError("state and target path counts differ")
-        tsel = targets[self.mask] if self.mask is not None else targets
+        tsel = self._fit_rows(targets)
         if self.degenerate:
             coef = (tsel.mean(axis=0) if self.weights is None
                     else np.average(tsel, axis=0, weights=self.weights))

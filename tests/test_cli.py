@@ -260,6 +260,68 @@ def test_lock_of_an_exited_process_is_retaken(tmp_path, capsys):
     assert not (out / cli.LOCK_NAME).exists()
 
 
+# a run that reads the lock as stale waits, after that first read, until
+# every run has read it, so all of them try to take over the same stale lock
+_TAKEOVER_RACE = """
+import os, sys, time
+from pathlib import Path
+from fdeflow import cli
+out, ready, runs = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+stale_pid, waited = cli._stale_pid, []
+def read_then_wait(lock):
+    pid = stale_pid(lock)
+    if not waited:
+        waited.append(pid)
+        (ready / str(os.getpid())).touch()
+        deadline = time.monotonic() + 60
+        while len(list(ready.iterdir())) < runs and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return pid
+cli._stale_pid = read_then_wait
+try:
+    cli._acquire_lock(out)
+    print("took", os.getpid())
+except cli.ConfigError:
+    print("locked", os.getpid())
+"""
+
+
+def test_two_runs_cannot_both_take_over_one_stale_lock(tmp_path):
+    import os
+    import subprocess
+    import sys
+    out, ready = tmp_path / "out", tmp_path / "ready"
+    out.mkdir()
+    ready.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / cli.LOCK_NAME).write_text(f"pid={child.pid}\n")   # an exited process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.Popen([sys.executable, "-c", _TAKEOVER_RACE, str(out), str(ready), "2"],
+                             stdout=subprocess.PIPE, text=True, env=env) for _ in range(2)]
+    results = [run.communicate(timeout=120)[0].split() for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert len(list(ready.iterdir())) == 2   # both read the lock as stale
+    assert sorted(word for word, _ in results) == ["locked", "took"]
+    winner = next(pid for word, pid in results if word == "took")
+    assert (out / cli.LOCK_NAME).read_text() == f"pid={winner}\n"
+    assert sorted(p.name for p in out.iterdir()) == [cli.LOCK_NAME]
+
+
+def test_run_removes_the_lock_only_while_it_holds_it(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
+
+    def taken_over(cfg):
+        (out / cli.LOCK_NAME).write_text("pid=1\n")
+        raise cli.ConfigError("stop")
+
+    monkeypatch.setattr(cli, "run", taken_over)
+    assert cli.main(["run", cfg]) == 2
+    assert (out / cli.LOCK_NAME).read_text() == "pid=1\n"
+
+
 def test_qbsde_weak_problem_writes_weak_artifacts(tmp_path):
     body = """
 [run]

@@ -107,16 +107,23 @@ def test_picard_window_mesh_precondition_and_divergence():
 
 
 def _record_designs(monkeypatch):
-    """Record (box lower edge, states) of every StepRegression built."""
-    built = []
-    original = StepRegression.__init__
+    """Record (box lower edge, states) of every StepRegression built, and the
+    box lower edge of the regression behind every ``built_on`` call."""
+    built, compared = [], []
+    original, original_built_on = StepRegression.__init__, StepRegression.built_on
 
     def recording(self, states, basis, fit_window=None, weights=None):
         original(self, states, basis, fit_window, weights)
-        built.append((float(np.ravel(fit_window[0])[0]), self.states.copy()))
+        self.edge = float(np.ravel(fit_window[0])[0])
+        built.append((self.edge, self.states.copy()))
+
+    def comparing(self, states):
+        compared.append(self.edge)
+        return original_built_on(self, states)
 
     monkeypatch.setattr(StepRegression, "__init__", recording)
-    return built
+    monkeypatch.setattr(StepRegression, "built_on", comparing)
+    return built, compared
 
 
 @pytest.mark.parametrize("case", ["f_zero", "f_of_z", "c1_zero"])
@@ -125,6 +132,8 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     # design is built once and the terminal map runs once at the start
     # states and once at X_T. f = Z/2: only step 0 (fixed starts) repeats.
     # c1 = 0: the second pass only confirms the first, and nothing is kept.
+    # A kept regression is compared with its states on every later pass,
+    # except at step 0, whose states are the starts by construction.
     f = (lambda t, y, z: 0.5 * z[:, 0, :]) if case == "f_of_z" else None
     c1 = 0.0 if case == "c1_zero" else 0.5
     coeffs = _coeffs(h=lambda t, y, z: c1 * y, f=f,
@@ -140,7 +149,7 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
         terminal_calls.append(x.shape[0])
         return coeffs.eval_phi(x)
 
-    built = _record_designs(monkeypatch)
+    built, compared = _record_designs(monkeypatch)
     _, report = ff.picard_window(coeffs, grid, terminal_map, starts, ens.increments,
                                  basis=ff.polynomial_basis(3, 1),
                                  fit_window_fn=lambda t: (-50.0 - t, 50.0 + t))
@@ -150,6 +159,8 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     for edge, states in built:
         by_step.setdefault(edge, []).append(states)
     assert len(by_step) == m
+    assert -50.0 not in compared
+    assert len(compared) == (0 if case == "c1_zero" else (m - 1) * (passes - 1))
     if case != "f_of_z":
         assert len(built) == (m * passes if case == "c1_zero" else m)
         assert len(terminal_calls) == 2
@@ -221,13 +232,16 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
 
 
 def test_solve_global_offset_gluing_identity():
+    # declared c1 = 1/(8 sqrt(0.5)) with c2 = c4 = 0 makes the contraction
+    # window 0.5 long, so the 16-step grid splits into two windows
     c = 0.3
     coeffs = _coeffs(h=lambda t, y, z: np.full_like(y, c),
-                     phi=lambda x: np.zeros((x.shape[0], 1)), m=0.0)
+                     phi=lambda x: np.zeros((x.shape[0], 1)),
+                     c1=1.0 / (8.0 * np.sqrt(0.5)), c2=0.0, m=0.0)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 3000, 1, 12)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, window_max_length=0.5)
-    assert len(sol.window_bounds) == 2
+    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=0.0)
+    assert sol.window_bounds == [(0, 8), (8, 16)]
     assert np.abs(sol.V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
-from fdeflow.regression import StepRegression, bitwise_equal, density_target
+from fdeflow.regression import (RIDGE_FACTOR, StepRegression, bitwise_equal, density_target,
+                                monomial_exponents)
 
 RNG = np.random.default_rng(42)
 
@@ -452,8 +453,8 @@ def test_strided_states_design_as_their_contiguous_copy(name):
     assert bitwise_equal(inside, inside_copy)
     # rows past the box in every dimension
     assert len(tails) == len(tails_copy) == basis.state_dim
-    for (j, mask, slope, step), (j2, mask2, slope2, step2) in zip(tails, tails_copy):
-        assert j == j2 and np.array_equal(mask, mask2)
+    for (j, rows, slope, step), (j2, rows2, slope2, step2) in zip(tails, tails_copy):
+        assert j == j2 and np.array_equal(rows, rows2)
         assert bitwise_equal(slope, slope2) and bitwise_equal(step, step2)
     assert bitwise_equal(fit.evaluate(view), fit.evaluate(copy))
     assert bitwise_equal(fit.evaluate(view), _reference_polynomial(fit, copy))
@@ -473,3 +474,66 @@ def test_in_sample_design_is_the_fit_design_when_the_fit_keeps_every_row(box):
     z_fit = sr.fit(rng.standard_normal((states.shape[0], 2)), out_shape=(1, 2))
     for fit in (y_fit, z_fit):
         assert bitwise_equal(fit.evaluate_on(design), fit.evaluate(states))
+
+
+def _fit_through_mask(states, basis, mask, targets):
+    # a polynomial fit on the rows of a boolean mask, written out: gather
+    # states and targets through the mask, standardize, build the monomials,
+    # then the ridge-regularized normal equations
+    sel = states[mask]
+    center = sel.mean(axis=0)
+    scale = np.maximum(sel.std(axis=0), 1e-12)
+    A = _monomials((sel - center) / scale, monomial_exponents(basis.state_dim, basis.p))
+    gram = A.T @ A
+    ridge = RIDGE_FACTOR * float(np.linalg.eigvalsh(gram)[-1])
+    coefs = [np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), A.T @ t[mask])
+             for t in targets]
+    return sel, A, coefs
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_box_that_keeps_every_row_fits_as_a_gather_through_an_all_true_mask(layout):
+    rng = np.random.default_rng(12)
+    paths = rng.standard_normal((5000, 4, 2))
+    noise = rng.standard_normal((5000, 4, 3))
+    if layout == "strided":
+        states, y, z = paths[:, 2], noise[:, 2, :1], noise[:, 2, 1:]
+        assert not (states.flags.c_contiguous or y.flags.c_contiguous or z.flags.c_contiguous)
+    else:
+        states, y, z = (np.ascontiguousarray(a) for a in (paths[:, 2], noise[:, 2, :1],
+                                                           noise[:, 2, 1:]))
+    basis = ff.polynomial_basis(3, 2)
+    sr = StepRegression(states, basis, fit_window=(-10.0, 10.0))
+    assert sr.mask is None and not sr.warning
+    sel, A, (y_coef, z_coef) = _fit_through_mask(states, basis, np.ones(5000, bool), (y, z))
+    assert bitwise_equal(sr.fit_states, sel) and sr.fit_states.flags.c_contiguous
+    design = sr.in_sample_design()
+    for fit, coef in ((sr.fit(y), y_coef), (sr.fit(z, out_shape=(1, 2)), z_coef)):
+        assert bitwise_equal(fit._coef, coef)
+        assert bitwise_equal(fit.evaluate_on(design).reshape(5000, -1), A @ coef)
+
+
+def test_box_that_drops_rows_gathers_by_index_as_through_the_mask():
+    rng = np.random.default_rng(13)
+    states = rng.standard_normal((5000, 2))
+    targets = (rng.standard_normal((5000, 1)), rng.standard_normal((5000, 2)))
+    basis = ff.polynomial_basis(3, 2)
+    sr = StepRegression(states, basis, fit_window=((-1.5, -2.0), (2.0, 1.2)))
+    assert sr.mask is not None and 0 < np.count_nonzero(~sr.mask)
+    sel, _, coefs = _fit_through_mask(states, basis, sr.mask, targets)
+    assert bitwise_equal(sr.fit_states, sel) and sr.fit_states.flags.c_contiguous
+    for target, coef in zip(targets, coefs):
+        assert bitwise_equal(sr.fit(target)._coef, coef)
+
+
+def test_design_tails_carry_the_indices_of_rows_past_the_box():
+    states, basis, box, far = _sharing_case("poly_2d_deg3")
+    fit = StepRegression(states, basis, fit_window=box).fit(np.sin(states.sum(axis=1)))
+    probes = np.concatenate([states, far])
+    s = fit._surface
+    tails = fit.design(probes).data[1]
+    assert [j for j, *_ in tails] == [0, 1]
+    for j, rows, _, step in tails:
+        over = probes[:, j] - np.clip(probes[:, j], s.lo[j], s.hi[j])
+        assert rows.dtype.kind == "i" and np.array_equal(rows, np.flatnonzero(over))
+        assert bitwise_equal(step[:, 0], over[rows])
