@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import fcntl
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from .regression import polynomial_basis, quantile_linear_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
 ENDOWMENTS = {"zero": "merton", "tanh": "endowment"}   # [market] endowment -> fixture
-LOCK_NAME = ".fdeflow.lock"
 
 # absolute slack added to per-step drift bounds; guards the exact-null case
 # where the control variate leaves only second-order noise
@@ -117,17 +117,32 @@ class ExperimentConfig:
     market: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        out = {
-            "problem": self.problem, "seed": self.seed, "num_paths": self.num_paths,
-            "out": self.out_dir, "fixture": self.fixture,
-            "fixture_params": self.fixture_params, "T": self.T, "K": self.K,
-            "c4": self.c4, "tol": self.tol, "max_iter": self.max_iter,
-            "basis_kind": self.basis_kind, "basis_degree": self.basis_degree,
-            "exploration_radius": self.exploration_radius,
-            "exploration_floor": self.exploration_floor, "clip_y": self.clip_y,
-            "export_paths": self.export_paths, "market": self.market,
-        }
-        return {k: v for k, v in out.items() if v is not None}
+        """Every set field but ``force`` and ``quiet``, with ``out_dir`` as ``out``."""
+        return {("out" if f.name == "out_dir" else f.name): getattr(self, f.name)
+                for f in fields(self)
+                if f.name not in ("force", "quiet") and getattr(self, f.name) is not None}
+
+
+# the optional keys, as (section, key, field, type), in the order the
+# "it reads ..." messages list them; an absent key keeps the field's default
+_OPTIONAL_KEYS = (
+    ("run", "seed", "seed", int),
+    ("run", "num_paths", "num_paths", int),
+    ("run", "out", "out_dir", str),
+    ("grid", "T", "T", float),
+    ("grid", "K", "K", int),
+    ("grid", "c4", "c4", float),
+    ("solver", "tol", "tol", float),
+    ("solver", "max_iter", "max_iter", int),
+    ("solver", "basis_kind", "basis_kind", str),
+    ("solver", "basis_degree", "basis_degree", int),
+    ("solver", "exploration_radius", "exploration_radius", float),
+    ("solver", "exploration_floor", "exploration_floor", float),
+    ("solver", "clip_y", "clip_y", bool),
+    ("solver", "force", "force", bool),
+    ("output", "export_paths", "export_paths", int),
+    ("output", "quiet", "quiet", bool),
+)
 
 
 def substream_seed(master: int, label: str) -> int:
@@ -174,10 +189,10 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"missing required field [{section}] {key}")
         return parser.get(section, key)
 
-    def opt(section, key, cast, default=None):
+    def opt(section, key, cast):
         asked.setdefault(section, []).append(key)
         if not parser.has_option(section, key):
-            return default
+            return None
         raw = parser.get(section, key)
         if cast is bool:
             return _parse_bool(raw, f"[{section}] {key}")
@@ -189,29 +204,18 @@ def load_config(path) -> ExperimentConfig:
     problem = need("run", "problem").strip()
     if problem not in PROBLEMS:
         raise ConfigError(f"[run] problem must be one of {PROBLEMS}, got {problem!r}")
-    cfg = ExperimentConfig(
-        problem=problem,
-        seed=opt("run", "seed", int, 20260808),
-        num_paths=opt("run", "num_paths", int),
-        out_dir=opt("run", "out", str, "out"),
-        T=opt("grid", "T", float),
-        K=opt("grid", "K", int),
-        c4=opt("grid", "c4", float),
-        tol=opt("solver", "tol", float, 1e-4),
-        max_iter=opt("solver", "max_iter", int, 50),
-        basis_kind=opt("solver", "basis_kind", str),
-        basis_degree=opt("solver", "basis_degree", int),
-        exploration_radius=opt("solver", "exploration_radius", float, 2.2),
-        exploration_floor=opt("solver", "exploration_floor", float, 1.0),
-        clip_y=opt("solver", "clip_y", bool, True),
-        force=opt("solver", "force", bool, False),
-        export_paths=opt("output", "export_paths", int, 200),
-        quiet=opt("output", "quiet", bool, False),
-    )
+    cfg = ExperimentConfig(problem=problem)
+    for section, key, name, cast in _OPTIONAL_KEYS:
+        value = opt(section, key, cast)
+        if value is not None:
+            setattr(cfg, name, value)
     if problem in ("fbsde", "qbsde-weak"):
         cfg.fixture = need("coefficients", "fixture").strip()
         if cfg.fixture not in FIXTURES:
             raise ConfigError(f"[coefficients] fixture: unknown fixture {cfg.fixture!r}")
+        if FIXTURES[cfg.fixture].kind == "portfolio":
+            raise ConfigError(f"[coefficients] fixture {cfg.fixture} is a market; "
+                              f"solve it with problem = portfolio")
         keys = [k for k in parser.options("coefficients") if k != "fixture"]
         _check_fixture_keys("coefficients", cfg.fixture, keys)
         for key in keys:
@@ -277,26 +281,21 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
-    c4 = cfg.c4 if cfg.c4 is not None else fixture.c4
-    basis = _basis_for(cfg, fixture)
+    settings = dict(c4=cfg.c4 if cfg.c4 is not None else fixture.c4, tol=cfg.tol,
+                    basis=_basis_for(cfg, fixture), max_iter=cfg.max_iter,
+                    exploration_radius=cfg.exploration_radius,
+                    exploration_floor=cfg.exploration_floor, clip_y=cfg.clip_y,
+                    force=cfg.force)
     grid = build_uniform_grid(T, K)
     seed = substream_seed(cfg.seed, f"{fixture.name}:ensemble")
     ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
+    built = fixture.build(**cfg.fixture_params)
     if fixture.kind == "portfolio":
-        model = fixture.build(**cfg.fixture_params)
-        psol = solve_portfolio(model, grid, ensemble, tol=cfg.tol, c4=c4, basis=basis,
-                               max_iter=cfg.max_iter,
-                               exploration_radius=cfg.exploration_radius,
-                               exploration_floor=cfg.exploration_floor,
-                               clip_y=cfg.clip_y, force=cfg.force)
+        psol = solve_portfolio(built, grid, ensemble, **settings)
         return {"grid": grid, "ensemble": ensemble, "portfolio": psol,
-                "sol": psol.fde_sol, "coeffs": psol.coeffs, "model": model}
-    coeffs = fixture.build(**cfg.fixture_params)
-    sol = solve_global(coeffs, grid, 0.0, ensemble, c4=c4, tol=cfg.tol, basis=basis,
-                       max_iter=cfg.max_iter, exploration_radius=cfg.exploration_radius,
-                       exploration_floor=cfg.exploration_floor, clip_y=cfg.clip_y,
-                       force=cfg.force)
-    return {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": coeffs}
+                "sol": psol.fde_sol, "coeffs": psol.coeffs, "model": built}
+    sol = solve_global(built, grid, 0.0, ensemble, **settings)
+    return {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": built}
 
 
 def _common_assertions(bundle) -> list:
@@ -321,8 +320,17 @@ def _z_rms(sol) -> float:
     return float(np.sqrt(np.mean(np.ascontiguousarray(sol.Z) ** 2)))
 
 
-def _probe_grid(halfwidth=2.0, count=21):
-    return np.linspace(-halfwidth, halfwidth, count)
+def _oracle_sup(sol, exact) -> float:
+    """Largest gap between the fitted Y map and ``exact(t, xs)`` on 21 probes
+    in [-2, 2], at a quarter, a half and three quarters of the horizon."""
+    grid = sol.grid
+    xs = np.linspace(-2.0, 2.0, 21)
+    worst = 0.0
+    for frac in (0.25, 0.5, 0.75):
+        k = int(round(frac * grid.num_steps))
+        fitted = sol.phi_fits[k].evaluate(xs[:, None])[:, 0]
+        worst = max(worst, float(np.abs(fitted - exact(grid.points[k], xs)).max()))
+    return worst
 
 
 def _fixture_assertions(name, bundle, cfg) -> list:
@@ -346,25 +354,12 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("y_affine_dev", y_dev, 1e-2))
         out.append(_dev("z_rms", _z_rms(sol), 1e-6))
     elif name == "tanh_terminal":
-        xs = _probe_grid()
-        worst = 0.0
-        for frac in (0.25, 0.5, 0.75):
-            k = int(round(frac * grid.num_steps))
-            fitted = sol.phi_fits[k].evaluate(xs[:, None])[:, 0]
-            exact = oracles.heat_value(np.tanh, grid.points[k], xs, T)
-            worst = max(worst, float(np.abs(fitted - exact).max()))
+        worst = _oracle_sup(sol, lambda t, xs: oracles.heat_value(np.tanh, t, xs, T))
         out.append(_dev("heat_oracle_sup", worst, 0.02))
         out.append(_dev("y0_abs", abs(float(sol.y0_mean[0])), 0.01))
     elif name == "linear_driver":
-        a = params["a"]
-        cn = oracles.CrankNicolsonOracle(a, np.sin, T)
-        xs = _probe_grid()
-        worst = 0.0
-        for frac in (0.25, 0.5, 0.75):
-            k = int(round(frac * grid.num_steps))
-            fitted = sol.phi_fits[k].evaluate(xs[:, None])[:, 0]
-            worst = max(worst, float(np.abs(fitted - cn.at(grid.points[k], xs)).max()))
-        out.append(_dev("pde_oracle_sup", worst, 0.02))
+        cn = oracles.CrankNicolsonOracle(params["a"], np.sin, T)
+        out.append(_dev("pde_oracle_sup", _oracle_sup(sol, cn.at), 0.02))
     elif name == "const_forward":
         c = params["c"]
         mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble)
@@ -540,19 +535,16 @@ def run(cfg: ExperimentConfig) -> RunReport:
 
 def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> None:
     if cfg.problem == "verify-suite":
-        rows = []
-        for name in FIXTURES:
-            # index the result so no bundle stays alive through the next solve
-            assertions = _evaluate_fixture(name, cfg, out_dir, report)[1]
-            rows += [(name, a) for a in assertions]
-            report.assertions += assertions
-        verdicts = out_dir / "verdicts.csv"
-        _write_verdicts_csv(verdicts, rows)
-        report.outputs.append(verdicts)
-    elif cfg.problem in ("fbsde", "qbsde-weak"):
-        name = cfg.fixture
+        names = list(FIXTURES)
+    elif cfg.problem == "portfolio":
+        names = [ENDOWMENTS[cfg.market.get("endowment", "zero")]]
+        cfg.fixture_params = {k: v for k, v in cfg.market.items() if k != "endowment"}
+    else:
+        names = [cfg.fixture]
+    rows = []
+    for name in names:
         bundle, assertions = _evaluate_fixture(name, cfg, out_dir, report)
-        if cfg.problem == "qbsde-weak" and bundle.get("portfolio") is None:
+        if cfg.problem == "qbsde-weak":
             if "weak" not in bundle:   # const_forward's checks have built and checked them
                 mc = bundle["measure_change"] = build_measure_change(
                     bundle["sol"], bundle["coeffs"], bundle["ensemble"])
@@ -564,73 +556,34 @@ def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> Non
             export_weak_solution(bundle["weak"], wcsv, wjson, path_limit=cfg.export_paths,
                                  config_echo=cfg.echo())
             report.outputs += [wcsv, wjson]
+        del bundle   # no bundle stays alive through the next solve
         report.assertions += assertions
-        rows = [(name, a) for a in assertions]
-        verdicts = out_dir / "verdicts.csv"
-        _write_verdicts_csv(verdicts, rows)
-        report.outputs.append(verdicts)
-    elif cfg.problem == "portfolio":
-        fixture_name = ENDOWMENTS[cfg.market.get("endowment", "zero")]
-        cfg.fixture_params = {k: v for k, v in cfg.market.items() if k != "endowment"}
-        bundle, assertions = _evaluate_fixture(fixture_name, cfg, out_dir, report)
-        report.assertions += assertions
-        verdicts = out_dir / "verdicts.csv"
-        _write_verdicts_csv(verdicts, [(fixture_name, a) for a in assertions])
-        report.outputs.append(verdicts)
+        rows += [(name, a) for a in assertions]
+    verdicts = out_dir / "verdicts.csv"
+    _write_verdicts_csv(verdicts, rows)
+    report.outputs.append(verdicts)
 
 
-def _stale_pid(lock: Path) -> int | None:
-    """The positive PID a lock records when no process has it, else None."""
-    try:
-        pid = int(lock.read_text(encoding="utf-8").strip().removeprefix("pid="))
-    except (OSError, ValueError):
-        return None
-    if pid <= 0:
-        return None
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, OverflowError):   # alive under another user, or not a PID
-        pass
-    return None
+def _acquire_lock(out_dir: Path) -> int:
+    """Create the output directory and hold an exclusive lock on it.
 
-
-def _acquire_lock(out_dir: Path):
-    """Create the output directory's lock file, holding ``pid=<this PID>``.
-
-    A stale lock (its PID is gone) is taken over under a claim file named
-    for that PID: ``O_EXCL`` lets one run hold the claim, and the holder
-    re-reads the lock, then renames a file with its own PID over it. So of
-    two runs that find the same stale lock, one takes it and the other
-    reports the directory locked.
+    The lock is a ``flock`` on the directory's own descriptor, which the
+    caller closes when the run ends. The kernel also drops it when the
+    process ends, however it ends, so no lock file is left to go stale.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / LOCK_NAME
-    locked = ConfigError(f"output directory is locked by another run: {lock} (remove if stale)")
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        stale = _stale_pid(lock)
-        if stale is None:
-            raise locked from None
-        claim = out_dir / f"{LOCK_NAME}.claim-{stale}"
-        try:
-            os.close(os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            raise locked from None
-        try:
-            if _stale_pid(lock) != stale:   # another run took it over first
-                raise locked
-            mine = out_dir / f"{LOCK_NAME}.{os.getpid()}"
-            mine.write_text(f"pid={os.getpid()}\n", encoding="utf-8")
-            os.replace(mine, lock)
-        finally:
-            claim.unlink()
-        return lock
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"pid={os.getpid()}\n")
-    return lock
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(out_dir, os.O_RDONLY)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc.strerror}") from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(fd)
+        reason = ("locked by another run" if isinstance(exc, BlockingIOError)
+                  else exc.strerror)
+        raise ConfigError(f"output directory {out_dir}: {reason}") from None
+    return fd
 
 
 def main(argv=None) -> int:
@@ -684,11 +637,8 @@ def main(argv=None) -> int:
             print(f"config error: {exc}")
         return _exit_code(exc)
     finally:
-        try:   # remove the lock only while it still records this run
-            if lock is not None and lock.read_text(encoding="utf-8") == f"pid={os.getpid()}\n":
-                lock.unlink()
-        except FileNotFoundError:
-            pass
+        if lock is not None:
+            os.close(lock)
 
     if not cfg.quiet:
         width = max((len(a.name) for a in report.assertions), default=10)

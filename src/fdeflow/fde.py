@@ -138,7 +138,6 @@ class PicardReport:
     iterations: int
     distances: list
     converged: bool
-    tol: float
     empirical_factor: float = 0.0
 
     def to_json(self) -> dict:
@@ -256,7 +255,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     Z = [np.zeros((P, n, d)) for _ in range(m + 1)]
 
     report = PicardReport(window=(float(t[0]), float(t[-1])), iterations=0,
-                          distances=[], converged=False, tol=tol)
+                          distances=[], converged=False)
     # a step's regression and the terminal values last as long as their
     # states: rebuilt only on a pass whose states changed bitwise. Step 0's
     # states are the starts on every pass, so its regression is kept without

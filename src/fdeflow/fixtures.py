@@ -7,7 +7,7 @@ problems by fixture name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,12 +104,7 @@ def _build_endowment(params):
     def g(v, s):
         return scale * np.tanh(np.log(v / v0))
 
-    model = _merton_market(params)
-    return MarketModel(
-        mu_s=model.mu_s, sigma_bar_s=model.sigma_bar_s, mu_v=model.mu_v,
-        sigma_v=model.sigma_v, sigma_bar_v=model.sigma_bar_v, gamma=model.gamma,
-        g=g, g_bound=scale, g_lip_log=scale,
-        x0=model.x0, v0=v0, s0=model.s0)
+    return replace(_merton_market(params), g=g, g_bound=scale, g_lip_log=scale)
 
 
 _MARKET_DEFAULTS = {"mu_s": 0.1, "sigma_bar_s": 0.2, "mu_v": 0.05, "sigma_v": 0.3,

@@ -138,17 +138,6 @@ class PortfolioTransform:
         ln_s = np.log(self.model.s0) + a_s + self.model.sigma_bar_s * state[:, 1]
         return ln_v, ln_s
 
-    def prices(self, t: float, state: np.ndarray):
-        ln_v, ln_s = self.log_prices(t, state)
-        return np.exp(ln_v), np.exp(ln_s)
-
-    def girsanov_integrand(self, t, y, z):
-        """Integrand of N: ((gamma/2) Z^V, mu_S / sigma_S); minus the canonical drift."""
-        mu = self.model.mu_s_fn()(t)
-        return np.column_stack([
-            0.5 * self.model.gamma * z[:, 0, 0],
-            np.full(z.shape[0], mu / self.model.sigma_bar_s)])
-
 
 def build_portfolio_fbsde(model: MarketModel, T: float):
     """Encode the linear auxiliary system as a canonical coefficient set.

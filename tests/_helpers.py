@@ -2,6 +2,7 @@
 import numpy as np
 
 import fdeflow as ff
+from fdeflow.portfolio import PortfolioTransform
 
 
 def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, x0,
@@ -30,6 +31,19 @@ def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
     out = np.zeros((ensemble.grid.num_steps + 1, ensemble.num_paths, ensemble.dim))
     np.cumsum(ensemble.increments.transpose(1, 0, 2), axis=0, out=out[1:])
     return out.transpose(1, 0, 2)
+
+
+def prices(transform: PortfolioTransform, t: float, state: np.ndarray):
+    """Prices (V, S) of canonical states (P, 2) at time t."""
+    ln_v, ln_s = transform.log_prices(t, state)
+    return np.exp(ln_v), np.exp(ln_s)
+
+
+def girsanov_integrand(transform: PortfolioTransform, t, y, z) -> np.ndarray:
+    """Integrand of N: ((gamma/2) Z^V, mu_S / sigma_S); minus the canonical drift."""
+    model = transform.model
+    return np.column_stack([0.5 * model.gamma * z[:, 0, 0],
+                            np.full(z.shape[0], model.mu_s_fn()(t) / model.sigma_bar_s)])
 
 
 def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:

@@ -13,6 +13,13 @@ def _write(tmp_path, body, name="config.cfg"):
     return str(path)
 
 
+def _holds_only(out, report, *extra):
+    """The output directory holds the report's outputs, its report and ``extra``."""
+    from pathlib import Path
+    expected = [Path(p).name for p in report["outputs"]] + ["run_report.json", *extra]
+    return sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+
 TRIVIAL_CFG = """
 [run]
 problem = fbsde
@@ -42,7 +49,7 @@ def test_run_trivial_fixture_exits_zero(tmp_path, capsys):
     assert report["problem"] == "fbsde"
     assert report["config"]["seed"] == 4242
     assert all(a["passed"] for a in report["assertions"])
-    assert not (out / cli.LOCK_NAME).exists()
+    assert _holds_only(out, report)
 
 
 def test_missing_field_exits_two_and_names_it(tmp_path, capsys):
@@ -87,10 +94,10 @@ def test_insufficient_weight_exits_three_without_traceback(tmp_path, capsys):
     assert cli.main(["run", cfg, "--paths", "4000"]) == 3
     text = capsys.readouterr().out
     assert text.count("\n") == 1 and "effective sample size" in text
-    assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["exit_code"] == 3 and "effective sample size" in report["error"]
     assert report["problem"] == "portfolio" and "merton:solve" in report["wall_clock"]
+    assert _holds_only(tmp_path / "out", report)
 
 
 def test_unknown_problem_and_fixture_exit_two(tmp_path, capsys):
@@ -99,6 +106,15 @@ def test_unknown_problem_and_fixture_exit_two(tmp_path, capsys):
     cfg2 = _write(tmp_path, "[run]\nproblem = fbsde\n\n[coefficients]\nfixture = nope\n",
                   name="c2.cfg")
     assert cli.main(["run", cfg2]) == 2
+    # a market fixture has neither a weak solution nor an fbsde oracle check
+    capsys.readouterr()
+    for problem, fixture in (("qbsde-weak", "merton"), ("fbsde", "endowment")):
+        body = TRIVIAL_CFG.replace("fbsde", problem).replace("trivial", fixture)
+        cfg3 = _write(tmp_path, body.format(out=tmp_path / "out"), name="c3.cfg")
+        assert cli.main(["run", cfg3]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("config error") and "problem = portfolio" in text
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_numeric_coefficient_exits_two(tmp_path, capsys):
@@ -216,9 +232,9 @@ max_iter = 3
     dump = json.loads((tmp_path / "out" / "picard_report.json").read_text())
     assert dump["report"]["iterations"] >= 1
     assert not dump["report"]["converged"]
-    assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["exit_code"] == 3 and report["error"] == dump["error"]
+    assert _holds_only(tmp_path / "out", report, "picard_report.json")
 
 
 def test_argument_error_inside_the_run_exits_two_with_report(tmp_path, capsys):
@@ -233,93 +249,120 @@ def test_argument_error_inside_the_run_exits_two_with_report(tmp_path, capsys):
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / cli.LOCK_NAME).write_text("pid=0\n")
-    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
-    assert cli.main(["run", cfg]) == 2
-    assert "locked" in capsys.readouterr().out
-    # the run that holds the directory owns its report
-    assert not (out / "run_report.json").exists()
-
-
-def test_lock_of_an_exited_process_is_retaken(tmp_path, capsys):
     import os
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
+    held = cli._acquire_lock(out)   # flock treats separate opens independently
+    try:
+        assert cli.main(["run", cfg]) == 2
+        assert "locked" in capsys.readouterr().out
+        # the run that holds the directory owns its report
+        assert not (out / "run_report.json").exists()
+    finally:
+        os.close(held)
+    assert cli.main(["run", cfg, "--quiet"]) == 0
+
+
+def _pythonpath_env():
+    import os
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_lock_of_an_exited_process_is_retaken(tmp_path):
+    import subprocess
+    import sys
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
+    # the child ends while it holds the lock, without closing or cleaning up
+    child = subprocess.run(
+        [sys.executable, "-c", "import os, sys; from pathlib import Path; "
+         "from fdeflow import cli; cli._acquire_lock(Path(sys.argv[1])); os._exit(0)",
+         str(out)], env=_pythonpath_env(), timeout=120)
+    assert child.returncode == 0
+    assert list(out.iterdir()) == []
+    assert cli.main(["run", cfg, "--quiet"]) == 0
+
+
+def test_leftover_lock_and_claim_files_do_not_block_a_run(tmp_path):
+    # the files an earlier lock protocol left behind when a run was killed
+    # while taking over a stale lock: a lock recording an exited PID and its claim
     import subprocess
     import sys
     out = tmp_path / "out"
     out.mkdir()
-    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
-    (out / cli.LOCK_NAME).write_text(f"pid={os.getpid()}\n")   # a live process
-    assert cli.main(["run", cfg]) == 2
-    assert "locked" in capsys.readouterr().out
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
-    (out / cli.LOCK_NAME).write_text(f"pid={child.pid}\n")
+    (out / ".fdeflow.lock").write_text(f"pid={child.pid}\n")
+    (out / f".fdeflow.lock.claim-{child.pid}").touch()
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
     assert cli.main(["run", cfg, "--quiet"]) == 0
-    assert not (out / cli.LOCK_NAME).exists()
+    report = json.loads((out / "run_report.json").read_text())
+    assert _holds_only(out, report, ".fdeflow.lock", f".fdeflow.lock.claim-{child.pid}")
 
 
-# a run that reads the lock as stale waits, after that first read, until
-# every run has read it, so all of them try to take over the same stale lock
-_TAKEOVER_RACE = """
+# each run waits until every run is ready, tries the lock, then holds what it
+# got until every run has tried, so each try meets the others' held locks
+_LOCK_RACE = """
 import os, sys, time
 from pathlib import Path
 from fdeflow import cli
-out, ready, runs = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
-stale_pid, waited = cli._stale_pid, []
-def read_then_wait(lock):
-    pid = stale_pid(lock)
-    if not waited:
-        waited.append(pid)
-        (ready / str(os.getpid())).touch()
-        deadline = time.monotonic() + 60
-        while len(list(ready.iterdir())) < runs and time.monotonic() < deadline:
-            time.sleep(0.01)
-    return pid
-cli._stale_pid = read_then_wait
+out, ready, tried, runs = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3]), int(sys.argv[4])
+def wait_for(folder):
+    (folder / str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(list(folder.iterdir())) < runs and time.monotonic() < deadline:
+        time.sleep(0.01)
+wait_for(ready)
 try:
     cli._acquire_lock(out)
     print("took", os.getpid())
 except cli.ConfigError:
     print("locked", os.getpid())
+wait_for(tried)
 """
 
 
-def test_two_runs_cannot_both_take_over_one_stale_lock(tmp_path):
-    import os
+def test_two_runs_cannot_both_take_the_lock(tmp_path):
     import subprocess
     import sys
-    out, ready = tmp_path / "out", tmp_path / "ready"
-    out.mkdir()
+    out, ready, tried = tmp_path / "out", tmp_path / "ready", tmp_path / "tried"
     ready.mkdir()
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (out / cli.LOCK_NAME).write_text(f"pid={child.pid}\n")   # an exited process
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
-    runs = [subprocess.Popen([sys.executable, "-c", _TAKEOVER_RACE, str(out), str(ready), "2"],
-                             stdout=subprocess.PIPE, text=True, env=env) for _ in range(2)]
+    tried.mkdir()
+    runs = [subprocess.Popen([sys.executable, "-c", _LOCK_RACE, str(out), str(ready),
+                              str(tried), "2"],
+                             stdout=subprocess.PIPE, text=True, env=_pythonpath_env())
+            for _ in range(2)]
     results = [run.communicate(timeout=120)[0].split() for run in runs]
     assert all(run.returncode == 0 for run in runs)
-    assert len(list(ready.iterdir())) == 2   # both read the lock as stale
+    assert len(list(tried.iterdir())) == 2   # both tried while the winner held the lock
     assert sorted(word for word, _ in results) == ["locked", "took"]
-    winner = next(pid for word, pid in results if word == "took")
-    assert (out / cli.LOCK_NAME).read_text() == f"pid={winner}\n"
-    assert sorted(p.name for p in out.iterdir()) == [cli.LOCK_NAME]
+    assert list(out.iterdir()) == []   # the lock leaves no file behind
 
 
-def test_run_removes_the_lock_only_while_it_holds_it(tmp_path, monkeypatch):
+def test_a_failed_run_releases_the_lock(tmp_path, monkeypatch):
+    import os
     out = tmp_path / "out"
     cfg = _write(tmp_path, TRIVIAL_CFG.format(out=out))
 
-    def taken_over(cfg):
-        (out / cli.LOCK_NAME).write_text("pid=1\n")
+    def fails(cfg):
         raise cli.ConfigError("stop")
 
-    monkeypatch.setattr(cli, "run", taken_over)
+    monkeypatch.setattr(cli, "run", fails)
     assert cli.main(["run", cfg]) == 2
-    assert (out / cli.LOCK_NAME).read_text() == "pid=1\n"
+    os.close(cli._acquire_lock(out))
+
+
+def test_unusable_output_directory_exits_two(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    cfg = _write(tmp_path, TRIVIAL_CFG.format(out=tmp_path / "out"))
+    for out in (not_a_dir, not_a_dir / "out"):
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("config error") and str(out) in text
+        assert text.count("\n") == 1
+    assert not_a_dir.read_text() == ""
 
 
 def test_qbsde_weak_problem_writes_weak_artifacts(tmp_path):

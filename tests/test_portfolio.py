@@ -9,7 +9,7 @@ from fdeflow import portfolio
 from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
-from _helpers import pi_star_reference, whole_array_optimality
+from _helpers import girsanov_integrand, pi_star_reference, prices, whole_array_optimality
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -45,7 +45,7 @@ def test_build_fbsde_driver_and_integrand_values():
     # canonical drift is minus the measure-change integrand
     z[:, 0, 0] = 2.0
     f = coeffs.eval_f(0.0, y, z)
-    nu = transform.girsanov_integrand(0.0, y, z)
+    nu = girsanov_integrand(transform, 0.0, y, z)
     assert np.allclose(f, -nu)
     assert np.allclose(nu[:, 0], 1.0)      # (gamma/2) z_v
     assert np.allclose(nu[:, 1], 0.5)      # mu / sigma
@@ -56,7 +56,7 @@ def test_build_fbsde_zero_market_price_of_risk():
     coeffs, transform = ff.build_portfolio_fbsde(model, 1.0)
     y = np.zeros((3, 1)); z = np.zeros((3, 1, 2))
     assert np.abs(coeffs.eval_h(0.5, y, z)).max() == 0.0
-    assert np.abs(transform.girsanov_integrand(0.5, y, z)[:, 1]).max() == 0.0
+    assert np.abs(girsanov_integrand(transform, 0.5, y, z)[:, 1]).max() == 0.0
 
 
 def test_transform_degenerate_nontradeable_noise():
@@ -133,9 +133,9 @@ def test_reweighted_asset_drift(merton_small):
     # E[S_T] under the target measure is s0 * exp(int mu dt)
     model, grid, ens, psol = merton_small
     mc = psol.measure_change
-    v_t, s_t = psol.transform.prices(grid.horizon, psol.fde_sol.X[:, -1])
-    for prices, drift in ((s_t, 0.1), (v_t, 0.05)):
-        weighted = mc.weights * prices
+    v_t, s_t = prices(psol.transform, grid.horizon, psol.fde_sol.X[:, -1])
+    for price, drift in ((s_t, 0.1), (v_t, 0.05)):
+        weighted = mc.weights * price
         mean = float(weighted.mean() / mc.weights.mean())
         se = float(weighted.std(ddof=1) / np.sqrt(ens.num_paths))
         assert abs(mean - np.exp(drift)) <= 3 * se
