@@ -108,19 +108,13 @@ class ExperimentConfig:
     max_iter: int = 50
     basis_kind: str | None = None
     basis_degree: int | None = None
-    exploration_radius: float = 2.2
-    exploration_floor: float = 1.0
-    clip_y: bool = True
-    force: bool = False
     export_paths: int = 200
-    quiet: bool = False
     market: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        """Every set field but ``force`` and ``quiet``, with ``out_dir`` as ``out``."""
+        """Every set field, with ``out_dir`` as ``out``."""
         return {("out" if f.name == "out_dir" else f.name): getattr(self, f.name)
-                for f in fields(self)
-                if f.name not in ("force", "quiet") and getattr(self, f.name) is not None}
+                for f in fields(self) if getattr(self, f.name) is not None}
 
 
 # the optional keys, as (section, key, field, type), in the order the
@@ -136,27 +130,13 @@ _OPTIONAL_KEYS = (
     ("solver", "max_iter", "max_iter", int),
     ("solver", "basis_kind", "basis_kind", str),
     ("solver", "basis_degree", "basis_degree", int),
-    ("solver", "exploration_radius", "exploration_radius", float),
-    ("solver", "exploration_floor", "exploration_floor", float),
-    ("solver", "clip_y", "clip_y", bool),
-    ("solver", "force", "force", bool),
     ("output", "export_paths", "export_paths", int),
-    ("output", "quiet", "quiet", bool),
 )
 
 
 def substream_seed(master: int, label: str) -> int:
     """Deterministic named sub-seed of the master seed."""
     return (int(master) * 1_000_003 + zlib.crc32(label.encode("utf-8"))) % (2 ** 62)
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
 def _check_fixture_keys(section, fixture, keys):
@@ -193,11 +173,8 @@ def load_config(path) -> ExperimentConfig:
         asked.setdefault(section, []).append(key)
         if not parser.has_option(section, key):
             return None
-        raw = parser.get(section, key)
-        if cast is bool:
-            return _parse_bool(raw, f"[{section}] {key}")
         try:
-            return cast(raw)
+            return cast(parser.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -247,12 +224,6 @@ def load_config(path) -> ExperimentConfig:
                               f"it reads {', '.join(asked[section])}")
     if not np.isfinite(cfg.tol) or cfg.tol <= 0:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
-    if not np.isfinite(cfg.exploration_radius) or cfg.exploration_radius < 0:
-        raise ConfigError(f"[solver] exploration_radius must be finite and non-negative, "
-                          f"got {cfg.exploration_radius}")
-    if not np.isfinite(cfg.exploration_floor):
-        raise ConfigError(
-            f"[solver] exploration_floor must be finite, got {cfg.exploration_floor}")
     if cfg.basis_degree is not None and cfg.basis_degree < 1:
         raise ConfigError(f"[solver] basis_degree must be at least 1, got {cfg.basis_degree}")
     if cfg.basis_kind not in (None, "polynomial", "quantile-linear"):
@@ -282,10 +253,7 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
     settings = dict(c4=cfg.c4 if cfg.c4 is not None else fixture.c4, tol=cfg.tol,
-                    basis=_basis_for(cfg, fixture), max_iter=cfg.max_iter,
-                    exploration_radius=cfg.exploration_radius,
-                    exploration_floor=cfg.exploration_floor, clip_y=cfg.clip_y,
-                    force=cfg.force)
+                    basis=_basis_for(cfg, fixture), max_iter=cfg.max_iter)
     grid = build_uniform_grid(T, K)
     seed = substream_seed(cfg.seed, f"{fixture.name}:ensemble")
     ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
@@ -599,7 +567,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--paths", type=int, default=None, help="path-count override")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true", help="do not print the verdict table")
     args = parser.parse_args(argv)
 
     try:
@@ -613,8 +581,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.paths is not None:
             cfg.num_paths = args.paths
-        if args.quiet:
-            cfg.quiet = True
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
@@ -640,7 +606,7 @@ def main(argv=None) -> int:
         if lock is not None:
             os.close(lock)
 
-    if not cfg.quiet:
+    if not args.quiet:
         width = max((len(a.name) for a in report.assertions), default=10)
         for a in report.assertions:
             status = "pass" if a.passed else "FAIL"

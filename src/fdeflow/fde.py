@@ -46,6 +46,11 @@ _DIVERGENCE_CAP = 1e8
 _VALIDATION_SAMPLES = 96
 _VALIDATION_SEED = 0x5EED
 
+# half-width of the exploration box at time t:
+# _EXPLORATION_RADIUS * sqrt(_EXPLORATION_FLOOR**2 + t) + |f| * t
+_EXPLORATION_RADIUS = 2.2
+_EXPLORATION_FLOOR = 1.0
+
 
 def _as_2d(arr, n, name):
     out = np.asarray(arr, dtype=float)
@@ -135,10 +140,19 @@ class PicardReport:
     """Successive-iterate record for one window."""
 
     window: tuple
-    iterations: int
     distances: list
     converged: bool
-    empirical_factor: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        """Correction passes run, one per recorded distance."""
+        return len(self.distances)
+
+    @property
+    def empirical_factor(self) -> float:
+        """Largest ratio of successive distances whose first is above 1e-13."""
+        ratios = [b / a for a, b in zip(self.distances, self.distances[1:]) if a > 1e-13]
+        return float(max(ratios)) if ratios else 0.0
 
     def to_json(self) -> dict:
         """The report as written to the summary and divergence JSON files."""
@@ -180,11 +194,6 @@ class FdeSolution:
     @property
     def num_paths(self) -> int:
         return self.V.shape[0]
-
-
-def _empirical_factor(distances, floor=1e-13):
-    ratios = [b / a for a, b in zip(distances, distances[1:]) if a > floor]
-    return float(max(ratios)) if ratios else 0.0
 
 
 def _start_states(start_x, num_paths, d):
@@ -254,8 +263,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     Y = [y_init.copy() for _ in range(m + 1)]
     Z = [np.zeros((P, n, d)) for _ in range(m + 1)]
 
-    report = PicardReport(window=(float(t[0]), float(t[-1])), iterations=0,
-                          distances=[], converged=False)
+    report = PicardReport(window=(float(t[0]), float(t[-1])), distances=[], converged=False)
     # a step's regression and the terminal values last as long as their
     # states: rebuilt only on a pass whose states changed bitwise. Step 0's
     # states are the starts on every pass, so its regression is kept without
@@ -315,9 +323,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             dist = float(np.maximum(np.abs(V[1:] - prev_psi[0][1:]).max(),
                                     np.abs(X[1:] - prev_psi[1][1:]).max()))
             report.distances.append(dist)
-            report.iterations = len(report.distances)
             if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
-                report.empirical_factor = _empirical_factor(report.distances)
                 raise PicardDivergedError(
                     f"Picard iteration diverged (distance {dist:.3g})", report)
             if dist <= tol:
@@ -328,7 +334,6 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         prev_psi = (V, X)
         result = (V, X, y_fits, z_fits)
 
-    report.empirical_factor = _empirical_factor(report.distances)
     if not report.converged:
         raise PicardDivergedError(
             f"no convergence within {max_iter} Picard passes "
@@ -377,9 +382,7 @@ def _exploration_rng(seed: int, window_index: int):
 def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianEnsemble,
                  c4: float | None = None, tol: float = DEFAULT_TOL, *,
                  basis: RegressionBasis | None = None, max_iter: int = DEFAULT_MAX_ITER,
-                 exploration_radius: float = 2.2, exploration_floor: float = 1.0,
-                 clip_y: bool = True, initial_guess=None,
-                 force: bool = False) -> FdeSolution:
+                 initial_guess=None) -> FdeSolution:
     """Solve the coupled system on [0, T] and return the assembled solution.
 
     Runs a backward sweep over contraction-compliant windows, each solved by
@@ -410,21 +413,16 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,)).copy()
     if not np.all(np.isfinite(x0v)):
         raise InvalidArgumentError("x0 must be finite")
-    if not (np.isfinite(exploration_radius) and exploration_radius >= 0
-            and np.isfinite(exploration_floor)):
-        raise InvalidArgumentError("exploration_radius must be finite and non-negative, "
-                                   "and exploration_floor finite")
 
     # the last window's terminal map is phi (constant c2); interior windows
     # consume fitted maps whose gradient bound is the c4 config
     ell_interior = contraction_window_length(coeffs.c1, c4_eff)
     ell_last = contraction_window_length(coeffs.c1, coeffs.c2)
     ell = min(ell_interior, ell_last)
-    if grid.mesh > ell * (1 + WINDOW_RTOL) and not force:
+    if grid.mesh > ell * (1 + WINDOW_RTOL):
         raise InvalidArgumentError(
             f"grid mesh {grid.mesh:.6g} is coarser than the contraction window "
-            f"length {ell:.6g}; use at least {uniform_steps_within(grid.horizon, ell)} "
-            f"steps or pass force=True")
+            f"length {ell:.6g}; use at least {uniform_steps_within(grid.horizon, ell)} steps")
     windows = _segment_backward(grid, ell_interior, ell_last)
 
     # exploration geometry: uniform box widened with time plus a drift margin
@@ -434,16 +432,15 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
                for tk in grid.points[::max(1, K // 8)])
 
     def box(tk):
-        r = exploration_radius * np.sqrt(exploration_floor ** 2 + tk) + fmag * tk
+        r = _EXPLORATION_RADIUS * np.sqrt(_EXPLORATION_FLOOR ** 2 + tk) + fmag * tk
         return x0v - r, x0v + r
 
-    clip_bound = None
-    if clip_y:
-        h0 = max(float(np.abs(coeffs.eval_h(tk, np.zeros((1, n)), z_ref)).max())
-                 for tk in grid.points[::max(1, K // 8)])
-        T = grid.horizon
-        grow = lambda s: coeffs.m_bound + T * (h0 + coeffs.c1 * (1.0 + s))
-        clip_bound = grow(grow(coeffs.m_bound))
+    # a-priori bound on |Y|, applied to every fitted Y evaluation
+    h0 = max(float(np.abs(coeffs.eval_h(tk, np.zeros((1, n)), z_ref)).max())
+             for tk in grid.points[::max(1, K // 8)])
+    T = grid.horizon
+    grow = lambda s: coeffs.m_bound + T * (h0 + coeffs.c1 * (1.0 + s))
+    clip_bound = grow(grow(coeffs.m_bound))
 
     phi_fits = [None] * K
     z_fits = [None] * K
@@ -458,15 +455,13 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         wsol, wrep = picard_window(
             coeffs, grid.window(a, b), terminal_map, starts, ensemble.increments[:, a:b],
             tol=tol, max_iter=max_iter, basis=basis, terminal_lipschitz=lip,
-            force=force, initial_guess=initial_guess, fit_window_fn=box,
-            clip_bound=clip_bound)
+            initial_guess=initial_guess, fit_window_fn=box, clip_bound=clip_bound)
         reports[wi] = wrep
         for k in range(a, b):
             phi_fits[k] = wsol.phi_fits[k - a]
             z_fits[k] = wsol.z_fits[k - a]
-        head = phi_fits[a]
-        terminal_map = head.evaluate if clip_bound is None else (
-            lambda x, _f=head, _c=clip_bound: np.clip(_f.evaluate(x), -_c, _c))
+        terminal_map = (lambda x, _f=phi_fits[a]:
+                        np.clip(_f.evaluate(x), -clip_bound, clip_bound))
 
     # forward assembly on the actual ensemble
     t = grid.points
@@ -482,8 +477,7 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         V[a] = offset
         for k in range(a, b):
             yk, zk = evaluate_step_maps(phi_fits[k], z_fits[k], X[k])
-            if clip_bound is not None:
-                np.clip(yk, -clip_bound, clip_bound, out=yk)
+            np.clip(yk, -clip_bound, clip_bound, out=yk)
             Y[k], Z[k] = yk, zk
             vloc = vloc + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
             if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
@@ -562,21 +556,36 @@ def write_path_csv(path, columns, block: np.ndarray) -> None:
                           for k, row in enumerate(rows))
 
 
+def write_grid_csv(path, grid: TimeGrid, named, path_limit: int | None = None) -> None:
+    """Write rows ``path,step,t,<named columns>`` at every point of ``grid``.
+
+    ``named`` lists (letter, array) pairs in column order: a (P, K+1, c)
+    array gives columns ``<letter>0..``, and a (P, K, n, d) array, such as
+    the left-endpoint Z, gives ``<letter><i><j>`` with zeros at step K. Only
+    the first ``path_limit`` paths are written.
+    """
+    K = grid.num_steps
+    cols, blocks = ["t"], []
+    for letter, arr in named:
+        arr = arr[:path_limit]
+        if arr.ndim == 4:
+            P, _, n, d = arr.shape
+            cols += [f"{letter}{i}{j}" for i in range(n) for j in range(d)]
+            padded = np.zeros((P, K + 1, n * d))
+            padded[:, :K] = arr.reshape(P, K, n * d)
+            arr = padded
+        else:
+            cols += [f"{letter}{i}" for i in range(arr.shape[2])]
+        blocks.append(arr)
+    t = np.broadcast_to(grid.points[None, :, None], (blocks[0].shape[0], K + 1, 1))
+    write_path_csv(path, cols, np.concatenate([t, *blocks], axis=2))
+
+
 def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,
                     path_limit: int | None = None, config_echo: dict | None = None):
     """Write per-path rows (path, step, t, V.., X.., Y.., Z..) plus a JSON sidecar."""
-    P = sol.num_paths if path_limit is None else min(path_limit, sol.num_paths)
-    K = sol.grid.num_steps
-    n = sol.V.shape[2]
-    d = sol.X.shape[2]
-    cols = (["t"] + [f"V{i}" for i in range(n)] + [f"X{j}" for j in range(d)]
-            + [f"Y{i}" for i in range(n)]
-            + [f"Z{i}{j}" for i in range(n) for j in range(d)])
-    z = np.zeros((P, K + 1, n * d))
-    z[:, :K] = sol.Z[:P].reshape(P, K, n * d)
-    t = np.broadcast_to(sol.grid.points[None, :, None], (P, K + 1, 1))
-    write_path_csv(csv_path, cols,
-                   np.concatenate([t, sol.V[:P], sol.X[:P], sol.Y[:P], z], axis=2))
+    write_grid_csv(csv_path, sol.grid, [("V", sol.V), ("X", sol.X), ("Y", sol.Y), ("Z", sol.Z)],
+                   path_limit)
     if sidecar_path is not None:
         side = {
             "seed": sol.seed,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import CoefficientSet, FdeSolution, write_json, write_path_csv
+from .fde import CoefficientSet, FdeSolution, write_grid_csv, write_json
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import (MIN_PATHS_PER_FUNCTION, RegressionBasis, StepRegression,
                          density_target, polynomial_basis)
@@ -141,16 +141,16 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
 
 
 def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
-                       basis: RegressionBasis | None = None, *,
-                       probe_steps=None, region_halfwidth: float = 2.0,
-                       points_per_dim: int = 21) -> dict:
+                       basis: RegressionBasis | None = None) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
     (dY + (h + Z f) dt) * dW / dt on the state with terminal weights; the
     sampling-measure surface is the solve's stored fit. Both sides live in the
     same approximation space (the stored fit's basis unless overridden), so
-    the discrepancy measures the measure change, not the basis. Returns the
+    the discrepancy measures the measure change, not the basis. The probes
+    are the steps near a quarter, a half and three quarters of the horizon,
+    each on a grid of 21 points per dimension within 2 of x0. Returns the
     maximum absolute discrepancy over the probe steps and evaluation grid.
     """
     K = sol.grid.num_steps
@@ -163,16 +163,15 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         raise InsufficientWeightError(
             f"effective sample size {ess:.1f} below "
             f"{MIN_PATHS_PER_FUNCTION * basis.n_functions}")
-    if probe_steps is None:
-        probe_steps = sorted({max(1, K // 4), K // 2, max(1, (3 * K) // 4)})
+    probe_steps = sorted({max(1, K // 4), K // 2, max(1, (3 * K) // 4)})
     center = sol.x0 if sol.x0 is not None else np.zeros(d)
 
     def probe_mesh(states):
         # central region clipped to the bulk of the actual states: the
         # reweighted fit has no data beyond them
-        lo = np.maximum(center - region_halfwidth, np.quantile(states, 0.01, axis=0))
-        hi = np.minimum(center + region_halfwidth, np.quantile(states, 0.99, axis=0))
-        axes = [np.linspace(a, b, points_per_dim) for a, b in zip(lo, hi)]
+        lo = np.maximum(center - 2.0, np.quantile(states, 0.01, axis=0))
+        hi = np.minimum(center + 2.0, np.quantile(states, 0.99, axis=0))
+        axes = [np.linspace(a, b, 21) for a, b in zip(lo, hi)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
     t = sol.grid.points
@@ -194,19 +193,18 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
-                   basis: RegressionBasis | None = None) -> dict:
+def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dict:
     """Conditional remaining quadratic variation of N at deterministic probes.
 
     For each probe, regress sum_{k >= probe} |f_k|^2 dt_k on the probe state
-    and report the mean and 99th percentile of the fitted values. Probes at
-    deterministic times stand in for stopping times; this is a diagnostic,
-    not a proof device.
+    in a quadratic polynomial basis and report the mean and 99th percentile
+    of the fitted values. Probes at deterministic times stand in for
+    stopping times; this is a diagnostic, not a proof device.
     """
     K = sol.grid.num_steps
     t = sol.grid.points
     dt = sol.grid.dt
-    basis = basis or polynomial_basis(2, coeffs.d)
+    basis = polynomial_basis(2, coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
     f_sq = np.empty((sol.num_paths, K))
@@ -236,17 +234,8 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times,
 def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
                          path_limit: int | None = None, config_echo: dict | None = None):
     """CSV of (path, step, t, Y.., Z.., W..) plus a weights-summary sidecar."""
-    P = weak.Y.shape[0] if path_limit is None else min(path_limit, weak.Y.shape[0])
-    K = weak.grid.num_steps
-    n = weak.Y.shape[2]
-    d = weak.W.shape[2]
-    cols = (["t"] + [f"Y{i}" for i in range(n)]
-            + [f"Z{i}{j}" for i in range(n) for j in range(d)]
-            + [f"W{j}" for j in range(d)])
-    z = np.zeros((P, K + 1, n * d))
-    z[:, :K] = weak.Z[:P].reshape(P, K, n * d)
-    t = np.broadcast_to(weak.grid.points[None, :, None], (P, K + 1, 1))
-    write_path_csv(csv_path, cols, np.concatenate([t, weak.Y[:P], z, weak.W[:P]], axis=2))
+    write_grid_csv(csv_path, weak.grid, [("Y", weak.Y), ("Z", weak.Z), ("W", weak.W)],
+                   path_limit)
     if sidecar_path is not None:
         side = {"residual": {k: float(v) for k, v in weak.residual.items()},
                 "weights": {

@@ -287,8 +287,6 @@ class FittedConditional:
     def evaluate(self, states: np.ndarray) -> np.ndarray:
         return self.evaluate_on(self.design(states))
 
-    __call__ = evaluate
-
 
 class StepRegression:
     """Shared design for several fits against the same conditioning states.

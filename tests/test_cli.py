@@ -155,7 +155,21 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         ("K = 16", "K = 16\ndt = 0.1", "does not read dt", "it reads T, K, c4"),
         ("K = 16", "K = 16\n\n[solver]\ntols = 1e-9", "does not read tols", "it reads tol,"),
         ("K = 16", "K = 16\n\n[output]\nexport_path = 5", "does not read export_path",
-         "it reads export_paths, quiet"),
+         "it reads export_paths\n"),
+        # the exploration box, the Y clip and the mesh check are fixed in the
+        # solver, and --quiet is a command-line flag only
+        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = nan",
+         "does not read exploration_radius", "it reads tol,"),
+        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = -2.2",
+         "does not read exploration_radius", "it reads tol,"),
+        ("K = 16", "K = 16\n\n[solver]\nexploration_floor = inf",
+         "does not read exploration_floor", "it reads tol,"),
+        ("K = 16", "K = 16\n\n[solver]\nclip_y = false", "does not read clip_y",
+         "it reads tol,"),
+        ("K = 16", "K = 16\n\n[solver]\nforce = true", "does not read force",
+         "it reads tol,"),
+        ("K = 16", "K = 16\n\n[output]\nquiet = true", "does not read quiet",
+         "it reads export_paths\n"),
         ("K = 16", "K = 16\n\n[solvr]\ntol = 1e-9", "reads no section [solvr]",
          "[solver]"),
         ("K = 16", "K = 16\n\n[market]\ngamma = 1", "reads no section [market]",
@@ -175,14 +189,7 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 1"),
         ("K = 16", "K = 16\n\n[output]\nexport_paths = -1",
          "export_paths must be non-negative"),
-        # a non-finite or inverted exploration box would crash the solve;
         # degree 0 and an empty kind would run silently with the fixture's basis
-        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = nan",
-         "exploration_radius must be finite"),
-        ("K = 16", "K = 16\n\n[solver]\nexploration_radius = -2.2",
-         "exploration_radius must be finite and non-negative"),
-        ("K = 16", "K = 16\n\n[solver]\nexploration_floor = inf",
-         "exploration_floor must be finite"),
         ("K = 16", "K = 16\n\n[solver]\nbasis_degree = 0", "basis_degree must be at least 1"),
         ("K = 16", "K = 16\n\n[solver]\nbasis_kind =",
          "basis_kind must be polynomial or quantile-linear, got ''"),
@@ -499,3 +506,42 @@ def test_substream_seeds_are_stable_and_distinct():
     s4 = cli.substream_seed(124, "tanh_terminal:ensemble")
     assert s1 == s2
     assert len({s1, s3, s4}) == 3
+
+
+def _perfbench_layertrace():
+    """perfbench/layertrace.py, loaded from the checkout without running it."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_traces_exists():
+    import importlib
+    for mod_name, attr, _, _ in _perfbench_layertrace().WRAPPED:
+        owner = importlib.import_module(f"fdeflow.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("config, entry", [(None, "solve_global"),
+                                           ("portfolio.cfg", "solve_portfolio")])
+def test_run_reaches_the_solver_names_the_benchmark_times(tmp_path, monkeypatch,
+                                                           config, entry):
+    # the benchmark times solve_s by rebinding these names on cli
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, entry, reached)
+    out = tmp_path / "out"
+    path = (_write(tmp_path, TRIVIAL_CFG.format(out=out)) if config is None
+            else _shipped_config(config, tmp_path, out=out))
+    with pytest.raises(Reached):
+        cli.run(cli.load_config(path))

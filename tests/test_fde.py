@@ -279,15 +279,6 @@ def test_solve_global_rejects_too_coarse_grid():
     assert ff.build_uniform_grid(3.0, steps).mesh <= ell * (1 + 1e-12)
 
 
-def test_solve_global_rejects_non_finite_exploration_settings():
-    grid = ff.build_uniform_grid(1.0, 8)
-    ens = ff.sample_ensemble(grid, 2000, 1, 15)
-    for kwargs in ({"exploration_radius": np.nan}, {"exploration_radius": -1.0},
-                   {"exploration_floor": np.inf}):
-        with pytest.raises(InvalidArgumentError, match="must be finite"):
-            ff.solve_global(_coeffs(), grid, 0.0, ens, **kwargs)
-
-
 @pytest.mark.parametrize("bad", ["y", "z"])
 def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
     # a fitted surface that returns NaN at one step must stop the assembly
