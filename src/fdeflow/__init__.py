@@ -13,7 +13,7 @@ from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, sample_ensemble, segment_windows)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
-                         polynomial_basis, quantile_linear_basis)
+                         polynomial_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
                   export_solution, picard_window, solve_global)
 from .girsanov import (MeasureChange, WeakSolution, assemble_weak_solution,
@@ -33,7 +33,7 @@ __all__ = [
     "build_uniform_grid", "contraction_window_length", "segment_windows",
     "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
-    "polynomial_basis", "quantile_linear_basis",
+    "polynomial_basis",
     "CoefficientSet", "FdeSolution", "PicardReport",
     "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
     "MeasureChange", "WeakSolution", "build_measure_change",

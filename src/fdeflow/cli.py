@@ -6,7 +6,8 @@ through named sub-streams, and identical config plus seed reproduces CSV
 outputs byte for byte (wall-clock timings live only in the JSON sidecars).
 
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config or
-environment errors, 3 solver divergence or numerical breakdown (too little
+environment errors (including a path or step count whose arrays cannot be
+allocated), 3 solver divergence or numerical breakdown (too little
 importance weight for a reweighted fit, or a non-finite state).
 """
 
@@ -33,7 +34,7 @@ from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_cha
 from .grid import build_uniform_grid, sample_ensemble
 from .portfolio import (export_portfolio_results, merton_fraction, solve_portfolio,
                         verify_martingale_optimality)
-from .regression import polynomial_basis, quantile_linear_basis
+from .regression import polynomial_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
 ENDOWMENTS = {"zero": "merton", "tanh": "endowment"}   # [market] endowment -> fixture
@@ -46,12 +47,17 @@ _DRIFT_ATOL = 5e-5
 _BREAKDOWNS = (PicardDivergedError, InsufficientWeightError, InvalidStateError)
 
 
-def _exit_code(exc: FdeflowError) -> int:
+def _exit_code(exc: Exception) -> int:
     return 3 if isinstance(exc, _BREAKDOWNS) else 2
 
 
 class ConfigError(FdeflowError):
     """Config parse or validation failure (exit code 2)."""
+
+
+# the errors that end a run with exit 2 or 3; a MemoryError comes from a path
+# or step count whose arrays cannot be allocated, so it is a config error
+_RUN_ERRORS = (ConfigError, InvalidArgumentError, MemoryError, *_BREAKDOWNS)
 
 
 @dataclass
@@ -106,7 +112,6 @@ class ExperimentConfig:
     c4: float | None = None
     tol: float = 1e-4
     max_iter: int = 50
-    basis_kind: str | None = None
     basis_degree: int | None = None
     export_paths: int = 200
     market: dict = field(default_factory=dict)
@@ -128,7 +133,6 @@ _OPTIONAL_KEYS = (
     ("grid", "c4", "c4", float),
     ("solver", "tol", "tol", float),
     ("solver", "max_iter", "max_iter", int),
-    ("solver", "basis_kind", "basis_kind", str),
     ("solver", "basis_degree", "basis_degree", int),
     ("output", "export_paths", "export_paths", int),
 )
@@ -226,9 +230,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
     if cfg.basis_degree is not None and cfg.basis_degree < 1:
         raise ConfigError(f"[solver] basis_degree must be at least 1, got {cfg.basis_degree}")
-    if cfg.basis_kind not in (None, "polynomial", "quantile-linear"):
-        raise ConfigError(f"[solver] basis_kind must be polynomial or quantile-linear, "
-                          f"got {cfg.basis_kind!r}")
     if cfg.max_iter < 1:
         raise ConfigError(f"[solver] max_iter must be at least 1, got {cfg.max_iter}")
     if cfg.export_paths < 0:
@@ -238,13 +239,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
-    if cfg.basis_kind is None and cfg.basis_degree is None:
+    if cfg.basis_degree is None:
         return fixture.basis
-    kind = fixture.basis.kind if cfg.basis_kind is None else cfg.basis_kind
-    p = fixture.basis.p if cfg.basis_degree is None else cfg.basis_degree
-    if kind == "polynomial":
-        return polynomial_basis(p, fixture.basis.state_dim)
-    return quantile_linear_basis(p)
+    return polynomial_basis(cfg.basis_degree, fixture.basis.state_dim)
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
@@ -488,7 +485,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
     failure = None
     try:
         _run_problem(cfg, out_dir, report)
-    except (ConfigError, InvalidArgumentError, *_BREAKDOWNS) as exc:
+    except _RUN_ERRORS as exc:
         failure = exc
         report.error = str(exc)
         report.exit_code = _exit_code(exc)
@@ -589,7 +586,7 @@ def main(argv=None) -> int:
     try:
         lock = _acquire_lock(Path(cfg.out_dir))
         report = run(cfg)
-    except (ConfigError, InvalidArgumentError, *_BREAKDOWNS) as exc:
+    except _RUN_ERRORS as exc:
         if isinstance(exc, PicardDivergedError):
             dump = Path(cfg.out_dir) / "picard_report.json"
             payload = {"error": str(exc)}

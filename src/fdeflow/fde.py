@@ -89,8 +89,11 @@ class CoefficientSet:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise InvalidArgumentError("dimensions must be >= 1")
-        if self.c1 < 0 or self.c2 < 0 or self.m_bound < 0:
-            raise InvalidArgumentError("constants must be non-negative")
+        for name in ("c1", "c2", "m_bound"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise InvalidArgumentError(
+                    f"{name} must be finite and non-negative, got {value}")
         self._spot_check()
 
     def eval_h(self, t, y, z):
@@ -397,8 +400,9 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     (c1, c2), the interior ones from (c1, c4) through
     ``contraction_window_length``. ``c4`` is the gradient bound of the fitted
     maps the interior windows consume; it defaults to the terminal Lipschitz
-    constant. The reported y0 is the plain path average
-    of phi(X_T) + V_T on the actual ensemble, with its standard error.
+    constant and must be finite and non-negative. The reported y0 is the
+    plain path average of phi(X_T) + V_T on the actual ensemble, with its
+    standard error.
     """
     if ensemble.dim != coeffs.d:
         raise InvalidArgumentError(
@@ -410,6 +414,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     K = grid.num_steps
     basis = basis or polynomial_basis(3, d)
     c4_eff = coeffs.c2 if c4 is None else float(c4)
+    if not 0 <= c4_eff < np.inf:
+        raise InvalidArgumentError(f"c4 must be finite and non-negative, got {c4}")
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,)).copy()
     if not np.all(np.isfinite(x0v)):
         raise InvalidArgumentError("x0 must be finite")
@@ -543,26 +549,14 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_path_csv(path, columns, block: np.ndarray) -> None:
-    """Write rows ``path,step,<floats>`` from a (P, steps, F) block.
-
-    ``columns`` names the F value columns. Values are written with ``repr``,
-    so every cell parses back to the exact float64 it came from.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["path", "step", *columns]) + "\n")
-        for p, rows in enumerate(np.asarray(block, dtype=float).tolist()):
-            fh.writelines(f"{p},{k}," + ",".join(map(repr, row)) + "\n"
-                          for k, row in enumerate(rows))
-
-
 def write_grid_csv(path, grid: TimeGrid, named, path_limit: int | None = None) -> None:
     """Write rows ``path,step,t,<named columns>`` at every point of ``grid``.
 
     ``named`` lists (letter, array) pairs in column order: a (P, K+1, c)
     array gives columns ``<letter>0..``, and a (P, K, n, d) array, such as
     the left-endpoint Z, gives ``<letter><i><j>`` with zeros at step K. Only
-    the first ``path_limit`` paths are written.
+    the first ``path_limit`` paths are written. Values are written with
+    ``repr``, so every cell parses back to the exact float64 it came from.
     """
     K = grid.num_steps
     cols, blocks = ["t"], []
@@ -578,7 +572,11 @@ def write_grid_csv(path, grid: TimeGrid, named, path_limit: int | None = None) -
             cols += [f"{letter}{i}" for i in range(arr.shape[2])]
         blocks.append(arr)
     t = np.broadcast_to(grid.points[None, :, None], (blocks[0].shape[0], K + 1, 1))
-    write_path_csv(path, cols, np.concatenate([t, *blocks], axis=2))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["path", "step", *cols]) + "\n")
+        for p, rows in enumerate(np.concatenate([t, *blocks], axis=2).tolist()):
+            fh.writelines(f"{p},{k}," + ",".join(map(repr, row)) + "\n"
+                          for k, row in enumerate(rows))
 
 
 def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,

@@ -155,9 +155,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     """
     K = sol.grid.num_steps
     d = coeffs.d
-    if basis is None:
-        stored = sol.z_fits[K // 2].basis
-        basis = stored if stored.kind == "polynomial" else polynomial_basis(3, d)
+    basis = basis or sol.z_fits[K // 2].basis
     ess = mc.effective_sample_size
     if ess < MIN_PATHS_PER_FUNCTION * basis.n_functions:
         raise InsufficientWeightError(

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
-from .fde import (CoefficientSet, FdeSolution, evaluate_step_maps, solve_global,
-                  write_json, write_path_csv)
+from .fde import CoefficientSet, FdeSolution, evaluate_step_maps, solve_global, write_json
 from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import RegressionBasis, polynomial_basis
@@ -329,9 +328,8 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
 
 
 def export_portfolio_results(psol: PortfolioSolution, json_path, *,
-                             pi_csv_path=None, path_limit: int | None = None,
                              config_echo: dict | None = None):
-    """Results JSON (y0, value, strategy summary, drift table) and optional pi* CSV."""
+    """Results JSON: y0, value, strategy summary and drift table."""
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
@@ -354,7 +352,3 @@ def export_portfolio_results(psol: PortfolioSolution, json_path, *,
                     "step_se": [float(v) for v in r["step_se"]]}
             for label, r in rep["strategies"].items()}
     write_json(json_path, summary)
-    if pi_csv_path is not None:
-        pi = psol.pi_star[:path_limit]
-        t = np.broadcast_to(psol.grid.points[:-1], pi.shape)
-        write_path_csv(pi_csv_path, ["t", "pi_star"], np.stack([t, pi], axis=2))

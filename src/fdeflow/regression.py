@@ -1,7 +1,7 @@
 """Regression-based conditional expectations and the covariance-identity Z target.
 
-Least-squares Monte Carlo: project per-path payoffs onto basis functions of a
-conditioning state, through ``StepRegression``. Fits can be restricted to a
+Least-squares Monte Carlo: project per-path payoffs onto global monomials of
+a conditioning state, through ``StepRegression``. Fits can be restricted to a
 state box (the standard in-region trick from exercise-boundary regressions);
 outside the box a fitted surface continues linearly from the boundary, which
 keeps far-tail evaluations bounded without distorting the fit region.
@@ -25,39 +25,24 @@ _DESIGN_BLOCK_ROWS = 8192     # rows per monomial-design block (about 1 MiB, a c
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Basis family for conditional-expectation fits.
+    """Global monomials up to total degree p in a state of dimension state_dim."""
 
-    kind: "polynomial" (global monomials up to total degree p) or
-    "quantile-linear" (piecewise-linear hats on p quantile bins, 1-D states).
-    """
-
-    kind: str
     p: int
     state_dim: int
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "quantile-linear"):
-            raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
         if self.p < 1:
             raise InvalidArgumentError(f"basis size must be >= 1, got {self.p}")
         if self.state_dim < 1:
             raise InvalidArgumentError(f"state_dim must be >= 1, got {self.state_dim}")
-        if self.kind == "quantile-linear" and self.state_dim != 1:
-            raise InvalidArgumentError("quantile-linear basis supports 1-D states only")
 
     @property
     def n_functions(self) -> int:
-        if self.kind == "polynomial":
-            return math.comb(self.p + self.state_dim, self.state_dim)
-        return self.p + 1
+        return math.comb(self.p + self.state_dim, self.state_dim)
 
 
 def polynomial_basis(degree: int, state_dim: int) -> RegressionBasis:
-    return RegressionBasis("polynomial", degree, state_dim)
-
-
-def quantile_linear_basis(bins: int) -> RegressionBasis:
-    return RegressionBasis("quantile-linear", bins, 1)
+    return RegressionBasis(degree, state_dim)
 
 
 def monomial_exponents(state_dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -97,18 +82,6 @@ def _monomial_design(u: np.ndarray, exps) -> np.ndarray:
             for f in factors[1:-1]:
                 c = c * f
             np.multiply(c, factors[-1], out=block[:, i])
-    return A
-
-
-def _hat_design(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    A = np.zeros((x.size, k.size))
-    idx = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
-    left = k[idx]
-    width = k[idx + 1] - left
-    lam = np.clip((x - left) / width, 0.0, 1.0)
-    rows = np.arange(x.size)
-    A[rows, idx] = 1.0 - lam
-    A[rows, idx + 1] = lam
     return A
 
 
@@ -202,35 +175,6 @@ class _PolynomialSurface:
         return out
 
 
-class _HatSurface:
-    """Hat-function knots; outside them a fit continues with its end slopes."""
-
-    def __init__(self, knots):
-        self.knots = knots    # (m,)
-
-    def design(self, states):
-        return states[:, 0]
-
-    def apply(self, x, values):
-        k = self.knots
-        # np.interp per output column with end-slope linear continuation
-        out = np.empty((x.size, values.shape[1]))
-        for c in range(values.shape[1]):
-            v = values[:, c]
-            y = np.interp(x, k, v)
-            if k.size >= 2:
-                left = x < k[0]
-                if left.any():
-                    slope = (v[1] - v[0]) / (k[1] - k[0])
-                    y[left] = v[0] + slope * (x[left] - k[0])
-                right = x > k[-1]
-                if right.any():
-                    slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
-                    y[right] = v[-1] + slope * (x[right] - k[-1])
-            out[:, c] = y
-        return out
-
-
 class _ConstantSurface:
     """The degenerate fit: the (weighted) mean target on every row."""
 
@@ -258,8 +202,8 @@ class EvaluationDesign:
 class FittedConditional:
     """A fitted conditional-mean surface for one time step.
 
-    Holds the coefficients on the surface's standardized basis (monomials of
-    the centred and scaled state, or hat node values); ``evaluate`` reads it.
+    Holds the coefficients on the monomials of the centred and scaled state
+    (or the mean, for a degenerate fit); ``evaluate`` reads it.
     """
 
     basis: RegressionBasis
@@ -309,9 +253,9 @@ class StepRegression:
     states are bitwise equal to the ones it was built on (``built_on``), the
     caller keeps it, and with it the design, the Gram matrix, the ridge, the
     eigenvalue check and the in-sample evaluation design
-    (``in_sample_design``), instead of building them again. When a polynomial
-    fit keeps every row, the in-sample design is the fit design itself, so
-    a kept regression holds one design.
+    (``in_sample_design``), instead of building them again. When a
+    non-degenerate fit keeps every row, the in-sample design is the fit
+    design itself, so a kept regression holds one design.
     """
 
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
@@ -354,23 +298,15 @@ class StepRegression:
         self._surface = _ConstantSurface()
         if self.degenerate:
             return
-        if basis.kind == "polynomial":
-            center = sel.mean(axis=0)
-            scale = np.maximum(sel.std(axis=0), _DEGENERATE_SPAN)
-            exps = monomial_exponents(basis.state_dim, basis.p)
-            u = np.empty(sel.shape[::-1])
-            for j, col in enumerate(sel.T):
-                np.subtract(col, center[j], out=u[j])
-                u[j] /= scale[j]
-            self._design = _monomial_design(u.T, exps)
-            self._surface = _PolynomialSurface(exps, center, scale, lo, hi)
-        else:
-            knots = np.unique(np.quantile(sel[:, 0], np.linspace(0.0, 1.0, basis.p + 1)))
-            if knots.size < 2:
-                self.degenerate = True
-                return
-            self._design = _hat_design(knots, sel[:, 0])
-            self._surface = _HatSurface(knots)
+        center = sel.mean(axis=0)
+        scale = np.maximum(sel.std(axis=0), _DEGENERATE_SPAN)
+        exps = monomial_exponents(basis.state_dim, basis.p)
+        u = np.empty(sel.shape[::-1])
+        for j, col in enumerate(sel.T):
+            np.subtract(col, center[j], out=u[j])
+            u[j] /= scale[j]
+        self._design = _monomial_design(u.T, exps)
+        self._surface = _PolynomialSurface(exps, center, scale, lo, hi)
         self._design_w = (self._design if self.weights is None
                           else self._design * self.weights[:, None])
         gram = self._design_w.T @ self._design
@@ -394,14 +330,14 @@ class StepRegression:
         """Evaluation design of the states this regression was built on.
 
         Built on first use and kept; every fit of this regression evaluates
-        from it, bitwise as ``fit.evaluate(self.states)`` would. A polynomial
-        fit that keeps every row has its clip box at the min and max of these
+        from it, bitwise as ``fit.evaluate(self.states)`` would. A
+        non-degenerate fit that keeps every row has its clip box at the min and max of these
         states, so nothing is clipped, no row takes the linear continuation,
         and the fit design is already that design.
         """
         if self._in_sample is None:
             rows = self.states.shape[0]
-            if isinstance(self._surface, _PolynomialSurface) and self.fit_states.shape[0] == rows:
+            if not self.degenerate and self.fit_states.shape[0] == rows:
                 data = (self._design, [])
             else:
                 data = self._surface.design(self.states)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdeflow import cli
 from fdeflow.errors import InvalidArgumentError
@@ -189,10 +192,10 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 1"),
         ("K = 16", "K = 16\n\n[output]\nexport_paths = -1",
          "export_paths must be non-negative"),
-        # degree 0 and an empty kind would run silently with the fixture's basis
+        # degree 0 would run silently with the fixture's basis; every fit is
+        # polynomial, so there is no basis kind to choose
         ("K = 16", "K = 16\n\n[solver]\nbasis_degree = 0", "basis_degree must be at least 1"),
-        ("K = 16", "K = 16\n\n[solver]\nbasis_kind =",
-         "basis_kind must be polynomial or quantile-linear, got ''"),
+        ("K = 16", "K = 16\n\n[solver]\nbasis_kind =", "[solver] does not read basis_kind"),
     ]
     for i, (old, new, named) in enumerate(cases):
         body = TRIVIAL_CFG.replace(old, new).format(out=tmp_path / "out")
@@ -253,6 +256,86 @@ def test_argument_error_inside_the_run_exits_two_with_report(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["exit_code"] == 2 and "contraction window" in report["error"]
     assert report["assertions"] == []
+
+
+# 1e15 float64 values (8 PB) exceed any address space, so the allocation
+# fails at once whatever the machine's overcommit policy
+HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("K, args", [("16", ["--paths", HUGE]), (HUGE, [])])
+def test_unallocatable_size_exits_two_with_report(tmp_path, capsys, K, args):
+    body = TRIVIAL_CFG.replace("K = 16", f"K = {K}").format(out=tmp_path / "out")
+    assert cli.main(["run", _write(tmp_path, body), *args]) == 2
+    text = capsys.readouterr().out
+    assert text.startswith("config error: Unable to allocate") and text.count("\n") == 1
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["exit_code"] == 2 and report["error"] in text
+
+
+@pytest.mark.parametrize("c4", ["nan", "inf", "-1"])
+def test_invalid_c4_exits_two_and_names_it(tmp_path, capsys, c4):
+    # trivial has c1 = 0, where the window rule ignores c4 altogether
+    body = TRIVIAL_CFG.replace("K = 16", f"K = 16\nc4 = {c4}").format(out=tmp_path / "out")
+    assert cli.main(["run", _write(tmp_path, body)]) == 2
+    assert "c4 must be finite and non-negative" in capsys.readouterr().out
+
+
+# the fixture section of each problem; {} is the drawn fixture parameter
+CONTRACT_BASES = {
+    "fbsde": "[coefficients]\nfixture = linear_driver\na = {}\n",
+    "portfolio": "[market]\nmu_s = 0.1\nsigma_bar_s = 0.2\ngamma = {}\n",
+}
+# key: (section, valid values); the valid sizes keep every solve small
+CONTRACT_KEYS = {
+    "T": ("grid", ["1.0", "0.5"]),
+    "K": ("grid", ["8", "32", "64"]),
+    "c4": ("grid", ["0", "0.5", "1.0"]),
+    "tol": ("solver", ["1e-4", "1e-2"]),
+    "max_iter": ("solver", ["50", "5"]),
+    "basis_degree": ("solver", ["2", "3", "5"]),
+    "num_paths": ("run", ["600", "2000"]),
+    "param": (None, ["0", "0.25", "0.5"]),
+}
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@given(base=st.sampled_from(sorted(CONTRACT_BASES)),
+       valid=st.fixed_dictionaries({k: st.sampled_from(v)
+                                    for k, (_, v) in CONTRACT_KEYS.items()}),
+       broken=st.dictionaries(st.sampled_from(sorted(CONTRACT_KEYS)),
+                              st.sampled_from(["0", "-1", *NON_FINITE, HUGE]),
+                              max_size=2))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, base, valid, broken):
+    values = {**valid, **broken}
+    out = tmp_path_factory.mktemp("contract")
+    rows = {"run": [f"problem = {base}", f"out = {out / 'out'}"]}
+    for key, (section, _) in CONTRACT_KEYS.items():
+        if section is not None:
+            rows.setdefault(section, []).append(f"{key} = {values[key]}")
+    body = CONTRACT_BASES[base].format(values["param"]) + "".join(
+        f"\n[{section}]\n" + "\n".join(lines) + "\n" for section, lines in rows.items())
+    real_run = cli.run
+    raised = []
+
+    def spied_run(cfg):
+        try:
+            return real_run(cfg)
+        except Exception:
+            raised.append(True)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()) as printed:
+        mp.setattr(cli, "run", spied_run)
+        code = cli.main(["run", _write(out, body), "--quiet"])
+    assert code in {0, 1, 2, 3}
+    if any(v in NON_FINITE for v in values.values()):
+        assert code in {2, 3} and printed.getvalue().count("\n") == 1
+    if raised:
+        report = json.loads((out / "out" / "run_report.json").read_text())
+        assert code in {2, 3} and report["exit_code"] == code
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):

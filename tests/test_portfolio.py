@@ -234,19 +234,11 @@ def test_portfolio_export(tmp_path, merton_small):
     psol.optimality_report = ff.verify_martingale_optimality(
         psol, (0.5,), fresh)
     out = tmp_path / "portfolio.json"
-    pi_csv = tmp_path / "pi.csv"
-    ff.export_portfolio_results(psol, out, pi_csv_path=pi_csv, path_limit=2)
+    ff.export_portfolio_results(psol, out)
     import json
     payload = json.loads(out.read_text())
     assert payload["y0"] == pytest.approx(psol.y0)
     assert "drift_table" in payload and "pi_star" in payload["drift_table"]
-    lines = pi_csv.read_text().splitlines()
-    assert lines[0] == "path,step,t,pi_star"
-    assert len(lines) == 1 + 2 * grid.num_steps
-    for line in lines[1:]:
-        p, k, t, pi = line.split(",")
-        p, k = int(p), int(k)
-        assert [float(t), float(pi)] == [grid.points[k], psol.pi_star[p, k]]
 
 
 def _bits(v):

@@ -230,13 +230,13 @@ def test_tower_property_within_residual_budget():
     assert diff <= 2 * residuals
 
 
-def test_quantile_linear_basis_fits_and_extrapolates_linearly():
+def test_boxed_polynomial_fit_extrapolates_linearly():
     x = RNG.standard_normal(50_000)
-    fit = _fit(x, np.tanh(x) + 0.05 * RNG.standard_normal(x.size),
-               ff.quantile_linear_basis(16))
+    sr = StepRegression(x, ff.polynomial_basis(7, 1), fit_window=(-2.5, 2.5))
+    fit = sr.fit(np.tanh(x) + 0.05 * RNG.standard_normal(x.size))
     probes = np.linspace(-1.8, 1.8, 25)
-    assert np.abs(fit.evaluate(probes)[:, 0] - np.tanh(probes)).max() <= 0.05
-    # beyond the data the continuation is linear in the outermost segment
+    assert np.abs(fit.evaluate(probes)[:, 0] - np.tanh(probes)).max() <= 0.02
+    # past the box the surface continues along its tangent at the boundary
     far = fit.evaluate(np.array([6.0, 7.0, 8.0]))[:, 0]
     assert np.allclose(np.diff(far, 2), 0.0, atol=1e-9)
 
@@ -388,15 +388,11 @@ def _sharing_case(name):
         x = rng.standard_normal((6000, 2))
         return (x, ff.polynomial_basis(3, 2), ((-1.2, -2.0), (1.6, 1.0)),
                 np.array([[-3.0, 0.0], [0.2, 4.0], [5.0, -5.0], [0.1, 0.1]]))
-    if name == "quantile_linear":
-        x = rng.standard_normal((6000, 1))
-        return x, ff.quantile_linear_basis(8), (-2.0, 2.0), np.array([[-6.0], [0.3], [6.0]])
     x = np.full((6000, 1), 0.25)   # degenerate: every state equal
     return x, ff.polynomial_basis(3, 1), None, np.array([[-1.0], [0.25], [3.0]])
 
 
-@pytest.mark.parametrize("name", ["poly_1d_deg7", "poly_2d_deg3", "quantile_linear",
-                                  "degenerate"])
+@pytest.mark.parametrize("name", ["poly_1d_deg7", "poly_2d_deg3", "degenerate"])
 def test_shared_and_in_sample_designs_match_evaluate_bitwise(name):
     states, basis, box, far = _sharing_case(name)
     rng = np.random.default_rng(5)
@@ -415,7 +411,7 @@ def test_shared_and_in_sample_designs_match_evaluate_bitwise(name):
     for fit in (y_fit, z_fit):
         assert np.array_equal(fit.evaluate_on(in_sample), fit.evaluate(states))
         assert np.array_equal(fit.evaluate_on(shared), fit.evaluate(probes))
-        if basis.kind == "polynomial" and not sr.degenerate:
+        if not sr.degenerate:
             assert np.array_equal(fit._surface.lo, sr.fit_states.min(axis=0))
             assert np.array_equal(fit._surface.hi, sr.fit_states.max(axis=0))
             flat = fit.evaluate(probes).reshape(probes.shape[0], -1)
