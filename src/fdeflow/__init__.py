@@ -16,9 +16,8 @@ from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
                   export_solution, picard_window, solve_global)
-from .girsanov import (MeasureChange, WeakSolution, assemble_weak_solution,
-                       bmo_diagnostic, build_measure_change, check_z_invariance,
-                       export_weak_solution)
+from .girsanov import (MeasureChange, assemble_weak_solution, bmo_diagnostic,
+                       build_measure_change, check_z_invariance, export_weak_solution)
 from .portfolio import (MarketModel, PortfolioSolution, build_portfolio_fbsde,
                         export_portfolio_results, solve_portfolio,
                         verify_martingale_optimality)
@@ -36,7 +35,7 @@ __all__ = [
     "polynomial_basis",
     "CoefficientSet", "FdeSolution", "PicardReport",
     "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
-    "MeasureChange", "WeakSolution", "build_measure_change",
+    "MeasureChange", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",
     "export_weak_solution",
     "MarketModel", "PortfolioSolution", "build_portfolio_fbsde",

@@ -245,22 +245,36 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
-    """Build grid/ensemble/coefficients for a fixture and run the solver."""
+    """Solve a fixture and build what its checks and exports read: the measure
+    change and weak residual (a market's from its solve, an fbsde fixture's only
+    for const_forward or a qbsde-weak run) and a market's optimality report."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
     settings = dict(c4=cfg.c4 if cfg.c4 is not None else fixture.c4, tol=cfg.tol,
                     basis=_basis_for(cfg, fixture), max_iter=cfg.max_iter)
-    grid = build_uniform_grid(T, K)
-    seed = substream_seed(cfg.seed, f"{fixture.name}:ensemble")
-    ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
-    built = fixture.build(**cfg.fixture_params)
-    if fixture.kind == "portfolio":
-        psol = solve_portfolio(built, grid, ensemble, **settings)
-        return {"grid": grid, "ensemble": ensemble, "portfolio": psol,
-                "sol": psol.fde_sol, "coeffs": psol.coeffs, "model": built}
-    sol = solve_global(built, grid, 0.0, ensemble, **settings)
-    return {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": built}
+    try:
+        grid = build_uniform_grid(T, K)
+        seed = substream_seed(cfg.seed, f"{fixture.name}:ensemble")
+        ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
+        built = fixture.build(**cfg.fixture_params)
+        if fixture.kind == "portfolio":
+            psol = solve_portfolio(built, grid, ensemble, **settings)
+            eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
+                cfg.seed, "portfolio:evaluation-ensemble"))
+            return {"grid": grid, "ensemble": ensemble, "portfolio": psol,
+                    "sol": psol.fde_sol, "coeffs": psol.coeffs, "model": built,
+                    "measure_change": psol.measure_change, "weak_residual": psol.weak_residual,
+                    "optimality": verify_martingale_optimality(
+                        psol, (0.5, 1.0, -0.5, -1.0), eval_ens)}
+        sol = solve_global(built, grid, 0.0, ensemble, **settings)
+        bundle = {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": built}
+        if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
+            mc = bundle["measure_change"] = build_measure_change(sol, built, ensemble)
+            bundle["weak_residual"] = assemble_weak_solution(sol, mc, built)
+        return bundle
+    except MemoryError as exc:
+        raise ConfigError(f"{exc}: num_paths = {paths} and K = {K} are too large") from None
 
 
 def _common_assertions(bundle) -> list:
@@ -298,6 +312,18 @@ def _oracle_sup(sol, exact) -> float:
     return worst
 
 
+def _ratio(num, den) -> float:
+    """num / den, with 0/0 (a zero-drift run's deviation and error bar) as 0 and x/0 as inf."""
+    if den == 0:
+        return 0.0 if num == 0 else float("inf")
+    return num / den
+
+
+def _weight_mean_check(mc) -> Assertion:
+    """The mean of the weights against 1, in standard errors."""
+    return _dev("weight_mean_dev_se", _ratio(abs(mc.weight_mean - 1.0), mc.weight_stderr), 5.0)
+
+
 def _fixture_assertions(name, bundle, cfg) -> list:
     sol = bundle["sol"]
     grid = bundle["grid"]
@@ -327,15 +353,14 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("pde_oracle_sup", _oracle_sup(sol, cn.at), 0.02))
     elif name == "const_forward":
         c = params["c"]
-        mc = bundle["measure_change"] = build_measure_change(sol, coeffs, ensemble)
+        mc = bundle["measure_change"]
         # summed over a path-major copy: the order of the sum is that of a C-order array
         b_t = np.ascontiguousarray(ensemble.increments[:, :, 0]).sum(axis=1)
         exact = np.exp(-c * b_t - 0.5 * c * c * T)
         out.append(_dev("weight_formula_dev", np.abs(mc.weights - exact).max(), 1e-10))
-        dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
-        out.append(_dev("weight_mean_dev_se", dev_se, 5.0))
-        weak = bundle["weak"] = assemble_weak_solution(sol, mc, coeffs)
-        out.append(_dev("weak_residual_weighted_rms", weak.residual["weighted_rms"], 0.1))
+        out.append(_weight_mean_check(mc))
+        out.append(_dev("weak_residual_weighted_rms",
+                        bundle["weak_residual"]["weighted_rms"], 0.1))
         fresh = sample_ensemble(build_uniform_grid(T, 1), ensemble.num_paths, 1,
                                 substream_seed(cfg.seed, f"{name}:evaluation-ensemble"))
         fresh_bt = fresh.increments[:, 0, 0]
@@ -352,9 +377,11 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         zinv = check_z_invariance(sol, mc, coeffs)
         out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
         bmo = bmo_diagnostic(sol, coeffs, [0.0, 0.25, 0.5])
-        bmo_dev = max(abs(row["mean"] - c * c * (T - row["t"])) / (c * c * (T - row["t"]))
+        bmo_dev = max(_ratio(abs(row["mean"] - c * c * (T - row["t"])), c * c * (T - row["t"]))
                       for row in bmo["per_probe"])
         out.append(_dev("bmo_const_rel_dev", bmo_dev, 0.05))
+    if cfg.problem == "qbsde-weak" and name != "const_forward":   # checked above otherwise
+        out.append(_weight_mean_check(bundle["measure_change"]))
     return out
 
 
@@ -362,12 +389,10 @@ def _portfolio_assertions(bundle, cfg) -> list:
     psol = bundle["portfolio"]
     model = bundle["model"]
     out = []
-    mc = psol.measure_change
-    dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
-    out.append(_dev("weight_mean_dev_se", dev_se, 5.0))
+    mc = bundle["measure_change"]
+    out.append(_weight_mean_check(mc))
     out.append(_dev("weight_tail_mass_999", mc.tail_mass_above_quantile(0.999), 0.01))
-    out.append(_dev("weak_residual_weighted_rms",
-                    psol.weak_sol.residual["weighted_rms"], 0.01))
+    out.append(_dev("weak_residual_weighted_rms", bundle["weak_residual"]["weighted_rms"], 0.01))
     # step by step: a whole (P, K) reference and its difference would set the peak
     frac = merton_fraction(model, psol.grid)
     pi_ident = np.zeros(())
@@ -397,16 +422,13 @@ def _portfolio_assertions(bundle, cfg) -> list:
                    for i in range(len(vals) - 1))
         out.append(_dev("bmo_monotone_slack", mono, 0.10))
     # out-of-sample optimality
-    eval_seed = substream_seed(cfg.seed, "portfolio:evaluation-ensemble")
-    eval_ens = sample_ensemble(psol.grid, psol.fde_sol.num_paths, 2, eval_seed)
-    report = verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
-    psol.optimality_report = report
+    report = bundle["optimality"]
     star = report["strategies"]["pi_star"]
     if model.g is None:
         # closed-form benchmark: the fitted surfaces are exact, so the
         # zero-drift test runs at full statistical sharpness
         out.append(_dev("optimality_star_total_drift_sigma",
-                        abs(star["total_drift"]) / star["total_se"], 3.0))
+                        _ratio(abs(star["total_drift"]), star["total_se"]), 3.0))
         step_ok = np.abs(star["step_drift"]) <= 3.0 * star["step_se"] + _DRIFT_ATOL
         out.append(Assertion("optimality_star_step_drift_3sigma",
                              float(np.abs(star["step_drift"]).max()),
@@ -451,12 +473,12 @@ def _write_verdicts_csv(path, rows):
                      f"{int(a.passed)}\n")
 
 
-def _evaluate_fixture(name, cfg, out_dir, report):
+def _evaluate_fixture(name, cfg, out_dir, report) -> list:
+    """Solve one fixture, check it, write its files, and return its assertions."""
     fixture = get_fixture(name)
     t0 = time.perf_counter()
     bundle = _solve_fixture(fixture, cfg)
-    solve_time = time.perf_counter() - t0
-    report.wall_clock[f"{name}:solve"] = solve_time
+    report.wall_clock[f"{name}:solve"] = time.perf_counter() - t0
     assertions = _common_assertions(bundle)
     if fixture.kind == "portfolio":
         assertions += _portfolio_assertions(bundle, cfg)
@@ -469,10 +491,17 @@ def _evaluate_fixture(name, cfg, out_dir, report):
     report.outputs += [csv_path, side_path]
     if fixture.kind == "portfolio":
         pj = out_dir / f"{name}_portfolio.json"
-        export_portfolio_results(bundle["portfolio"], pj, config_echo=cfg.echo())
+        export_portfolio_results(bundle["portfolio"], bundle["optimality"], pj,
+                                 config_echo=cfg.echo())
         report.outputs.append(pj)
+    if cfg.problem == "qbsde-weak":
+        wcsv = out_dir / f"{name}_weak.csv"
+        wjson = out_dir / f"{name}_weak.json"
+        export_weak_solution(bundle["sol"], bundle["measure_change"], bundle["weak_residual"],
+                             wcsv, wjson, path_limit=cfg.export_paths, config_echo=cfg.echo())
+        report.outputs += [wcsv, wjson]
     report.wall_clock[f"{name}:total"] = time.perf_counter() - t0
-    return bundle, assertions
+    return assertions
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
@@ -508,20 +537,7 @@ def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> Non
         names = [cfg.fixture]
     rows = []
     for name in names:
-        bundle, assertions = _evaluate_fixture(name, cfg, out_dir, report)
-        if cfg.problem == "qbsde-weak":
-            if "weak" not in bundle:   # const_forward's checks have built and checked them
-                mc = bundle["measure_change"] = build_measure_change(
-                    bundle["sol"], bundle["coeffs"], bundle["ensemble"])
-                bundle["weak"] = assemble_weak_solution(bundle["sol"], mc, bundle["coeffs"])
-                dev_se = abs(float(mc.weight_mean) - 1.0) / mc.weight_stderr
-                assertions.append(_dev("weight_mean_dev_se", dev_se, 5.0))
-            wcsv = out_dir / f"{name}_weak.csv"
-            wjson = out_dir / f"{name}_weak.json"
-            export_weak_solution(bundle["weak"], wcsv, wjson, path_limit=cfg.export_paths,
-                                 config_echo=cfg.echo())
-            report.outputs += [wcsv, wjson]
-        del bundle   # no bundle stays alive through the next solve
+        assertions = _evaluate_fixture(name, cfg, out_dir, report)
         report.assertions += assertions
         rows += [(name, a) for a in assertions]
     verdicts = out_dir / "verdicts.csv"

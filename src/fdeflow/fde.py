@@ -549,7 +549,7 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_grid_csv(path, grid: TimeGrid, named, path_limit: int | None = None) -> None:
+def write_grid_csv(path, grid: TimeGrid, named, path_limit: int) -> None:
     """Write rows ``path,step,t,<named columns>`` at every point of ``grid``.
 
     ``named`` lists (letter, array) pairs in column order: a (P, K+1, c)
@@ -579,19 +579,18 @@ def write_grid_csv(path, grid: TimeGrid, named, path_limit: int | None = None) -
                           for k, row in enumerate(rows))
 
 
-def export_solution(sol: FdeSolution, csv_path, sidecar_path=None, *,
-                    path_limit: int | None = None, config_echo: dict | None = None):
+def export_solution(sol: FdeSolution, csv_path, sidecar_path, *, path_limit: int,
+                    config_echo: dict):
     """Write per-path rows (path, step, t, V.., X.., Y.., Z..) plus a JSON sidecar."""
     write_grid_csv(csv_path, sol.grid, [("V", sol.V), ("X", sol.X), ("Y", sol.Y), ("Z", sol.Z)],
                    path_limit)
-    if sidecar_path is not None:
-        side = {
-            "seed": sol.seed,
-            "y0_mean": None if sol.y0_mean is None else [float(v) for v in sol.y0_mean],
-            "y0_stderr": None if sol.y0_stderr is None else [float(v) for v in sol.y0_stderr],
-            "residuals": {k: float(v) for k, v in sol.residuals.items()},
-            "windows": [[int(a), int(b)] for a, b in sol.window_bounds],
-            "iteration_log": [r.to_json() for r in sol.iteration_log],
-            "config": config_echo or {},
-        }
-        write_json(sidecar_path, side)
+    side = {
+        "seed": sol.seed,
+        "y0_mean": None if sol.y0_mean is None else [float(v) for v in sol.y0_mean],
+        "y0_stderr": None if sol.y0_stderr is None else [float(v) for v in sol.y0_stderr],
+        "residuals": {k: float(v) for k, v in sol.residuals.items()},
+        "windows": [[int(a), int(b)] for a, b in sol.window_bounds],
+        "iteration_log": [r.to_json() for r in sol.iteration_log],
+        "config": config_echo,
+    }
+    write_json(sidecar_path, side)

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 from .fde import CoefficientSet, FdeSolution, write_grid_csv, write_json
 from .grid import BrownianEnsemble, TimeGrid
-from .regression import (MIN_PATHS_PER_FUNCTION, RegressionBasis, StepRegression,
-                         density_target, polynomial_basis)
+from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
+                         polynomial_basis)
 
 
 @dataclass
@@ -63,18 +63,6 @@ class MeasureChange:
         return float(self.weights[self.weights > cutoff].sum() / self.weights.sum())
 
 
-@dataclass
-class WeakSolution:
-    """The triple (Y, Z, W) under the reweighted measure, plus diagnostics."""
-
-    grid: TimeGrid
-    Y: np.ndarray
-    Z: np.ndarray
-    W: np.ndarray
-    weights: np.ndarray
-    residual: dict
-
-
 def _drift(sol: FdeSolution, coeffs: CoefficientSet, k: int) -> np.ndarray:
     """f(t_k, Y_k, Z_k), the drift the forward solve stepped X with at step k."""
     return coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
@@ -106,14 +94,15 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
-                           coeffs: CoefficientSet) -> WeakSolution:
-    """Package (Y, Z, W = X, weights) and check the weak integral equation.
+                           coeffs: CoefficientSet) -> dict:
+    """Residual report of the weak integral equation for (Y, Z, W = X).
 
+    The weak solution is the solve's (Y, Z) with W its forward state X; Z is
+    unchanged (invariance realized literally), so only the weights are new.
     The per-path residual is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
     reported as a weighted rms since the equation lives under the target
-    measure. Z is the solve's array unchanged (invariance realized literally);
-    f is evaluated again at each step the recurrence reads.
+    measure; f is evaluated again at each step the recurrence reads.
     """
     if not np.array_equal(mc.grid.points, sol.grid.points):
         raise InvalidArgumentError("measure change and solution grids differ")
@@ -131,31 +120,28 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
         raise InvalidStateError("weak solution: non-finite residual")
     sq = np.einsum("pn,pn->p", resid, resid)
     weighted_rms = float(np.sqrt(np.sum(mc.weights * sq) / np.sum(mc.weights)))
-    report = {"weighted_rms": weighted_rms,
-              "unweighted_rms": float(np.sqrt(sq.mean())),
-              "weight_mean": mc.weight_mean,
-              "weight_stderr": mc.weight_stderr,
-              "effective_sample_size": mc.effective_sample_size}
-    return WeakSolution(grid=sol.grid, Y=sol.Y, Z=sol.Z, W=sol.X,
-                        weights=mc.weights, residual=report)
+    return {"weighted_rms": weighted_rms,
+            "unweighted_rms": float(np.sqrt(sq.mean())),
+            "weight_mean": mc.weight_mean,
+            "weight_stderr": mc.weight_stderr,
+            "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
-                       basis: RegressionBasis | None = None) -> dict:
+def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
     (dY + (h + Z f) dt) * dW / dt on the state with terminal weights; the
-    sampling-measure surface is the solve's stored fit. Both sides live in the
-    same approximation space (the stored fit's basis unless overridden), so
-    the discrepancy measures the measure change, not the basis. The probes
-    are the steps near a quarter, a half and three quarters of the horizon,
-    each on a grid of 21 points per dimension within 2 of x0. Returns the
-    maximum absolute discrepancy over the probe steps and evaluation grid.
+    sampling-measure surface is the solve's stored fit. Both sides use the
+    stored fit's basis, so the discrepancy measures the measure change, not
+    the basis. The probes are the steps near a quarter, a half and three
+    quarters of the horizon, each on a grid of 21 points per dimension within
+    2 of x0. Returns the maximum absolute discrepancy over the probe steps and
+    evaluation grid.
     """
     K = sol.grid.num_steps
     d = coeffs.d
-    basis = basis or sol.z_fits[K // 2].basis
+    basis = sol.z_fits[K // 2].basis
     ess = mc.effective_sample_size
     if ess < MIN_PATHS_PER_FUNCTION * basis.n_functions:
         raise InsufficientWeightError(
@@ -205,11 +191,11 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dic
     basis = polynomial_basis(2, coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
-    f_sq = np.empty((sol.num_paths, K))
+    remaining = np.empty((sol.num_paths, K))
     for k in range(K):
         fk = _drift(sol, coeffs, k)
-        f_sq[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
-    remaining = np.cumsum(f_sq[:, ::-1], axis=1)[:, ::-1]
+        remaining[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
+    np.cumsum(remaining[:, ::-1], axis=1, out=remaining[:, ::-1])   # in place: one (P, K) array
 
     per_probe = []
     sup99 = 0.0
@@ -229,18 +215,16 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dic
     return {"sup_p99": sup99, "per_probe": per_probe}
 
 
-def export_weak_solution(weak: WeakSolution, csv_path, sidecar_path=None, *,
-                         path_limit: int | None = None, config_echo: dict | None = None):
-    """CSV of (path, step, t, Y.., Z.., W..) plus a weights-summary sidecar."""
-    write_grid_csv(csv_path, weak.grid, [("Y", weak.Y), ("Z", weak.Z), ("W", weak.W)],
-                   path_limit)
-    if sidecar_path is not None:
-        side = {"residual": {k: float(v) for k, v in weak.residual.items()},
-                "weights": {
-                    "mean": float(weak.weights.mean()),
-                    "variance": float(weak.weights.var(ddof=1)),
-                    "max": float(weak.weights.max()),
-                    "effective_sample_size": weak.residual["effective_sample_size"],
-                },
-                "config": config_echo or {}}
-        write_json(sidecar_path, side)
+def export_weak_solution(sol: FdeSolution, mc: MeasureChange, residual: dict, csv_path,
+                         sidecar_path, *, path_limit: int, config_echo: dict):
+    """CSV of (path, step, t, Y.., Z.., W..), W being X, plus a residual and weights sidecar."""
+    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y), ("Z", sol.Z), ("W", sol.X)], path_limit)
+    side = {"residual": {k: float(v) for k, v in residual.items()},
+            "weights": {
+                "mean": float(mc.weights.mean()),
+                "variance": float(mc.weights.var(ddof=1)),
+                "max": float(mc.weights.max()),
+                "effective_sample_size": residual["effective_sample_size"],
+            },
+            "config": config_echo}
+    write_json(sidecar_path, side)

@@ -79,8 +79,8 @@ def contraction_window_length(c1: float, c_grad: float) -> float:
 
 def build_uniform_grid(T: float, K: int) -> TimeGrid:
     """Uniform grid of K steps on [0, T]."""
-    if not (T > 0):
-        raise InvalidArgumentError(f"horizon must be positive, got {T}")
+    if not (0 < T < np.inf):
+        raise InvalidArgumentError(f"horizon T must be positive and finite, got {T}")
     if int(K) < 1 or int(K) != K:
         raise InvalidArgumentError(f"step count must be a positive integer, got {K}")
     return TimeGrid(np.linspace(0.0, float(T), int(K) + 1))

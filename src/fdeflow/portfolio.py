@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
 from .fde import CoefficientSet, FdeSolution, evaluate_step_maps, solve_global, write_json
-from .girsanov import MeasureChange, WeakSolution, assemble_weak_solution, build_measure_change
+from .girsanov import MeasureChange, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import RegressionBasis, polynomial_basis
 
@@ -191,13 +191,12 @@ class PortfolioSolution:
     y0_stderr: float
     value: float
     pi_star: np.ndarray              # (P, K)
-    weak_sol: WeakSolution
+    weak_residual: dict
     fde_sol: FdeSolution
     measure_change: MeasureChange
     coeffs: CoefficientSet
     transform: PortfolioTransform
     seed: int
-    optimality_report: dict | None = None
 
 
 def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
@@ -225,7 +224,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     sol = solve_global(coeffs, grid, np.zeros(2), ensemble, c4=c4, tol=tol,
                        basis=basis, **solve_kwargs)
     mc = build_measure_change(sol, coeffs, ensemble)
-    weak = assemble_weak_solution(sol, mc, coeffs)
+    weak_residual = assemble_weak_solution(sol, mc, coeffs)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     value = -float(np.exp(-model.gamma * (model.x0 + y0)))
@@ -234,7 +233,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     np.negative(sol.Z[:, :, 0, 1], out=pi_star)
     pi_star += merton_fraction(model, grid)
     return PortfolioSolution(model=model, grid=grid, y0=y0, y0_stderr=y0_stderr,
-                             value=value, pi_star=pi_star, weak_sol=weak,
+                             value=value, pi_star=pi_star, weak_residual=weak_residual,
                              fde_sol=sol, measure_change=mc, coeffs=coeffs,
                              transform=transform, seed=ensemble.seed)
 
@@ -327,9 +326,9 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
             "num_paths": P, "deltas": [float(d) for d in deltas]}
 
 
-def export_portfolio_results(psol: PortfolioSolution, json_path, *,
-                             config_echo: dict | None = None):
-    """Results JSON: y0, value, strategy summary and drift table."""
+def export_portfolio_results(psol: PortfolioSolution, optimality: dict, json_path, *,
+                             config_echo: dict):
+    """Results JSON: y0, value, strategy summary and ``optimality``'s drift table."""
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
@@ -338,17 +337,14 @@ def export_portfolio_results(psol: PortfolioSolution, json_path, *,
             "per_step_mean": [float(v) for v in psol.pi_star.mean(axis=0)],
             "per_step_std": [float(v) for v in psol.pi_star.std(axis=0)],
         },
-        "weak_residual": {k: float(v) for k, v in psol.weak_sol.residual.items()},
-        "seeds": {"solve": psol.seed},
-        "config": config_echo or {},
-    }
-    if psol.optimality_report is not None:
-        rep = psol.optimality_report
-        summary["seeds"]["evaluation"] = rep["eval_seed"]
-        summary["drift_table"] = {
+        "weak_residual": {k: float(v) for k, v in psol.weak_residual.items()},
+        "seeds": {"solve": psol.seed, "evaluation": optimality["eval_seed"]},
+        "drift_table": {
             label: {"total_drift": r["total_drift"], "total_se": r["total_se"],
                     "value_estimate": r["value_estimate"], "value_se": r["value_se"],
                     "step_drift": [float(v) for v in r["step_drift"]],
                     "step_se": [float(v) for v in r["step_se"]]}
-            for label, r in rep["strategies"].items()}
+            for label, r in optimality["strategies"].items()},
+        "config": config_echo,
+    }
     write_json(json_path, summary)

@@ -159,7 +159,7 @@ def test_criterion_06_z_invariance(acceptance):
 
 def test_criterion_07_weak_solution_residual(acceptance):
     psol = acceptance("merton")["portfolio"]
-    rms = psol.weak_sol.residual["weighted_rms"]
+    rms = psol.weak_residual["weighted_rms"]
     ok = rms <= 1e-2
     _report(7, "weak-solution residual", ok, f"weighted rms {rms:.2e} <= 1e-2 "
             f"at {psol.fde_sol.num_paths} paths, {psol.grid.num_steps} steps")

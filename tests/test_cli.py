@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -269,8 +270,21 @@ def test_unallocatable_size_exits_two_with_report(tmp_path, capsys, K, args):
     assert cli.main(["run", _write(tmp_path, body), *args]) == 2
     text = capsys.readouterr().out
     assert text.startswith("config error: Unable to allocate") and text.count("\n") == 1
+    paths = HUGE if args else "2000"
+    assert f"num_paths = {paths} and K = {K} are too large" in text
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["exit_code"] == 2 and report["error"] in text
+
+
+def test_infinite_horizon_exits_two_and_names_it(tmp_path, capsys):
+    body = TRIVIAL_CFG.replace("T = 1.0", "T = inf").format(out=tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", _write(tmp_path, body)]) == 2
+    assert caught == []
+    assert "horizon T must be positive and finite, got inf" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["exit_code"] == 2
 
 
 @pytest.mark.parametrize("c4", ["nan", "inf", "-1"])
@@ -285,6 +299,7 @@ def test_invalid_c4_exits_two_and_names_it(tmp_path, capsys, c4):
 CONTRACT_BASES = {
     "fbsde": "[coefficients]\nfixture = linear_driver\na = {}\n",
     "portfolio": "[market]\nmu_s = 0.1\nsigma_bar_s = 0.2\ngamma = {}\n",
+    "qbsde-weak": "[coefficients]\nfixture = const_forward\nc = {}\n",
 }
 # key: (section, valid values); the valid sizes keep every solve small
 CONTRACT_KEYS = {
@@ -481,6 +496,33 @@ c4 = 1.0
     names = [line.split(",")[1] for line in
              (out / "verdicts.csv").read_text().splitlines()[1:]]
     assert "weight_mean_dev_se" in names and len(names) == len(set(names))
+    # the weak solution is the solve's (Y, Z) with W its forward state X
+    paths, weak_rows = ([row.split(",") for row in (out / f"const_forward_{kind}.csv")
+                         .read_text().splitlines()] for kind in ("paths", "weak"))
+    assert paths[0][4:] == ["X0", "Y0", "Z00"] and weak_rows[0][3:] == ["Y0", "Z00", "W0"]
+    assert len(weak_rows) == len(paths) > 1
+    for p_row, w_row in zip(paths[1:], weak_rows[1:]):
+        assert w_row[:3] == p_row[:3] and w_row[3:] == p_row[5:] + p_row[4:5]
+
+
+# with f == 0 every weight is exactly 1, so the weights' standard error is 0
+@pytest.mark.parametrize("problem, section", [
+    ("qbsde-weak", "[coefficients]\nfixture = trivial"),
+    ("qbsde-weak", "[coefficients]\nfixture = tanh_terminal"),
+    ("qbsde-weak", "[coefficients]\nfixture = linear_driver"),
+    ("fbsde", "[coefficients]\nfixture = const_forward\nc = 0"),
+    ("portfolio", "[market]\nmu_s = 0\nsigma_bar_s = 0.2\ngamma = 1.0"),
+], ids=["weak-trivial", "weak-tanh_terminal", "weak-linear_driver", "const_forward-c0",
+        "merton-mu0"])
+def test_zero_drift_runs_end_with_a_verdict_table(tmp_path, problem, section):
+    out = tmp_path / "out"
+    body = f"[run]\nproblem = {problem}\nseed = 7\nnum_paths = 2000\nout = {out}\n\n{section}\n"
+    assert cli.main(["run", _write(tmp_path, body), "--quiet"]) in (0, 1)
+    report = json.loads((out / "run_report.json").read_text())
+    assert "exit_code" not in report
+    checks = {a["name"]: a for a in report["assertions"]}
+    assert checks["weight_mean_dev_se"]["value"] == 0.0
+    assert checks["weight_mean_dev_se"]["passed"]
 
 
 def test_seed_and_paths_overrides_apply(tmp_path):

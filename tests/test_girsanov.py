@@ -86,10 +86,9 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
     sol = ff.solve_global(coeffs, grid, 0.0, ens)
     mc = ff.build_measure_change(sol, coeffs, ens)
-    weak = ff.assemble_weak_solution(sol, mc, coeffs)
-    assert weak.residual["weighted_rms"] <= 1e-6
-    assert weak.Z is sol.Z
-    assert np.array_equal(weak.Y[:, -1], coeffs.eval_phi(weak.W[:, -1]))
+    residual = ff.assemble_weak_solution(sol, mc, coeffs)
+    assert residual["weighted_rms"] <= 1e-6
+    assert np.array_equal(sol.Y[:, -1], coeffs.eval_phi(sol.X[:, -1]))
 
 
 def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, monkeypatch):
@@ -110,22 +109,21 @@ def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, mon
 def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    weak = ff.assemble_weak_solution(sol, mc, coeffs)
+    residual = ff.assemble_weak_solution(sol, mc, coeffs)
     # f == 0: the weak residual telescopes the per-step backward residuals
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
     telescoped = sol.Y[:, 0] - sol.Y[:, -1] + (np.diff(sol.Y, axis=1) - zdb).sum(axis=1) \
         + zdb.sum(axis=1) - zdb.sum(axis=1)
     direct = sol.Y[:, 0] - coeffs.eval_phi(sol.X[:, -1]) + zdb.sum(axis=1)
-    assert weak.residual["unweighted_rms"] == pytest.approx(
+    assert residual["unweighted_rms"] == pytest.approx(
         float(np.sqrt(np.mean(np.sum(direct ** 2, axis=1)))), rel=1e-9)
-    assert weak.residual["weighted_rms"] == pytest.approx(
-        weak.residual["unweighted_rms"], rel=1e-12)
+    assert residual["weighted_rms"] == pytest.approx(residual["unweighted_rms"], rel=1e-12)
 
 
 def test_z_invariance_on_drifted_problem(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    report = ff.check_z_invariance(sol, mc, coeffs, basis=ff.polynomial_basis(5, 1))
+    report = ff.check_z_invariance(sol, mc, coeffs)
     assert report["max_discrepancy"] <= 0.05
     assert len(report["per_probe"]) == 3
 
@@ -172,10 +170,10 @@ def test_weight_tail_mass_is_small(const_forward_solution):
 def test_weak_export(tmp_path, const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    weak = ff.assemble_weak_solution(sol, mc, coeffs)
+    residual = ff.assemble_weak_solution(sol, mc, coeffs)
     csv = tmp_path / "weak.csv"
     side = tmp_path / "weak.json"
-    ff.export_weak_solution(weak, csv, side, path_limit=2)
+    ff.export_weak_solution(sol, mc, residual, csv, side, path_limit=2, config_echo={})
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,Y0,Z00,W0"
     assert len(lines) == 1 + 2 * (grid.num_steps + 1)
@@ -183,8 +181,8 @@ def test_weak_export(tmp_path, const_forward_solution):
     for line in lines[1:]:
         p, k, *cells = line.split(",")
         p, k = int(p), int(k)
-        z = weak.Z[p, k, 0, 0] if k < K else 0.0
-        expected = [grid.points[k], weak.Y[p, k, 0], z, weak.W[p, k, 0]]
+        z = sol.Z[p, k, 0, 0] if k < K else 0.0
+        expected = [grid.points[k], sol.Y[p, k, 0], z, sol.X[p, k, 0]]
         assert [float(c) for c in cells] == expected
     import json
     payload = json.loads(side.read_text())

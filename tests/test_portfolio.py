@@ -89,7 +89,7 @@ def test_merton_benchmark_small(merton_small):
     assert psol.y0_stderr <= 1e-4 / 3
     # identity holds on the stored arrays exactly
     assert np.abs(psol.pi_star - pi_star_reference(psol)).max() == 0.0
-    assert psol.weak_sol.residual["weighted_rms"] <= 0.01
+    assert psol.weak_residual["weighted_rms"] <= 0.01
     # quadrature oracle agrees with the closed form
     assert merton_y0(0.1, 0.2, 1.0, 1.0) == pytest.approx(0.125, abs=1e-12)
 
@@ -173,7 +173,6 @@ def test_optimality_drifts_on_merton(merton_small):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 100_000, 2, 6060)
     report = ff.verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), fresh)
-    psol.optimality_report = report
     star = report["strategies"]["pi_star"]
     assert abs(star["total_drift"]) <= 3 * star["total_se"] + 1e-4
     for label in ("pi_star+0.5", "pi_star+1", "pi_star-0.5", "pi_star-1"):
@@ -220,7 +219,7 @@ def endowment_small():
 
 def test_endowment_pipeline_runs(endowment_small):
     grid, ens, psol = endowment_small
-    assert psol.weak_sol.residual["weighted_rms"] <= 0.02
+    assert psol.weak_residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
     rep = ff.bmo_diagnostic(psol.fde_sol, psol.coeffs, [0.0, 0.24, 0.48])
@@ -231,10 +230,9 @@ def test_endowment_pipeline_runs(endowment_small):
 def test_portfolio_export(tmp_path, merton_small):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 20_000, 2, 6062)
-    psol.optimality_report = ff.verify_martingale_optimality(
-        psol, (0.5,), fresh)
+    report = ff.verify_martingale_optimality(psol, (0.5,), fresh)
     out = tmp_path / "portfolio.json"
-    ff.export_portfolio_results(psol, out)
+    ff.export_portfolio_results(psol, report, out, config_echo={})
     import json
     payload = json.loads(out.read_text())
     assert payload["y0"] == pytest.approx(psol.y0)
@@ -282,3 +280,6 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     # one (P, K, d) float64 array: the drift at every step
     peak = _traced_peak(ff.build_measure_change, psol.fde_sol, psol.coeffs, ens)
     assert peak < P * K * 2 * 8
+    # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
+    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, psol.coeffs, [0.0, 0.24, 0.48])
+    assert peak < 2 * P * K * 8
