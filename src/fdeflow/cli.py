@@ -214,9 +214,9 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"[market] endowment must be one of "
                                       f"{tuple(ENDOWMENTS)}, got {cfg.market[key]!r}")
             else:
-                cfg.market[key] = opt("market", key, float)
+                cfg.market[key] = cfg.fixture_params[key] = opt("market", key, float)
         _check_fixture_keys("market", ENDOWMENTS[cfg.market.get("endowment", "zero")],
-                            [k for k in cfg.market if k != "endowment"])
+                            cfg.fixture_params)
     for section in parser.sections():
         if section not in asked:
             raise ConfigError(
@@ -245,9 +245,9 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
-    """Solve a fixture and build what its checks and exports read: the measure
-    change and weak residual (a market's from its solve, an fbsde fixture's only
-    for const_forward or a qbsde-weak run) and a market's optimality report."""
+    """Solve a fixture and build what its checks and exports read: a market's
+    ``PortfolioSolution`` and optimality report, or an fbsde fixture's ensemble and
+    coefficients, with a measure change and weak residual for const_forward or qbsde-weak."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
@@ -260,15 +260,14 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         built = fixture.build(**cfg.fixture_params)
         if fixture.kind == "portfolio":
             psol = solve_portfolio(built, grid, ensemble, **settings)
+            del ensemble   # freed before the evaluation ensemble is sampled
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
                 cfg.seed, "portfolio:evaluation-ensemble"))
-            return {"grid": grid, "ensemble": ensemble, "portfolio": psol,
-                    "sol": psol.fde_sol, "coeffs": psol.coeffs, "model": built,
-                    "measure_change": psol.measure_change, "weak_residual": psol.weak_residual,
+            return {"sol": psol.fde_sol, "portfolio": psol,
                     "optimality": verify_martingale_optimality(
                         psol, (0.5, 1.0, -0.5, -1.0), eval_ens)}
         sol = solve_global(built, grid, 0.0, ensemble, **settings)
-        bundle = {"grid": grid, "ensemble": ensemble, "sol": sol, "coeffs": built}
+        bundle = {"ensemble": ensemble, "sol": sol, "coeffs": built}
         if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
             mc = bundle["measure_change"] = build_measure_change(sol, built, ensemble)
             bundle["weak_residual"] = assemble_weak_solution(sol, mc, built)
@@ -326,7 +325,7 @@ def _weight_mean_check(mc) -> Assertion:
 
 def _fixture_assertions(name, bundle, cfg) -> list:
     sol = bundle["sol"]
-    grid = bundle["grid"]
+    grid = sol.grid
     ensemble = bundle["ensemble"]
     coeffs = bundle["coeffs"]
     T = grid.horizon
@@ -387,24 +386,23 @@ def _fixture_assertions(name, bundle, cfg) -> list:
 
 def _portfolio_assertions(bundle, cfg) -> list:
     psol = bundle["portfolio"]
-    model = bundle["model"]
+    model, mc, sol = psol.model, psol.measure_change, psol.fde_sol
+    grid = sol.grid
     out = []
-    mc = bundle["measure_change"]
     out.append(_weight_mean_check(mc))
     out.append(_dev("weight_tail_mass_999", mc.tail_mass_above_quantile(0.999), 0.01))
-    out.append(_dev("weak_residual_weighted_rms", bundle["weak_residual"]["weighted_rms"], 0.01))
+    out.append(_dev("weak_residual_weighted_rms", psol.weak_residual["weighted_rms"], 0.01))
     # step by step: a whole (P, K) reference and its difference would set the peak
-    frac = merton_fraction(model, psol.grid)
+    frac = merton_fraction(model, grid)
     pi_ident = np.zeros(())
-    for k in range(psol.grid.num_steps):
-        ref = -psol.fde_sol.Z[:, k, 0, 1] + frac[k]
+    for k in range(grid.num_steps):
+        ref = -sol.Z[:, k, 0, 1] + frac[k]
         pi_ident = np.maximum(pi_ident, np.abs(psol.pi_star[:, k] - ref).max())
     out.append(_dev("pi_star_identity", pi_ident, 0.0, exact=True))
-    zinv = check_z_invariance(psol.fde_sol, mc, psol.coeffs)
+    zinv = check_z_invariance(sol, mc, psol.coeffs)
     out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
     if model.g is None:
-        y0_ref = oracles.merton_y0(model.mu_s, model.sigma_bar_s, model.gamma,
-                                   psol.grid.horizon)
+        y0_ref = oracles.merton_y0(model.mu_s, model.sigma_bar_s, model.gamma, grid.horizon)
         out.append(_dev("y0_dev", abs(psol.y0 - y0_ref), 0.01))
         value_ref = -np.exp(-model.gamma * (model.x0 + y0_ref))
         out.append(_dev("value_dev", abs(psol.value - value_ref), 0.01))
@@ -412,11 +410,11 @@ def _portfolio_assertions(bundle, cfg) -> list:
         pi_ref = mu0 / (model.gamma * model.sigma_bar_s ** 2)
         out.append(_dev("pi_star_dev", float(np.abs(psol.pi_star - pi_ref).max()), 0.05))
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
-        out.append(_dev("merton_z_rms", _z_rms(psol.fde_sol), 1e-3))
+        out.append(_dev("merton_z_rms", _z_rms(sol), 1e-3))
     else:
-        K = psol.grid.num_steps
-        probes = [float(psol.grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)]
-        bmo = bmo_diagnostic(psol.fde_sol, psol.coeffs, probes)
+        K = grid.num_steps
+        probes = [float(grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)]
+        bmo = bmo_diagnostic(sol, psol.coeffs, probes)
         vals = [row["mean"] for row in bmo["per_probe"]]
         mono = max((vals[i + 1] - vals[i]) / max(abs(vals[i]), 1e-12)
                    for i in range(len(vals) - 1))
@@ -532,7 +530,6 @@ def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> Non
         names = list(FIXTURES)
     elif cfg.problem == "portfolio":
         names = [ENDOWMENTS[cfg.market.get("endowment", "zero")]]
-        cfg.fixture_params = {k: v for k, v in cfg.market.items() if k != "endowment"}
     else:
         names = [cfg.fixture]
     rows = []

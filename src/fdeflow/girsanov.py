@@ -42,7 +42,6 @@ class MeasureChange:
 
     grid: TimeGrid
     weights: np.ndarray             # (P,) terminal
-    seed: int | None = None
 
     @property
     def weight_mean(self) -> float:
@@ -90,7 +89,7 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     weights = np.exp(n_int - 0.5 * qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(grid=sol.grid, weights=weights, seed=ensemble.seed)
+    return MeasureChange(grid=sol.grid, weights=weights)
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,

@@ -183,10 +183,9 @@ def build_portfolio_fbsde(model: MarketModel, T: float):
 
 @dataclass
 class PortfolioSolution:
-    """Outputs of the portfolio solve."""
+    """Outputs of the portfolio solve; its grid and seed are ``fde_sol``'s."""
 
     model: MarketModel
-    grid: TimeGrid
     y0: float
     y0_stderr: float
     value: float
@@ -195,8 +194,6 @@ class PortfolioSolution:
     fde_sol: FdeSolution
     measure_change: MeasureChange
     coeffs: CoefficientSet
-    transform: PortfolioTransform
-    seed: int
 
 
 def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
@@ -219,7 +216,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     """
     if ensemble.dim != 2:
         raise InvalidArgumentError("portfolio ensembles must be two-dimensional")
-    coeffs, transform = build_portfolio_fbsde(model, grid.horizon)
+    coeffs, _ = build_portfolio_fbsde(model, grid.horizon)
     basis = basis or polynomial_basis(3, 2)
     sol = solve_global(coeffs, grid, np.zeros(2), ensemble, c4=c4, tol=tol,
                        basis=basis, **solve_kwargs)
@@ -232,10 +229,9 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     pi_star = np.empty((sol.num_paths, grid.num_steps))
     np.negative(sol.Z[:, :, 0, 1], out=pi_star)
     pi_star += merton_fraction(model, grid)
-    return PortfolioSolution(model=model, grid=grid, y0=y0, y0_stderr=y0_stderr,
-                             value=value, pi_star=pi_star, weak_residual=weak_residual,
-                             fde_sol=sol, measure_change=mc, coeffs=coeffs,
-                             transform=transform, seed=ensemble.seed)
+    return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
+                             pi_star=pi_star, weak_residual=weak_residual, fde_sol=sol,
+                             measure_change=mc, coeffs=coeffs)
 
 
 def verify_martingale_optimality(psol: PortfolioSolution, deltas,
@@ -258,24 +254,24 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     regression look-ahead bias. Raises InvalidStateError, naming the step,
     on a non-finite surface value or drift.
     """
-    if eval_ensemble.seed == psol.seed:
+    sol = psol.fde_sol
+    if eval_ensemble.seed == sol.seed:
         raise InvalidArgumentError(
             "optimality checks need an out-of-sample ensemble (same seed as the solve)")
     if eval_ensemble.dim != 2:
         raise InvalidArgumentError("evaluation ensembles must be two-dimensional")
-    if eval_ensemble.grid.num_steps != psol.grid.num_steps:
+    if eval_ensemble.grid.num_steps != sol.grid.num_steps:
         raise InvalidArgumentError("evaluation grid must match the solve grid")
 
-    K = psol.grid.num_steps
-    t = psol.grid.points
-    dt = psol.grid.dt
+    K = sol.grid.num_steps
+    t = sol.grid.points
+    dt = sol.grid.dt
     P = eval_ensemble.num_paths
     gamma = psol.model.gamma
     sbs = psol.model.sigma_bar_s
     mu = psol.model.mu_s_fn()
-    frac = merton_fraction(psol.model, psol.grid)
+    frac = merton_fraction(psol.model, sol.grid)
     dW = eval_ensemble.increments
-    sol = psol.fde_sol
 
     def surfaces(k, w):
         if k == K:
@@ -338,7 +334,7 @@ def export_portfolio_results(psol: PortfolioSolution, optimality: dict, json_pat
             "per_step_std": [float(v) for v in psol.pi_star.std(axis=0)],
         },
         "weak_residual": {k: float(v) for k, v in psol.weak_residual.items()},
-        "seeds": {"solve": psol.seed, "evaluation": optimality["eval_seed"]},
+        "seeds": {"solve": psol.fde_sol.seed, "evaluation": optimality["eval_seed"]},
         "drift_table": {
             label: {"total_drift": r["total_drift"], "total_se": r["total_se"],
                     "value_estimate": r["value_estimate"], "value_se": r["value_se"],

@@ -49,7 +49,7 @@ def girsanov_integrand(transform: PortfolioTransform, t, y, z) -> np.ndarray:
 def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
     """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on the stored arrays."""
     mu = psol.model.mu_s_fn()
-    base = np.array([mu(t) for t in psol.grid.points[:-1]])
+    base = np.array([mu(t) for t in psol.fde_sol.grid.points[:-1]])
     return -psol.fde_sol.Z[:, :, 0, 1] + base[None, :] / (
         psol.model.gamma * psol.model.sigma_bar_s ** 2)
 
@@ -63,9 +63,9 @@ def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
     strategy by strategy instead of step by step; the validation and
     finiteness checks are left out.
     """
-    K = psol.grid.num_steps
-    t = psol.grid.points
-    dt = psol.grid.dt
+    K = psol.fde_sol.grid.num_steps
+    t = psol.fde_sol.grid.points
+    dt = psol.fde_sol.grid.dt
     P = eval_ensemble.num_paths
     gamma = psol.model.gamma
     sbs = psol.model.sigma_bar_s

@@ -80,7 +80,8 @@ def test_criterion_02_residuals(acceptance):
 
 def test_criterion_03_heat_kernel_oracle(acceptance):
     b = acceptance("tanh_terminal")
-    sol, grid = b["sol"], b["grid"]
+    sol = b["sol"]
+    grid = sol.grid
     xs = np.linspace(-2.0, 2.0, 41)
     worst = 0.0
     for frac in (0.25, 0.5, 0.75):
@@ -98,7 +99,8 @@ def test_criterion_03_heat_kernel_oracle(acceptance):
 
 def test_criterion_04_linear_driver_pde_oracle(acceptance):
     b = acceptance("linear_driver")
-    sol, grid = b["sol"], b["grid"]
+    sol = b["sol"]
+    grid = sol.grid
     oracle = CrankNicolsonOracle(0.5, np.sin, grid.horizon)
     xs = np.linspace(-2.0, 2.0, 41)
     worst = 0.0
@@ -115,7 +117,8 @@ def test_criterion_04_linear_driver_pde_oracle(acceptance):
 
 def test_criterion_05_girsanov_weights(acceptance):
     b = acceptance("const_forward")
-    sol, grid, ens, coeffs = b["sol"], b["grid"], b["ensemble"], b["coeffs"]
+    sol, ens, coeffs = b["sol"], b["ensemble"], b["coeffs"]
+    grid = sol.grid
     c, T = 0.5, grid.horizon
     mc = ff.build_measure_change(sol, coeffs, ens)
     b_t = ens.increments[:, :, 0].sum(axis=1)
@@ -162,8 +165,8 @@ def test_criterion_07_weak_solution_residual(acceptance):
     rms = psol.weak_residual["weighted_rms"]
     ok = rms <= 1e-2
     _report(7, "weak-solution residual", ok, f"weighted rms {rms:.2e} <= 1e-2 "
-            f"at {psol.fde_sol.num_paths} paths, {psol.grid.num_steps} steps")
-    assert psol.fde_sol.num_paths == 100_000 and psol.grid.num_steps == 50
+            f"at {psol.fde_sol.num_paths} paths, {psol.fde_sol.grid.num_steps} steps")
+    assert psol.fde_sol.num_paths == 100_000 and psol.fde_sol.grid.num_steps == 50
     assert rms <= 1e-2
 
 
@@ -188,7 +191,7 @@ def test_criterion_08_merton_benchmark(acceptance):
 def test_criterion_09_martingale_optimality(acceptance):
     b = acceptance("merton")
     psol = b["portfolio"]
-    fresh = ff.sample_ensemble(psol.grid, psol.fde_sol.num_paths, 2,
+    fresh = ff.sample_ensemble(psol.fde_sol.grid, psol.fde_sol.num_paths, 2,
                                cli.substream_seed(ACCEPT_SEED, "criterion9:eval"))
     report = ff.verify_martingale_optimality(psol, (0.5, 1.0, -0.5, -1.0), fresh)
     star = report["strategies"]["pi_star"]

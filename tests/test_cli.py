@@ -605,6 +605,35 @@ K = 25
     assert (out / "merton_paths.csv").exists()
 
 
+def test_every_json_of_a_portfolio_run_echoes_the_same_config(tmp_path):
+    out = tmp_path / "out"
+    cfg = _shipped_config("portfolio.cfg", tmp_path, out=out, num_paths=2000)
+    assert cli.main(["run", cfg, "--quiet"]) in (0, 1)
+    echoes = [json.loads((out / name).read_text())["config"]
+              for name in ("run_report.json", "merton_summary.json", "merton_portfolio.json")]
+    assert echoes[0]["fixture_params"]["mu_s"] == 0.1
+    assert echoes[1] == echoes[0] and echoes[2] == echoes[0]
+
+
+def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypatch):
+    import gc
+    import weakref
+    from fdeflow.fixtures import get_fixture
+    sample, sampled, alive = cli.sample_ensemble, [], []
+
+    def recording(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in sampled])
+        ensemble = sample(*args, **kwargs)
+        sampled.append(weakref.ref(ensemble))
+        return ensemble
+
+    monkeypatch.setattr(cli, "sample_ensemble", recording)
+    cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
+    cli._solve_fixture(get_fixture("endowment"), cfg)
+    assert alive == [[], [False]]
+
+
 @pytest.mark.parametrize("name", ["fbsde.cfg", "qbsde_weak.cfg", "portfolio.cfg"])
 def test_shipped_configs_parse_and_run(tmp_path, name):
     from pathlib import Path

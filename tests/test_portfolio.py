@@ -133,7 +133,8 @@ def test_reweighted_asset_drift(merton_small):
     # E[S_T] under the target measure is s0 * exp(int mu dt)
     model, grid, ens, psol = merton_small
     mc = psol.measure_change
-    v_t, s_t = prices(psol.transform, grid.horizon, psol.fde_sol.X[:, -1])
+    _, transform = ff.build_portfolio_fbsde(model, grid.horizon)
+    v_t, s_t = prices(transform, grid.horizon, psol.fde_sol.X[:, -1])
     for price, drift in ((s_t, 0.1), (v_t, 0.05)):
         weighted = mc.weights * price
         mean = float(weighted.mean() / mc.weights.mean())
