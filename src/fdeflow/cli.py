@@ -114,7 +114,6 @@ class ExperimentConfig:
     max_iter: int = 50
     basis_degree: int | None = None
     export_paths: int = 200
-    market: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
         """Every set field, with ``out_dir`` as ``out``."""
@@ -207,16 +206,15 @@ def load_config(path) -> ExperimentConfig:
         for key in ("gamma", "mu_s", "sigma_bar_s"):
             if not parser.has_option("market", key):
                 raise ConfigError(f"missing required field [market] {key}")
+        endowment = opt("market", "endowment", str.strip)
+        cfg.fixture = ENDOWMENTS.get("zero" if endowment is None else endowment)
+        if cfg.fixture is None:
+            raise ConfigError(f"[market] endowment must be one of "
+                              f"{tuple(ENDOWMENTS)}, got {endowment!r}")
         for key in parser.options("market"):
-            if key == "endowment":
-                cfg.market[key] = opt("market", key, str).strip()
-                if cfg.market[key] not in ENDOWMENTS:
-                    raise ConfigError(f"[market] endowment must be one of "
-                                      f"{tuple(ENDOWMENTS)}, got {cfg.market[key]!r}")
-            else:
-                cfg.market[key] = cfg.fixture_params[key] = opt("market", key, float)
-        _check_fixture_keys("market", ENDOWMENTS[cfg.market.get("endowment", "zero")],
-                            cfg.fixture_params)
+            if key != "endowment":
+                cfg.fixture_params[key] = opt("market", key, float)
+        _check_fixture_keys("market", cfg.fixture, cfg.fixture_params)
     for section in parser.sections():
         if section not in asked:
             raise ConfigError(
@@ -393,11 +391,11 @@ def _portfolio_assertions(bundle, cfg) -> list:
     out.append(_dev("weight_tail_mass_999", mc.tail_mass_above_quantile(0.999), 0.01))
     out.append(_dev("weak_residual_weighted_rms", psol.weak_residual["weighted_rms"], 0.01))
     # step by step: a whole (P, K) reference and its difference would set the peak
-    frac = merton_fraction(model, grid)
+    pi_star, frac = psol.pi_star, merton_fraction(model, grid)
     pi_ident = np.zeros(())
     for k in range(grid.num_steps):
         ref = -sol.Z[:, k, 0, 1] + frac[k]
-        pi_ident = np.maximum(pi_ident, np.abs(psol.pi_star[:, k] - ref).max())
+        pi_ident = np.maximum(pi_ident, np.abs(pi_star[:, k] - ref).max())
     out.append(_dev("pi_star_identity", pi_ident, 0.0, exact=True))
     zinv = check_z_invariance(sol, mc, psol.coeffs)
     out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
@@ -408,7 +406,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
         out.append(_dev("value_dev", abs(psol.value - value_ref), 0.01))
         mu0 = model.mu_s_fn()(0.0)
         pi_ref = mu0 / (model.gamma * model.sigma_bar_s ** 2)
-        out.append(_dev("pi_star_dev", float(np.abs(psol.pi_star - pi_ref).max()), 0.05))
+        out.append(_dev("pi_star_dev", float(np.abs(pi_star - pi_ref).max()), 0.05))
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
         out.append(_dev("merton_z_rms", _z_rms(sol), 1e-3))
     else:
@@ -526,12 +524,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
 
 
 def _run_problem(cfg: ExperimentConfig, out_dir: Path, report: RunReport) -> None:
-    if cfg.problem == "verify-suite":
-        names = list(FIXTURES)
-    elif cfg.problem == "portfolio":
-        names = [ENDOWMENTS[cfg.market.get("endowment", "zero")]]
-    else:
-        names = [cfg.fixture]
+    names = list(FIXTURES) if cfg.problem == "verify-suite" else [cfg.fixture]
     rows = []
     for name in names:
         assertions = _evaluate_fixture(name, cfg, out_dir, report)

@@ -25,7 +25,6 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .fde import CoefficientSet, FdeSolution, evaluate_step_maps, solve_global, write_json
 from .girsanov import MeasureChange, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble, TimeGrid
-from .regression import RegressionBasis, polynomial_basis
 
 _G_CHECK_SAMPLES = 64
 _G_CHECK_SEED = 0xF00D
@@ -183,17 +182,26 @@ def build_portfolio_fbsde(model: MarketModel, T: float):
 
 @dataclass
 class PortfolioSolution:
-    """Outputs of the portfolio solve; its grid and seed are ``fde_sol``'s."""
+    """Outputs of the portfolio solve; its grid, seed and Z are ``fde_sol``'s."""
 
     model: MarketModel
     y0: float
     y0_stderr: float
     value: float
-    pi_star: np.ndarray              # (P, K)
     weak_residual: dict
     fde_sol: FdeSolution
     measure_change: MeasureChange
     coeffs: CoefficientSet
+
+    @property
+    def pi_star(self) -> np.ndarray:
+        """Optimal strategy -Zbar + mu_S / (gamma sigma_S^2), a new (P, K) array per read."""
+        sol = self.fde_sol
+        # path-major: the per-step mean and std sum a column of a C-order array
+        pi_star = np.empty((sol.num_paths, sol.grid.num_steps))
+        np.negative(sol.Z[:, :, 0, 1], out=pi_star)
+        pi_star += merton_fraction(self.model, sol.grid)
+        return pi_star
 
 
 def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
@@ -204,33 +212,26 @@ def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
 
 
 def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemble,
-                    tol: float = 1e-4, *, c4: float | None = None,
-                    basis: RegressionBasis | None = None, **solve_kwargs) -> PortfolioSolution:
-    """End-to-end portfolio pipeline.
+                    **solve_kwargs) -> PortfolioSolution:
+    """End-to-end portfolio pipeline; ``solve_kwargs`` go to ``solve_global``.
 
     Solves the linear auxiliary system, applies the change of measure with
     the coupling integrand, assembles the weak solution of the quadratic
-    equation, and extracts value and optimal strategy. y0 is reported as the
-    path average of the terminal reconstruction with its standard error (the
-    smallness of the latter is itself a check that Y_0 is deterministic).
+    equation, and extracts the value. y0 is reported as the path average of
+    the terminal reconstruction with its standard error (the smallness of
+    the latter is itself a check that Y_0 is deterministic).
     """
     if ensemble.dim != 2:
         raise InvalidArgumentError("portfolio ensembles must be two-dimensional")
     coeffs, _ = build_portfolio_fbsde(model, grid.horizon)
-    basis = basis or polynomial_basis(3, 2)
-    sol = solve_global(coeffs, grid, np.zeros(2), ensemble, c4=c4, tol=tol,
-                       basis=basis, **solve_kwargs)
+    sol = solve_global(coeffs, grid, np.zeros(2), ensemble, **solve_kwargs)
     mc = build_measure_change(sol, coeffs, ensemble)
     weak_residual = assemble_weak_solution(sol, mc, coeffs)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     value = -float(np.exp(-model.gamma * (model.x0 + y0)))
-    # path-major: the per-step mean and std sum a column of a C-order array
-    pi_star = np.empty((sol.num_paths, grid.num_steps))
-    np.negative(sol.Z[:, :, 0, 1], out=pi_star)
-    pi_star += merton_fraction(model, grid)
     return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
-                             pi_star=pi_star, weak_residual=weak_residual, fde_sol=sol,
+                             weak_residual=weak_residual, fde_sol=sol,
                              measure_change=mc, coeffs=coeffs)
 
 
@@ -325,13 +326,14 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
 def export_portfolio_results(psol: PortfolioSolution, optimality: dict, json_path, *,
                              config_echo: dict):
     """Results JSON: y0, value, strategy summary and ``optimality``'s drift table."""
+    pi_star = psol.pi_star
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
         "value": psol.value,
         "pi_star_summary": {
-            "per_step_mean": [float(v) for v in psol.pi_star.mean(axis=0)],
-            "per_step_std": [float(v) for v in psol.pi_star.std(axis=0)],
+            "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
+            "per_step_std": [float(v) for v in pi_star.std(axis=0)],
         },
         "weak_residual": {k: float(v) for k, v in psol.weak_residual.items()},
         "seeds": {"solve": psol.fde_sol.seed, "evaluation": optimality["eval_seed"]},

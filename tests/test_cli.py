@@ -613,6 +613,14 @@ def test_every_json_of_a_portfolio_run_echoes_the_same_config(tmp_path):
               for name in ("run_report.json", "merton_summary.json", "merton_portfolio.json")]
     assert echoes[0]["fixture_params"]["mu_s"] == 0.1
     assert echoes[1] == echoes[0] and echoes[2] == echoes[0]
+    assert all(e["fixture"] == "merton" and "market" not in e for e in echoes)
+
+
+def test_market_section_selects_the_fixture_and_is_echoed_once():
+    from pathlib import Path
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "portfolio.cfg")
+    assert cfg.fixture == "merton"
+    assert "market" not in cfg.echo()
 
 
 def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypatch):

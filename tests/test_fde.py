@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdeflow as ff
 from fdeflow import fde
-from fdeflow.errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
+from fdeflow.errors import (FdeflowError, InvalidArgumentError, InvalidStateError,
+                            PicardDivergedError)
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
@@ -53,6 +55,29 @@ def test_coefficient_validation_rejects_non_finite_constants():
                          ({"m": np.nan}, "m_bound"), ({"c1": -1.0}, "c1")):
         with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
             _coeffs(**kwargs)
+
+
+@given(a=st.sampled_from((0.0, 0.25, 0.5, 1.0)), s=st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+       f_of_z=st.booleans(), c1_scale=st.sampled_from((0.5, 1.0, 2.0)),
+       c2_scale=st.sampled_from((0.5, 1.0, 2.0)), m_scale=st.sampled_from((0.5, 1.0, 2.0)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_drawn_coefficient_sets_solve_or_fail_by_name(a, s, f_of_z, c1_scale, c2_scale,
+                                                      m_scale):
+    # h = a y, f = 0 or a z, phi = s tanh(x): the true c1 is a, c2 and m_bound are s
+    f = (lambda t, y, z: a * z[:, 0, :]) if f_of_z else None
+    build = lambda: _coeffs(h=lambda t, y, z: a * y, f=f, phi=lambda x: s * np.tanh(x),
+                            c1=c1_scale * a, c2=c2_scale * s, m=m_scale * s)
+    if (a > 0 and c1_scale < 1) or (s > 0 and min(c2_scale, m_scale) < 1):
+        with pytest.raises(InvalidArgumentError, match="violates"):
+            build()
+        return
+    coeffs = build()
+    grid = ff.build_uniform_grid(0.1, 8)
+    try:
+        sol = ff.solve_global(coeffs, grid, 0.0, ff.sample_ensemble(grid, 600, 1, 4242))
+    except FdeflowError:
+        return
+    assert np.isfinite(sol.y0_mean).all() and sol.residuals["forward_max"] == 0.0
 
 
 def test_picard_window_trivial_problem():

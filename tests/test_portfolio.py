@@ -94,6 +94,16 @@ def test_merton_benchmark_small(merton_small):
     assert merton_y0(0.1, 0.2, 1.0, 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
+def test_pi_star_is_read_from_z_not_stored(merton_small):
+    _, grid, ens, psol = merton_small
+    assert "pi_star" not in {f.name for f in dataclasses.fields(ff.PortfolioSolution)}
+    shape = (ens.num_paths, grid.num_steps)
+    assert not [name for name, v in vars(psol).items() if np.shape(v) == shape]
+    first, second = psol.pi_star, psol.pi_star
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.shape == shape and first.tobytes() == second.tobytes()
+
+
 def test_value_scales_exactly_with_initial_wealth(merton_small):
     model, grid, ens, psol = merton_small
     shifted = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, mu_v=0.05, sigma_v=0.3,
