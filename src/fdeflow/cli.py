@@ -32,8 +32,7 @@ from .fixtures import FIXTURES, Fixture, get_fixture
 from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
                        check_z_invariance, export_weak_solution)
 from .grid import build_uniform_grid, sample_ensemble
-from .portfolio import (export_portfolio_results, merton_fraction, solve_portfolio,
-                        verify_martingale_optimality)
+from .portfolio import export_portfolio_results, solve_portfolio, verify_martingale_optimality
 from .regression import polynomial_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
@@ -391,10 +390,10 @@ def _portfolio_assertions(bundle, cfg) -> list:
     out.append(_dev("weight_tail_mass_999", mc.tail_mass_above_quantile(0.999), 0.01))
     out.append(_dev("weak_residual_weighted_rms", psol.weak_residual["weighted_rms"], 0.01))
     # step by step: a whole (P, K) reference and its difference would set the peak
-    pi_star, frac = psol.pi_star, merton_fraction(model, grid)
+    pi_star, frac = psol.pi_star, model.merton_fraction
     pi_ident = np.zeros(())
     for k in range(grid.num_steps):
-        ref = -sol.Z[:, k, 0, 1] + frac[k]
+        ref = -sol.Z[:, k, 0, 1] + frac
         pi_ident = np.maximum(pi_ident, np.abs(pi_star[:, k] - ref).max())
     out.append(_dev("pi_star_identity", pi_ident, 0.0, exact=True))
     zinv = check_z_invariance(sol, mc, psol.coeffs)
@@ -404,9 +403,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
         out.append(_dev("y0_dev", abs(psol.y0 - y0_ref), 0.01))
         value_ref = -np.exp(-model.gamma * (model.x0 + y0_ref))
         out.append(_dev("value_dev", abs(psol.value - value_ref), 0.01))
-        mu0 = model.mu_s_fn()(0.0)
-        pi_ref = mu0 / (model.gamma * model.sigma_bar_s ** 2)
-        out.append(_dev("pi_star_dev", float(np.abs(pi_star - pi_ref).max()), 0.05))
+        out.append(_dev("pi_star_dev", float(np.abs(pi_star - frac).max()), 0.05))
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
         out.append(_dev("merton_z_rms", _z_rms(sol), 1e-3))
     else:
@@ -434,14 +431,14 @@ def _portfolio_assertions(bundle, cfg) -> list:
         # candidate optimum is clearly separated from every perturbation
         worst = min(abs(r["total_drift"]) for label, r in report["strategies"].items()
                     if label != "pi_star")
-        ratio = abs(star["total_drift"]) / worst
+        ratio = _ratio(abs(star["total_drift"]), worst)
         out.append(_dev("optimality_star_relative_drift", ratio, 0.5))
     # per-step slack: surface bias floor for fitted (non-closed-form) problems
     atol = _DRIFT_ATOL if model.g is None else 4 * _DRIFT_ATOL
     for label, res in report["strategies"].items():
         if label == "pi_star":
             continue
-        tstat = res["total_drift"] / res["total_se"]
+        tstat = _ratio(res["total_drift"], res["total_se"])
         out.append(_dev(f"optimality_{label}_drift_tstat", tstat, -3.0))
         step_ok = res["step_drift"] <= 3.0 * res["step_se"] + atol
         out.append(Assertion(f"optimality_{label}_step_upper_3sigma",

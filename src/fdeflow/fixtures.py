@@ -29,7 +29,6 @@ class Fixture:
     basis: RegressionBasis
     c4: float
     params: dict = field(default_factory=dict)   # every key build() reads, with its default
-    description: str = ""
 
     def build(self, **overrides):
         params = {**self.params, **overrides}
@@ -123,35 +122,28 @@ _BUILDERS = {
 FIXTURES = {
     "trivial": Fixture(
         name="trivial", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(3, 1), c4=0.0,
-        description="zero driver and drift, unit terminal: everything exact"),
+        basis=polynomial_basis(3, 1), c4=0.0),
     "const_driver": Fixture(
         name="const_driver", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(3, 1), c4=0.0, params={"c": 0.3},
-        description="constant driver forces affine V and Y"),
+        basis=polynomial_basis(3, 1), c4=0.0, params={"c": 0.3}),
     "tanh_terminal": Fixture(
         name="tanh_terminal", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=1.0,
-        description="heat-kernel smoothing of a saturating terminal"),
+        basis=polynomial_basis(7, 1), c4=1.0),
+    # c4 sizes the interior windows; the contraction-factor check validates
+    # it after the solve
     "linear_driver": Fixture(
         name="linear_driver", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=0.0, params={"a": 0.5},
-        description="linear driver against a finite-difference oracle; c4 "
-                    "sizes interior windows and is validated a posteriori by "
-                    "the contraction-factor check"),
+        basis=polynomial_basis(7, 1), c4=0.0, params={"a": 0.5}),
     "const_forward": Fixture(
         name="const_forward", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=1.0, params={"c": 0.5},
-        description="constant drift: closed-form exponential weights"),
+        basis=polynomial_basis(7, 1), c4=1.0, params={"c": 0.5}),
     "merton": Fixture(
         name="merton", kind="portfolio", T=1.0, K=50, num_paths=100_000,
-        basis=polynomial_basis(3, 2), c4=0.0, params=dict(_MARKET_DEFAULTS),
-        description="no endowment: classical exponential-utility benchmark"),
+        basis=polynomial_basis(3, 2), c4=0.0, params=dict(_MARKET_DEFAULTS)),
     "endowment": Fixture(
         name="endowment", kind="portfolio", T=1.0, K=50, num_paths=100_000,
         basis=polynomial_basis(3, 2), c4=0.5,
-        params={**_MARKET_DEFAULTS, "endowment_scale": 0.3},
-        description="bounded endowment on the nontradeable asset"),
+        params={**_MARKET_DEFAULTS, "endowment_scale": 0.3}),
 }
 
 

@@ -13,43 +13,47 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import InvalidArgumentError
 
+_HERMITE_NODES = 101
+_MERTON_SAMPLES = 4097
+# Crank-Nicolson: the box [-6, 6] with 400 space points, and 400 time steps
+_CN_X_MIN, _CN_X_MAX, _CN_SPACE_POINTS, _CN_TIME_STEPS = -6.0, 6.0, 400, 400
 
-def gaussian_expectation(fn, mean=0.0, variance=1.0, nodes: int = 101):
+
+def gaussian_expectation(fn, mean=0.0, variance=1.0):
     """E[fn(N(mean, variance))] by Gauss-Hermite quadrature; fn vectorized."""
     if variance < 0:
         raise InvalidArgumentError("variance must be non-negative")
     if variance == 0:
         return fn(np.asarray(mean))
-    x, w = hermegauss(nodes)
+    x, w = hermegauss(_HERMITE_NODES)
     w = w / w.sum()
     mean = np.asarray(mean, dtype=float)
     vals = fn(mean[..., None] + np.sqrt(variance) * x)
     return (vals * w).sum(axis=-1)
 
 
-def heat_value(terminal_fn, t: float, x, T: float, nodes: int = 101):
+def heat_value(terminal_fn, t: float, x, T: float):
     """u(t, x) = E[terminal_fn(x + B_{T-t})] for a standard Brownian motion."""
     if t > T:
         raise InvalidArgumentError("t must not exceed T")
     return gaussian_expectation(terminal_fn, mean=np.asarray(x, dtype=float),
-                                variance=T - t, nodes=nodes)
+                                variance=T - t)
 
 
 class CrankNicolsonOracle:
     """Theta-scheme solve of u_t + 0.5 u_xx + a u = 0, u(T, .) = terminal.
 
-    Dirichlet boundaries hold the terminal values at the box edges; keep the
-    box wide enough that the probe region never feels them.
+    Dirichlet boundaries hold the terminal values at the edges of the box
+    [-6, 6], which is wide enough that the probe region never feels them.
     """
 
-    def __init__(self, a: float, terminal_fn, T: float, x_min: float = -6.0,
-                 x_max: float = 6.0, num_space: int = 400, num_time: int = 400):
+    def __init__(self, a: float, terminal_fn, T: float):
         self.a = a
         self.T = T
-        self.xs = np.linspace(x_min, x_max, num_space)
+        self.xs = np.linspace(_CN_X_MIN, _CN_X_MAX, _CN_SPACE_POINTS)
         dx = self.xs[1] - self.xs[0]
-        dt = T / num_time
-        m = num_space - 2
+        dt = T / _CN_TIME_STEPS
+        m = _CN_SPACE_POINTS - 2
         lap = (np.diag(np.full(m - 1, 1.0), -1)
                + np.diag(np.full(m, -2.0))
                + np.diag(np.full(m - 1, 1.0), 1)) / dx ** 2
@@ -57,12 +61,12 @@ class CrankNicolsonOracle:
         lhs = np.eye(m) - 0.5 * dt * op
         rhs = np.eye(m) + 0.5 * dt * op
         u = np.asarray(terminal_fn(self.xs), dtype=float).copy()
-        self.times = np.linspace(0.0, T, num_time + 1)
-        self.values = np.empty((num_time + 1, num_space))
+        self.times = np.linspace(0.0, T, _CN_TIME_STEPS + 1)
+        self.values = np.empty((_CN_TIME_STEPS + 1, _CN_SPACE_POINTS))
         self.values[-1] = u
         bc_left, bc_right = u[0], u[-1]
         lhs_inv = np.linalg.inv(lhs)
-        for i in range(num_time - 1, -1, -1):
+        for i in range(_CN_TIME_STEPS - 1, -1, -1):
             interior = lhs_inv @ (rhs @ u[1:-1])
             u = u.copy()
             u[1:-1] = interior
@@ -82,15 +86,10 @@ class CrankNicolsonOracle:
         return np.interp(x, self.xs, row)
 
 
-def merton_y0(mu_s, sigma_bar_s: float, gamma: float, T: float,
-              samples: int = 4097) -> float:
+def merton_y0(mu_s: float, sigma_bar_s: float, gamma: float, T: float) -> float:
     """Quadrature of the deterministic auxiliary value integral."""
-    ts = np.linspace(0.0, T, samples)
-    if callable(mu_s):
-        mu = np.array([mu_s(t) for t in ts])
-    else:
-        mu = np.full_like(ts, float(mu_s))
-    vals = mu ** 2 / (2.0 * gamma * sigma_bar_s ** 2)
+    ts = np.linspace(0.0, T, _MERTON_SAMPLES)
+    vals = np.full_like(ts, float(mu_s)) ** 2 / (2.0 * gamma * sigma_bar_s ** 2)
     return float(np.trapezoid(vals, ts))
 
 

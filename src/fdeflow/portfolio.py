@@ -10,14 +10,15 @@ in (ln V, ln S, Y) and the change-of-measure pass, not by quadratic time
 stepping. The value is -exp(-gamma (x0 + Y_0)) and the optimal strategy is
 pi* = -Zbar + mu_S / (gamma sigma_S^2).
 
-The canonical forward state is the driving pair with its measure-change
-drift; log prices are affine in that state, which requires constant
-volatility coefficients (drifts may vary with time).
+The market has constant coefficients. The canonical forward state is the
+driving pair with its measure-change drift, and log prices are affine in
+that state and in time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +29,23 @@ from .grid import BrownianEnsemble, TimeGrid
 
 _G_CHECK_SAMPLES = 64
 _G_CHECK_SEED = 0xF00D
-
-
-def _as_time_fn(v):
-    if callable(v):
-        return v
-    return lambda t, _v=float(v): _v
+_MARKET_NUMBERS = ("mu_s", "sigma_bar_s", "mu_v", "sigma_v", "sigma_bar_v",
+                   "gamma", "x0", "v0", "s0")
 
 
 @dataclass
 class MarketModel:
-    """Coefficients of the two-asset market and the investor's data.
+    """Constant coefficients of the two-asset market and the investor's data.
 
-    Drifts may be functions of time; volatilities must be constant (the
-    canonical state transform is affine only then). ``g`` maps terminal
-    prices (V_T, S_T) to the random endowment; ``g_lip_log`` is its Lipschitz
-    constant in log prices and ``g_bound`` its uniform bound. ``g=None``
-    means zero endowment.
+    Every drift, volatility, price and the initial wealth is a finite number.
+    ``g`` maps terminal prices (V_T, S_T) to the random endowment;
+    ``g_lip_log`` is its Lipschitz constant in log prices and ``g_bound`` its
+    uniform bound. ``g=None`` means zero endowment.
     """
 
-    mu_s: object
+    mu_s: float
     sigma_bar_s: float
-    mu_v: object = 0.0
+    mu_v: float = 0.0
     sigma_v: float = 0.0
     sigma_bar_v: float = 0.0
     gamma: float = 1.0
@@ -61,14 +57,14 @@ class MarketModel:
     s0: float = 1.0
 
     def __post_init__(self):
+        for name in _MARKET_NUMBERS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
         if not (self.gamma > 0):
             raise InvalidArgumentError(f"gamma must be positive, got {self.gamma}")
         if self.v0 <= 0 or self.s0 <= 0:
             raise InvalidArgumentError("initial prices must be positive")
-        for name in ("sigma_bar_s", "sigma_v", "sigma_bar_v"):
-            if callable(getattr(self, name)):
-                raise InvalidArgumentError(
-                    f"{name} must be a constant; time-varying volatilities are unsupported")
         if not (abs(self.sigma_bar_s) > 0):
             raise InvalidArgumentError("sigma_bar_s must be bounded away from zero")
         if self.g is not None:
@@ -77,11 +73,10 @@ class MarketModel:
                     "an endowment needs positive g_bound and non-negative g_lip_log")
             self._spot_check_g()
 
-    def mu_s_fn(self):
-        return _as_time_fn(self.mu_s)
-
-    def mu_v_fn(self):
-        return _as_time_fn(self.mu_v)
+    @property
+    def merton_fraction(self) -> float:
+        """mu_S / (gamma sigma_S^2), the Merton fraction of wealth in S."""
+        return self.mu_s / (self.gamma * self.sigma_bar_s ** 2)
 
     def _spot_check_g(self):
         rng = np.random.Generator(np.random.Philox(key=_G_CHECK_SEED))
@@ -101,83 +96,55 @@ class MarketModel:
                 f"g violates the declared log-price Lipschitz constant {self.g_lip_log}")
 
 
-@dataclass
-class PortfolioTransform:
-    """Affine map from the canonical state to log prices, plus metadata."""
+def log_prices(model: MarketModel, t: float, state: np.ndarray):
+    """Map canonical states (P, 2) at time t to (ln V, ln S).
 
-    model: MarketModel
-    T: float
-    _t_fine: np.ndarray = field(repr=False, default=None)
-    _a_v: np.ndarray = field(repr=False, default=None)
-    _a_s: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        mu_v = self.model.mu_v_fn()
-        mu_s = self.model.mu_s_fn()
-        sv, sbv, sbs = self.model.sigma_v, self.model.sigma_bar_v, self.model.sigma_bar_s
-        ts = np.linspace(0.0, self.T, 2049)
-        # in canonical coordinates the measure-change drift moves into the
-        # state, so log S picks up the full mu_S (d lnS = (mu - sbs^2/2) dt
-        # + sbs dX2); log V's coupling terms enter through X already
-        drift_v = np.array([mu_v(t) for t in ts]) - 0.5 * (sv ** 2 + sbv ** 2)
-        drift_s = np.array([mu_s(t) for t in ts]) - 0.5 * sbs ** 2
-        self._t_fine = ts
-        self._a_v = np.concatenate([[0.0], np.cumsum(
-            0.5 * (drift_v[1:] + drift_v[:-1]) * np.diff(ts))])
-        self._a_s = np.concatenate([[0.0], np.cumsum(
-            0.5 * (drift_s[1:] + drift_s[:-1]) * np.diff(ts))])
-
-    def log_prices(self, t: float, state: np.ndarray):
-        """Map canonical states (P, 2) at time t to (ln V, ln S)."""
-        a_v = float(np.interp(t, self._t_fine, self._a_v))
-        a_s = float(np.interp(t, self._t_fine, self._a_s))
-        ln_v = (np.log(self.model.v0) + a_v
-                + self.model.sigma_v * state[:, 0] + self.model.sigma_bar_v * state[:, 1])
-        ln_s = np.log(self.model.s0) + a_s + self.model.sigma_bar_s * state[:, 1]
-        return ln_v, ln_s
+    In canonical coordinates the measure-change drift moves into the state,
+    so ln S picks up the full mu_S (d ln S = (mu_S - sigma_S^2/2) dt +
+    sigma_S dX2); ln V's coupling terms enter through X already.
+    """
+    sv, sbv, sbs = model.sigma_v, model.sigma_bar_v, model.sigma_bar_s
+    a_v = (model.mu_v - 0.5 * (sv ** 2 + sbv ** 2)) * t
+    a_s = (model.mu_s - 0.5 * sbs ** 2) * t
+    ln_v = np.log(model.v0) + a_v + sv * state[:, 0] + sbv * state[:, 1]
+    ln_s = np.log(model.s0) + a_s + sbs * state[:, 1]
+    return ln_v, ln_s
 
 
-def build_portfolio_fbsde(model: MarketModel, T: float):
-    """Encode the linear auxiliary system as a canonical coefficient set.
+def build_portfolio_fbsde(model: MarketModel, T: float) -> CoefficientSet:
+    """Encode the linear auxiliary system as a canonical coefficient set (n=1, d=2).
 
     Forward drift couples the nontradeable log price to Z through
     -(gamma/2) Z^V and carries the market-price-of-risk shift -mu_S/sigma_S;
-    the backward driver is the deterministic mu_S^2 / (2 gamma sigma_S^2);
-    the terminal map is g composed with the affine price transform. Returns
-    (CoefficientSet with n=1, d=2, PortfolioTransform).
+    the backward driver is the constant mu_S^2 / (2 gamma sigma_S^2); the
+    terminal map is g composed with ``log_prices`` at T.
     """
     if not (T > 0):
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
-    mu_s = model.mu_s_fn()
-    for t in np.linspace(0.0, T, 9):
-        if not np.isfinite(mu_s(t)):
-            raise InvalidArgumentError("mu_s must be finite on [0, T]")
-    transform = PortfolioTransform(model, T)
     gamma, sbs = model.gamma, model.sigma_bar_s
+    driver = model.mu_s ** 2 / (2.0 * gamma * sbs ** 2)
+    shift = -model.mu_s / sbs
 
     def h(t, y, z):
-        return np.full((y.shape[0], 1), mu_s(t) ** 2 / (2.0 * gamma * sbs ** 2))
+        return np.full((y.shape[0], 1), driver)
 
     def f(t, y, z):
-        return np.column_stack([
-            -0.5 * gamma * z[:, 0, 0],
-            np.full(z.shape[0], -mu_s(t) / sbs)])
+        return np.column_stack([-0.5 * gamma * z[:, 0, 0], np.full(z.shape[0], shift)])
 
     if model.g is None:
         phi = lambda x: np.zeros((x.shape[0], 1))
         c2 = 0.0
         m_bound = 0.0
     else:
-        def phi(x, _T=T):
-            ln_v, ln_s = transform.log_prices(_T, x)
+        def phi(x):
+            ln_v, ln_s = log_prices(model, T, x)
             return np.asarray(model.g(np.exp(ln_v), np.exp(ln_s)), dtype=float).reshape(-1, 1)
         c2 = model.g_lip_log * float(np.hypot(
             model.sigma_v, abs(model.sigma_bar_v) + abs(model.sigma_bar_s)))
         m_bound = model.g_bound
 
-    coeffs = CoefficientSet(n=1, d=2, h=h, f=f, phi=phi,
-                            c1=0.5 * gamma, c2=c2, m_bound=m_bound)
-    return coeffs, transform
+    return CoefficientSet(n=1, d=2, h=h, f=f, phi=phi,
+                          c1=0.5 * gamma, c2=c2, m_bound=m_bound)
 
 
 @dataclass
@@ -200,15 +167,8 @@ class PortfolioSolution:
         # path-major: the per-step mean and std sum a column of a C-order array
         pi_star = np.empty((sol.num_paths, sol.grid.num_steps))
         np.negative(sol.Z[:, :, 0, 1], out=pi_star)
-        pi_star += merton_fraction(self.model, sol.grid)
+        pi_star += self.model.merton_fraction
         return pi_star
-
-
-def merton_fraction(model: MarketModel, grid: TimeGrid) -> np.ndarray:
-    """mu_S(t_k) / (gamma sigma_S^2) at the left endpoints t_0, ..., t_{K-1}."""
-    mu = model.mu_s_fn()
-    return np.array([mu(t) for t in grid.points[:-1]]) / (
-        model.gamma * model.sigma_bar_s ** 2)
 
 
 def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -223,7 +183,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     """
     if ensemble.dim != 2:
         raise InvalidArgumentError("portfolio ensembles must be two-dimensional")
-    coeffs, _ = build_portfolio_fbsde(model, grid.horizon)
+    coeffs = build_portfolio_fbsde(model, grid.horizon)
     sol = solve_global(coeffs, grid, np.zeros(2), ensemble, **solve_kwargs)
     mc = build_measure_change(sol, coeffs, ensemble)
     weak_residual = assemble_weak_solution(sol, mc, coeffs)
@@ -265,13 +225,12 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
         raise InvalidArgumentError("evaluation grid must match the solve grid")
 
     K = sol.grid.num_steps
-    t = sol.grid.points
     dt = sol.grid.dt
     P = eval_ensemble.num_paths
     gamma = psol.model.gamma
     sbs = psol.model.sigma_bar_s
-    mu = psol.model.mu_s_fn()
-    frac = merton_fraction(psol.model, sol.grid)
+    mu = psol.model.mu_s
+    frac = psol.model.merton_fraction
     dW = eval_ensemble.increments
 
     def surfaces(k, w):
@@ -297,11 +256,11 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
         y_next, z_next = surfaces(k + 1, w)
         zv, zbar = z_k[:, 0], z_k[:, 1]
         dw1 = dW[:, k, 1]
-        gain = mu(t[k]) * dt[k] + sbs * dw1
+        gain = mu * dt[k] + sbs * dw1
         zv_dw0 = zv * dW[:, k, 0]
         for label, res in results.items():
             wealth, total, u_prev = state[label]
-            pi = -zbar + frac[k] + res["delta"]
+            pi = -zbar + frac + res["delta"]
             wealth_next = wealth + pi * gain
             u_next = -np.exp(-gamma * (wealth_next + y_next))
             cv = u_prev * (-gamma) * ((pi * sbs + zbar) * dw1 + zv_dw0)

@@ -2,7 +2,7 @@
 import numpy as np
 
 import fdeflow as ff
-from fdeflow.portfolio import PortfolioTransform
+from fdeflow import portfolio
 
 
 def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, x0,
@@ -33,24 +33,21 @@ def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
     return out.transpose(1, 0, 2)
 
 
-def prices(transform: PortfolioTransform, t: float, state: np.ndarray):
+def prices(model: ff.MarketModel, t: float, state: np.ndarray):
     """Prices (V, S) of canonical states (P, 2) at time t."""
-    ln_v, ln_s = transform.log_prices(t, state)
+    ln_v, ln_s = portfolio.log_prices(model, t, state)
     return np.exp(ln_v), np.exp(ln_s)
 
 
-def girsanov_integrand(transform: PortfolioTransform, t, y, z) -> np.ndarray:
+def girsanov_integrand(model: ff.MarketModel, t, y, z) -> np.ndarray:
     """Integrand of N: ((gamma/2) Z^V, mu_S / sigma_S); minus the canonical drift."""
-    model = transform.model
     return np.column_stack([0.5 * model.gamma * z[:, 0, 0],
-                            np.full(z.shape[0], model.mu_s_fn()(t) / model.sigma_bar_s)])
+                            np.full(z.shape[0], model.mu_s / model.sigma_bar_s)])
 
 
 def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
     """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on the stored arrays."""
-    mu = psol.model.mu_s_fn()
-    base = np.array([mu(t) for t in psol.fde_sol.grid.points[:-1]])
-    return -psol.fde_sol.Z[:, :, 0, 1] + base[None, :] / (
+    return -psol.fde_sol.Z[:, :, 0, 1] + psol.model.mu_s / (
         psol.model.gamma * psol.model.sigma_bar_s ** 2)
 
 
@@ -64,12 +61,11 @@ def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
     finiteness checks are left out.
     """
     K = psol.fde_sol.grid.num_steps
-    t = psol.fde_sol.grid.points
     dt = psol.fde_sol.grid.dt
     P = eval_ensemble.num_paths
     gamma = psol.model.gamma
     sbs = psol.model.sigma_bar_s
-    mu = psol.model.mu_s_fn()
+    mu = psol.model.mu_s
     dW = eval_ensemble.increments
     w_state = brownian_paths(eval_ensemble)  # canonical state starts at 0
 
@@ -94,8 +90,8 @@ def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
         u_prev = -np.exp(-gamma * (wealth + y_surf[0]))
         for k in range(K):
             zv, zbar = z_surf[k][:, 0], z_surf[k][:, 1]
-            pi = -zbar + mu(t[k]) / (gamma * sbs ** 2) + dlt
-            wealth_next = wealth + pi * (mu(t[k]) * dt[k] + sbs * dW[:, k, 1])
+            pi = -zbar + mu / (gamma * sbs ** 2) + dlt
+            wealth_next = wealth + pi * (mu * dt[k] + sbs * dW[:, k, 1])
             u_next = -np.exp(-gamma * (wealth_next + y_surf[k + 1]))
             cv = u_prev * (-gamma) * ((pi * sbs + zbar) * dW[:, k, 1] + zv * dW[:, k, 0])
             incr = u_next - u_prev - cv

@@ -224,7 +224,7 @@ def test_criterion_10_empirical_pathwise_uniqueness():
         grid = ff.build_uniform_grid(fixture.T, fixture.K)
         if fixture.kind == "portfolio":
             model = fixture.build()
-            coeffs, _ = ff.build_portfolio_fbsde(model, fixture.T)
+            coeffs = ff.build_portfolio_fbsde(model, fixture.T)
             dim, x0 = 2, np.zeros(2)
         else:
             coeffs = fixture.build()

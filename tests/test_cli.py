@@ -295,11 +295,31 @@ def test_invalid_c4_exits_two_and_names_it(tmp_path, capsys, c4):
     assert "c4 must be finite and non-negative" in capsys.readouterr().out
 
 
-# the fixture section of each problem; {} is the drawn fixture parameter
+MARKET_NUMBERS = ("mu_s", "sigma_bar_s", "mu_v", "sigma_v", "sigma_bar_v",
+                  "gamma", "x0", "v0", "s0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", MARKET_NUMBERS)
+def test_non_finite_market_number_exits_two_and_names_it(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = _shipped_config("portfolio.cfg", tmp_path, out=out, num_paths=3000, **{key: value})
+    assert cli.main(["run", cfg]) == 2
+    text = capsys.readouterr().out
+    assert text.startswith("config error: ") and text.count("\n") == 1
+    assert f"{key} must be a finite number" in text
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["exit_code"] == 2 and report["error"] in text
+
+
+# each base: its problem and the fixture section, where {} is the drawn
+# fixture parameter
 CONTRACT_BASES = {
-    "fbsde": "[coefficients]\nfixture = linear_driver\na = {}\n",
-    "portfolio": "[market]\nmu_s = 0.1\nsigma_bar_s = 0.2\ngamma = {}\n",
-    "qbsde-weak": "[coefficients]\nfixture = const_forward\nc = {}\n",
+    "fbsde": ("fbsde", "[coefficients]\nfixture = linear_driver\na = {}\n"),
+    "portfolio": ("portfolio", "[market]\nmu_s = 0.1\nsigma_bar_s = 0.2\ngamma = {}\n"),
+    "portfolio-x0": ("portfolio",
+                     "[market]\nmu_s = 0.1\nsigma_bar_s = 0.2\ngamma = 1.0\nx0 = {}\n"),
+    "qbsde-weak": ("qbsde-weak", "[coefficients]\nfixture = const_forward\nc = {}\n"),
 }
 # key: (section, valid values); the valid sizes keep every solve small
 CONTRACT_KEYS = {
@@ -325,11 +345,12 @@ NON_FINITE = ("nan", "inf", "-inf")
 def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, base, valid, broken):
     values = {**valid, **broken}
     out = tmp_path_factory.mktemp("contract")
-    rows = {"run": [f"problem = {base}", f"out = {out / 'out'}"]}
+    problem, fixture_section = CONTRACT_BASES[base]
+    rows = {"run": [f"problem = {problem}", f"out = {out / 'out'}"]}
     for key, (section, _) in CONTRACT_KEYS.items():
         if section is not None:
             rows.setdefault(section, []).append(f"{key} = {values[key]}")
-    body = CONTRACT_BASES[base].format(values["param"]) + "".join(
+    body = fixture_section.format(values["param"]) + "".join(
         f"\n[{section}]\n" + "\n".join(lines) + "\n" for section, lines in rows.items())
     real_run = cli.run
     raised = []
@@ -523,6 +544,23 @@ def test_zero_drift_runs_end_with_a_verdict_table(tmp_path, problem, section):
     checks = {a["name"]: a for a in report["assertions"]}
     assert checks["weight_mean_dev_se"]["value"] == 0.0
     assert checks["weight_mean_dev_se"]["passed"]
+
+
+@pytest.mark.parametrize("endowment", ["endowment = zero",
+                                       "endowment = tanh\nendowment_scale = 0.3"],
+                         ids=["merton", "endowment"])
+def test_underflowing_utility_ends_with_a_verdict_table(tmp_path, endowment):
+    # with x0 = 1e15 every utility -exp(-gamma (X + Y)) is -0.0, so each
+    # strategy's drift and its standard error are 0
+    out = tmp_path / "out"
+    body = (f"[run]\nproblem = portfolio\nnum_paths = 3000\nout = {out}\n\n[market]\n"
+            f"mu_s = 0.1\nsigma_bar_s = 0.2\ngamma = 1.0\nx0 = {HUGE}\n{endowment}\n")
+    assert cli.main(["run", _write(tmp_path, body), "--quiet"]) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert "exit_code" not in report
+    checks = {a["name"]: a for a in report["assertions"]}
+    assert checks["optimality_pi_star+1_drift_tstat"]["value"] == 0.0
+    assert not checks["optimality_pi_star+1_drift_tstat"]["passed"]
 
 
 def test_seed_and_paths_overrides_apply(tmp_path):

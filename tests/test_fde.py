@@ -244,7 +244,7 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
     fixture = ff.get_fixture(name)
     grid = ff.build_uniform_grid(fixture.T, fixture.K)
     if fixture.kind == "portfolio":
-        coeffs, _ = ff.build_portfolio_fbsde(fixture.build(), fixture.T)
+        coeffs = ff.build_portfolio_fbsde(fixture.build(), fixture.T)
         x0 = np.zeros(2)
     else:
         coeffs, x0 = fixture.build(), 0.0

@@ -19,13 +19,20 @@ def test_model_validation():
         ff.MarketModel(mu_s=0.1, sigma_bar_s=0.0)
     with pytest.raises(InvalidArgumentError):
         ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, gamma=0.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="sigma_bar_s must be a finite number"):
         ff.MarketModel(mu_s=0.1, sigma_bar_s=lambda t: 0.2)
     with pytest.raises(InvalidArgumentError):
         ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, v0=-1.0)
     with pytest.raises(InvalidArgumentError):
         ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2,
                        g=lambda v, s: np.log(v), g_bound=1.0, g_lip_log=1.0)
+
+
+@pytest.mark.parametrize("name", ["mu_s", "mu_v"])
+def test_model_rejects_a_time_varying_drift(name):
+    # the market has constant coefficients: a drift given as a function of time is refused
+    with pytest.raises(InvalidArgumentError, match=f"{name} must be a finite number"):
+        ff.MarketModel(**{"mu_s": 0.1, "sigma_bar_s": 0.2, name: lambda t: 0.1})
 
 
 def test_model_validation_rejects_non_finite_endowment():
@@ -36,7 +43,7 @@ def test_model_validation_rejects_non_finite_endowment():
 
 def test_build_fbsde_driver_and_integrand_values():
     model = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, gamma=1.0)
-    coeffs, transform = ff.build_portfolio_fbsde(model, 1.0)
+    coeffs = ff.build_portfolio_fbsde(model, 1.0)
     assert coeffs.n == 1 and coeffs.d == 2
     y = np.zeros((4, 1))
     z = np.zeros((4, 1, 2))
@@ -45,7 +52,7 @@ def test_build_fbsde_driver_and_integrand_values():
     # canonical drift is minus the measure-change integrand
     z[:, 0, 0] = 2.0
     f = coeffs.eval_f(0.0, y, z)
-    nu = girsanov_integrand(transform, 0.0, y, z)
+    nu = girsanov_integrand(model, 0.0, y, z)
     assert np.allclose(f, -nu)
     assert np.allclose(nu[:, 0], 1.0)      # (gamma/2) z_v
     assert np.allclose(nu[:, 1], 0.5)      # mu / sigma
@@ -53,18 +60,17 @@ def test_build_fbsde_driver_and_integrand_values():
 
 def test_build_fbsde_zero_market_price_of_risk():
     model = ff.MarketModel(mu_s=0.0, sigma_bar_s=0.2, gamma=1.0)
-    coeffs, transform = ff.build_portfolio_fbsde(model, 1.0)
+    coeffs = ff.build_portfolio_fbsde(model, 1.0)
     y = np.zeros((3, 1)); z = np.zeros((3, 1, 2))
     assert np.abs(coeffs.eval_h(0.5, y, z)).max() == 0.0
-    assert np.abs(girsanov_integrand(transform, 0.5, y, z)[:, 1]).max() == 0.0
+    assert np.abs(girsanov_integrand(model, 0.5, y, z)[:, 1]).max() == 0.0
 
 
 def test_transform_degenerate_nontradeable_noise():
     model = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, sigma_v=0.0,
                            sigma_bar_v=0.0, mu_v=0.05, gamma=1.0)
-    _, transform = ff.build_portfolio_fbsde(model, 1.0)
     states = np.random.default_rng(0).standard_normal((50, 2))
-    ln_v, _ = transform.log_prices(0.7, states)
+    ln_v, _ = portfolio.log_prices(model, 0.7, states)
     assert np.ptp(ln_v) == 0.0  # deterministic nontradeable price
 
 
@@ -72,13 +78,24 @@ def test_transform_reproduces_gbm_terminal_prices():
     model = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, mu_v=0.05,
                            sigma_v=0.3, sigma_bar_v=0.1, gamma=1.0,
                            v0=2.0, s0=3.0)
-    _, transform = ff.build_portfolio_fbsde(model, 1.0)
     state = np.array([[0.4, -0.2]])
-    ln_v, ln_s = transform.log_prices(1.0, state)
+    ln_v, ln_s = portfolio.log_prices(model, 1.0, state)
     expect_s = np.log(3.0) + 0.1 - 0.5 * 0.04 + 0.2 * (-0.2)
     expect_v = np.log(2.0) + 0.05 - 0.5 * (0.09 + 0.01) + 0.3 * 0.4 + 0.1 * (-0.2)
     assert ln_s[0] == pytest.approx(expect_s, abs=1e-9)
     assert ln_v[0] == pytest.approx(expect_v, abs=1e-9)
+
+
+def test_log_prices_are_the_affine_closed_form():
+    # constant coefficients: the log drift to T is (mu - s^2/2) T exactly, with no
+    # quadrature rounding (a 2049-point trapezoid gave 0.049999999999998206 for ln V)
+    model = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, mu_v=0.1, sigma_v=0.3,
+                           sigma_bar_v=0.1, gamma=1.0)
+    T = 1.0
+    ln_v, ln_s = portfolio.log_prices(model, T, np.zeros((3, 2)))
+    assert (ln_v == (0.1 - 0.5 * (0.3 ** 2 + 0.1 ** 2)) * T).all()
+    assert (ln_v == 0.05).all()
+    assert (ln_s == (0.1 - 0.5 * 0.2 ** 2) * T).all()
 
 
 def test_merton_benchmark_small(merton_small):
@@ -143,8 +160,7 @@ def test_reweighted_asset_drift(merton_small):
     # E[S_T] under the target measure is s0 * exp(int mu dt)
     model, grid, ens, psol = merton_small
     mc = psol.measure_change
-    _, transform = ff.build_portfolio_fbsde(model, grid.horizon)
-    v_t, s_t = prices(transform, grid.horizon, psol.fde_sol.X[:, -1])
+    v_t, s_t = prices(model, grid.horizon, psol.fde_sol.X[:, -1])
     for price, drift in ((s_t, 0.1), (v_t, 0.05)):
         weighted = mc.weights * price
         mean = float(weighted.mean() / mc.weights.mean())
@@ -161,23 +177,27 @@ def test_optimality_refuses_solve_ensemble(merton_small):
 def test_optimality_rejects_a_non_finite_surface_or_drift(merton_small, monkeypatch):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 2_000, 2, 6063)
-    calls = []
 
-    def nan_at_step_7(y_fit, z_fit, states):
-        calls.append(None)
-        yk, zk = ff.fde.evaluate_step_maps(y_fit, z_fit, states)
-        if len(calls) == 8:
-            yk[3] = np.nan
-        return yk, zk
+    def setting_y(call, value):
+        """evaluate_step_maps that sets one Y value on its ``call``-th call."""
+        calls = []
 
-    with monkeypatch.context() as m:
-        m.setattr(portfolio, "evaluate_step_maps", nan_at_step_7)
-        with pytest.raises(InvalidStateError, match="surface at step 7"):
-            ff.verify_martingale_optimality(psol, (0.5,), fresh)
-    t5 = grid.points[5]
-    nan_mu = dataclasses.replace(model, mu_s=lambda t: np.nan if t == t5 else model.mu_s)
-    with pytest.raises(InvalidStateError, match="pi_star drift at step 5"):
-        ff.verify_martingale_optimality(dataclasses.replace(psol, model=nan_mu), (0.5,), fresh)
+        def evaluate(y_fit, z_fit, states):
+            calls.append(None)
+            yk, zk = ff.fde.evaluate_step_maps(y_fit, z_fit, states)
+            if len(calls) == call:
+                yk[3] = value
+            return yk, zk
+        return evaluate
+
+    # a NaN surface at step 7; a finite but extreme Y at step 6, whose
+    # utility overflows in step 5's drift
+    for call, value, match in ((8, np.nan, "surface at step 7"),
+                               (7, -1e3, "pi_star drift at step 5")):
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(portfolio, "evaluate_step_maps", setting_y(call, value))
+            with pytest.raises(InvalidStateError, match=match):
+                ff.verify_martingale_optimality(psol, (0.5,), fresh)
 
 
 def test_optimality_drifts_on_merton(merton_small):
