@@ -267,8 +267,10 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     Z = [np.zeros((P, n, d)) for _ in range(m + 1)]
 
     report = PicardReport(window=(float(t[0]), float(t[-1])), distances=[], converged=False)
-    # a step's regression and the terminal values last as long as their
-    # states: rebuilt only on a pass whose states changed bitwise. Step 0's
+    # one reuse rule: a step's work is reused on a pass whose states at that
+    # step are bitwise the last pass's (prev_psi). Exact, because a kept
+    # regression and the terminal values are rebuilt whenever their states
+    # change, so they always come from the last pass's states. Step 0's
     # states are the starts on every pass, so its regression is kept without
     # a compare. A kept regression holds one design when its fit keeps every
     # row (as at the window's first step) and two otherwise. With c1 == 0 h
@@ -278,10 +280,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     # each step's increments, contiguous: a view of a sampled ensemble, else a copy
     dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
     regressions = [None] * m
-    terminal = None   # (X[m], terminal_map(X[m]))
     prev_psi = None
     passes = 0
-    result = None
     while passes < max_iter:
         passes += 1
         V = np.zeros((m + 1, P, n))
@@ -292,9 +292,9 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
         if not np.all(np.isfinite(X[m])) or not np.all(np.isfinite(V[m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
-        if terminal is None or not bitwise_equal(terminal[0], X[m]):
-            terminal = (X[m], _as_2d(terminal_map(X[m]), n, "terminal_map output"))
-        xi = terminal[1] + V[m]
+        if prev_psi is None or not bitwise_equal(X[m], prev_psi[1][m]):
+            phi_T = _as_2d(terminal_map(X[m]), n, "terminal_map output")
+        xi = phi_T + V[m]
 
         y_fits = [None] * m
         z_fits = [None] * m
@@ -302,7 +302,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         M_next = xi
         for k in range(m - 1, -1, -1):
             sr = regressions[k]
-            if sr is None or (k > 0 and not sr.built_on(X[k])):
+            if sr is None or (k > 0 and not bitwise_equal(X[k], prev_psi[1][k])):
                 window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
                 sr = StepRegression(X[k], basis, fit_window=window_box)
                 if keep:
@@ -332,10 +332,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             if dist <= tol:
                 report.converged = True
             if dist <= tol * DEFAULT_POLISH:
-                result = (V, X, y_fits, z_fits)
                 break
         prev_psi = (V, X)
-        result = (V, X, y_fits, z_fits)
 
     if not report.converged:
         raise PicardDivergedError(
@@ -343,14 +341,12 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             f"(last distance {report.distances[-1] if report.distances else float('nan'):.3g})",
             report)
 
-    V, X, y_fits, z_fits = result
+    # the last pass is the solution
     sol = FdeSolution(
         grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
         Y=np.stack(Y).transpose(1, 0, 2), Z=np.stack(Z[:m]).transpose(1, 0, 2, 3),
-        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report],
-        residuals={"terminal_rms": 0.0}, window_bounds=[(0, m)],
-        x0=start[0].copy() if all(col.min() == col.max() for col in start.T) else None,
-        seed=None)
+        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)],
+        x0=start[0].copy() if np.ndim(start_x) <= 1 else None, seed=None)
     return sol, report
 
 
@@ -463,9 +459,8 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
             tol=tol, max_iter=max_iter, basis=basis, terminal_lipschitz=lip,
             initial_guess=initial_guess, fit_window_fn=box, clip_bound=clip_bound)
         reports[wi] = wrep
-        for k in range(a, b):
-            phi_fits[k] = wsol.phi_fits[k - a]
-            z_fits[k] = wsol.z_fits[k - a]
+        phi_fits[a:b] = wsol.phi_fits
+        z_fits[a:b] = wsol.z_fits
         terminal_map = (lambda x, _f=phi_fits[a]:
                         np.clip(_f.evaluate(x), -clip_bound, clip_bound))
 

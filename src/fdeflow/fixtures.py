@@ -28,11 +28,11 @@ class Fixture:
     num_paths: int
     basis: RegressionBasis
     c4: float
+    builder: callable              # params -> CoefficientSet or MarketModel
     params: dict = field(default_factory=dict)   # every key build() reads, with its default
 
     def build(self, **overrides):
-        params = {**self.params, **overrides}
-        return _BUILDERS[self.name](params)
+        return self.builder({**self.params, **overrides})
 
 
 def _zeros_like_y(t, y, z):
@@ -83,21 +83,13 @@ def _build_const_forward(params):
 
 
 def _merton_market(params):
-    return MarketModel(
-        mu_s=float(params["mu_s"]),
-        sigma_bar_s=float(params["sigma_bar_s"]),
-        mu_v=float(params["mu_v"]),
-        sigma_v=float(params["sigma_v"]),
-        sigma_bar_v=float(params["sigma_bar_v"]),
-        gamma=float(params["gamma"]),
-        g=None,
-        x0=float(params["x0"]),
-        v0=float(params["v0"]),
-        s0=float(params["s0"]))
+    return MarketModel(**{k: float(params[k]) for k in _MARKET_DEFAULTS})
 
 
 def _build_endowment(params):
     scale = float(params["endowment_scale"])
+    if not 0 < scale < np.inf:
+        raise InvalidArgumentError(f"endowment_scale must be finite and positive, got {scale}")
     v0 = float(params["v0"])
 
     def g(v, s):
@@ -109,42 +101,27 @@ def _build_endowment(params):
 _MARKET_DEFAULTS = {"mu_s": 0.1, "sigma_bar_s": 0.2, "mu_v": 0.05, "sigma_v": 0.3,
                     "sigma_bar_v": 0.1, "gamma": 1.0, "x0": 0.0, "v0": 1.0, "s0": 1.0}
 
-_BUILDERS = {
-    "trivial": _build_trivial,
-    "const_driver": _build_const_driver,
-    "tanh_terminal": _build_tanh_terminal,
-    "linear_driver": _build_linear_driver,
-    "const_forward": _build_const_forward,
-    "merton": _merton_market,
-    "endowment": _build_endowment,
-}
+_FBSDE = dict(kind="fbsde", T=1.0, K=64, num_paths=100_000)
+_MARKET = dict(kind="portfolio", T=1.0, K=50, num_paths=100_000, basis=polynomial_basis(3, 2))
 
-FIXTURES = {
-    "trivial": Fixture(
-        name="trivial", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(3, 1), c4=0.0),
-    "const_driver": Fixture(
-        name="const_driver", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(3, 1), c4=0.0, params={"c": 0.3}),
-    "tanh_terminal": Fixture(
-        name="tanh_terminal", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=1.0),
+FIXTURES = {f.name: f for f in (
+    Fixture("trivial", **_FBSDE, basis=polynomial_basis(3, 1), c4=0.0,
+            builder=_build_trivial),
+    Fixture("const_driver", **_FBSDE, basis=polynomial_basis(3, 1), c4=0.0,
+            builder=_build_const_driver, params={"c": 0.3}),
+    Fixture("tanh_terminal", **_FBSDE, basis=polynomial_basis(7, 1), c4=1.0,
+            builder=_build_tanh_terminal),
     # c4 sizes the interior windows; the contraction-factor check validates
     # it after the solve
-    "linear_driver": Fixture(
-        name="linear_driver", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=0.0, params={"a": 0.5}),
-    "const_forward": Fixture(
-        name="const_forward", kind="fbsde", T=1.0, K=64, num_paths=100_000,
-        basis=polynomial_basis(7, 1), c4=1.0, params={"c": 0.5}),
-    "merton": Fixture(
-        name="merton", kind="portfolio", T=1.0, K=50, num_paths=100_000,
-        basis=polynomial_basis(3, 2), c4=0.0, params=dict(_MARKET_DEFAULTS)),
-    "endowment": Fixture(
-        name="endowment", kind="portfolio", T=1.0, K=50, num_paths=100_000,
-        basis=polynomial_basis(3, 2), c4=0.5,
-        params={**_MARKET_DEFAULTS, "endowment_scale": 0.3}),
-}
+    Fixture("linear_driver", **_FBSDE, basis=polynomial_basis(7, 1), c4=0.0,
+            builder=_build_linear_driver, params={"a": 0.5}),
+    Fixture("const_forward", **_FBSDE, basis=polynomial_basis(7, 1), c4=1.0,
+            builder=_build_const_forward, params={"c": 0.5}),
+    Fixture("merton", **_MARKET, c4=0.0, builder=_merton_market,
+            params=dict(_MARKET_DEFAULTS)),
+    Fixture("endowment", **_MARKET, c4=0.5, builder=_build_endowment,
+            params={**_MARKET_DEFAULTS, "endowment_scale": 0.3}),
+)}
 
 
 def get_fixture(name: str) -> Fixture:

@@ -189,12 +189,18 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     weak_residual = assemble_weak_solution(sol, mc, coeffs)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
-    value = -float(np.exp(-model.gamma * (model.x0 + y0)))
+    with np.errstate(over="ignore"):
+        value = -float(np.exp(-model.gamma * (model.x0 + y0)))
+    if not np.isfinite(value):
+        raise InvalidStateError(
+            f"value overflow: -exp(-gamma (x0 + y0)) is not finite at x0 = {model.x0:.6g}, "
+            f"y0 = {y0:.6g}")
     return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
                              weak_residual=weak_residual, fde_sol=sol,
                              measure_change=mc, coeffs=coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite drift fails by step below
 def verify_martingale_optimality(psol: PortfolioSolution, deltas,
                                  eval_ensemble: BrownianEnsemble) -> dict:
     """Drift statistics of -exp(-gamma (X + Y)) under pi* and perturbations.

@@ -249,11 +249,10 @@ class StepRegression:
     every row leaves ``mask`` None and reads the operands C-contiguous, as a
     gather would give them.
 
-    Reuse rule: a regression lasts as long as its states. When a caller's
-    states are bitwise equal to the ones it was built on (``built_on``), the
-    caller keeps it, and with it the design, the Gram matrix, the ridge, the
-    eigenvalue check and the in-sample evaluation design
-    (``in_sample_design``), instead of building them again. When a
+    A regression is valid for as long as its states repeat bitwise: a caller
+    whose states did not change keeps it, and with it the design, the Gram
+    matrix, the ridge, the eigenvalue check and the in-sample evaluation
+    design (``in_sample_design``), instead of building them again. When a
     non-degenerate fit keeps every row, the in-sample design is the fit
     design itself, so a kept regression holds one design.
     """
@@ -321,10 +320,6 @@ class StepRegression:
         if self._rows is not None:
             return np.take(arr, self._rows, axis=0)
         return np.ascontiguousarray(arr) if self._boxed else arr
-
-    def built_on(self, states: np.ndarray) -> bool:
-        """True when ``states`` are bitwise the states this regression was built on."""
-        return bitwise_equal(_as_states(states, self.basis.state_dim), self.states)
 
     def in_sample_design(self) -> EvaluationDesign:
         """Evaluation design of the states this regression was built on.

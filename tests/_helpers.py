@@ -51,6 +51,40 @@ def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
         psol.model.gamma * psol.model.sigma_bar_s ** 2)
 
 
+def endowment_oracle(model: ff.MarketModel, kappa: float, T: float, t: float,
+                     x: np.ndarray, nodes: int = 201):
+    """Exact (Y, Z) of the endowment market g = kappa tanh(ln(V_T / v0)) at time t
+    and canonical states x (P, 2).
+
+    phi reads x only through xi = sigma_v x1 + sigma_bar_v x2, so the auxiliary
+    PDE is one-dimensional in xi, and the Cole-Hopf substitution exp(-c U)
+    with c = gamma sigma_v^2 / s^2, s^2 = sigma_v^2 + sigma_bar_v^2, removes
+    its quadratic term:
+        Y = h (T - t) - (1/c) log E[exp(-c kappa tanh(a + xi + b (T - t) + s sqrt(T - t) N))]
+    with h = mu_S^2 / (2 gamma sigma_bar_S^2), b = -mu_S sigma_bar_v / sigma_bar_S,
+    a = (mu_v - s^2 / 2) T and N standard normal; the expectation is a
+    Gauss-Hermite sum. Z = (sigma_v, sigma_bar_v) dY/dxi.
+    """
+    s2 = model.sigma_v ** 2 + model.sigma_bar_v ** 2
+    c = model.gamma * model.sigma_v ** 2 / s2
+    h = model.mu_s ** 2 / (2 * model.gamma * model.sigma_bar_s ** 2)
+    b = -model.mu_s * model.sigma_bar_v / model.sigma_bar_s
+    a = (model.mu_v - 0.5 * s2) * T
+    tau = T - t
+    xi = model.sigma_v * x[:, 0] + model.sigma_bar_v * x[:, 1]
+    n, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    u = (a + xi + b * tau)[:, None] + np.sqrt(s2 * tau) * n[None, :]
+    g, dg = kappa * np.tanh(u), kappa / np.cosh(u) ** 2
+    if c == 0:   # the log-expectation tends to the plain expectation
+        y, dy = g @ w, dg @ w
+    else:
+        e = np.exp(-c * g)
+        y, dy = -np.log(e @ w) / c, (e * dg) @ w / (e @ w)
+    z = np.column_stack([model.sigma_v * dy, model.sigma_bar_v * dy])
+    return h * tau + y, z
+
+
 def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
                            eval_ensemble: ff.BrownianEnsemble) -> dict:
     """Reference optimality check on whole arrays: the full Brownian paths and

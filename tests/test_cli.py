@@ -312,6 +312,30 @@ def test_non_finite_market_number_exits_two_and_names_it(tmp_path, capsys, key, 
     assert report["exit_code"] == 2 and report["error"] in text
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_invalid_endowment_scale_exits_two_and_names_it(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    body = (f"[run]\nproblem = portfolio\nnum_paths = 3000\nout = {out}\n\n[market]\n"
+            f"mu_s = 0.1\nsigma_bar_s = 0.2\ngamma = 1.0\nendowment = tanh\n"
+            f"endowment_scale = {scale}\n")
+    assert cli.main(["run", _write(tmp_path, body)]) == 2
+    text = capsys.readouterr().out
+    assert text.startswith("config error: ") and text.count("\n") == 1
+    assert "endowment_scale must be finite and positive" in text
+
+
+def test_value_overflow_exits_three_without_numpy_warnings(tmp_path):
+    import subprocess
+    import sys
+    cfg = _shipped_config("portfolio.cfg", tmp_path, x0=-1000, out=tmp_path / "out")
+    child = subprocess.run([sys.executable, "-m", "fdeflow.cli", "run", cfg, "--paths", "3000"],
+                           env=_pythonpath_env(), capture_output=True, text=True, timeout=300)
+    assert child.returncode == 3
+    assert "RuntimeWarning" not in child.stderr
+    assert child.stdout.startswith("numerical breakdown: value overflow")
+    assert child.stdout.count("\n") == 1
+
+
 # each base: its problem and the fixture section, where {} is the drawn
 # fixture parameter
 CONTRACT_BASES = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdeflow as ff
-from fdeflow import fde
+from fdeflow import fde, regression
 from fdeflow.errors import (FdeflowError, InvalidArgumentError, InvalidStateError,
                             PicardDivergedError)
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
@@ -141,21 +141,20 @@ def test_picard_window_mesh_precondition_and_divergence():
 
 def _record_designs(monkeypatch):
     """Record (box lower edge, states) of every StepRegression built, and the
-    box lower edge of the regression behind every ``built_on`` call."""
+    operands of every bitwise compare the Picard loop makes."""
     built, compared = [], []
-    original, original_built_on = StepRegression.__init__, StepRegression.built_on
+    original = StepRegression.__init__
 
     def recording(self, states, basis, fit_window=None, weights=None):
         original(self, states, basis, fit_window, weights)
-        self.edge = float(np.ravel(fit_window[0])[0])
-        built.append((self.edge, self.states.copy()))
+        built.append((float(np.ravel(fit_window[0])[0]), self.states.copy()))
 
-    def comparing(self, states):
-        compared.append(self.edge)
-        return original_built_on(self, states)
+    def comparing(a, b):
+        compared.append((a, b))
+        return regression.bitwise_equal(a, b)
 
     monkeypatch.setattr(StepRegression, "__init__", recording)
-    monkeypatch.setattr(StepRegression, "built_on", comparing)
+    monkeypatch.setattr(fde, "bitwise_equal", comparing)
     return built, compared
 
 
@@ -165,8 +164,9 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     # design is built once and the terminal map runs once at the start
     # states and once at X_T. f = Z/2: only step 0 (fixed starts) repeats.
     # c1 = 0: the second pass only confirms the first, and nothing is kept.
-    # A kept regression is compared with its states on every later pass,
-    # except at step 0, whose states are the starts by construction.
+    # Every later pass compares X_T with the last pass's, and each kept
+    # regression's states likewise, except at step 0, whose states are the
+    # starts by construction.
     f = (lambda t, y, z: 0.5 * z[:, 0, :]) if case == "f_of_z" else None
     c1 = 0.0 if case == "c1_zero" else 0.5
     coeffs = _coeffs(h=lambda t, y, z: c1 * y, f=f,
@@ -192,8 +192,9 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     for edge, states in built:
         by_step.setdefault(edge, []).append(states)
     assert len(by_step) == m
-    assert -50.0 not in compared
-    assert len(compared) == (0 if case == "c1_zero" else (m - 1) * (passes - 1))
+    assert not any(np.array_equal(a, starts) or np.array_equal(b, starts)
+                   for a, b in compared)
+    assert len(compared) == (passes - 1 if case == "c1_zero" else m * (passes - 1))
     if case != "f_of_z":
         assert len(built) == (m * passes if case == "c1_zero" else m)
         assert len(terminal_calls) == 2
@@ -290,6 +291,32 @@ def test_solve_global_linear_driver_vs_pde_oracle():
     for k in (4, 8, 12):
         fitted = sol.phi_fits[k].evaluate(xs[:, None])[:, 0]
         assert np.abs(fitted - oracle.at(grid.points[k], xs)).max() <= 0.05
+
+
+def test_solve_global_non_scalar_system_decouples():
+    # n = 2: h = (a y0, c), f = 0, phi = (sin x, 0). Component 0 is the
+    # linear_driver system and component 1 is a constant driver
+    a, c = 0.5, 0.3
+    coeffs = ff.CoefficientSet(
+        n=2, d=1, h=lambda t, y, z: np.column_stack([a * y[:, 0], np.full(y.shape[0], c)]),
+        f=lambda t, y, z: np.zeros((y.shape[0], 1)),
+        phi=lambda x: np.column_stack([np.sin(x[:, 0]), np.zeros(x.shape[0])]),
+        c1=a, c2=1.0, m_bound=1.0)
+    scalar = ff.get_fixture("linear_driver").build(a=a)
+    grid = ff.build_uniform_grid(1.0, 64)
+    ens = ff.sample_ensemble(grid, 20_000, 1, 17)
+    settings = dict(c4=0.0, basis=ff.polynomial_basis(7, 1))
+    sol = ff.solve_global(coeffs, grid, 0.0, ens, **settings)
+    ref = ff.solve_global(scalar, grid, 0.0, ens, **settings)
+    assert np.abs(sol.Y[:, :, 0] - ref.Y[:, :, 0]).max() <= 1e-9
+    assert np.abs(sol.Z[:, :, 0] - ref.Z[:, :, 0]).max() <= 1e-9
+    assert np.abs(sol.V[:, :, 1] - c * grid.points[None, :]).max() <= 1e-9
+    assert np.abs(sol.Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
+    mc, mc_ref = (ff.build_measure_change(s, cs, ens) for s, cs in ((sol, coeffs), (ref, scalar)))
+    assert np.all(mc.weights == 1.0)
+    weak, weak_ref = (ff.assemble_weak_solution(s, m, cs)["weighted_rms"]
+                      for s, m, cs in ((sol, mc, coeffs), (ref, mc_ref, scalar)))
+    assert weak == pytest.approx(weak_ref, rel=1e-6)
 
 
 def test_solve_global_rejects_too_coarse_grid():

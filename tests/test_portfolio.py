@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from fdeflow import portfolio
 from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
-from _helpers import girsanov_integrand, pi_star_reference, prices, whole_array_optimality
+from _helpers import (endowment_oracle, girsanov_integrand, pi_star_reference, prices,
+                      whole_array_optimality)
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -200,6 +202,18 @@ def test_optimality_rejects_a_non_finite_surface_or_drift(merton_small, monkeypa
                 ff.verify_martingale_optimality(psol, (0.5,), fresh)
 
 
+def test_optimality_overflow_fails_by_step_without_numpy_warnings(merton_small):
+    # at x0 = -1000 every utility -exp(-gamma (X + Y)) overflows at step 0
+    model, grid, ens, psol = merton_small
+    broke = dataclasses.replace(psol, model=dataclasses.replace(model, x0=-1000.0))
+    fresh = ff.sample_ensemble(grid, 2_000, 2, 6064)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidStateError, match="non-finite pi_star drift at step 0"):
+            ff.verify_martingale_optimality(broke, (0.5,), fresh)
+    assert caught == []
+
+
 def test_optimality_drifts_on_merton(merton_small):
     model, grid, ens, psol = merton_small
     fresh = ff.sample_ensemble(grid, 100_000, 2, 6060)
@@ -256,6 +270,35 @@ def test_endowment_pipeline_runs(endowment_small):
     rep = ff.bmo_diagnostic(psol.fde_sol, psol.coeffs, [0.0, 0.24, 0.48])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
+
+
+def test_endowment_matches_the_exact_oracle(endowment_small):
+    # bounds: 3x the largest of 30 seeds (2222, 3001-3029) at this scale,
+    # where |z| <= 2.29, the Y gap <= 0.0042, the Zbar gap <= 0.0072 and the
+    # step-0 pi* mean is within 0.0034
+    grid, ens, psol = endowment_small
+    model, sol, K = psol.model, psol.fde_sol, grid.num_steps
+    y0, z0 = endowment_oracle(model, 0.3, grid.horizon, 0.0, np.zeros((1, 2)))
+    assert abs(psol.y0 - y0[0]) <= 7.0 * psol.y0_stderr
+    axis = np.linspace(-2.0, 2.0, 21)
+    mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    for k in (K // 4, K // 2, 3 * K // 4):
+        y, z = endowment_oracle(model, 0.3, grid.horizon, grid.points[k], mesh)
+        assert np.abs(sol.phi_fits[k].evaluate(mesh)[:, 0] - y).max() <= 0.0125
+        assert np.abs(sol.z_fits[k].evaluate(mesh)[:, 0, 1] - z[:, 1]).max() <= 0.022
+    pi_star_0 = model.merton_fraction - z0[0, 1]
+    assert abs(psol.pi_star[:, 0].mean() - pi_star_0) <= 0.01
+
+
+def test_endowment_oracle_reduces_to_merton():
+    model = ff.get_fixture("endowment").build()
+    x = np.random.default_rng(5).normal(size=(7, 2))
+    for t in (0.0, 0.5, 1.0):
+        y, z = endowment_oracle(model, 0.0, 1.0, t, x)
+        assert np.allclose(y, 0.125 * (1.0 - t), rtol=0, atol=1e-15) and np.all(z == 0.0)
+    y0, z0 = endowment_oracle(model, 0.3, 1.0, 0.0, np.zeros((1, 2)))
+    assert y0[0] == pytest.approx(0.10788048, abs=5e-9)
+    assert model.merton_fraction - z0[0, 1] == pytest.approx(2.47264, abs=5e-6)
 
 
 def test_portfolio_export(tmp_path, merton_small):

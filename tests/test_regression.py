@@ -421,15 +421,14 @@ def test_shared_and_in_sample_designs_match_evaluate_bitwise(name):
         other.evaluate_on(shared)
 
 
-def test_built_on_compares_bits():
+def test_bitwise_equal_compares_bits():
     x = RNG.standard_normal((500, 1))
     x[0] = 0.0
-    sr = StepRegression(x, ff.polynomial_basis(2, 1))
-    assert sr.built_on(x.copy()) and sr.built_on(x[:, 0])
+    assert bitwise_equal(x, x.copy()) and bitwise_equal(x[:, 0], x[:, 0].copy())
     flipped = x.copy()
     flipped[0] = -0.0   # equal as a number, not as bits
-    assert not sr.built_on(flipped)
-    assert not sr.built_on(x[:499])
+    assert not bitwise_equal(x, flipped)
+    assert not bitwise_equal(x, x[:499]) and not bitwise_equal(x, x[:, 0])
 
 
 @pytest.mark.parametrize("name", ["poly_1d_deg7", "poly_2d_deg3"])
