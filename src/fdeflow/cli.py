@@ -292,7 +292,12 @@ def _common_assertions(bundle) -> list:
 
 def _z_rms(sol) -> float:
     """Root mean square of Z, summed in the order of a path-major (C-order) array."""
-    return float(np.sqrt(np.mean(np.ascontiguousarray(sol.Z) ** 2)))
+    return float(np.sqrt(np.mean(np.square(sol.Z, out=np.empty(sol.Z.shape)))))
+
+
+def _step_max(per_step) -> float:
+    """Max over per-step arrays, without a whole-array temporary (max is exact)."""
+    return float(np.max([v.max() for v in per_step]))
 
 
 def _oracle_sup(sol, exact) -> float:
@@ -326,18 +331,19 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     ensemble = bundle["ensemble"]
     coeffs = bundle["coeffs"]
     T = grid.horizon
+    steps = range(grid.num_steps + 1)
     out = []
     params = {**get_fixture(name).params, **cfg.fixture_params}
     if name == "trivial":
-        out.append(_dev("y_deviation_max", np.abs(sol.Y - 1.0).max(), 1e-6))
+        out.append(_dev("y_deviation_max",
+                        _step_max(np.abs(sol.Y[:, k] - 1.0) for k in steps), 1e-6))
         out.append(_dev("z_rms", _z_rms(sol), 1e-6))
-        out.append(_dev("v_max", np.abs(sol.V).max(), 0.0, exact=True))
+        out.append(_dev("v_max", _step_max(np.abs(sol.V[:, k]) for k in steps), 0.0, exact=True))
     elif name == "const_driver":
         c = params["c"]
-        v_dev = np.abs(sol.V[:, :, 0] - c * grid.points[None, :]).max()
+        v_dev = _step_max(np.abs(sol.V[:, k, 0] - c * grid.points[k]) for k in steps)
         out.append(_dev("v_affine_dev", v_dev, 1e-9))
-        y_dev = max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])).max()
-                    for k in range(grid.num_steps + 1))
+        y_dev = _step_max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])) for k in steps)
         out.append(_dev("y_affine_dev", y_dev, 1e-2))
         out.append(_dev("z_rms", _z_rms(sol), 1e-6))
     elif name == "tanh_terminal":

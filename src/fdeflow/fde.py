@@ -259,12 +259,11 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     dt = window_grid.dt
     start = _start_states(start_x, P, d)
 
-    if initial_guess is None:
-        y_init = _as_2d(terminal_map(start), n, "terminal_map output")
-    else:
-        y_init = np.broadcast_to(np.atleast_1d(np.asarray(initial_guess, float)), (P, n)).copy()
-    Y = [y_init.copy() for _ in range(m + 1)]
-    Z = [np.zeros((P, n, d)) for _ in range(m + 1)]
+    y_init = (_as_2d(terminal_map(start), n, "terminal_map output") if initial_guess is None
+              else np.atleast_1d(np.asarray(initial_guess, float)))
+    # Y and Z of the last backward sweep, one row per step, written in place
+    Y = np.broadcast_to(y_init, (m + 1, P, n)).copy()
+    Z = np.zeros((m, P, n, d))
 
     report = PicardReport(window=(float(t[0]), float(t[-1])), distances=[], converged=False)
     # one reuse rule: a step's work is reused on a pass whose states at that
@@ -273,9 +272,10 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     # change, so they always come from the last pass's states. Step 0's
     # states are the starts on every pass, so its regression is kept without
     # a compare. A kept regression holds one design when its fit keeps every
-    # row (as at the window's first step) and two otherwise. With c1 == 0 h
-    # and f ignore (Y, Z), so the second pass only confirms the first; one
-    # reuse does not pay for that memory, and the regressions are not kept.
+    # row (as at the window's first step) and two otherwise. A pass whose whole
+    # iterate (V, X) is bitwise the last one's ends before its terminal map: the
+    # sweep would rebuild the last fits, Y and Z bit for bit. With c1 == 0 h and
+    # f ignore (Y, Z), so the second pass ends there, and nothing is kept.
     keep = coeffs.c1 > 0
     # each step's increments, contiguous: a view of a sampled ensemble, else a copy
     dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
@@ -292,6 +292,20 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
         if not np.all(np.isfinite(X[m])) or not np.all(np.isfinite(V[m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
+        if prev_psi is not None:
+            # sup distance of the iterate psi = (V, X); max is exact, so taking
+            # it per array gives the distance of the concatenated iterate.
+            # Row 0 is (0, start) on every pass and adds nothing.
+            dist = float(np.maximum(np.abs(V[1:] - prev_psi[0][1:]).max(),
+                                    np.abs(X[1:] - prev_psi[1][1:]).max()))
+            report.distances.append(dist)
+            if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
+                raise PicardDivergedError(
+                    f"Picard iteration diverged (distance {dist:.3g})", report)
+            if dist <= tol:
+                report.converged = True
+            if dist == 0.0 and bitwise_equal(V, prev_psi[0]) and bitwise_equal(X, prev_psi[1]):
+                break
         if prev_psi is None or not bitwise_equal(X[m], prev_psi[1][m]):
             phi_T = _as_2d(terminal_map(X[m]), n, "terminal_map output")
         xi = phi_T + V[m]
@@ -319,20 +333,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             Z[k] = z_fits[k].evaluate_on(design)
             M_next = M_k
 
-        if prev_psi is not None:
-            # sup distance of the iterate psi = (V, X); max is exact, so taking
-            # it per array gives the distance of the concatenated iterate.
-            # Row 0 is (0, start) on every pass and adds nothing.
-            dist = float(np.maximum(np.abs(V[1:] - prev_psi[0][1:]).max(),
-                                    np.abs(X[1:] - prev_psi[1][1:]).max()))
-            report.distances.append(dist)
-            if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
-                raise PicardDivergedError(
-                    f"Picard iteration diverged (distance {dist:.3g})", report)
-            if dist <= tol:
-                report.converged = True
-            if dist <= tol * DEFAULT_POLISH:
-                break
+        if prev_psi is not None and dist <= tol * DEFAULT_POLISH:
+            break
         prev_psi = (V, X)
 
     if not report.converged:
@@ -341,10 +343,10 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             f"(last distance {report.distances[-1] if report.distances else float('nan'):.3g})",
             report)
 
-    # the last pass is the solution
+    # the last sweep is the solution
     sol = FdeSolution(
         grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
-        Y=np.stack(Y).transpose(1, 0, 2), Z=np.stack(Z[:m]).transpose(1, 0, 2, 3),
+        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3),
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)],
         x0=start[0].copy() if np.ndim(start_x) <= 1 else None, seed=None)
     return sol, report
@@ -463,6 +465,7 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
         z_fits[a:b] = wsol.z_fits
         terminal_map = (lambda x, _f=phi_fits[a]:
                         np.clip(_f.evaluate(x), -clip_bound, clip_bound))
+    del wsol   # the assembly reads only the fits; the window's arrays go now
 
     # forward assembly on the actual ensemble
     t = grid.points

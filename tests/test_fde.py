@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -163,10 +164,12 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     # f = 0: the forward states repeat bitwise on every pass, so each step's
     # design is built once and the terminal map runs once at the start
     # states and once at X_T. f = Z/2: only step 0 (fixed starts) repeats.
-    # c1 = 0: the second pass only confirms the first, and nothing is kept.
-    # Every later pass compares X_T with the last pass's, and each kept
-    # regression's states likewise, except at step 0, whose states are the
-    # starts by construction.
+    # c1 = 0: the second pass repeats the iterate (V, X) of the first bitwise
+    # and ends after those two compares, so each step is built once and
+    # nothing is kept. Otherwise every later pass compares X_T with the last
+    # pass's, and each kept regression's states likewise, except at step 0,
+    # whose states are the starts by construction. Y and Z are always the
+    # returned fits' evaluations at the returned states.
     f = (lambda t, y, z: 0.5 * z[:, 0, :]) if case == "f_of_z" else None
     c1 = 0.0 if case == "c1_zero" else 0.5
     coeffs = _coeffs(h=lambda t, y, z: c1 * y, f=f,
@@ -183,20 +186,26 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
         return coeffs.eval_phi(x)
 
     built, compared = _record_designs(monkeypatch)
-    _, report = ff.picard_window(coeffs, grid, terminal_map, starts, ens.increments,
-                                 basis=ff.polynomial_basis(3, 1),
-                                 fit_window_fn=lambda t: (-50.0 - t, 50.0 + t))
+    sol, report = ff.picard_window(coeffs, grid, terminal_map, starts, ens.increments,
+                                   basis=ff.polynomial_basis(3, 1),
+                                   fit_window_fn=lambda t: (-50.0 - t, 50.0 + t))
     passes = report.iterations + 1
     assert report.converged and passes >= (2 if case == "c1_zero" else 3)
+    for k in range(m):
+        assert np.array_equal(_bits(sol.Y[:, k]), _bits(sol.phi_fits[k].evaluate(sol.X[:, k])))
+        assert np.array_equal(_bits(sol.Z[:, k]), _bits(sol.z_fits[k].evaluate(sol.X[:, k])))
     by_step = {}
     for edge, states in built:
         by_step.setdefault(edge, []).append(states)
     assert len(by_step) == m
     assert not any(np.array_equal(a, starts) or np.array_equal(b, starts)
                    for a, b in compared)
-    assert len(compared) == (passes - 1 if case == "c1_zero" else m * (passes - 1))
+    if case == "c1_zero":
+        assert passes == 2 and [a.shape for a, _ in compared] == [(m + 1, 5000, 1)] * 2
+    else:
+        assert len(compared) == m * (passes - 1)
     if case != "f_of_z":
-        assert len(built) == (m * passes if case == "c1_zero" else m)
+        assert len(built) == m
         assert len(terminal_calls) == 2
         return
     assert len(by_step[-50.0]) == 1   # t = 0: the window's fixed starts
@@ -359,6 +368,30 @@ def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
     with pytest.raises(InvalidStateError, match="step 5"):
         ff.solve_global(_coeffs(), grid, 0.0, ens)
     assert len(calls) == 6
+
+
+def test_solve_global_frees_window_solutions_before_assembly(monkeypatch):
+    # the forward assembly reads only the fitted maps, so no window's
+    # (V, X, Y, Z) may still be alive when it starts
+    solutions = []
+    window, evaluate = fde.picard_window, fde.evaluate_step_maps
+
+    def recording(*args, **kwargs):
+        sol, report = window(*args, **kwargs)
+        solutions.append(weakref.ref(sol))
+        return sol, report
+
+    def checking(y_fit, z_fit, states):
+        assert len(solutions) > 1 and all(ref() is None for ref in solutions)
+        return evaluate(y_fit, z_fit, states)
+
+    monkeypatch.setattr(fde, "picard_window", recording)
+    monkeypatch.setattr(fde, "evaluate_step_maps", checking)
+    coeffs = _coeffs(h=lambda t, y, z: 0.5 * y, phi=lambda x: np.sin(x[:, :1]),
+                     c1=0.5, c2=1.0)
+    grid = ff.build_uniform_grid(3 * ff.contraction_window_length(0.5, 1.0), 6)
+    sol = ff.solve_global(coeffs, grid, 0.0, ff.sample_ensemble(grid, 2000, 1, 16))
+    assert len(sol.window_bounds) == len(solutions)
 
 
 def test_cn_oracle_matches_analytic_solution():
