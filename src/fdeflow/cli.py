@@ -227,8 +227,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"[solver] tol must be positive and finite, got {cfg.tol}")
     if cfg.basis_degree is not None and cfg.basis_degree < 1:
         raise ConfigError(f"[solver] basis_degree must be at least 1, got {cfg.basis_degree}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"[solver] max_iter must be at least 1, got {cfg.max_iter}")
+    if cfg.max_iter < 2:   # a window measures its first distance on its second pass
+        raise ConfigError(f"[solver] max_iter must be at least 2, got {cfg.max_iter}")
     if cfg.export_paths < 0:
         raise ConfigError(
             f"[output] export_paths must be non-negative, got {cfg.export_paths}")
@@ -307,7 +307,7 @@ def _oracle_sup(sol, exact) -> float:
     xs = np.linspace(-2.0, 2.0, 21)
     worst = 0.0
     for frac in (0.25, 0.5, 0.75):
-        k = int(round(frac * grid.num_steps))
+        k = min(grid.num_steps - 1, int(round(frac * grid.num_steps)))
         fitted = sol.phi_fits[k].evaluate(xs[:, None])[:, 0]
         worst = max(worst, float(np.abs(fitted - exact(grid.points[k], xs)).max()))
     return worst

@@ -266,47 +266,47 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     Z = np.zeros((m, P, n, d))
 
     report = PicardReport(window=(float(t[0]), float(t[-1])), distances=[], converged=False)
-    # one reuse rule: a step's work is reused on a pass whose states at that
-    # step are bitwise the last pass's (prev_psi). Exact, because a kept
-    # regression and the terminal values are rebuilt whenever their states
-    # change, so they always come from the last pass's states. Step 0's
-    # states are the starts on every pass, so its regression is kept without
-    # a compare. A kept regression holds one design when its fit keeps every
-    # row (as at the window's first step) and two otherwise. A pass whose whole
-    # iterate (V, X) is bitwise the last one's ends before its terminal map: the
-    # sweep would rebuild the last fits, Y and Z bit for bit. With c1 == 0 h and
-    # f ignore (Y, Z), so the second pass ends there, and nothing is kept.
+    # the forward step records each row's sup change from the last pass's row
+    # of psi = (V, X), and whether its X repeats bitwise (row 0, the starts,
+    # always does). Every reuse reads that record: the terminal values at row m
+    # and a kept regression at row k, each rebuilt whenever its states change. A
+    # pass whose whole iterate repeats ends before its terminal map; with c1 == 0,
+    # h and f ignore (Y, Z), so the second pass ends there and nothing is kept.
     keep = coeffs.c1 > 0
     # each step's increments, contiguous: a view of a sampled ensemble, else a copy
     dB = np.ascontiguousarray(increments.transpose(1, 0, 2))
     regressions = [None] * m
-    prev_psi = None
+    change = np.zeros(m + 1)
+    repeated = np.arange(m + 1) == 0
+    V = X = None
     passes = 0
     while passes < max_iter:
         passes += 1
+        V_last, X_last = V, X
         V = np.zeros((m + 1, P, n))
         X = np.empty((m + 1, P, d))
         X[0] = start
         for k in range(m):
             V[k + 1] = V[k] + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
             X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[k]
+            if X_last is not None:
+                change[k + 1] = np.maximum(np.abs(V[k + 1] - V_last[k + 1]).max(),
+                                           np.abs(X[k + 1] - X_last[k + 1]).max())
+                repeated[k + 1] = bitwise_equal(X[k + 1], X_last[k + 1])
         if not np.all(np.isfinite(X[m])) or not np.all(np.isfinite(V[m])):
             raise PicardDivergedError("non-finite forward state in Picard pass", report)
-        if prev_psi is not None:
-            # sup distance of the iterate psi = (V, X); max is exact, so taking
-            # it per array gives the distance of the concatenated iterate.
-            # Row 0 is (0, start) on every pass and adds nothing.
-            dist = float(np.maximum(np.abs(V[1:] - prev_psi[0][1:]).max(),
-                                    np.abs(X[1:] - prev_psi[1][1:]).max()))
+        if X_last is not None:
+            # max is exact and NaN-propagating: the sup distance of psi bit for bit
+            dist = float(change.max())
             report.distances.append(dist)
             if not np.isfinite(dist) or dist > _DIVERGENCE_CAP:
                 raise PicardDivergedError(
                     f"Picard iteration diverged (distance {dist:.3g})", report)
             if dist <= tol:
                 report.converged = True
-            if dist == 0.0 and bitwise_equal(V, prev_psi[0]) and bitwise_equal(X, prev_psi[1]):
+            if dist == 0.0 and repeated.all() and bitwise_equal(V, V_last):
                 break
-        if prev_psi is None or not bitwise_equal(X[m], prev_psi[1][m]):
+        if not repeated[m]:
             phi_T = _as_2d(terminal_map(X[m]), n, "terminal_map output")
         xi = phi_T + V[m]
 
@@ -316,7 +316,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         M_next = xi
         for k in range(m - 1, -1, -1):
             sr = regressions[k]
-            if sr is None or (k > 0 and not bitwise_equal(X[k], prev_psi[1][k])):
+            if sr is None or not repeated[k]:
                 window_box = fit_window_fn(t[k]) if fit_window_fn is not None else None
                 sr = StepRegression(X[k], basis, fit_window=window_box)
                 if keep:
@@ -333,9 +333,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             Z[k] = z_fits[k].evaluate_on(design)
             M_next = M_k
 
-        if prev_psi is not None and dist <= tol * DEFAULT_POLISH:
+        if X_last is not None and dist <= tol * DEFAULT_POLISH:
             break
-        prev_psi = (V, X)
 
     if not report.converged:
         raise PicardDivergedError(

@@ -146,7 +146,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         raise InsufficientWeightError(
             f"effective sample size {ess:.1f} below "
             f"{MIN_PATHS_PER_FUNCTION * basis.n_functions}")
-    probe_steps = sorted({max(1, K // 4), K // 2, max(1, (3 * K) // 4)})
+    probe_steps = sorted({min(K - 1, max(1, j)) for j in (K // 4, K // 2, (3 * K) // 4)})
     center = sol.x0 if sol.x0 is not None else np.zeros(d)
 
     def probe_mesh(states):

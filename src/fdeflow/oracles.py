@@ -14,7 +14,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from .errors import InvalidArgumentError
 
 _HERMITE_NODES = 101
-_MERTON_SAMPLES = 4097
 # Crank-Nicolson: the box [-6, 6] with 400 space points, and 400 time steps
 _CN_X_MIN, _CN_X_MAX, _CN_SPACE_POINTS, _CN_TIME_STEPS = -6.0, 6.0, 400, 400
 
@@ -87,10 +86,8 @@ class CrankNicolsonOracle:
 
 
 def merton_y0(mu_s: float, sigma_bar_s: float, gamma: float, T: float) -> float:
-    """Quadrature of the deterministic auxiliary value integral."""
-    ts = np.linspace(0.0, T, _MERTON_SAMPLES)
-    vals = np.full_like(ts, float(mu_s)) ** 2 / (2.0 * gamma * sigma_bar_s ** 2)
-    return float(np.trapezoid(vals, ts))
+    """The auxiliary value mu^2 T / (2 gamma sigma_bar^2) of a constant market."""
+    return float(mu_s) ** 2 * T / (2.0 * gamma * sigma_bar_s ** 2)
 
 
 def merton_drift_factor(gamma: float, sigma_bar_s: float, delta: float) -> float:

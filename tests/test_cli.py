@@ -190,7 +190,9 @@ def test_unread_config_keys_and_sections_exit_two(tmp_path, capsys):
         ("[run]\n", "", "contains no section headers"),
         ("[grid]", "[grid]\nT = 2.0\n\n[grid]", "section 'grid' already exists"),
         ("K = 16", "K = 16\nK = 32", "option 'k' in section 'grid' already exists"),
-        ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 1"),
+        ("K = 16", "K = 16\n\n[solver]\nmax_iter = 0", "max_iter must be at least 2"),
+        # a window measures its first Picard distance on its second pass
+        ("K = 16", "K = 16\n\n[solver]\nmax_iter = 1", "max_iter must be at least 2"),
         ("K = 16", "K = 16\n\n[output]\nexport_paths = -1",
          "export_paths must be non-negative"),
         # degree 0 would run silently with the fixture's basis; every fit is
@@ -257,6 +259,27 @@ def test_argument_error_inside_the_run_exits_two_with_report(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["exit_code"] == 2 and "contraction window" in report["error"]
     assert report["assertions"] == []
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_coarse_grid_probes_stay_on_the_grid(tmp_path, capsys, K):
+    # the oracle probes at a quarter, a half and three quarters of the horizon
+    # fall back to the last step before T, so a one- or two-step grid ends
+    # with a verdict table, not an IndexError
+    cfg = _shipped_config("fbsde.cfg", tmp_path, K=K, out=tmp_path / "out")
+    assert cli.main(["run", cfg, "--paths", "3000", "--quiet"]) == 1
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert "error" not in report and not all(a["passed"] for a in report["assertions"])
+    assert any(a["name"] == "heat_oracle_sup" for a in report["assertions"])
+
+
+def test_single_step_weak_run_exits_two_on_its_off_grid_bmo_probe(tmp_path, capsys):
+    # the Z-invariance probes of a one-step grid stay at step 0, so the run
+    # reaches the BMO diagnostic, whose probe at t = 0.25 is not a grid point
+    cfg = _shipped_config("qbsde_weak.cfg", tmp_path, K=1, out=tmp_path / "out")
+    assert cli.main(["run", cfg, "--paths", "3000"]) == 2
+    text = capsys.readouterr().out
+    assert text == "config error: probe time 0.25 is not a grid point\n"
 
 
 # 1e15 float64 values (8 PB) exceed any address space, so the allocation

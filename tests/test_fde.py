@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -164,11 +165,10 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     # f = 0: the forward states repeat bitwise on every pass, so each step's
     # design is built once and the terminal map runs once at the start
     # states and once at X_T. f = Z/2: only step 0 (fixed starts) repeats.
-    # c1 = 0: the second pass repeats the iterate (V, X) of the first bitwise
-    # and ends after those two compares, so each step is built once and
-    # nothing is kept. Otherwise every later pass compares X_T with the last
-    # pass's, and each kept regression's states likewise, except at step 0,
-    # whose states are the starts by construction. Y and Z are always the
+    # Every later pass compares each row of X after step 0 (the starts) with
+    # the last pass's, once, as its forward step writes it. c1 = 0: the second
+    # pass repeats every row and, after one compare of the whole V, ends, so
+    # each step is built once and nothing is kept. Y and Z are always the
     # returned fits' evaluations at the returned states.
     f = (lambda t, y, z: 0.5 * z[:, 0, :]) if case == "f_of_z" else None
     c1 = 0.0 if case == "c1_zero" else 0.5
@@ -201,9 +201,11 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     assert not any(np.array_equal(a, starts) or np.array_equal(b, starts)
                    for a, b in compared)
     if case == "c1_zero":
-        assert passes == 2 and [a.shape for a, _ in compared] == [(m + 1, 5000, 1)] * 2
+        assert passes == 2
+        assert [a.shape for a, _ in compared] == [(5000, 1)] * m + [(m + 1, 5000, 1)]
     else:
         assert len(compared) == m * (passes - 1)
+        assert all(a.shape == (5000, 1) for a, _ in compared)
     if case != "f_of_z":
         assert len(built) == m
         assert len(terminal_calls) == 2
@@ -215,6 +217,25 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
             assert all(not np.array_equal(a.view(np.uint64), b.view(np.uint64))
                        for a, b in zip(runs, runs[1:]))
     assert len(terminal_calls) == 1 + passes
+
+
+def test_repeating_window_peaks_below_seven_window_arrays():
+    # a c1 = 0 window's second pass holds both passes' (V, X) plus Y and Z:
+    # six (m+1, P) arrays. It compares each new row with the last pass's as it
+    # is written, so no whole-window difference array adds to that peak.
+    m, P = 16, 20_000
+    coeffs = _coeffs(f=lambda t, y, z: np.full((y.shape[0], 1), 0.5),
+                     phi=lambda x: np.tanh(x[:, :1]), c2=1.0)
+    grid = ff.build_uniform_grid(1.0, m)
+    ens = ff.sample_ensemble(grid, P, 1, 17)
+    tracemalloc.start()
+    try:
+        sol, report = ff.picard_window(coeffs, grid, coeffs.eval_phi, 0.0, ens.increments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.distances == [0.0]
+    assert peak < 7 * (m + 1) * P * 8
 
 
 def test_contraction_factor_on_compliant_window():

@@ -128,6 +128,17 @@ def test_z_invariance_on_drifted_problem(const_forward_solution):
     assert len(report["per_probe"]) == 3
 
 
+def test_z_invariance_probes_a_single_step_grid():
+    # every probe step falls back into [0, K - 1]; on one step that is step 0
+    grid = ff.build_uniform_grid(1.0, 1)
+    ens = ff.sample_ensemble(grid, 3000, 1, 31)
+    coeffs = ff.get_fixture("const_forward").build()
+    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0)
+    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, coeffs, ens), coeffs)
+    assert [row["step"] for row in report["per_probe"]] == [0]
+    assert np.isfinite(report["max_discrepancy"])
+
+
 def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     coeffs = ff.CoefficientSet(
