@@ -15,7 +15,7 @@ from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
-                  export_solution, picard_window, solve_global)
+                  export_solution, picard_window, replay_forward, solve_global)
 from .girsanov import (MeasureChange, assemble_weak_solution, bmo_diagnostic,
                        build_measure_change, check_z_invariance, export_weak_solution)
 from .portfolio import (MarketModel, PortfolioSolution, build_portfolio_fbsde,
@@ -33,7 +33,7 @@ __all__ = [
     "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis",
-    "CoefficientSet", "FdeSolution", "PicardReport",
+    "CoefficientSet", "FdeSolution", "PicardReport", "replay_forward",
     "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
     "MeasureChange", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",

@@ -27,7 +27,7 @@ import numpy as np
 from . import oracles
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
-from .fde import export_solution, solve_global, write_json
+from .fde import export_solution, forward_rows, replay_forward, solve_global, write_json
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
                        check_z_invariance, export_weak_solution)
@@ -242,8 +242,8 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
-    """Solve a fixture and build what its checks and exports read: a market's
-    ``PortfolioSolution`` and optimality report, or an fbsde fixture's ensemble and
+    """Solve a fixture and build what its checks and exports read: a market's solution,
+    its solve-ensemble reports and optimality report, or an fbsde fixture's ensemble and
     coefficients, with a measure change and weak residual for const_forward or qbsde-weak."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
@@ -257,17 +257,25 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         built = fixture.build(**cfg.fixture_params)
         if fixture.kind == "portfolio":
             psol = solve_portfolio(built, grid, ensemble, **settings)
+            sol, coeffs, mc = psol.fde_sol, psol.coeffs, psol.measure_change
+            bundle = {"sol": sol, "portfolio": psol,
+                      "forward": forward_rows(sol, coeffs, ensemble, cfg.export_paths),
+                      "z_invariance": check_z_invariance(sol, mc, coeffs, ensemble)}
+            if built.g is not None:
+                bundle["bmo"] = bmo_diagnostic(sol, coeffs, ensemble, [
+                    float(grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)])
             del ensemble   # freed before the evaluation ensemble is sampled
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
                 cfg.seed, "portfolio:evaluation-ensemble"))
-            return {"sol": psol.fde_sol, "portfolio": psol,
-                    "optimality": verify_martingale_optimality(
-                        psol, (0.5, 1.0, -0.5, -1.0), eval_ens)}
+            bundle["optimality"] = verify_martingale_optimality(
+                psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
+            return bundle
         sol = solve_global(built, grid, 0.0, ensemble, **settings)
-        bundle = {"ensemble": ensemble, "sol": sol, "coeffs": built}
+        bundle = {"ensemble": ensemble, "sol": sol, "coeffs": built,
+                  "forward": forward_rows(sol, built, ensemble, cfg.export_paths)}
         if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
             mc = bundle["measure_change"] = build_measure_change(sol, built, ensemble)
-            bundle["weak_residual"] = assemble_weak_solution(sol, mc, built)
+            bundle["weak_residual"] = assemble_weak_solution(sol, mc, built, ensemble)
         return bundle
     except MemoryError as exc:
         raise ConfigError(f"{exc}: num_paths = {paths} and K = {K} are too large") from None
@@ -338,10 +346,12 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("y_deviation_max",
                         _step_max(np.abs(sol.Y[:, k] - 1.0) for k in steps), 1e-6))
         out.append(_dev("z_rms", _z_rms(sol), 1e-6))
-        out.append(_dev("v_max", _step_max(np.abs(sol.V[:, k]) for k in steps), 0.0, exact=True))
+        v_max = _step_max(np.abs(v) for v, _ in replay_forward(sol, coeffs, ensemble))
+        out.append(_dev("v_max", v_max, 0.0, exact=True))
     elif name == "const_driver":
         c = params["c"]
-        v_dev = _step_max(np.abs(sol.V[:, k, 0] - c * grid.points[k]) for k in steps)
+        v_dev = _step_max(np.abs(v[:, 0] - c * grid.points[k])
+                          for k, (v, _) in enumerate(replay_forward(sol, coeffs, ensemble)))
         out.append(_dev("v_affine_dev", v_dev, 1e-9))
         y_dev = _step_max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])) for k in steps)
         out.append(_dev("y_affine_dev", y_dev, 1e-2))
@@ -366,7 +376,7 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         fresh = sample_ensemble(build_uniform_grid(T, 1), ensemble.num_paths, 1,
                                 substream_seed(cfg.seed, f"{name}:evaluation-ensemble"))
         fresh_bt = fresh.increments[:, 0, 0]
-        w_t = sol.X[:, -1, 0]   # the shifted motion W is the forward state
+        w_t = sol.X_T[:, 0]   # the shifted motion W is the forward state
         for label, fn in (("tanh", np.tanh),
                           ("clipped_identity", lambda x: np.clip(x, -1.0, 1.0))):
             wtd = float(np.sum(mc.weights * fn(w_t)) / np.sum(mc.weights))
@@ -376,9 +386,10 @@ def _fixture_assertions(name, bundle, cfg) -> list:
                 np.var(mc.weights * fn(w_t), ddof=1) / ensemble.num_paths
                 + ref_vals.var(ddof=1) / fresh.num_paths))
             out.append(_dev(f"reweighted_mean_dev_sigma_{label}", abs(wtd - ref) / se, 3.0))
-        zinv = check_z_invariance(sol, mc, coeffs)
+        zinv = check_z_invariance(sol, mc, coeffs, ensemble)
         out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
-        bmo = bmo_diagnostic(sol, coeffs, [0.0, 0.25, 0.5])
+        probes = sorted({0, grid.num_steps // 4, grid.num_steps // 2})   # grid steps
+        bmo = bmo_diagnostic(sol, coeffs, ensemble, [float(grid.points[i]) for i in probes])
         bmo_dev = max(_ratio(abs(row["mean"] - c * c * (T - row["t"])), c * c * (T - row["t"]))
                       for row in bmo["per_probe"])
         out.append(_dev("bmo_const_rel_dev", bmo_dev, 0.05))
@@ -402,8 +413,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
         ref = -sol.Z[:, k, 0, 1] + frac
         pi_ident = np.maximum(pi_ident, np.abs(pi_star[:, k] - ref).max())
     out.append(_dev("pi_star_identity", pi_ident, 0.0, exact=True))
-    zinv = check_z_invariance(sol, mc, psol.coeffs)
-    out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
+    out.append(_dev("z_invariance_max", bundle["z_invariance"]["max_discrepancy"], 0.05))
     if model.g is None:
         y0_ref = oracles.merton_y0(model.mu_s, model.sigma_bar_s, model.gamma, grid.horizon)
         out.append(_dev("y0_dev", abs(psol.y0 - y0_ref), 0.01))
@@ -413,10 +423,7 @@ def _portfolio_assertions(bundle, cfg) -> list:
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
         out.append(_dev("merton_z_rms", _z_rms(sol), 1e-3))
     else:
-        K = grid.num_steps
-        probes = [float(grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)]
-        bmo = bmo_diagnostic(sol, psol.coeffs, probes)
-        vals = [row["mean"] for row in bmo["per_probe"]]
+        vals = [row["mean"] for row in bundle["bmo"]["per_probe"]]
         mono = max((vals[i + 1] - vals[i]) / max(abs(vals[i]), 1e-12)
                    for i in range(len(vals) - 1))
         out.append(_dev("bmo_monotone_slack", mono, 0.10))
@@ -476,8 +483,10 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
     """Solve one fixture, check it, write its files, and return its assertions."""
     fixture = get_fixture(name)
     t0 = time.perf_counter()
-    bundle = _solve_fixture(fixture, cfg)
-    report.wall_clock[f"{name}:solve"] = time.perf_counter() - t0
+    try:   # a market's checks on its solve ensemble run, and can fail, in this stage
+        bundle = _solve_fixture(fixture, cfg)
+    finally:
+        report.wall_clock[f"{name}:solve"] = time.perf_counter() - t0
     assertions = _common_assertions(bundle)
     if fixture.kind == "portfolio":
         assertions += _portfolio_assertions(bundle, cfg)
@@ -485,7 +494,7 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
         assertions += _fixture_assertions(name, bundle, cfg)
     csv_path = out_dir / f"{name}_paths.csv"
     side_path = out_dir / f"{name}_summary.json"
-    export_solution(bundle["sol"], csv_path, side_path,
+    export_solution(bundle["sol"], bundle["forward"], csv_path, side_path,
                     path_limit=cfg.export_paths, config_echo=cfg.echo())
     report.outputs += [csv_path, side_path]
     if fixture.kind == "portfolio":
@@ -497,7 +506,8 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
         wcsv = out_dir / f"{name}_weak.csv"
         wjson = out_dir / f"{name}_weak.json"
         export_weak_solution(bundle["sol"], bundle["measure_change"], bundle["weak_residual"],
-                             wcsv, wjson, path_limit=cfg.export_paths, config_echo=cfg.echo())
+                             bundle["forward"], wcsv, wjson, path_limit=cfg.export_paths,
+                             config_echo=cfg.echo())
         report.outputs += [wcsv, wjson]
     report.wall_clock[f"{name}:total"] = time.perf_counter() - t0
     return assertions

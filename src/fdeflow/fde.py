@@ -174,16 +174,14 @@ class PicardReport:
 
 @dataclass
 class FdeSolution:
-    """The quadruple (V, X, Y, Z) on a grid plus the fitted per-step maps.
-
-    Each array is the (P, ...) transposed view of a step-major buffer, so
-    ``arr[:, k]`` is contiguous."""
+    """(Y, Z) and X_T on a grid plus the fitted per-step maps; ``replay_forward``
+    rebuilds V and X. Each array is the (P, ...) transposed view of a
+    step-major buffer, so ``arr[:, k]`` is contiguous."""
 
     grid: TimeGrid
-    V: np.ndarray                       # (P, K+1, n)
-    X: np.ndarray                       # (P, K+1, d)
     Y: np.ndarray                       # (P, K+1, n)
     Z: np.ndarray                       # (P, K, n, d), left endpoints
+    X_T: np.ndarray                     # (P, d), the terminal forward state
     phi_fits: list                      # per-step fitted Y maps, k = 0..K-1
     z_fits: list                        # per-step fitted Z maps, k = 0..K-1
     iteration_log: list                 # PicardReport per window
@@ -193,10 +191,12 @@ class FdeSolution:
     y0_stderr: np.ndarray | None = None
     x0: np.ndarray | None = None
     seed: int | None = None
+    V: np.ndarray | None = None         # (P, K+1, n), window solutions only
+    X: np.ndarray | None = None         # (P, K+1, d), window solutions only
 
     @property
     def num_paths(self) -> int:
-        return self.V.shape[0]
+        return self.Y.shape[0]
 
 
 def _start_states(start_x, num_paths, d):
@@ -345,7 +345,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     # the last sweep is the solution
     sol = FdeSolution(
         grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
-        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3),
+        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)],
         x0=start[0].copy() if np.ndim(start_x) <= 1 else None, seed=None)
     return sol, report
@@ -374,6 +374,37 @@ def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
     return y_fit.evaluate_on(design), z_fit.evaluate_on(design)
 
 
+def replay_forward(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble):
+    """Yield a global solution's (V_k, X_k), k = 0..K, on its solve ensemble, one step at a
+    time; the forward assembly runs these very steps, so each row is bitwise its own."""
+    if sol.seed is not None and sol.seed != ensemble.seed:
+        raise InvalidArgumentError("solution was not produced on this ensemble")
+    if sol.num_paths != ensemble.num_paths or sol.grid.num_steps != ensemble.grid.num_steps:
+        raise InvalidArgumentError("ensemble shape does not match the solution")
+    t, dt = sol.grid.points, sol.grid.dt
+    x = np.broadcast_to(sol.x0, (ensemble.num_paths, coeffs.d)).copy()
+    offset = np.zeros((x.shape[0], coeffs.n))
+    yield offset, x
+    for a, b in sol.window_bounds:
+        vloc = np.zeros_like(offset)
+        for k in range(a, b):
+            yk, zk = sol.Y[:, k], sol.Z[:, k]   # read only after X_k was yielded
+            vloc = vloc + coeffs.eval_h(t[k], yk, zk) * dt[k]
+            if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
+                raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
+            x = x + coeffs.eval_f(t[k], yk, zk) * dt[k] + ensemble.increments[:, k]
+            yield offset + vloc, x
+        offset = offset + vloc
+
+
+def forward_rows(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble,
+                 paths: int):
+    """The replayed V and X of the first ``paths`` paths, shaped (paths, K+1, .)."""
+    rows = [(v[:paths].copy(), x[:paths].copy())
+            for v, x in replay_forward(sol, coeffs, ensemble)]
+    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
+
+
 def _exploration_rng(seed: int, window_index: int):
     ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFF, 0xEA, window_index))
     return np.random.Generator(np.random.Philox(ss))
@@ -389,9 +420,9 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     ``picard_window`` from freshly drawn exploration start states (uniform box
     around x0, widened with time and the drift scale) so the fitted value maps
     are reliable wherever later passes evaluate them. A single forward pass on
-    the actual ensemble then assembles (V, X, Y, Z): V by the running-offset
-    gluing rule, X by restarting each window at the previous terminal state,
-    (Y, Z) read windowwise from the fitted maps.
+    the actual ensemble (``replay_forward``) then reads (Y, Z) windowwise off
+    the fitted maps and keeps them and X_T; V (glued by a running offset) and
+    X are held one step at a time.
 
     The windows come from the declared constants alone: the last one from
     (c1, c2), the interior ones from (c1, c4) through
@@ -466,40 +497,23 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
                         np.clip(_f.evaluate(x), -clip_bound, clip_bound))
     del wsol   # the assembly reads only the fits; the window's arrays go now
 
-    # forward assembly on the actual ensemble
-    t = grid.points
-    dt = grid.dt
-    V = np.zeros((K + 1, P, n))
-    X = np.empty((K + 1, P, d))
+    # forward assembly, one step of (V, X) at a time: the replay reads (Y_k, Z_k)
+    # after it yields X_k, so the fitted maps fill them in first
     Y = np.zeros((K + 1, P, n))
     Z = np.zeros((K, P, n, d))
-    X[0] = x0v
-    offset = np.zeros((P, n))
-    for a, b in windows:
-        vloc = np.zeros((P, n))
-        V[a] = offset
-        for k in range(a, b):
-            yk, zk = evaluate_step_maps(phi_fits[k], z_fits[k], X[k])
-            np.clip(yk, -clip_bound, clip_bound, out=yk)
-            Y[k], Z[k] = yk, zk
-            vloc = vloc + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
-            if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
-                raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
-            V[k + 1] = offset + vloc
-            X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] \
-                + ensemble.increments[:, k]
-        offset = offset + vloc
-    Y[K] = coeffs.eval_phi(X[K])
-
-    xi = Y[K] + V[K]
-    y0_mean = xi.mean(axis=0)
-    y0_stderr = xi.std(axis=0, ddof=1) / np.sqrt(P)
-
     sol = FdeSolution(
-        grid=grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2), Y=Y.transpose(1, 0, 2),
-        Z=Z.transpose(1, 0, 2, 3), phi_fits=phi_fits, z_fits=z_fits,
-        iteration_log=reports, window_bounds=windows, y0_mean=y0_mean,
-        y0_stderr=y0_stderr, x0=x0v, seed=ensemble.seed)
+        grid=grid, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=None,
+        phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
+        x0=x0v, seed=ensemble.seed)
+    for k, (v, x) in enumerate(replay_forward(sol, coeffs, ensemble)):
+        if k < K:
+            Y[k], Z[k] = evaluate_step_maps(phi_fits[k], z_fits[k], x)
+            np.clip(Y[k], -clip_bound, clip_bound, out=Y[k])
+    sol.X_T = x   # the last step's (v, x) is (V_K, X_K)
+    Y[K] = coeffs.eval_phi(x)
+    xi = Y[K] + v
+    sol.y0_mean = xi.mean(axis=0)
+    sol.y0_stderr = xi.std(axis=0, ddof=1) / np.sqrt(P)
     sol.residuals = check_fbsde_residual(sol, coeffs, ensemble)
     return sol
 
@@ -509,34 +523,26 @@ def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
     """Discrete residuals of both equations on the solve ensemble.
 
     Backward: Y_{k+1} - Y_k + h dt - Z dB per path and step (rms reported).
-    Forward: X_{k+1} - X_k - f dt - dB, exactly zero since X is built by that
-    recursion. Terminal: rms of Y_K - phi(X_K). Returns the dict that
-    ``FdeSolution.residuals`` stores: ``terminal_rms``, ``backward_rms`` and
-    ``forward_max``.
+    Forward: the X_K that ``replay_forward`` rebuilds from (Y, Z) against the
+    stored X_T, exactly zero since both come from one recursion. Terminal: rms
+    of Y_K - phi(X_T). Returns the dict that ``FdeSolution.residuals`` stores:
+    ``terminal_rms``, ``backward_rms`` and ``forward_max``.
     """
-    if sol.seed is not None and sol.seed != ensemble.seed:
-        raise InvalidArgumentError("solution was not produced on this ensemble")
-    if sol.V.shape[0] != ensemble.num_paths or sol.grid.num_steps != ensemble.grid.num_steps:
-        raise InvalidArgumentError("ensemble shape does not match the solution")
+    for _, x_K in replay_forward(sol, coeffs, ensemble):
+        pass
     t = sol.grid.points
     dt = sol.grid.dt
     K = sol.grid.num_steps
     back_sq = 0.0
-    fwd_max = 0.0
     for k in range(K):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        fk = coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
         zdb = np.einsum("pnd,pd->pn", sol.Z[:, k], ensemble.increments[:, k])
         rb = sol.Y[:, k + 1] - sol.Y[:, k] + hk * dt[k] - zdb
-        # reconstruct the Euler step with the construction's grouping so an
-        # untouched solution yields a bitwise zero
-        rf = (sol.X[:, k] + fk * dt[k] + ensemble.increments[:, k]) - sol.X[:, k + 1]
         back_sq += float(np.mean(rb ** 2))
-        fwd_max = max(fwd_max, float(np.abs(rf).max()))
-    terminal = float(np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X[:, K])) ** 2)))
+    terminal = float(np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X_T)) ** 2)))
     return {"terminal_rms": terminal,
             "backward_rms": float(np.sqrt(back_sq / K)),
-            "forward_max": fwd_max}
+            "forward_max": float(np.abs(x_K - sol.X_T).max())}
 
 
 def write_json(path, obj) -> None:
@@ -576,10 +582,12 @@ def write_grid_csv(path, grid: TimeGrid, named, path_limit: int) -> None:
                           for k, row in enumerate(rows))
 
 
-def export_solution(sol: FdeSolution, csv_path, sidecar_path, *, path_limit: int,
+def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, path_limit: int,
                     config_echo: dict):
-    """Write per-path rows (path, step, t, V.., X.., Y.., Z..) plus a JSON sidecar."""
-    write_grid_csv(csv_path, sol.grid, [("V", sol.V), ("X", sol.X), ("Y", sol.Y), ("Z", sol.Z)],
+    """Write rows (path, step, t, V.., X.., Y.., Z..), (V, X) being ``forward_rows``'s,
+    plus a JSON sidecar; it counts the steps of each window whose fit set a warning."""
+    V, X = forward
+    write_grid_csv(csv_path, sol.grid, [("V", V), ("X", X), ("Y", sol.Y), ("Z", sol.Z)],
                    path_limit)
     side = {
         "seed": sol.seed,
@@ -588,6 +596,8 @@ def export_solution(sol: FdeSolution, csv_path, sidecar_path, *, path_limit: int
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
         "windows": [[int(a), int(b)] for a, b in sol.window_bounds],
         "iteration_log": [r.to_json() for r in sol.iteration_log],
+        "regression_warning_steps": [sum(f.warning for f in sol.phi_fits[a:b])
+                                     for a, b in sol.window_bounds],
         "config": config_echo,
     }
     write_json(sidecar_path, side)

@@ -12,19 +12,20 @@ with Z invariant under the measure change (the density representation does
 not depend on the equivalent measure). The discrete exponential uses
 exp(N - [N]/2), which is positive by construction. W is not built here: the
 forward state X of the solve is the same Euler recursion, so X is W path by
-path. The measure change keeps only the terminal weights; a stage that needs
-the drift f(t_k, Y_k, Z_k) evaluates it at the steps it reads, one step at a
-time, so no (P, K, d) array of drift values is held.
+path, replayed one step at a time. The measure change keeps only the terminal
+weights; a stage that needs the drift f(t_k, Y_k, Z_k) evaluates it at the
+steps it reads, so no (P, K, d) array of drift values is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import CoefficientSet, FdeSolution, write_grid_csv, write_json
+from .fde import CoefficientSet, FdeSolution, replay_forward, write_grid_csv, write_json
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
                          polynomial_basis)
@@ -67,6 +68,12 @@ def _drift(sol: FdeSolution, coeffs: CoefficientSet, k: int) -> np.ndarray:
     return coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
 
 
+def _states_at(sol: FdeSolution, coeffs: CoefficientSet, ensemble, steps) -> dict:
+    """X_k at each of ``steps``, from one replay that stops after the last."""
+    rows = zip(range(max(steps, default=-1) + 1), replay_forward(sol, coeffs, ensemble))
+    return {k: x for k, (_, x) in rows if k in steps}
+
+
 def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
                          ensemble: BrownianEnsemble) -> MeasureChange:
     """Terminal weights exp(N - [N]/2), accumulated one step at a time.
@@ -92,8 +99,8 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     return MeasureChange(grid=sol.grid, weights=weights)
 
 
-def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
-                           coeffs: CoefficientSet) -> dict:
+def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
+                           ensemble: BrownianEnsemble) -> dict:
     """Residual report of the weak integral equation for (Y, Z, W = X).
 
     The weak solution is the solve's (Y, Z) with W its forward state X; Z is
@@ -105,15 +112,13 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     """
     if not np.array_equal(mc.grid.points, sol.grid.points):
         raise InvalidArgumentError("measure change and solution grids differ")
-    K = sol.grid.num_steps
     t = sol.grid.points
     dt = sol.grid.dt
-    resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X[:, K])
-    for k in range(K):
+    resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T)
+    for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, coeffs, ensemble))):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
-        dw = sol.X[:, k + 1] - sol.X[:, k]
-        zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], dw)
+        zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], x_next - x)
         resid = resid - hk * dt[k] - zf * dt[k] + zdw
     if not np.all(np.isfinite(resid)):
         raise InvalidStateError("weak solution: non-finite residual")
@@ -126,7 +131,8 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
             "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet) -> dict:
+def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
+                       ensemble: BrownianEnsemble) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
@@ -159,15 +165,16 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
 
     t = sol.grid.points
     dt = sol.grid.dt
+    X = _states_at(sol, coeffs, ensemble, [j for k in probe_steps for j in (k, k + 1)])
     per_probe = []
     worst = 0.0
     for k in probe_steps:
-        mesh = probe_mesh(sol.X[:, k])
+        mesh = probe_mesh(X[k])
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
         dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
-        dw = sol.X[:, k + 1] - sol.X[:, k]
-        p_fit = StepRegression(sol.X[:, k], basis, weights=mc.weights)
+        dw = X[k + 1] - X[k]
+        p_fit = StepRegression(X[k], basis, weights=mc.weights)
         zp = p_fit.fit(density_target(dmp, dw, dt[k])).evaluate(mesh)
         zq = sol.z_fits[k].evaluate(mesh).reshape(zp.shape)
         disc = float(np.abs(zq - zp).max())
@@ -176,7 +183,8 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dict:
+def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble,
+                   probe_times) -> dict:
     """Conditional remaining quadratic variation of N at deterministic probes.
 
     For each probe, regress sum_{k >= probe} |f_k|^2 dt_k on the probe state
@@ -187,6 +195,8 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dic
     K = sol.grid.num_steps
     t = sol.grid.points
     dt = sol.grid.dt
+    steps = [int(np.argmin(np.abs(t - pt))) for pt in probe_times]
+    X = _states_at(sol, coeffs, ensemble, steps)
     basis = polynomial_basis(2, coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
@@ -198,26 +208,26 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, probe_times) -> dic
 
     per_probe = []
     sup99 = 0.0
-    for pt in probe_times:
-        idx = int(np.argmin(np.abs(t - pt)))
+    for pt, idx in zip(probe_times, steps):
         if abs(t[idx] - pt) > 1e-9 * max(1.0, sol.grid.horizon):
             raise InvalidArgumentError(f"probe time {pt} is not a grid point")
         if idx >= K:
             est = np.zeros(sol.num_paths)
         else:
-            sr = StepRegression(sol.X[:, idx], basis)
+            sr = StepRegression(X[idx], basis)
             fit = sr.fit(remaining[:, idx][:, None])
-            est = fit.evaluate(sol.X[:, idx])[:, 0]
+            est = fit.evaluate(X[idx])[:, 0]
         p99 = float(np.quantile(est, 0.99))
         per_probe.append({"t": float(t[idx]), "mean": float(est.mean()), "p99": p99})
         sup99 = max(sup99, p99)
     return {"sup_p99": sup99, "per_probe": per_probe}
 
 
-def export_weak_solution(sol: FdeSolution, mc: MeasureChange, residual: dict, csv_path,
-                         sidecar_path, *, path_limit: int, config_echo: dict):
-    """CSV of (path, step, t, Y.., Z.., W..), W being X, plus a residual and weights sidecar."""
-    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y), ("Z", sol.Z), ("W", sol.X)], path_limit)
+def export_weak_solution(sol: FdeSolution, mc: MeasureChange, residual: dict, forward,
+                         csv_path, sidecar_path, *, path_limit: int, config_echo: dict):
+    """CSV of (path, step, t, Y.., Z.., W..), W being forward's X, plus a sidecar."""
+    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y), ("Z", sol.Z), ("W", forward[1])],
+                   path_limit)
     side = {"residual": {k: float(v) for k, v in residual.items()},
             "weights": {
                 "mean": float(mc.weights.mean()),

@@ -186,7 +186,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     coeffs = build_portfolio_fbsde(model, grid.horizon)
     sol = solve_global(coeffs, grid, np.zeros(2), ensemble, **solve_kwargs)
     mc = build_measure_change(sol, coeffs, ensemble)
-    weak_residual = assemble_weak_solution(sol, mc, coeffs)
+    weak_residual = assemble_weak_solution(sol, mc, coeffs, ensemble)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     with np.errstate(over="ignore"):

@@ -25,6 +25,14 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, 
             "solutions": sols}
 
 
+def replayed_paths(sol: ff.FdeSolution, coeffs: ff.CoefficientSet,
+                   ensemble: ff.BrownianEnsemble):
+    """A global solution's whole V (P, K+1, n) and X (P, K+1, d), stacked from
+    the rows of ``replay_forward``."""
+    rows = list(ff.replay_forward(sol, coeffs, ensemble))
+    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
+
+
 def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
     """Cumulative sums with a zero step prepended; shape (P, K+1, dim),
     stored step-major like the increments."""

@@ -129,7 +129,7 @@ def test_criterion_05_girsanov_weights(acceptance):
     fresh_bt = fresh.increments[:, 0, 0]
     worst_sigma = 0.0
     for fn in (np.tanh, lambda x: np.clip(x, -1.0, 1.0)):
-        lhs_terms = mc.weights * fn(sol.X[:, -1, 0])
+        lhs_terms = mc.weights * fn(sol.X_T[:, 0])
         lhs = lhs_terms.mean() / mc.weights.mean()
         rhs = fn(fresh_bt).mean()
         se = np.sqrt(lhs_terms.var(ddof=1) / ens.num_paths
@@ -148,12 +148,11 @@ def test_criterion_06_z_invariance(acceptance):
     worst = 0.0
     for name in ALL_FIXTURES:
         b = acceptance(name)
-        if "portfolio" in b:
-            psol = b["portfolio"]
-            rep = ff.check_z_invariance(psol.fde_sol, psol.measure_change, psol.coeffs)
+        if "portfolio" in b:   # its solve ensemble is freed once the report is made
+            rep = b["z_invariance"]
         else:
             mc = ff.build_measure_change(b["sol"], b["coeffs"], b["ensemble"])
-            rep = ff.check_z_invariance(b["sol"], mc, b["coeffs"])
+            rep = ff.check_z_invariance(b["sol"], mc, b["coeffs"], b["ensemble"])
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
     _report(6, "z invariance", ok, f"max surface discrepancy {worst:.4f} <= 0.05")

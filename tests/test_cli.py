@@ -273,13 +273,42 @@ def test_coarse_grid_probes_stay_on_the_grid(tmp_path, capsys, K):
     assert any(a["name"] == "heat_oracle_sup" for a in report["assertions"])
 
 
-def test_single_step_weak_run_exits_two_on_its_off_grid_bmo_probe(tmp_path, capsys):
-    # the Z-invariance probes of a one-step grid stay at step 0, so the run
-    # reaches the BMO diagnostic, whose probe at t = 0.25 is not a grid point
-    cfg = _shipped_config("qbsde_weak.cfg", tmp_path, K=1, out=tmp_path / "out")
-    assert cli.main(["run", cfg, "--paths", "3000"]) == 2
-    text = capsys.readouterr().out
-    assert text == "config error: probe time 0.25 is not a grid point\n"
+@pytest.mark.parametrize("K", [1, 50])
+def test_weak_run_takes_its_bmo_probes_from_the_grid(tmp_path, K):
+    # the BMO probes are steps 0, K // 4 and K // 2, so a grid whose K is not
+    # a multiple of 4 ends with a verdict table, not an off-grid probe error
+    cfg = _shipped_config("qbsde_weak.cfg", tmp_path, K=K, out=tmp_path / "out")
+    assert cli.main(["run", cfg, "--paths", "3000", "--quiet"]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert "error" not in report
+    assert any(a["name"] == "bmo_const_rel_dev" for a in report["assertions"])
+
+
+def _read_rows(path):
+    """The rows of an exported grid CSV as {column: float64 array}."""
+    lines = path.read_text().splitlines()
+    cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    return dict(zip(lines[0].split(","), cells.T))
+
+
+def test_exported_rows_are_the_replayed_forward_states(tmp_path):
+    # const_forward has f = c, so X is not the Brownian path; the run writes
+    # V and X to the paths CSV and X as W to the weak CSV
+    from fdeflow.fixtures import get_fixture
+    from _helpers import replayed_paths
+    cfg = cli.load_config(_shipped_config("qbsde_weak.cfg", tmp_path, K=16, num_paths=3000,
+                                          export_paths=5, out=tmp_path / "out"))
+    cli.run(cfg)
+    bundle = cli._solve_fixture(get_fixture("const_forward"), cfg)
+    sol = bundle["sol"]
+    V, X = replayed_paths(sol, bundle["coeffs"], bundle["ensemble"])
+    bits = lambda a: np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    assert np.array_equal(bits(X[:, -1]), bits(sol.X_T))
+    paths = _read_rows(tmp_path / "out" / "const_forward_paths.csv")
+    weak = _read_rows(tmp_path / "out" / "const_forward_weak.csv")
+    assert np.array_equal(bits(paths["V0"]), bits(V[:5, :, 0].ravel()))
+    assert np.array_equal(bits(paths["X0"]), bits(X[:5, :, 0].ravel()))
+    assert np.array_equal(bits(weak["W0"]), bits(X[:5, :, 0].ravel()))
 
 
 # 1e15 float64 values (8 PB) exceed any address space, so the allocation

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 import weakref
@@ -13,7 +14,7 @@ from fdeflow.errors import (FdeflowError, InvalidArgumentError, InvalidStateErro
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
-from _helpers import brownian_paths, empirical_pathwise_uniqueness
+from _helpers import brownian_paths, empirical_pathwise_uniqueness, replayed_paths
 
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
@@ -238,6 +239,24 @@ def test_repeating_window_peaks_below_seven_window_arrays():
     assert peak < 7 * (m + 1) * P * 8
 
 
+def test_global_solve_peaks_below_three_whole_path_arrays():
+    # the solve keeps (Y, Z), about two (K+1, P) arrays, and X_T; the forward
+    # assembly and the residual hold one step of (V, X) at a time
+    fixture = ff.get_fixture("linear_driver")
+    P = 20_000
+    grid = ff.build_uniform_grid(fixture.T, fixture.K)
+    ens = ff.sample_ensemble(grid, P, 1, 19)
+    tracemalloc.start()
+    try:
+        sol = ff.solve_global(fixture.build(), grid, 0.0, ens, c4=fixture.c4,
+                              basis=fixture.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.residuals["forward_max"] == 0.0 and sol.V is None and sol.X is None
+    assert peak < 3 * (grid.num_steps + 1) * P * 8
+
+
 def test_contraction_factor_on_compliant_window():
     # driver with real coupling, window right at the admissible length
     coeffs = _coeffs(h=lambda t, y, z: 1.0 * y,
@@ -258,7 +277,7 @@ def test_solve_global_single_window_equals_picard(unit_ensemble_1d):
     sol = ff.solve_global(coeffs, grid, 0.0, ens)
     assert len(sol.window_bounds) >= 1
     assert np.abs(sol.Y - 1.0).max() <= 1e-6
-    assert np.abs(sol.V).max() == 0.0
+    assert np.abs(replayed_paths(sol, coeffs, ens)[0]).max() == 0.0
     assert sol.residuals["forward_max"] == 0.0
     # y0 statistics: terminal reconstruction of a constant is exact
     assert sol.y0_mean[0] == pytest.approx(1.0, abs=1e-12)
@@ -288,11 +307,13 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
         runs.append((sol, ff.build_measure_change(sol, coeffs, e)))
     (sol, mc), (ref, ref_mc) = runs
     assert coeffs.c1 > 0
-    for field in ("V", "X", "Y", "Z", "y0_mean"):
+    for field in ("Y", "Z", "X_T", "y0_mean"):
         assert np.array_equal(_bits(getattr(sol, field)), _bits(getattr(ref, field))), field
+    for got, want in zip(replayed_paths(sol, coeffs, ens), replayed_paths(ref, coeffs, c_order)):
+        assert np.array_equal(_bits(got), _bits(want))
     assert sol.residuals == ref.residuals
     assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
-    assert all(sol.X[:, k].flags.c_contiguous for k in range(grid.num_steps + 1))
+    assert all(x.flags.c_contiguous for _, x in ff.replay_forward(sol, coeffs, ens))
 
 
 def test_solve_global_offset_gluing_identity():
@@ -306,7 +327,8 @@ def test_solve_global_offset_gluing_identity():
     ens = ff.sample_ensemble(grid, 3000, 1, 12)
     sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
-    assert np.abs(sol.V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
+    V, _ = replayed_paths(sol, coeffs, ens)
+    assert np.abs(V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
 
 
 def test_solve_global_linear_driver_vs_pde_oracle():
@@ -340,11 +362,12 @@ def test_solve_global_non_scalar_system_decouples():
     ref = ff.solve_global(scalar, grid, 0.0, ens, **settings)
     assert np.abs(sol.Y[:, :, 0] - ref.Y[:, :, 0]).max() <= 1e-9
     assert np.abs(sol.Z[:, :, 0] - ref.Z[:, :, 0]).max() <= 1e-9
-    assert np.abs(sol.V[:, :, 1] - c * grid.points[None, :]).max() <= 1e-9
+    assert np.abs(replayed_paths(sol, coeffs, ens)[0][:, :, 1]
+                  - c * grid.points[None, :]).max() <= 1e-9
     assert np.abs(sol.Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
     mc, mc_ref = (ff.build_measure_change(s, cs, ens) for s, cs in ((sol, coeffs), (ref, scalar)))
     assert np.all(mc.weights == 1.0)
-    weak, weak_ref = (ff.assemble_weak_solution(s, m, cs)["weighted_rms"]
+    weak, weak_ref = (ff.assemble_weak_solution(s, m, cs, ens)["weighted_rms"]
                       for s, m, cs in ((sol, mc, coeffs), (ref, mc_ref, scalar)))
     assert weak == pytest.approx(weak_ref, rel=1e-6)
 
@@ -430,10 +453,13 @@ def test_check_residual_detects_zeroed_z(const_forward_solution):
     # coarse unit-test grid: the sqrt(dt) discretization floor dominates
     assert base["backward_rms"] <= 0.02
     stripped = ff.FdeSolution(
-        grid=sol.grid, V=sol.V, X=sol.X, Y=sol.Y, Z=np.zeros_like(sol.Z),
+        grid=sol.grid, Y=sol.Y, Z=np.zeros_like(sol.Z), X_T=sol.X_T,
         phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
         residuals={}, window_bounds=sol.window_bounds, x0=sol.x0, seed=sol.seed)
     inflated = ff.check_fbsde_residual(stripped, coeffs, ens)
+    # the replayed X_K is checked against the stored X_T
+    stripped.X_T = sol.X_T + 1e-3
+    assert ff.check_fbsde_residual(stripped, coeffs, ens)["forward_max"] > 0.0
     # h ignores z here, so r_new = r_old + Z dB exactly; predict the inflation
     # from the stored arrays
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
@@ -464,20 +490,22 @@ def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
 def test_terminal_consistency_invariant(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     K = grid.num_steps
-    term_rms = np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X[:, K])) ** 2))
+    term_rms = np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X_T)) ** 2))
     assert term_rms == 0.0
     # Y_k equals fitted conditional minus V_k by construction
     k = K // 2
-    refit = sol.phi_fits[k].evaluate(sol.X[:, k])
+    refit = sol.phi_fits[k].evaluate(replayed_paths(sol, coeffs, ens)[1][:, k])
     clip = np.abs(sol.Y[:, k]).max() + 1.0
     assert np.allclose(np.clip(refit, -clip, clip), sol.Y[:, k], atol=1e-9)
 
 
 def test_solution_export_roundtrip(tmp_path, tanh_solution):
-    _, grid, _, sol = tanh_solution
+    coeffs, grid, ens, sol = tanh_solution
     csv = tmp_path / "sol.csv"
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, csv, side, path_limit=3, config_echo={"fixture": "tanh"})
+    ff.export_solution(sol, fde.forward_rows(sol, coeffs, ens, 3), csv, side, path_limit=3,
+                       config_echo={"fixture": "tanh"})
+    V, X = replayed_paths(sol, coeffs, ens)
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,V0,X0,Y0,Z00"
     assert len(lines) == 1 + 3 * (grid.num_steps + 1)
@@ -486,12 +514,39 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
         p, k, *cells = line.split(",")
         p, k = int(p), int(k)
         z = sol.Z[p, k, 0, 0] if k < K else 0.0
-        expected = [grid.points[k], sol.V[p, k, 0], sol.X[p, k, 0], sol.Y[p, k, 0], z]
+        expected = [grid.points[k], V[p, k, 0], X[p, k, 0], sol.Y[p, k, 0], z]
         assert [float(c) for c in cells] == expected
-    import json
     payload = json.loads(side.read_text())
     assert payload["config"] == {"fixture": "tanh"}
     assert "backward_rms" in payload["residuals"]
+
+
+def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
+    # a fit box that holds no state makes each fit from t = 0.5 on fall back
+    # to all paths, which sets FittedConditional.warning
+    coeffs = _coeffs(phi=lambda x: np.tanh(x[:, :1]), c2=1.0)
+    grid = ff.build_uniform_grid(1.0, 8)
+    ens = ff.sample_ensemble(grid, 2000, 1, 20)
+    sol, _ = ff.picard_window(coeffs, grid, coeffs.eval_phi, 0.0, ens.increments,
+                              fit_window_fn=lambda t: (-50.0, 50.0) if t < 0.5 else (90.0, 91.0))
+    assert [f.warning for f in sol.phi_fits] == [False] * 4 + [True] * 4
+    side = tmp_path / "sol.json"
+    ff.export_solution(sol, (sol.V, sol.X), tmp_path / "sol.csv", side, path_limit=1,
+                       config_echo={})
+    assert json.loads(side.read_text())["regression_warning_steps"] == [4]
+    # a global solve of two windows places each count in its window
+    coeffs = _coeffs(h=lambda t, y, z: np.full_like(y, 0.3),
+                     phi=lambda x: np.zeros((x.shape[0], 1)),
+                     c1=1.0 / (8.0 * np.sqrt(0.5)), m=0.0)
+    grid = ff.build_uniform_grid(1.0, 16)
+    ens = ff.sample_ensemble(grid, 2000, 1, 21)
+    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=0.0)
+    assert sol.window_bounds == [(0, 8), (8, 16)]
+    for k in (3, 8, 15):
+        sol.phi_fits[k].warning = True
+    ff.export_solution(sol, fde.forward_rows(sol, coeffs, ens, 1), tmp_path / "two.csv", side,
+                       path_limit=1, config_echo={})
+    assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
 
 
 def test_solve_rejects_mismatched_ensemble(unit_ensemble_1d):

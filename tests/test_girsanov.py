@@ -4,7 +4,7 @@ import pytest
 import fdeflow as ff
 from fdeflow.errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 
-from _helpers import brownian_paths
+from _helpers import brownian_paths, replayed_paths
 
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
@@ -12,7 +12,7 @@ def test_zero_drift_measure_change_is_identity(tanh_solution):
     mc = ff.build_measure_change(sol, coeffs, ens)
     assert np.all(mc.weights == 1.0)
     # with f == 0 the shifted motion W = X is x + B
-    assert np.allclose(sol.X, brownian_paths(ens), atol=0.0)
+    assert np.allclose(replayed_paths(sol, coeffs, ens)[1], brownian_paths(ens), atol=0.0)
 
 
 def test_constant_drift_weights_match_closed_form(const_forward_solution):
@@ -54,7 +54,7 @@ def test_reweighted_terminal_moments(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     c, T = 0.5, grid.horizon
     mc = ff.build_measure_change(sol, coeffs, ens)
-    w_t = sol.X[:, -1, 0]
+    w_t = sol.X_T[:, 0]
     # raw mean drifts by c*T; the reweighted mean recenters at the start point
     assert abs(w_t.mean() - c * T) <= 5 / np.sqrt(ens.num_paths)
     weighted_mean = float(np.sum(mc.weights * w_t) / np.sum(mc.weights))
@@ -70,7 +70,7 @@ def test_change_of_measure_identity_against_fresh_ensemble(const_forward_solutio
                                ens.num_paths, 1, 777)
     fresh_bt = fresh.increments[:, 0, 0]
     for fn in (np.tanh, lambda x: np.clip(x, -1.0, 1.0)):
-        lhs_terms = mc.weights * fn(sol.X[:, -1, 0])
+        lhs_terms = mc.weights * fn(sol.X_T[:, 0])
         lhs = lhs_terms.mean() / mc.weights.mean()
         rhs = fn(fresh_bt).mean()
         se = np.sqrt(lhs_terms.var(ddof=1) / ens.num_paths
@@ -86,9 +86,9 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
     sol = ff.solve_global(coeffs, grid, 0.0, ens)
     mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs)
+    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
     assert residual["weighted_rms"] <= 1e-6
-    assert np.array_equal(sol.Y[:, -1], coeffs.eval_phi(sol.X[:, -1]))
+    assert np.array_equal(sol.Y[:, -1], coeffs.eval_phi(sol.X_T))
 
 
 def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, monkeypatch):
@@ -103,18 +103,18 @@ def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, mon
 
     monkeypatch.setattr(coeffs, "eval_phi", nan_on_path_9)
     with pytest.raises(InvalidStateError, match="non-finite residual"):
-        ff.assemble_weak_solution(sol, mc, coeffs)
+        ff.assemble_weak_solution(sol, mc, coeffs, ens)
 
 
 def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs)
+    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
     # f == 0: the weak residual telescopes the per-step backward residuals
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
     telescoped = sol.Y[:, 0] - sol.Y[:, -1] + (np.diff(sol.Y, axis=1) - zdb).sum(axis=1) \
         + zdb.sum(axis=1) - zdb.sum(axis=1)
-    direct = sol.Y[:, 0] - coeffs.eval_phi(sol.X[:, -1]) + zdb.sum(axis=1)
+    direct = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T) + zdb.sum(axis=1)
     assert residual["unweighted_rms"] == pytest.approx(
         float(np.sqrt(np.mean(np.sum(direct ** 2, axis=1)))), rel=1e-9)
     assert residual["weighted_rms"] == pytest.approx(residual["unweighted_rms"], rel=1e-12)
@@ -123,7 +123,7 @@ def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
 def test_z_invariance_on_drifted_problem(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    report = ff.check_z_invariance(sol, mc, coeffs)
+    report = ff.check_z_invariance(sol, mc, coeffs, ens)
     assert report["max_discrepancy"] <= 0.05
     assert len(report["per_probe"]) == 3
 
@@ -134,7 +134,7 @@ def test_z_invariance_probes_a_single_step_grid():
     ens = ff.sample_ensemble(grid, 3000, 1, 31)
     coeffs = ff.get_fixture("const_forward").build()
     sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0)
-    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, coeffs, ens), coeffs)
+    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, coeffs, ens), coeffs, ens)
     assert [row["step"] for row in report["per_probe"]] == [0]
     assert np.isfinite(report["max_discrepancy"])
 
@@ -149,15 +149,15 @@ def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
                           basis=ff.polynomial_basis(7, 1))
     mc = ff.build_measure_change(sol, coeffs, ens)
     with pytest.raises(InsufficientWeightError):
-        ff.check_z_invariance(sol, mc, coeffs)
+        ff.check_z_invariance(sol, mc, coeffs, ens)
 
 
 def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution):
     coeffs0, grid, ens, sol0 = tanh_solution
-    rep0 = ff.bmo_diagnostic(sol0, coeffs0, [0.0, 0.5])
+    rep0 = ff.bmo_diagnostic(sol0, coeffs0, ens, [0.0, 0.5])
     assert rep0["sup_p99"] <= 1e-12
     coeffs, grid, ens, sol = const_forward_solution
-    rep = ff.bmo_diagnostic(sol, coeffs, [0.0, 0.25, 0.5])
+    rep = ff.bmo_diagnostic(sol, coeffs, ens, [0.0, 0.25, 0.5])
     c, T = 0.5, grid.horizon
     for row in rep["per_probe"]:
         expected = c * c * (T - row["t"])
@@ -169,7 +169,7 @@ def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution)
 def test_bmo_rejects_off_grid_probe(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     with pytest.raises(InvalidArgumentError):
-        ff.bmo_diagnostic(sol, coeffs, [0.123456])
+        ff.bmo_diagnostic(sol, coeffs, ens, [0.123456])
 
 
 def test_weight_tail_mass_is_small(const_forward_solution):
@@ -181,10 +181,12 @@ def test_weight_tail_mass_is_small(const_forward_solution):
 def test_weak_export(tmp_path, const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs)
+    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
     csv = tmp_path / "weak.csv"
     side = tmp_path / "weak.json"
-    ff.export_weak_solution(sol, mc, residual, csv, side, path_limit=2, config_echo={})
+    ff.export_weak_solution(sol, mc, residual, ff.fde.forward_rows(sol, coeffs, ens, 2), csv,
+                            side, path_limit=2, config_echo={})
+    X = replayed_paths(sol, coeffs, ens)[1]
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,Y0,Z00,W0"
     assert len(lines) == 1 + 2 * (grid.num_steps + 1)
@@ -193,7 +195,7 @@ def test_weak_export(tmp_path, const_forward_solution):
         p, k, *cells = line.split(",")
         p, k = int(p), int(k)
         z = sol.Z[p, k, 0, 0] if k < K else 0.0
-        expected = [grid.points[k], sol.Y[p, k, 0], z, sol.X[p, k, 0]]
+        expected = [grid.points[k], sol.Y[p, k, 0], z, X[p, k, 0]]
         assert [float(c) for c in cells] == expected
     import json
     payload = json.loads(side.read_text())

@@ -162,7 +162,7 @@ def test_reweighted_asset_drift(merton_small):
     # E[S_T] under the target measure is s0 * exp(int mu dt)
     model, grid, ens, psol = merton_small
     mc = psol.measure_change
-    v_t, s_t = prices(model, grid.horizon, psol.fde_sol.X[:, -1])
+    v_t, s_t = prices(model, grid.horizon, psol.fde_sol.X_T)
     for price, drift in ((s_t, 0.1), (v_t, 0.05)):
         weighted = mc.weights * price
         mean = float(weighted.mean() / mc.weights.mean())
@@ -267,7 +267,7 @@ def test_endowment_pipeline_runs(endowment_small):
     assert psol.weak_residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
-    rep = ff.bmo_diagnostic(psol.fde_sol, psol.coeffs, [0.0, 0.24, 0.48])
+    rep = ff.bmo_diagnostic(psol.fde_sol, psol.coeffs, ens, [0.0, 0.24, 0.48])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -355,5 +355,5 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     peak = _traced_peak(ff.build_measure_change, psol.fde_sol, psol.coeffs, ens)
     assert peak < P * K * 2 * 8
     # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
-    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, psol.coeffs, [0.0, 0.24, 0.48])
+    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, psol.coeffs, ens, [0.0, 0.24, 0.48])
     assert peak < 2 * P * K * 8
