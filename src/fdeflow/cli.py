@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles
+from . import fde, oracles
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
 from .fde import export_solution, forward_rows, replay_forward, solve_global, write_json
@@ -109,8 +109,8 @@ class ExperimentConfig:
     T: float | None = None
     K: int | None = None
     c4: float | None = None
-    tol: float = 1e-4
-    max_iter: int = 50
+    tol: float = fde.DEFAULT_TOL
+    max_iter: int = fde.DEFAULT_MAX_ITER
     basis_degree: int | None = None
     export_paths: int = 200
 
@@ -270,7 +270,7 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
             bundle["optimality"] = verify_martingale_optimality(
                 psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
             return bundle
-        sol = solve_global(built, grid, 0.0, ensemble, **settings)
+        sol = solve_global(built, grid, ensemble, **settings)
         bundle = {"ensemble": ensemble, "sol": sol, "coeffs": built,
                   "forward": forward_rows(sol, built, ensemble, cfg.export_paths)}
         if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":

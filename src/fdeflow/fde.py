@@ -2,7 +2,7 @@
 
 The forward-backward system
 
-    dX = f(t, Y, Z) dt + dB,   X_0 = x
+    dX = f(t, Y, Z) dt + dB,   X_0 = 0
     dY = -h(t, Y, Z) dt + Z dB,   Y_T = phi(X_T)
 
 is recast as a fixed-point problem for the pair (V, X), where V is the
@@ -115,18 +115,13 @@ class CoefficientSet:
         dyz = (np.linalg.norm(y - y2, axis=1)
                + np.linalg.norm((z - z2).reshape(m, -1), axis=1))
         for t in (0.0, 0.37, 1.0):
-            h1, h2 = self.eval_h(t, y, z), self.eval_h(t, y2, z2)
-            _require_finite("h", h1, h2)
-            dh = np.linalg.norm(h1 - h2, axis=1)
-            if np.any(dh > self.c1 * dyz * (1 + slack) + slack):
-                raise InvalidArgumentError(
-                    f"h violates the declared Lipschitz constant c1={self.c1}")
-            f1, f2 = self.eval_f(t, y, z), self.eval_f(t, y2, z2)
-            _require_finite("f", f1, f2)
-            df = np.linalg.norm(f1 - f2, axis=1)
-            if np.any(df > self.c1 * dyz * (1 + slack) + slack):
-                raise InvalidArgumentError(
-                    f"f violates the declared Lipschitz constant c1={self.c1}")
+            for name, fn in (("h", self.eval_h), ("f", self.eval_f)):
+                out1, out2 = fn(t, y, z), fn(t, y2, z2)
+                _require_finite(name, out1, out2)
+                if np.any(np.linalg.norm(out1 - out2, axis=1)
+                          > self.c1 * dyz * (1 + slack) + slack):
+                    raise InvalidArgumentError(
+                        f"{name} violates the declared Lipschitz constant c1={self.c1}")
         phix, phix2 = self.eval_phi(x), self.eval_phi(x2)
         _require_finite("phi", phix, phix2)
         dphi = np.linalg.norm(phix - phix2, axis=1)
@@ -189,8 +184,7 @@ class FdeSolution:
     window_bounds: list = field(default_factory=list)   # (a, b) step-index pairs
     y0_mean: np.ndarray | None = None
     y0_stderr: np.ndarray | None = None
-    x0: np.ndarray | None = None
-    seed: int | None = None
+    seed: int | None = None             # the solve ensemble's, global solutions only
     V: np.ndarray | None = None         # (P, K+1, n), window solutions only
     X: np.ndarray | None = None         # (P, K+1, d), window solutions only
 
@@ -346,8 +340,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     sol = FdeSolution(
         grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
         Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
-        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)],
-        x0=start[0].copy() if np.ndim(start_x) <= 1 else None, seed=None)
+        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
     return sol, report
 
 
@@ -375,14 +368,14 @@ def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
 
 
 def replay_forward(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble):
-    """Yield a global solution's (V_k, X_k), k = 0..K, on its solve ensemble, one step at a
-    time; the forward assembly runs these very steps, so each row is bitwise its own."""
-    if sol.seed is not None and sol.seed != ensemble.seed:
+    """Yield a global solution's (V_k, X_k), k = 0..K, from X_0 = 0 on its solve ensemble, one
+    step at a time; the forward assembly runs these very steps, so each row is bitwise its own."""
+    if sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
     if sol.num_paths != ensemble.num_paths or sol.grid.num_steps != ensemble.grid.num_steps:
         raise InvalidArgumentError("ensemble shape does not match the solution")
     t, dt = sol.grid.points, sol.grid.dt
-    x = np.broadcast_to(sol.x0, (ensemble.num_paths, coeffs.d)).copy()
+    x = np.zeros((ensemble.num_paths, coeffs.d))
     offset = np.zeros((x.shape[0], coeffs.n))
     yield offset, x
     for a, b in sol.window_bounds:
@@ -410,19 +403,20 @@ def _exploration_rng(seed: int, window_index: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianEnsemble,
+def solve_global(coeffs: CoefficientSet, grid: TimeGrid, ensemble: BrownianEnsemble,
                  c4: float | None = None, tol: float = DEFAULT_TOL, *,
                  basis: RegressionBasis | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  initial_guess=None) -> FdeSolution:
-    """Solve the coupled system on [0, T] and return the assembled solution.
+    """Solve the coupled system on [0, T] from the origin and return the assembled solution.
 
     Runs a backward sweep over contraction-compliant windows, each solved by
     ``picard_window`` from freshly drawn exploration start states (uniform box
-    around x0, widened with time and the drift scale) so the fitted value maps
-    are reliable wherever later passes evaluate them. A single forward pass on
-    the actual ensemble (``replay_forward``) then reads (Y, Z) windowwise off
-    the fitted maps and keeps them and X_T; V (glued by a running offset) and
-    X are held one step at a time.
+    around the origin, widened with time and the drift scale) so the fitted
+    value maps are reliable wherever later passes evaluate them. A single
+    forward pass on the actual ensemble (``replay_forward``) then reads (Y, Z)
+    windowwise off the fitted maps and keeps them and X_T; V (glued by a
+    running offset) and X are held one step at a time. Another start x is the
+    terminal map phi(. + x) from the origin.
 
     The windows come from the declared constants alone: the last one from
     (c1, c2), the interior ones from (c1, c4) through
@@ -444,9 +438,6 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     c4_eff = coeffs.c2 if c4 is None else float(c4)
     if not 0 <= c4_eff < np.inf:
         raise InvalidArgumentError(f"c4 must be finite and non-negative, got {c4}")
-    x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,)).copy()
-    if not np.all(np.isfinite(x0v)):
-        raise InvalidArgumentError("x0 must be finite")
 
     # the last window's terminal map is phi (constant c2); interior windows
     # consume fitted maps whose gradient bound is the c4 config
@@ -460,14 +451,14 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     windows = _segment_backward(grid, ell_interior, ell_last)
 
     # exploration geometry: uniform box widened with time plus a drift margin
-    y_ref = coeffs.eval_phi(x0v[None, :])
+    y_ref = coeffs.eval_phi(np.zeros((1, d)))
     z_ref = np.zeros((1, n, d))
     fmag = max(float(np.abs(coeffs.eval_f(tk, y_ref, z_ref)).max())
                for tk in grid.points[::max(1, K // 8)])
 
     def box(tk):
         r = _EXPLORATION_RADIUS * np.sqrt(_EXPLORATION_FLOOR ** 2 + tk) + fmag * tk
-        return x0v - r, x0v + r
+        return np.full(d, -r), np.full(d, r)
 
     # a-priori bound on |Y|, applied to every fitted Y evaluation
     h0 = max(float(np.abs(coeffs.eval_h(tk, np.zeros((1, n)), z_ref)).max())
@@ -504,7 +495,7 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, x0, ensemble: BrownianE
     sol = FdeSolution(
         grid=grid, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=None,
         phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
-        x0=x0v, seed=ensemble.seed)
+        seed=ensemble.seed)
     for k, (v, x) in enumerate(replay_forward(sol, coeffs, ensemble)):
         if k < K:
             Y[k], Z[k] = evaluate_step_maps(phi_fits[k], z_fits[k], x)
@@ -530,9 +521,7 @@ def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
     """
     for _, x_K in replay_forward(sol, coeffs, ensemble):
         pass
-    t = sol.grid.points
-    dt = sol.grid.dt
-    K = sol.grid.num_steps
+    t, dt, K = sol.grid.points, sol.grid.dt, sol.grid.num_steps
     back_sq = 0.0
     for k in range(K):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
@@ -574,10 +563,12 @@ def write_grid_csv(path, grid: TimeGrid, named, path_limit: int) -> None:
         else:
             cols += [f"{letter}{i}" for i in range(arr.shape[2])]
         blocks.append(arr)
-    t = np.broadcast_to(grid.points[None, :, None], (blocks[0].shape[0], K + 1, 1))
+    t = grid.points[:, None]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["path", "step", *cols]) + "\n")
-        for p, rows in enumerate(np.concatenate([t, *blocks], axis=2).tolist()):
+        # one path's rows at a time: the Python floats of a whole block cost ~4x its array
+        for p in range(blocks[0].shape[0]):
+            rows = np.concatenate([t, *(b[p] for b in blocks)], axis=1).tolist()
             fh.writelines(f"{p},{k}," + ",".join(map(repr, row)) + "\n"
                           for k, row in enumerate(rows))
 

@@ -2,7 +2,7 @@
 
 From a solved forward-backward system under the sampling measure, build the
 stochastic exponential of N = -int <f(s, Y_s, Z_s), dB_s>, reweight to the
-target measure, and shift the Brownian motion to W = x + B + int f ds. Under
+target measure, and shift the Brownian motion to W = B + int f ds. Under
 the new measure W is a Brownian motion and the unchanged pair (Y, Z) together
 with W solves the quadratic equation
 
@@ -81,7 +81,7 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     f is evaluated at left endpoints on the stored (Y, Z), the values the
     forward solve stepped X with, so X is the shifted motion W.
     """
-    if sol.seed is not None and sol.seed != ensemble.seed:
+    if sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
     P = sol.num_paths
     dt = sol.grid.dt
@@ -141,8 +141,8 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     stored fit's basis, so the discrepancy measures the measure change, not
     the basis. The probes are the steps near a quarter, a half and three
     quarters of the horizon, each on a grid of 21 points per dimension within
-    2 of x0. Returns the maximum absolute discrepancy over the probe steps and
-    evaluation grid.
+    2 of the origin. Returns the maximum absolute discrepancy over the probe
+    steps and evaluation grid.
     """
     K = sol.grid.num_steps
     d = coeffs.d
@@ -153,18 +153,16 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
             f"effective sample size {ess:.1f} below "
             f"{MIN_PATHS_PER_FUNCTION * basis.n_functions}")
     probe_steps = sorted({min(K - 1, max(1, j)) for j in (K // 4, K // 2, (3 * K) // 4)})
-    center = sol.x0 if sol.x0 is not None else np.zeros(d)
 
     def probe_mesh(states):
         # central region clipped to the bulk of the actual states: the
         # reweighted fit has no data beyond them
-        lo = np.maximum(center - 2.0, np.quantile(states, 0.01, axis=0))
-        hi = np.minimum(center + 2.0, np.quantile(states, 0.99, axis=0))
+        lo = np.maximum(-2.0, np.quantile(states, 0.01, axis=0))
+        hi = np.minimum(2.0, np.quantile(states, 0.99, axis=0))
         axes = [np.linspace(a, b, 21) for a, b in zip(lo, hi)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
-    t = sol.grid.points
-    dt = sol.grid.dt
+    t, dt = sol.grid.points, sol.grid.dt
     X = _states_at(sol, coeffs, ensemble, [j for k in probe_steps for j in (k, k + 1)])
     per_probe = []
     worst = 0.0

@@ -184,7 +184,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     if ensemble.dim != 2:
         raise InvalidArgumentError("portfolio ensembles must be two-dimensional")
     coeffs = build_portfolio_fbsde(model, grid.horizon)
-    sol = solve_global(coeffs, grid, np.zeros(2), ensemble, **solve_kwargs)
+    sol = solve_global(coeffs, grid, ensemble, **solve_kwargs)
     mc = build_measure_change(sol, coeffs, ensemble)
     weak_residual = assemble_weak_solution(sol, mc, coeffs, ensemble)
     y0 = float(sol.y0_mean[0])

@@ -3,9 +3,10 @@ import numpy as np
 
 import fdeflow as ff
 from fdeflow import portfolio
+from fdeflow.regression import density_target
 
 
-def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, x0,
+def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid,
                                   ensemble: ff.BrownianEnsemble, guesses=None,
                                   **solve_kwargs) -> dict:
     """Gap between two solves started from independent initial guesses.
@@ -17,12 +18,78 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid, 
     if guesses is None:
         g0 = max(coeffs.m_bound, 1.0)
         guesses = (g0, -g0)
-    sols = [ff.solve_global(coeffs, grid, x0, ensemble, initial_guess=g, **solve_kwargs)
+    sols = [ff.solve_global(coeffs, grid, ensemble, initial_guess=g, **solve_kwargs)
             for g in guesses]
     y_gap = float(np.abs(sols[0].Y - sols[1].Y).max())
     z_gap = float(np.abs(sols[0].Z - sols[1].Z).max())
     return {"y_gap": y_gap, "z_gap": z_gap, "max_gap": max(y_gap, z_gap),
             "solutions": sols}
+
+
+def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid, terminal_map,
+                            start_x, increments: np.ndarray, *, tol: float = ff.fde.DEFAULT_TOL,
+                            max_iter: int = ff.fde.DEFAULT_MAX_ITER, basis=None,
+                            terminal_lipschitz=None, force=False, initial_guess=None,
+                            fit_window_fn=None, clip_bound=None):
+    """Plain Picard iteration of the window map, for comparison with ``picard_window``.
+
+    ``terminal_map`` returns (P, n) arrays. Every pass runs the forward Euler
+    step, calls the terminal map, builds every ``StepRegression`` afresh and
+    fits Y, then Z, backward; the distance is one whole-array max over (V, X),
+    and the iteration stops only when a distance reaches ``tol *
+    DEFAULT_POLISH``. A pass that repeats its iterate bitwise refits to the
+    same bits, so ``picard_window``'s reuse and early exit must leave every
+    output as this gives it. The mesh precondition and the divergence guards
+    are left out (``terminal_lipschitz`` and ``force`` are ignored). Returns
+    (FdeSolution, PicardReport) as ``picard_window`` does.
+    """
+    P, m, d = increments.shape
+    n = coeffs.n
+    basis = basis or ff.polynomial_basis(3, d)
+    t, dt = window_grid.points, window_grid.dt
+    start = np.broadcast_to(np.asarray(start_x, dtype=float), (P, d))
+    y_init = (terminal_map(start) if initial_guess is None
+              else np.atleast_1d(np.asarray(initial_guess, float)))
+    Y = np.broadcast_to(y_init, (m + 1, P, n)).copy()
+    Z = np.zeros((m, P, n, d))
+    report = ff.PicardReport(window=(float(t[0]), float(t[-1])), distances=[], converged=False)
+    V = X = None
+    for _ in range(max_iter):
+        V_last, X_last = V, X
+        V = np.zeros((m + 1, P, n))
+        X = np.empty((m + 1, P, d))
+        X[0] = start
+        for k in range(m):
+            V[k + 1] = V[k] + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
+            X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + increments[:, k]
+        dist = None
+        if X_last is not None:
+            dist = float(max(np.abs(V - V_last).max(), np.abs(X - X_last).max()))
+            report.distances.append(dist)
+            report.converged = report.converged or dist <= tol
+        xi = terminal_map(X[m]) + V[m]
+        y_fits, z_fits = [None] * m, [None] * m
+        Y[m] = xi - V[m]
+        M_next = xi
+        for k in range(m - 1, -1, -1):
+            box = fit_window_fn(t[k]) if fit_window_fn is not None else None
+            sr = ff.StepRegression(X[k], basis, fit_window=box)
+            y_fits[k] = sr.fit(xi - V[k])
+            Y[k] = y_fits[k].evaluate(X[k])
+            if clip_bound is not None:
+                Y[k] = np.clip(Y[k], -clip_bound, clip_bound)
+            M_k = Y[k] + V[k]
+            z_fits[k] = sr.fit(density_target(M_next - M_k, increments[:, k], dt[k]),
+                               out_shape=(n, d))
+            Z[k] = z_fits[k].evaluate(X[k])
+            M_next = M_k
+        if dist is not None and dist <= tol * ff.fde.DEFAULT_POLISH:
+            break
+    sol = ff.FdeSolution(
+        grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
+        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
+        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
+    return sol, report
 
 
 def replayed_paths(sol: ff.FdeSolution, coeffs: ff.CoefficientSet,

@@ -222,17 +222,14 @@ def test_criterion_10_empirical_pathwise_uniqueness():
         fixture = ff.get_fixture(name)
         grid = ff.build_uniform_grid(fixture.T, fixture.K)
         if fixture.kind == "portfolio":
-            model = fixture.build()
-            coeffs = ff.build_portfolio_fbsde(model, fixture.T)
-            dim, x0 = 2, np.zeros(2)
+            coeffs = ff.build_portfolio_fbsde(fixture.build(), fixture.T)
         else:
             coeffs = fixture.build()
-            dim, x0 = 1, 0.0
-        ens = ff.sample_ensemble(grid, 20_000, dim,
+        ens = ff.sample_ensemble(grid, 20_000, coeffs.d,
                                  cli.substream_seed(ACCEPT_SEED, f"{name}:uniq"))
         g0 = max(coeffs.m_bound, 1.0)
         rep = empirical_pathwise_uniqueness(
-            coeffs, grid, x0, ens, guesses=(g0, -g0), c4=fixture.c4,
+            coeffs, grid, ens, guesses=(g0, -g0), c4=fixture.c4,
             tol=tol, basis=fixture.basis)
         worst = max(worst, rep["max_gap"])
     ok = worst <= 2 * tol

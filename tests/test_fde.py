@@ -14,7 +14,8 @@ from fdeflow.errors import (FdeflowError, InvalidArgumentError, InvalidStateErro
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
-from _helpers import brownian_paths, empirical_pathwise_uniqueness, replayed_paths
+from _helpers import (brownian_paths, empirical_pathwise_uniqueness, reference_picard_window,
+                      replayed_paths)
 
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
@@ -77,7 +78,7 @@ def test_drawn_coefficient_sets_solve_or_fail_by_name(a, s, f_of_z, c1_scale, c2
     coeffs = build()
     grid = ff.build_uniform_grid(0.1, 8)
     try:
-        sol = ff.solve_global(coeffs, grid, 0.0, ff.sample_ensemble(grid, 600, 1, 4242))
+        sol = ff.solve_global(coeffs, grid, ff.sample_ensemble(grid, 600, 1, 4242))
     except FdeflowError:
         return
     assert np.isfinite(sol.y0_mean).all() and sol.residuals["forward_max"] == 0.0
@@ -220,6 +221,46 @@ def test_picard_window_reuses_designs_while_states_repeat(monkeypatch, case):
     assert len(terminal_calls) == 1 + passes
 
 
+_REFERENCE_CASES = {
+    # (h, f, c1, m): one distance, 0.0 | X repeats every pass | X moves every pass
+    "c1_zero": (lambda t, y, z: np.zeros_like(y),
+                lambda t, y, z: np.full((y.shape[0], 1), 0.5), 0.0, 16),
+    "f_zero": (lambda t, y, z: 0.5 * y, None, 0.5, 4),
+    "f_of_z": (lambda t, y, z: 0.3 * y, lambda t, y, z: 0.3 * np.tanh(z[:, 0, :]), 0.3, 4),
+}
+
+
+@pytest.mark.parametrize("start", ["shared", "per_path", "initial_guess"])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_picard_window_equals_the_plain_reference_bitwise(case, start):
+    # every reuse (kept regressions, terminal values, the exact-repeat exit)
+    # must leave the values of a plain Picard iteration untouched
+    h, f, c1, m = _REFERENCE_CASES[case]
+    coeffs = _coeffs(h=h, f=f, phi=lambda x: np.tanh(x[:, :1]), c1=c1, c2=1.0)
+    T = 1.0 if c1 == 0 else ff.contraction_window_length(c1, 1.0)
+    grid = ff.TimeGrid(np.linspace(0.0, T, m + 1))
+    P = 20_000
+    ens = ff.sample_ensemble(ff.build_uniform_grid(T, m), P, 1, 41)
+    starts = 0.25 if start == "shared" else np.random.default_rng(41).uniform(-2, 2, (P, 1))
+    kwargs = dict(basis=ff.polynomial_basis(5, 1), clip_bound=0.9,
+                  fit_window_fn=lambda t: (-1.5 - t, 0.4 + t),
+                  initial_guess=-1.0 if start == "initial_guess" else None)
+    sol, report = ff.picard_window(coeffs, grid, coeffs.eval_phi, starts, ens.increments,
+                                   **kwargs)
+    ref, ref_report = reference_picard_window(coeffs, grid, coeffs.eval_phi, starts,
+                                              ens.increments, **kwargs)
+    assert report.converged and ref_report.converged
+    assert report.distances == ref_report.distances
+    if case == "c1_zero":
+        assert report.distances == [0.0]
+    for name in ("V", "X", "Y", "Z", "X_T"):
+        assert np.array_equal(_bits(getattr(sol, name)), _bits(getattr(ref, name))), name
+    for fits, ref_fits in ((sol.phi_fits, ref.phi_fits), (sol.z_fits, ref.z_fits)):
+        for got, want in zip(fits, ref_fits, strict=True):
+            assert np.array_equal(_bits(got._coef), _bits(want._coef))
+            assert got.warning == want.warning
+
+
 def test_repeating_window_peaks_below_seven_window_arrays():
     # a c1 = 0 window's second pass holds both passes' (V, X) plus Y and Z:
     # six (m+1, P) arrays. It compares each new row with the last pass's as it
@@ -248,7 +289,7 @@ def test_global_solve_peaks_below_three_whole_path_arrays():
     ens = ff.sample_ensemble(grid, P, 1, 19)
     tracemalloc.start()
     try:
-        sol = ff.solve_global(fixture.build(), grid, 0.0, ens, c4=fixture.c4,
+        sol = ff.solve_global(fixture.build(), grid, ens, c4=fixture.c4,
                               basis=fixture.basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -274,7 +315,7 @@ def test_contraction_factor_on_compliant_window():
 def test_solve_global_single_window_equals_picard(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     coeffs = _coeffs()
-    sol = ff.solve_global(coeffs, grid, 0.0, ens)
+    sol = ff.solve_global(coeffs, grid, ens)
     assert len(sol.window_bounds) >= 1
     assert np.abs(sol.Y - 1.0).max() <= 1e-6
     assert np.abs(replayed_paths(sol, coeffs, ens)[0]).max() == 0.0
@@ -293,17 +334,14 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
     # the step-major layout changes where numbers sit, never their values
     fixture = ff.get_fixture(name)
     grid = ff.build_uniform_grid(fixture.T, fixture.K)
-    if fixture.kind == "portfolio":
-        coeffs = ff.build_portfolio_fbsde(fixture.build(), fixture.T)
-        x0 = np.zeros(2)
-    else:
-        coeffs, x0 = fixture.build(), 0.0
+    coeffs = (ff.build_portfolio_fbsde(fixture.build(), fixture.T)
+              if fixture.kind == "portfolio" else fixture.build())
     ens = ff.sample_ensemble(grid, 4000, coeffs.d, 31)
     c_order = ff.BrownianEnsemble(grid, ens.num_paths, ens.dim, ens.seed,
                                   increments=np.ascontiguousarray(ens.increments))
     runs = []
     for e in (ens, c_order):
-        sol = ff.solve_global(coeffs, grid, x0, e, c4=fixture.c4, basis=fixture.basis)
+        sol = ff.solve_global(coeffs, grid, e, c4=fixture.c4, basis=fixture.basis)
         runs.append((sol, ff.build_measure_change(sol, coeffs, e)))
     (sol, mc), (ref, ref_mc) = runs
     assert coeffs.c1 > 0
@@ -325,7 +363,7 @@ def test_solve_global_offset_gluing_identity():
                      c1=1.0 / (8.0 * np.sqrt(0.5)), c2=0.0, m=0.0)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 3000, 1, 12)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=0.0)
+    sol = ff.solve_global(coeffs, grid, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
     V, _ = replayed_paths(sol, coeffs, ens)
     assert np.abs(V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
@@ -336,7 +374,7 @@ def test_solve_global_linear_driver_vs_pde_oracle():
     coeffs = ff.get_fixture("linear_driver").build(a=0.25)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 50_000, 1, 13)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0,
+    sol = ff.solve_global(coeffs, grid, ens, c4=1.0,
                           basis=ff.polynomial_basis(7, 1))
     oracle = CrankNicolsonOracle(0.25, np.sin, 1.0)
     xs = np.linspace(-1.5, 1.5, 13)
@@ -358,8 +396,8 @@ def test_solve_global_non_scalar_system_decouples():
     grid = ff.build_uniform_grid(1.0, 64)
     ens = ff.sample_ensemble(grid, 20_000, 1, 17)
     settings = dict(c4=0.0, basis=ff.polynomial_basis(7, 1))
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, **settings)
-    ref = ff.solve_global(scalar, grid, 0.0, ens, **settings)
+    sol = ff.solve_global(coeffs, grid, ens, **settings)
+    ref = ff.solve_global(scalar, grid, ens, **settings)
     assert np.abs(sol.Y[:, :, 0] - ref.Y[:, :, 0]).max() <= 1e-9
     assert np.abs(sol.Z[:, :, 0] - ref.Z[:, :, 0]).max() <= 1e-9
     assert np.abs(replayed_paths(sol, coeffs, ens)[0][:, :, 1]
@@ -377,7 +415,7 @@ def test_solve_global_rejects_too_coarse_grid():
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 2000, 1, 14)
     with pytest.raises(InvalidArgumentError, match="coarser"):
-        ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0)
+        ff.solve_global(coeffs, grid, ens, c4=1.0)
     # c1 = 3, c2 = c4 = 4, T = 3: ceil(T / ell) = 43200 steps leave the mesh
     # 3.4e-12 above ell, so the suggestion must be a count that passes
     coeffs = _coeffs(h=lambda t, y, z: 3.0 * np.sin(y), phi=lambda x: np.tanh(4.0 * x[:, :1]),
@@ -385,7 +423,7 @@ def test_solve_global_rejects_too_coarse_grid():
     grid = ff.build_uniform_grid(3.0, 8)
     ens = ff.sample_ensemble(grid, 50, 1, 14)
     with pytest.raises(InvalidArgumentError, match="coarser") as err:
-        ff.solve_global(coeffs, grid, 0.0, ens, c4=4.0)
+        ff.solve_global(coeffs, grid, ens, c4=4.0)
     steps = int(re.search(r"use at least (\d+) steps", str(err.value)).group(1))
     ell = ff.contraction_window_length(3.0, 4.0)
     assert steps <= np.ceil(3.0 / ell) + 1
@@ -410,7 +448,7 @@ def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
     grid = ff.build_uniform_grid(1.0, 8)
     ens = ff.sample_ensemble(grid, 2000, 1, 16)
     with pytest.raises(InvalidStateError, match="step 5"):
-        ff.solve_global(_coeffs(), grid, 0.0, ens)
+        ff.solve_global(_coeffs(), grid, ens)
     assert len(calls) == 6
 
 
@@ -434,7 +472,7 @@ def test_solve_global_frees_window_solutions_before_assembly(monkeypatch):
     coeffs = _coeffs(h=lambda t, y, z: 0.5 * y, phi=lambda x: np.sin(x[:, :1]),
                      c1=0.5, c2=1.0)
     grid = ff.build_uniform_grid(3 * ff.contraction_window_length(0.5, 1.0), 6)
-    sol = ff.solve_global(coeffs, grid, 0.0, ff.sample_ensemble(grid, 2000, 1, 16))
+    sol = ff.solve_global(coeffs, grid, ff.sample_ensemble(grid, 2000, 1, 16))
     assert len(sol.window_bounds) == len(solutions)
 
 
@@ -455,7 +493,7 @@ def test_check_residual_detects_zeroed_z(const_forward_solution):
     stripped = ff.FdeSolution(
         grid=sol.grid, Y=sol.Y, Z=np.zeros_like(sol.Z), X_T=sol.X_T,
         phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
-        residuals={}, window_bounds=sol.window_bounds, x0=sol.x0, seed=sol.seed)
+        residuals={}, window_bounds=sol.window_bounds, seed=sol.seed)
     inflated = ff.check_fbsde_residual(stripped, coeffs, ens)
     # the replayed X_K is checked against the stored X_T
     stripped.X_T = sol.X_T + 1e-3
@@ -469,6 +507,29 @@ def test_check_residual_detects_zeroed_z(const_forward_solution):
     assert inflated["backward_rms"] > 3 * base["backward_rms"]
 
 
+def test_a_window_solution_is_not_replayed():
+    # only a global solution carries its ensemble's seed; a window solution,
+    # even one from a shared start on that ensemble's increments, is refused
+    coeffs = _coeffs(f=lambda t, y, z: np.full((y.shape[0], 1), 0.5))
+    grid = ff.build_uniform_grid(1.0, 8)
+    ens = ff.sample_ensemble(grid, 2000, 1, 22)
+    sol, _ = ff.picard_window(coeffs, grid, coeffs.eval_phi, 0.0, ens.increments)
+    with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
+        next(ff.replay_forward(sol, coeffs, ens))
+    with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
+        ff.build_measure_change(sol, coeffs, ens)
+
+
+def test_another_start_is_the_shifted_terminal_map(unit_ensemble_1d):
+    # X_0 = 0.3 with phi = tanh is the origin with phi = tanh(. + 0.3)
+    grid, ens = unit_ensemble_1d
+    tanh = ff.get_fixture("tanh_terminal")
+    coeffs = _coeffs(phi=lambda x: np.tanh(x[:, :1] + 0.3), c2=1.0)
+    sol = ff.solve_global(coeffs, grid, ens, c4=tanh.c4, basis=tanh.basis)
+    exact = float(heat_value(np.tanh, 0.0, 0.3, 1.0))
+    assert abs(sol.y0_mean[0] - exact) <= 3 * sol.y0_stderr[0]
+
+
 def test_residual_requires_matching_ensemble(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     other = ff.sample_ensemble(grid, ens.num_paths, 1, ens.seed + 1)
@@ -478,11 +539,11 @@ def test_residual_requires_matching_ensemble(tanh_solution):
 
 def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
-    report = empirical_pathwise_uniqueness(_coeffs(), grid, 0.0, ens)
+    report = empirical_pathwise_uniqueness(_coeffs(), grid, ens)
     assert report["max_gap"] <= 1e-9
     coeffs = ff.get_fixture("tanh_terminal").build()
     report = empirical_pathwise_uniqueness(
-        coeffs, grid, 0.0, ens, guesses=(1.0, -1.0), c4=1.0,
+        coeffs, grid, ens, guesses=(1.0, -1.0), c4=1.0,
         basis=ff.polynomial_basis(7, 1))
     assert report["max_gap"] <= 2e-4
 
@@ -540,7 +601,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
                      c1=1.0 / (8.0 * np.sqrt(0.5)), m=0.0)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 2000, 1, 21)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=0.0)
+    sol = ff.solve_global(coeffs, grid, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
@@ -553,10 +614,10 @@ def test_solve_rejects_mismatched_ensemble(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     other_grid = ff.build_uniform_grid(1.0, 8)
     with pytest.raises(InvalidArgumentError):
-        ff.solve_global(_coeffs(), other_grid, 0.0, ens)
+        ff.solve_global(_coeffs(), other_grid, ens)
     coeffs2 = ff.CoefficientSet(
         n=1, d=2, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.zeros((y.shape[0], 2)),
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
     with pytest.raises(InvalidArgumentError):
-        ff.solve_global(coeffs2, grid, 0.0, ens)
+        ff.solve_global(coeffs2, grid, ens)

@@ -11,7 +11,7 @@ def test_zero_drift_measure_change_is_identity(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     mc = ff.build_measure_change(sol, coeffs, ens)
     assert np.all(mc.weights == 1.0)
-    # with f == 0 the shifted motion W = X is x + B
+    # with f == 0 the shifted motion W = X is B
     assert np.allclose(replayed_paths(sol, coeffs, ens)[1], brownian_paths(ens), atol=0.0)
 
 
@@ -84,7 +84,7 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
         n=1, d=1, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.full((y.shape[0], 1), 0.5),
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens)
+    sol = ff.solve_global(coeffs, grid, ens)
     mc = ff.build_measure_change(sol, coeffs, ens)
     residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
     assert residual["weighted_rms"] <= 1e-6
@@ -133,7 +133,7 @@ def test_z_invariance_probes_a_single_step_grid():
     grid = ff.build_uniform_grid(1.0, 1)
     ens = ff.sample_ensemble(grid, 3000, 1, 31)
     coeffs = ff.get_fixture("const_forward").build()
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0)
+    sol = ff.solve_global(coeffs, grid, ens, c4=1.0)
     report = ff.check_z_invariance(sol, ff.build_measure_change(sol, coeffs, ens), coeffs, ens)
     assert [row["step"] for row in report["per_probe"]] == [0]
     assert np.isfinite(report["max_discrepancy"])
@@ -145,7 +145,7 @@ def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
         n=1, d=1, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.full((y.shape[0], 1), 5.0),
         phi=lambda x: np.tanh(x[:, :1]), c1=0.0, c2=1.0, m_bound=1.0)
-    sol = ff.solve_global(coeffs, grid, 0.0, ens, c4=1.0,
+    sol = ff.solve_global(coeffs, grid, ens, c4=1.0,
                           basis=ff.polynomial_basis(7, 1))
     mc = ff.build_measure_change(sol, coeffs, ens)
     with pytest.raises(InsufficientWeightError):
