@@ -243,8 +243,8 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
     """Solve a fixture and build what its checks and exports read: a market's solution,
-    its solve-ensemble reports and optimality report, or an fbsde fixture's ensemble and
-    coefficients, with a measure change and weak residual for const_forward or qbsde-weak."""
+    its solve-ensemble reports and optimality report, or an fbsde fixture's solution and
+    ensemble, with a measure change and weak residual for const_forward or qbsde-weak."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
@@ -256,13 +256,13 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
         built = fixture.build(**cfg.fixture_params)
         if fixture.kind == "portfolio":
-            psol = solve_portfolio(built, grid, ensemble, **settings)
-            sol, coeffs, mc = psol.fde_sol, psol.coeffs, psol.measure_change
+            psol = solve_portfolio(built, ensemble, **settings)
+            sol, mc = psol.fde_sol, psol.measure_change
             bundle = {"sol": sol, "portfolio": psol,
-                      "forward": forward_rows(sol, coeffs, ensemble, cfg.export_paths),
-                      "z_invariance": check_z_invariance(sol, mc, coeffs, ensemble)}
+                      "forward": forward_rows(sol, ensemble, cfg.export_paths),
+                      "z_invariance": check_z_invariance(sol, mc, ensemble)}
             if built.g is not None:
-                bundle["bmo"] = bmo_diagnostic(sol, coeffs, ensemble, [
+                bundle["bmo"] = bmo_diagnostic(sol, ensemble, [
                     float(grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)])
             del ensemble   # freed before the evaluation ensemble is sampled
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
@@ -270,12 +270,12 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
             bundle["optimality"] = verify_martingale_optimality(
                 psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
             return bundle
-        sol = solve_global(built, grid, ensemble, **settings)
-        bundle = {"ensemble": ensemble, "sol": sol, "coeffs": built,
-                  "forward": forward_rows(sol, built, ensemble, cfg.export_paths)}
+        sol = solve_global(built, ensemble, **settings)
+        bundle = {"ensemble": ensemble, "sol": sol,
+                  "forward": forward_rows(sol, ensemble, cfg.export_paths)}
         if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
-            mc = bundle["measure_change"] = build_measure_change(sol, built, ensemble)
-            bundle["weak_residual"] = assemble_weak_solution(sol, mc, built, ensemble)
+            mc = bundle["measure_change"] = build_measure_change(sol, ensemble)
+            bundle["weak_residual"] = assemble_weak_solution(sol, mc, ensemble)
         return bundle
     except MemoryError as exc:
         raise ConfigError(f"{exc}: num_paths = {paths} and K = {K} are too large") from None
@@ -337,7 +337,6 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     sol = bundle["sol"]
     grid = sol.grid
     ensemble = bundle["ensemble"]
-    coeffs = bundle["coeffs"]
     T = grid.horizon
     steps = range(grid.num_steps + 1)
     out = []
@@ -346,12 +345,12 @@ def _fixture_assertions(name, bundle, cfg) -> list:
         out.append(_dev("y_deviation_max",
                         _step_max(np.abs(sol.Y[:, k] - 1.0) for k in steps), 1e-6))
         out.append(_dev("z_rms", _z_rms(sol), 1e-6))
-        v_max = _step_max(np.abs(v) for v, _ in replay_forward(sol, coeffs, ensemble))
+        v_max = _step_max(np.abs(v) for v, _ in replay_forward(sol, ensemble))
         out.append(_dev("v_max", v_max, 0.0, exact=True))
     elif name == "const_driver":
         c = params["c"]
         v_dev = _step_max(np.abs(v[:, 0] - c * grid.points[k])
-                          for k, (v, _) in enumerate(replay_forward(sol, coeffs, ensemble)))
+                          for k, (v, _) in enumerate(replay_forward(sol, ensemble)))
         out.append(_dev("v_affine_dev", v_dev, 1e-9))
         y_dev = _step_max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])) for k in steps)
         out.append(_dev("y_affine_dev", y_dev, 1e-2))
@@ -386,10 +385,10 @@ def _fixture_assertions(name, bundle, cfg) -> list:
                 np.var(mc.weights * fn(w_t), ddof=1) / ensemble.num_paths
                 + ref_vals.var(ddof=1) / fresh.num_paths))
             out.append(_dev(f"reweighted_mean_dev_sigma_{label}", abs(wtd - ref) / se, 3.0))
-        zinv = check_z_invariance(sol, mc, coeffs, ensemble)
+        zinv = check_z_invariance(sol, mc, ensemble)
         out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
         probes = sorted({0, grid.num_steps // 4, grid.num_steps // 2})   # grid steps
-        bmo = bmo_diagnostic(sol, coeffs, ensemble, [float(grid.points[i]) for i in probes])
+        bmo = bmo_diagnostic(sol, ensemble, [float(grid.points[i]) for i in probes])
         bmo_dev = max(_ratio(abs(row["mean"] - c * c * (T - row["t"])), c * c * (T - row["t"]))
                       for row in bmo["per_probe"])
         out.append(_dev("bmo_const_rel_dev", bmo_dev, 0.05))

@@ -169,11 +169,12 @@ class PicardReport:
 
 @dataclass
 class FdeSolution:
-    """(Y, Z) and X_T on a grid plus the fitted per-step maps; ``replay_forward``
-    rebuilds V and X. Each array is the (P, ...) transposed view of a
-    step-major buffer, so ``arr[:, k]`` is contiguous."""
+    """(Y, Z) and X_T on a grid plus the fitted per-step maps of the system ``coeffs``;
+    ``replay_forward`` rebuilds V and X. Each array is the (P, ...) transposed view
+    of a step-major buffer, so ``arr[:, k]`` is contiguous."""
 
     grid: TimeGrid
+    coeffs: CoefficientSet              # the system solved; every reader evaluates it
     Y: np.ndarray                       # (P, K+1, n)
     Z: np.ndarray                       # (P, K, n, d), left endpoints
     X_T: np.ndarray                     # (P, d), the terminal forward state
@@ -338,7 +339,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
 
     # the last sweep is the solution
     sol = FdeSolution(
-        grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
+        grid=window_grid, coeffs=coeffs, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
         Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
     return sol, report
@@ -367,14 +368,14 @@ def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
     return y_fit.evaluate_on(design), z_fit.evaluate_on(design)
 
 
-def replay_forward(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble):
+def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
     """Yield a global solution's (V_k, X_k), k = 0..K, from X_0 = 0 on its solve ensemble, one
     step at a time; the forward assembly runs these very steps, so each row is bitwise its own."""
     if sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
     if sol.num_paths != ensemble.num_paths or sol.grid.num_steps != ensemble.grid.num_steps:
         raise InvalidArgumentError("ensemble shape does not match the solution")
-    t, dt = sol.grid.points, sol.grid.dt
+    coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
     x = np.zeros((ensemble.num_paths, coeffs.d))
     offset = np.zeros((x.shape[0], coeffs.n))
     yield offset, x
@@ -390,11 +391,9 @@ def replay_forward(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianE
         offset = offset + vloc
 
 
-def forward_rows(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble,
-                 paths: int):
+def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int):
     """The replayed V and X of the first ``paths`` paths, shaped (paths, K+1, .)."""
-    rows = [(v[:paths].copy(), x[:paths].copy())
-            for v, x in replay_forward(sol, coeffs, ensemble)]
+    rows = [(v[:paths].copy(), x[:paths].copy()) for v, x in replay_forward(sol, ensemble)]
     return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
 
 
@@ -403,11 +402,11 @@ def _exploration_rng(seed: int, window_index: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def solve_global(coeffs: CoefficientSet, grid: TimeGrid, ensemble: BrownianEnsemble,
+def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
                  c4: float | None = None, tol: float = DEFAULT_TOL, *,
                  basis: RegressionBasis | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  initial_guess=None) -> FdeSolution:
-    """Solve the coupled system on [0, T] from the origin and return the assembled solution.
+    """Solve the coupled system on the ensemble's grid from the origin; return the solution.
 
     Runs a backward sweep over contraction-compliant windows, each solved by
     ``picard_window`` from freshly drawn exploration start states (uniform box
@@ -429,9 +428,7 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, ensemble: BrownianEnsem
     if ensemble.dim != coeffs.d:
         raise InvalidArgumentError(
             f"ensemble dim {ensemble.dim} != coefficient dim {coeffs.d}")
-    if not np.array_equal(ensemble.grid.points, grid.points):
-        raise InvalidArgumentError("ensemble grid does not match the solve grid")
-    P = ensemble.num_paths
+    grid, P = ensemble.grid, ensemble.num_paths
     n, d = coeffs.n, coeffs.d
     K = grid.num_steps
     basis = basis or polynomial_basis(3, d)
@@ -493,10 +490,10 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, ensemble: BrownianEnsem
     Y = np.zeros((K + 1, P, n))
     Z = np.zeros((K, P, n, d))
     sol = FdeSolution(
-        grid=grid, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=None,
+        grid=grid, coeffs=coeffs, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=None,
         phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
         seed=ensemble.seed)
-    for k, (v, x) in enumerate(replay_forward(sol, coeffs, ensemble)):
+    for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
         if k < K:
             Y[k], Z[k] = evaluate_step_maps(phi_fits[k], z_fits[k], x)
             np.clip(Y[k], -clip_bound, clip_bound, out=Y[k])
@@ -505,12 +502,11 @@ def solve_global(coeffs: CoefficientSet, grid: TimeGrid, ensemble: BrownianEnsem
     xi = Y[K] + v
     sol.y0_mean = xi.mean(axis=0)
     sol.y0_stderr = xi.std(axis=0, ddof=1) / np.sqrt(P)
-    sol.residuals = check_fbsde_residual(sol, coeffs, ensemble)
+    sol.residuals = check_fbsde_residual(sol, ensemble)
     return sol
 
 
-def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
-                         ensemble: BrownianEnsemble) -> dict:
+def check_fbsde_residual(sol: FdeSolution, ensemble: BrownianEnsemble) -> dict:
     """Discrete residuals of both equations on the solve ensemble.
 
     Backward: Y_{k+1} - Y_k + h dt - Z dB per path and step (rms reported).
@@ -519,9 +515,9 @@ def check_fbsde_residual(sol: FdeSolution, coeffs: CoefficientSet,
     of Y_K - phi(X_T). Returns the dict that ``FdeSolution.residuals`` stores:
     ``terminal_rms``, ``backward_rms`` and ``forward_max``.
     """
-    for _, x_K in replay_forward(sol, coeffs, ensemble):
+    for _, x_K in replay_forward(sol, ensemble):
         pass
-    t, dt, K = sol.grid.points, sol.grid.dt, sol.grid.num_steps
+    coeffs, t, dt, K = sol.coeffs, sol.grid.points, sol.grid.dt, sol.grid.num_steps
     back_sq = 0.0
     for k in range(K):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])

@@ -25,7 +25,7 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import CoefficientSet, FdeSolution, replay_forward, write_grid_csv, write_json
+from .fde import FdeSolution, replay_forward, write_grid_csv, write_json
 from .grid import BrownianEnsemble, TimeGrid
 from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
                          polynomial_basis)
@@ -63,19 +63,18 @@ class MeasureChange:
         return float(self.weights[self.weights > cutoff].sum() / self.weights.sum())
 
 
-def _drift(sol: FdeSolution, coeffs: CoefficientSet, k: int) -> np.ndarray:
+def _drift(sol: FdeSolution, k: int) -> np.ndarray:
     """f(t_k, Y_k, Z_k), the drift the forward solve stepped X with at step k."""
-    return coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
+    return sol.coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
 
 
-def _states_at(sol: FdeSolution, coeffs: CoefficientSet, ensemble, steps) -> dict:
+def _states_at(sol: FdeSolution, ensemble, steps) -> dict:
     """X_k at each of ``steps``, from one replay that stops after the last."""
-    rows = zip(range(max(steps, default=-1) + 1), replay_forward(sol, coeffs, ensemble))
+    rows = zip(range(max(steps, default=-1) + 1), replay_forward(sol, ensemble))
     return {k: x for k, (_, x) in rows if k in steps}
 
 
-def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
-                         ensemble: BrownianEnsemble) -> MeasureChange:
+def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> MeasureChange:
     """Terminal weights exp(N - [N]/2), accumulated one step at a time.
 
     f is evaluated at left endpoints on the stored (Y, Z), the values the
@@ -83,12 +82,11 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     """
     if sol.seed != ensemble.seed:
         raise InvalidArgumentError("solution was not produced on this ensemble")
-    P = sol.num_paths
-    dt = sol.grid.dt
+    P, dt = sol.num_paths, sol.grid.dt
     n_int = np.zeros(P)
     qv = np.zeros(P)
     for k in range(sol.grid.num_steps):
-        fk = _drift(sol, coeffs, k)
+        fk = _drift(sol, k)
         if not np.all(np.isfinite(fk)):
             raise InvalidStateError(f"drift f produced non-finite values at step {k}")
         n_int = n_int - np.einsum("pd,pd->p", fk, ensemble.increments[:, k])
@@ -99,7 +97,7 @@ def build_measure_change(sol: FdeSolution, coeffs: CoefficientSet,
     return MeasureChange(grid=sol.grid, weights=weights)
 
 
-def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
+def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
                            ensemble: BrownianEnsemble) -> dict:
     """Residual report of the weak integral equation for (Y, Z, W = X).
 
@@ -112,12 +110,11 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange, coeffs: Coeffici
     """
     if not np.array_equal(mc.grid.points, sol.grid.points):
         raise InvalidArgumentError("measure change and solution grids differ")
-    t = sol.grid.points
-    dt = sol.grid.dt
+    coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
     resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T)
-    for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, coeffs, ensemble))):
+    for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, ensemble))):
         hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
+        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, k))
         zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], x_next - x)
         resid = resid - hk * dt[k] - zf * dt[k] + zdw
     if not np.all(np.isfinite(resid)):
@@ -131,7 +128,7 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange, coeffs: Coeffici
             "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientSet,
+def check_z_invariance(sol: FdeSolution, mc: MeasureChange,
                        ensemble: BrownianEnsemble) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
@@ -144,8 +141,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     2 of the origin. Returns the maximum absolute discrepancy over the probe
     steps and evaluation grid.
     """
-    K = sol.grid.num_steps
-    d = coeffs.d
+    K, d = sol.grid.num_steps, sol.coeffs.d
     basis = sol.z_fits[K // 2].basis
     ess = mc.effective_sample_size
     if ess < MIN_PATHS_PER_FUNCTION * basis.n_functions:
@@ -163,13 +159,13 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
     t, dt = sol.grid.points, sol.grid.dt
-    X = _states_at(sol, coeffs, ensemble, [j for k in probe_steps for j in (k, k + 1)])
+    X = _states_at(sol, ensemble, [j for k in probe_steps for j in (k, k + 1)])
     per_probe = []
     worst = 0.0
     for k in probe_steps:
         mesh = probe_mesh(X[k])
-        hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, coeffs, k))
+        hk = sol.coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
+        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, k))
         dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
         dw = X[k + 1] - X[k]
         p_fit = StepRegression(X[k], basis, weights=mc.weights)
@@ -181,8 +177,7 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, coeffs: CoefficientS
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianEnsemble,
-                   probe_times) -> dict:
+def bmo_diagnostic(sol: FdeSolution, ensemble: BrownianEnsemble, probe_times) -> dict:
     """Conditional remaining quadratic variation of N at deterministic probes.
 
     For each probe, regress sum_{k >= probe} |f_k|^2 dt_k on the probe state
@@ -190,25 +185,24 @@ def bmo_diagnostic(sol: FdeSolution, coeffs: CoefficientSet, ensemble: BrownianE
     of the fitted values. Probes at deterministic times stand in for
     stopping times; this is a diagnostic, not a proof device.
     """
-    K = sol.grid.num_steps
-    t = sol.grid.points
-    dt = sol.grid.dt
+    K, t, dt = sol.grid.num_steps, sol.grid.points, sol.grid.dt
     steps = [int(np.argmin(np.abs(t - pt))) for pt in probe_times]
-    X = _states_at(sol, coeffs, ensemble, steps)
-    basis = polynomial_basis(2, coeffs.d)
+    for pt, idx in zip(probe_times, steps):   # before any replay or (P, K) target
+        if abs(t[idx] - pt) > 1e-9 * max(1.0, sol.grid.horizon):
+            raise InvalidArgumentError(f"probe time {pt} is not a grid point")
+    X = _states_at(sol, ensemble, steps)
+    basis = polynomial_basis(2, sol.coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
     remaining = np.empty((sol.num_paths, K))
     for k in range(K):
-        fk = _drift(sol, coeffs, k)
+        fk = _drift(sol, k)
         remaining[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
     np.cumsum(remaining[:, ::-1], axis=1, out=remaining[:, ::-1])   # in place: one (P, K) array
 
     per_probe = []
     sup99 = 0.0
-    for pt, idx in zip(probe_times, steps):
-        if abs(t[idx] - pt) > 1e-9 * max(1.0, sol.grid.horizon):
-            raise InvalidArgumentError(f"probe time {pt} is not a grid point")
+    for idx in steps:
         if idx >= K:
             est = np.zeros(sol.num_paths)
         else:

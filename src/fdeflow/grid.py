@@ -126,7 +126,7 @@ def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:
 
 @dataclass
 class BrownianEnsemble:
-    """Gaussian increments for num_paths independent d-dimensional motions.
+    """Gaussian increments of num_paths independent dim-dimensional motions, (P, K, dim).
 
     increments[i, k, j] ~ N(0, dt_k). ``sample_ensemble`` stores them step-major
     and hands out the (P, K, dim) transposed view, so ``increments[:, k]`` is
@@ -135,16 +135,21 @@ class BrownianEnsemble:
     """
 
     grid: TimeGrid
-    num_paths: int
-    dim: int
     seed: int
     increments: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.num_paths, self.grid.num_steps, self.dim)
-        if self.increments.shape != expected:
-            raise InvalidArgumentError(
-                f"increment shape {self.increments.shape} != {expected}")
+        if self.increments.ndim != 3 or self.increments.shape[1] != self.grid.num_steps:
+            raise InvalidArgumentError(f"increment shape {self.increments.shape} is not "
+                                       f"(num_paths, {self.grid.num_steps}, dim)")
+
+    @property
+    def num_paths(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.increments.shape[2]
 
 
 def sample_ensemble(grid: TimeGrid, num_paths: int, dim: int, seed: int) -> BrownianEnsemble:
@@ -168,5 +173,4 @@ def sample_ensemble(grid: TimeGrid, num_paths: int, dim: int, seed: int) -> Brow
         out = z[:, i:i + rows]
         ndtri(u.reshape(rows, K, dim), out=out.transpose(1, 0, 2))
         out *= scale
-    return BrownianEnsemble(grid=grid, num_paths=num_paths, dim=dim,
-                            seed=int(seed), increments=z.transpose(1, 0, 2))
+    return BrownianEnsemble(grid=grid, seed=int(seed), increments=z.transpose(1, 0, 2))

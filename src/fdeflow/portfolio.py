@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidStateError
 from .fde import CoefficientSet, FdeSolution, evaluate_step_maps, solve_global, write_json
 from .girsanov import MeasureChange, assemble_weak_solution, build_measure_change
-from .grid import BrownianEnsemble, TimeGrid
+from .grid import BrownianEnsemble
 
 _G_CHECK_SAMPLES = 64
 _G_CHECK_SEED = 0xF00D
@@ -149,7 +149,7 @@ def build_portfolio_fbsde(model: MarketModel, T: float) -> CoefficientSet:
 
 @dataclass
 class PortfolioSolution:
-    """Outputs of the portfolio solve; its grid, seed and Z are ``fde_sol``'s."""
+    """Outputs of the portfolio solve; its grid, seed, coefficients and Z are ``fde_sol``'s."""
 
     model: MarketModel
     y0: float
@@ -158,7 +158,6 @@ class PortfolioSolution:
     weak_residual: dict
     fde_sol: FdeSolution
     measure_change: MeasureChange
-    coeffs: CoefficientSet
 
     @property
     def pi_star(self) -> np.ndarray:
@@ -171,9 +170,9 @@ class PortfolioSolution:
         return pi_star
 
 
-def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemble,
+def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
                     **solve_kwargs) -> PortfolioSolution:
-    """End-to-end portfolio pipeline; ``solve_kwargs`` go to ``solve_global``.
+    """End-to-end portfolio pipeline on the ensemble's grid; ``solve_kwargs`` go to solve_global.
 
     Solves the linear auxiliary system, applies the change of measure with
     the coupling integrand, assembles the weak solution of the quadratic
@@ -181,12 +180,10 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
     the terminal reconstruction with its standard error (the smallness of
     the latter is itself a check that Y_0 is deterministic).
     """
-    if ensemble.dim != 2:
-        raise InvalidArgumentError("portfolio ensembles must be two-dimensional")
-    coeffs = build_portfolio_fbsde(model, grid.horizon)
-    sol = solve_global(coeffs, grid, ensemble, **solve_kwargs)
-    mc = build_measure_change(sol, coeffs, ensemble)
-    weak_residual = assemble_weak_solution(sol, mc, coeffs, ensemble)
+    coeffs = build_portfolio_fbsde(model, ensemble.grid.horizon)
+    sol = solve_global(coeffs, ensemble, **solve_kwargs)
+    mc = build_measure_change(sol, ensemble)
+    weak_residual = assemble_weak_solution(sol, mc, ensemble)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     with np.errstate(over="ignore"):
@@ -196,8 +193,7 @@ def solve_portfolio(model: MarketModel, grid: TimeGrid, ensemble: BrownianEnsemb
             f"value overflow: -exp(-gamma (x0 + y0)) is not finite at x0 = {model.x0:.6g}, "
             f"y0 = {y0:.6g}")
     return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
-                             weak_residual=weak_residual, fde_sol=sol,
-                             measure_change=mc, coeffs=coeffs)
+                             weak_residual=weak_residual, fde_sol=sol, measure_change=mc)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite drift fails by step below
@@ -217,9 +213,9 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
     and only one step's surfaces are held, so memory is O(P) whatever K is;
     every strategy advances its own wealth, utility and running total.
 
-    Refuses to run on the solve ensemble: in-sample evaluation would inherit
-    regression look-ahead bias. Raises InvalidStateError, naming the step,
-    on a non-finite surface value or drift.
+    Refuses the solve ensemble (in-sample evaluation inherits regression
+    look-ahead bias) and any grid but the solve grid. Raises InvalidStateError,
+    naming the step, on a non-finite surface value or drift.
     """
     sol = psol.fde_sol
     if eval_ensemble.seed == sol.seed:
@@ -227,7 +223,7 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
             "optimality checks need an out-of-sample ensemble (same seed as the solve)")
     if eval_ensemble.dim != 2:
         raise InvalidArgumentError("evaluation ensembles must be two-dimensional")
-    if eval_ensemble.grid.num_steps != sol.grid.num_steps:
+    if not np.array_equal(eval_ensemble.grid.points, sol.grid.points):
         raise InvalidArgumentError("evaluation grid must match the solve grid")
 
     K = sol.grid.num_steps
@@ -241,7 +237,7 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
 
     def surfaces(k, w):
         if k == K:
-            return psol.coeffs.eval_phi(w)[:, 0], None
+            return sol.coeffs.eval_phi(w)[:, 0], None
         yk, zk = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w)
         if not (np.isfinite(yk).all() and np.isfinite(zk).all()):
             raise InvalidStateError(f"optimality check: non-finite Y or Z surface at step {k}")

@@ -6,9 +6,8 @@ from fdeflow import portfolio
 from fdeflow.regression import density_target
 
 
-def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid,
-                                  ensemble: ff.BrownianEnsemble, guesses=None,
-                                  **solve_kwargs) -> dict:
+def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsemble,
+                                  guesses=None, **solve_kwargs) -> dict:
     """Gap between two solves started from independent initial guesses.
 
     Both solves share the ensemble and exploration noise; only the Picard
@@ -18,7 +17,7 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, grid: ff.TimeGrid,
     if guesses is None:
         g0 = max(coeffs.m_bound, 1.0)
         guesses = (g0, -g0)
-    sols = [ff.solve_global(coeffs, grid, ensemble, initial_guess=g, **solve_kwargs)
+    sols = [ff.solve_global(coeffs, ensemble, initial_guess=g, **solve_kwargs)
             for g in guesses]
     y_gap = float(np.abs(sols[0].Y - sols[1].Y).max())
     z_gap = float(np.abs(sols[0].Z - sols[1].Z).max())
@@ -86,17 +85,16 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
         if dist is not None and dist <= tol * ff.fde.DEFAULT_POLISH:
             break
     sol = ff.FdeSolution(
-        grid=window_grid, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
+        grid=window_grid, coeffs=coeffs, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
         Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
         phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
     return sol, report
 
 
-def replayed_paths(sol: ff.FdeSolution, coeffs: ff.CoefficientSet,
-                   ensemble: ff.BrownianEnsemble):
+def replayed_paths(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble):
     """A global solution's whole V (P, K+1, n) and X (P, K+1, d), stacked from
     the rows of ``replay_forward``."""
-    rows = list(ff.replay_forward(sol, coeffs, ensemble))
+    rows = list(ff.replay_forward(sol, ensemble))
     return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
 
 
@@ -184,7 +182,7 @@ def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
         yk, zk = ff.fde.evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], w_state[:, k])
         y_surf.append(yk[:, 0])
         z_surf.append(zk[:, 0, :])
-    y_surf.append(psol.coeffs.eval_phi(w_state[:, K])[:, 0])
+    y_surf.append(sol.coeffs.eval_phi(w_state[:, K])[:, 0])
 
     strategies = {"pi_star": 0.0}
     for dlt in deltas:

@@ -117,10 +117,10 @@ def test_criterion_04_linear_driver_pde_oracle(acceptance):
 
 def test_criterion_05_girsanov_weights(acceptance):
     b = acceptance("const_forward")
-    sol, ens, coeffs = b["sol"], b["ensemble"], b["coeffs"]
+    sol, ens = b["sol"], b["ensemble"]
     grid = sol.grid
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     b_t = ens.increments[:, :, 0].sum(axis=1)
     formula_dev = float(np.abs(mc.weights - np.exp(-c * b_t - 0.5 * c * c * T)).max())
     mean_dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
@@ -151,8 +151,8 @@ def test_criterion_06_z_invariance(acceptance):
         if "portfolio" in b:   # its solve ensemble is freed once the report is made
             rep = b["z_invariance"]
         else:
-            mc = ff.build_measure_change(b["sol"], b["coeffs"], b["ensemble"])
-            rep = ff.check_z_invariance(b["sol"], mc, b["coeffs"], b["ensemble"])
+            mc = ff.build_measure_change(b["sol"], b["ensemble"])
+            rep = ff.check_z_invariance(b["sol"], mc, b["ensemble"])
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
     _report(6, "z invariance", ok, f"max surface discrepancy {worst:.4f} <= 0.05")
@@ -229,7 +229,7 @@ def test_criterion_10_empirical_pathwise_uniqueness():
                                  cli.substream_seed(ACCEPT_SEED, f"{name}:uniq"))
         g0 = max(coeffs.m_bound, 1.0)
         rep = empirical_pathwise_uniqueness(
-            coeffs, grid, ens, guesses=(g0, -g0), c4=fixture.c4,
+            coeffs, ens, guesses=(g0, -g0), c4=fixture.c4,
             tol=tol, basis=fixture.basis)
         worst = max(worst, rep["max_gap"])
     ok = worst <= 2 * tol

@@ -301,7 +301,7 @@ def test_exported_rows_are_the_replayed_forward_states(tmp_path):
     cli.run(cfg)
     bundle = cli._solve_fixture(get_fixture("const_forward"), cfg)
     sol = bundle["sol"]
-    V, X = replayed_paths(sol, bundle["coeffs"], bundle["ensemble"])
+    V, X = replayed_paths(sol, bundle["ensemble"])
     bits = lambda a: np.ascontiguousarray(a, dtype=float).view(np.uint64)
     assert np.array_equal(bits(X[:, -1]), bits(sol.X_T))
     paths = _read_rows(tmp_path / "out" / "const_forward_paths.csv")

@@ -78,7 +78,7 @@ def test_drawn_coefficient_sets_solve_or_fail_by_name(a, s, f_of_z, c1_scale, c2
     coeffs = build()
     grid = ff.build_uniform_grid(0.1, 8)
     try:
-        sol = ff.solve_global(coeffs, grid, ff.sample_ensemble(grid, 600, 1, 4242))
+        sol = ff.solve_global(coeffs, ff.sample_ensemble(grid, 600, 1, 4242))
     except FdeflowError:
         return
     assert np.isfinite(sol.y0_mean).all() and sol.residuals["forward_max"] == 0.0
@@ -261,6 +261,46 @@ def test_picard_window_equals_the_plain_reference_bitwise(case, start):
             assert got.warning == want.warning
 
 
+@given(c1=st.sampled_from((0.0, 0.3, 0.5)), f_of_z=st.booleans(), per_path=st.booleans(),
+       box=st.booleans(), clip=st.booleans(),
+       guess=st.one_of(st.none(), st.sampled_from((-1.0, 0.5))),
+       m=st.integers(1, 16), P=st.sampled_from((2_000, 5_000, 20_000)),
+       degree=st.sampled_from((3, 5)), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_drawn_picard_windows_equal_the_plain_reference_bitwise(c1, f_of_z, per_path, box, clip,
+                                                                guess, m, P, degree, seed):
+    # f reads Z (0.3 tanh z, so only with c1 > 0) or is a constant; with
+    # c1 = 0, h and f are constants and the second pass repeats bitwise
+    if c1 == 0:
+        h = lambda t, y, z: np.full_like(y, 0.2)
+        f = lambda t, y, z: np.full((y.shape[0], 1), 0.5)
+    else:
+        h = lambda t, y, z: c1 * y
+        f = ((lambda t, y, z: 0.3 * np.tanh(z[:, 0, :])) if f_of_z
+             else (lambda t, y, z: np.full((y.shape[0], 1), -0.4)))
+    coeffs = _coeffs(h=h, f=f, phi=lambda x: np.tanh(x[:, :1]), c1=c1, c2=1.0)
+    T = m / 16 if c1 == 0 else ff.contraction_window_length(c1, 1.0)
+    grid = ff.TimeGrid(np.linspace(0.0, T, m + 1))
+    ens = ff.sample_ensemble(ff.build_uniform_grid(T, m), P, 1, seed)
+    starts = (np.random.default_rng(seed).uniform(-2, 2, (P, 1)) if per_path
+              else 0.25)
+    kwargs = dict(basis=ff.polynomial_basis(degree, 1), clip_bound=0.9 if clip else None,
+                  fit_window_fn=(lambda t: (-1.5 - t, 0.4 + t)) if box else None,
+                  initial_guess=guess)
+    sol, report = ff.picard_window(coeffs, grid, coeffs.eval_phi, starts, ens.increments,
+                                   **kwargs)
+    ref, ref_report = reference_picard_window(coeffs, grid, coeffs.eval_phi, starts,
+                                              ens.increments, **kwargs)
+    assert report.converged and ref_report.converged
+    assert report.distances == ref_report.distances
+    for name in ("V", "X", "Y", "Z", "X_T"):
+        assert np.array_equal(_bits(getattr(sol, name)), _bits(getattr(ref, name))), name
+    for fits, ref_fits in ((sol.phi_fits, ref.phi_fits), (sol.z_fits, ref.z_fits)):
+        for got, want in zip(fits, ref_fits, strict=True):
+            assert np.array_equal(_bits(got._coef), _bits(want._coef))
+            assert got.warning == want.warning
+
+
 def test_repeating_window_peaks_below_seven_window_arrays():
     # a c1 = 0 window's second pass holds both passes' (V, X) plus Y and Z:
     # six (m+1, P) arrays. It compares each new row with the last pass's as it
@@ -289,7 +329,7 @@ def test_global_solve_peaks_below_three_whole_path_arrays():
     ens = ff.sample_ensemble(grid, P, 1, 19)
     tracemalloc.start()
     try:
-        sol = ff.solve_global(fixture.build(), grid, ens, c4=fixture.c4,
+        sol = ff.solve_global(fixture.build(), ens, c4=fixture.c4,
                               basis=fixture.basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -315,10 +355,10 @@ def test_contraction_factor_on_compliant_window():
 def test_solve_global_single_window_equals_picard(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     coeffs = _coeffs()
-    sol = ff.solve_global(coeffs, grid, ens)
+    sol = ff.solve_global(coeffs, ens)
     assert len(sol.window_bounds) >= 1
     assert np.abs(sol.Y - 1.0).max() <= 1e-6
-    assert np.abs(replayed_paths(sol, coeffs, ens)[0]).max() == 0.0
+    assert np.abs(replayed_paths(sol, ens)[0]).max() == 0.0
     assert sol.residuals["forward_max"] == 0.0
     # y0 statistics: terminal reconstruction of a constant is exact
     assert sol.y0_mean[0] == pytest.approx(1.0, abs=1e-12)
@@ -337,21 +377,20 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
     coeffs = (ff.build_portfolio_fbsde(fixture.build(), fixture.T)
               if fixture.kind == "portfolio" else fixture.build())
     ens = ff.sample_ensemble(grid, 4000, coeffs.d, 31)
-    c_order = ff.BrownianEnsemble(grid, ens.num_paths, ens.dim, ens.seed,
-                                  increments=np.ascontiguousarray(ens.increments))
+    c_order = ff.BrownianEnsemble(grid, ens.seed, increments=np.ascontiguousarray(ens.increments))
     runs = []
     for e in (ens, c_order):
-        sol = ff.solve_global(coeffs, grid, e, c4=fixture.c4, basis=fixture.basis)
-        runs.append((sol, ff.build_measure_change(sol, coeffs, e)))
+        sol = ff.solve_global(coeffs, e, c4=fixture.c4, basis=fixture.basis)
+        runs.append((sol, ff.build_measure_change(sol, e)))
     (sol, mc), (ref, ref_mc) = runs
     assert coeffs.c1 > 0
     for field in ("Y", "Z", "X_T", "y0_mean"):
         assert np.array_equal(_bits(getattr(sol, field)), _bits(getattr(ref, field))), field
-    for got, want in zip(replayed_paths(sol, coeffs, ens), replayed_paths(ref, coeffs, c_order)):
+    for got, want in zip(replayed_paths(sol, ens), replayed_paths(ref, c_order)):
         assert np.array_equal(_bits(got), _bits(want))
     assert sol.residuals == ref.residuals
     assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
-    assert all(x.flags.c_contiguous for _, x in ff.replay_forward(sol, coeffs, ens))
+    assert all(x.flags.c_contiguous for _, x in ff.replay_forward(sol, ens))
 
 
 def test_solve_global_offset_gluing_identity():
@@ -363,9 +402,9 @@ def test_solve_global_offset_gluing_identity():
                      c1=1.0 / (8.0 * np.sqrt(0.5)), c2=0.0, m=0.0)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 3000, 1, 12)
-    sol = ff.solve_global(coeffs, grid, ens, c4=0.0)
+    sol = ff.solve_global(coeffs, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
-    V, _ = replayed_paths(sol, coeffs, ens)
+    V, _ = replayed_paths(sol, ens)
     assert np.abs(V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
 
 
@@ -374,7 +413,7 @@ def test_solve_global_linear_driver_vs_pde_oracle():
     coeffs = ff.get_fixture("linear_driver").build(a=0.25)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 50_000, 1, 13)
-    sol = ff.solve_global(coeffs, grid, ens, c4=1.0,
+    sol = ff.solve_global(coeffs, ens, c4=1.0,
                           basis=ff.polynomial_basis(7, 1))
     oracle = CrankNicolsonOracle(0.25, np.sin, 1.0)
     xs = np.linspace(-1.5, 1.5, 13)
@@ -396,17 +435,17 @@ def test_solve_global_non_scalar_system_decouples():
     grid = ff.build_uniform_grid(1.0, 64)
     ens = ff.sample_ensemble(grid, 20_000, 1, 17)
     settings = dict(c4=0.0, basis=ff.polynomial_basis(7, 1))
-    sol = ff.solve_global(coeffs, grid, ens, **settings)
-    ref = ff.solve_global(scalar, grid, ens, **settings)
+    sol = ff.solve_global(coeffs, ens, **settings)
+    ref = ff.solve_global(scalar, ens, **settings)
     assert np.abs(sol.Y[:, :, 0] - ref.Y[:, :, 0]).max() <= 1e-9
     assert np.abs(sol.Z[:, :, 0] - ref.Z[:, :, 0]).max() <= 1e-9
-    assert np.abs(replayed_paths(sol, coeffs, ens)[0][:, :, 1]
+    assert np.abs(replayed_paths(sol, ens)[0][:, :, 1]
                   - c * grid.points[None, :]).max() <= 1e-9
     assert np.abs(sol.Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
-    mc, mc_ref = (ff.build_measure_change(s, cs, ens) for s, cs in ((sol, coeffs), (ref, scalar)))
+    mc, mc_ref = (ff.build_measure_change(s, ens) for s in (sol, ref))
     assert np.all(mc.weights == 1.0)
-    weak, weak_ref = (ff.assemble_weak_solution(s, m, cs, ens)["weighted_rms"]
-                      for s, m, cs in ((sol, mc, coeffs), (ref, mc_ref, scalar)))
+    weak, weak_ref = (ff.assemble_weak_solution(s, m, ens)["weighted_rms"]
+                      for s, m in ((sol, mc), (ref, mc_ref)))
     assert weak == pytest.approx(weak_ref, rel=1e-6)
 
 
@@ -415,7 +454,7 @@ def test_solve_global_rejects_too_coarse_grid():
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 2000, 1, 14)
     with pytest.raises(InvalidArgumentError, match="coarser"):
-        ff.solve_global(coeffs, grid, ens, c4=1.0)
+        ff.solve_global(coeffs, ens, c4=1.0)
     # c1 = 3, c2 = c4 = 4, T = 3: ceil(T / ell) = 43200 steps leave the mesh
     # 3.4e-12 above ell, so the suggestion must be a count that passes
     coeffs = _coeffs(h=lambda t, y, z: 3.0 * np.sin(y), phi=lambda x: np.tanh(4.0 * x[:, :1]),
@@ -423,7 +462,7 @@ def test_solve_global_rejects_too_coarse_grid():
     grid = ff.build_uniform_grid(3.0, 8)
     ens = ff.sample_ensemble(grid, 50, 1, 14)
     with pytest.raises(InvalidArgumentError, match="coarser") as err:
-        ff.solve_global(coeffs, grid, ens, c4=4.0)
+        ff.solve_global(coeffs, ens, c4=4.0)
     steps = int(re.search(r"use at least (\d+) steps", str(err.value)).group(1))
     ell = ff.contraction_window_length(3.0, 4.0)
     assert steps <= np.ceil(3.0 / ell) + 1
@@ -448,7 +487,7 @@ def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
     grid = ff.build_uniform_grid(1.0, 8)
     ens = ff.sample_ensemble(grid, 2000, 1, 16)
     with pytest.raises(InvalidStateError, match="step 5"):
-        ff.solve_global(_coeffs(), grid, ens)
+        ff.solve_global(_coeffs(), ens)
     assert len(calls) == 6
 
 
@@ -472,7 +511,7 @@ def test_solve_global_frees_window_solutions_before_assembly(monkeypatch):
     coeffs = _coeffs(h=lambda t, y, z: 0.5 * y, phi=lambda x: np.sin(x[:, :1]),
                      c1=0.5, c2=1.0)
     grid = ff.build_uniform_grid(3 * ff.contraction_window_length(0.5, 1.0), 6)
-    sol = ff.solve_global(coeffs, grid, ff.sample_ensemble(grid, 2000, 1, 16))
+    sol = ff.solve_global(coeffs, ff.sample_ensemble(grid, 2000, 1, 16))
     assert len(sol.window_bounds) == len(solutions)
 
 
@@ -486,18 +525,18 @@ def test_cn_oracle_matches_analytic_solution():
 
 def test_check_residual_detects_zeroed_z(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    base = ff.check_fbsde_residual(sol, coeffs, ens)
+    base = ff.check_fbsde_residual(sol, ens)
     assert base["forward_max"] == 0.0
     # coarse unit-test grid: the sqrt(dt) discretization floor dominates
     assert base["backward_rms"] <= 0.02
     stripped = ff.FdeSolution(
-        grid=sol.grid, Y=sol.Y, Z=np.zeros_like(sol.Z), X_T=sol.X_T,
+        grid=sol.grid, coeffs=sol.coeffs, Y=sol.Y, Z=np.zeros_like(sol.Z), X_T=sol.X_T,
         phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
         residuals={}, window_bounds=sol.window_bounds, seed=sol.seed)
-    inflated = ff.check_fbsde_residual(stripped, coeffs, ens)
+    inflated = ff.check_fbsde_residual(stripped, ens)
     # the replayed X_K is checked against the stored X_T
     stripped.X_T = sol.X_T + 1e-3
-    assert ff.check_fbsde_residual(stripped, coeffs, ens)["forward_max"] > 0.0
+    assert ff.check_fbsde_residual(stripped, ens)["forward_max"] > 0.0
     # h ignores z here, so r_new = r_old + Z dB exactly; predict the inflation
     # from the stored arrays
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
@@ -515,9 +554,9 @@ def test_a_window_solution_is_not_replayed():
     ens = ff.sample_ensemble(grid, 2000, 1, 22)
     sol, _ = ff.picard_window(coeffs, grid, coeffs.eval_phi, 0.0, ens.increments)
     with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
-        next(ff.replay_forward(sol, coeffs, ens))
+        next(ff.replay_forward(sol, ens))
     with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
-        ff.build_measure_change(sol, coeffs, ens)
+        ff.build_measure_change(sol, ens)
 
 
 def test_another_start_is_the_shifted_terminal_map(unit_ensemble_1d):
@@ -525,7 +564,7 @@ def test_another_start_is_the_shifted_terminal_map(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     tanh = ff.get_fixture("tanh_terminal")
     coeffs = _coeffs(phi=lambda x: np.tanh(x[:, :1] + 0.3), c2=1.0)
-    sol = ff.solve_global(coeffs, grid, ens, c4=tanh.c4, basis=tanh.basis)
+    sol = ff.solve_global(coeffs, ens, c4=tanh.c4, basis=tanh.basis)
     exact = float(heat_value(np.tanh, 0.0, 0.3, 1.0))
     assert abs(sol.y0_mean[0] - exact) <= 3 * sol.y0_stderr[0]
 
@@ -534,16 +573,16 @@ def test_residual_requires_matching_ensemble(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     other = ff.sample_ensemble(grid, ens.num_paths, 1, ens.seed + 1)
     with pytest.raises(InvalidArgumentError):
-        ff.check_fbsde_residual(sol, coeffs, other)
+        ff.check_fbsde_residual(sol, other)
 
 
 def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
-    report = empirical_pathwise_uniqueness(_coeffs(), grid, ens)
+    report = empirical_pathwise_uniqueness(_coeffs(), ens)
     assert report["max_gap"] <= 1e-9
     coeffs = ff.get_fixture("tanh_terminal").build()
     report = empirical_pathwise_uniqueness(
-        coeffs, grid, ens, guesses=(1.0, -1.0), c4=1.0,
+        coeffs, ens, guesses=(1.0, -1.0), c4=1.0,
         basis=ff.polynomial_basis(7, 1))
     assert report["max_gap"] <= 2e-4
 
@@ -555,7 +594,7 @@ def test_terminal_consistency_invariant(tanh_solution):
     assert term_rms == 0.0
     # Y_k equals fitted conditional minus V_k by construction
     k = K // 2
-    refit = sol.phi_fits[k].evaluate(replayed_paths(sol, coeffs, ens)[1][:, k])
+    refit = sol.phi_fits[k].evaluate(replayed_paths(sol, ens)[1][:, k])
     clip = np.abs(sol.Y[:, k]).max() + 1.0
     assert np.allclose(np.clip(refit, -clip, clip), sol.Y[:, k], atol=1e-9)
 
@@ -564,9 +603,9 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     csv = tmp_path / "sol.csv"
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, fde.forward_rows(sol, coeffs, ens, 3), csv, side, path_limit=3,
+    ff.export_solution(sol, fde.forward_rows(sol, ens, 3), csv, side, path_limit=3,
                        config_echo={"fixture": "tanh"})
-    V, X = replayed_paths(sol, coeffs, ens)
+    V, X = replayed_paths(sol, ens)
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,V0,X0,Y0,Z00"
     assert len(lines) == 1 + 3 * (grid.num_steps + 1)
@@ -601,23 +640,20 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
                      c1=1.0 / (8.0 * np.sqrt(0.5)), m=0.0)
     grid = ff.build_uniform_grid(1.0, 16)
     ens = ff.sample_ensemble(grid, 2000, 1, 21)
-    sol = ff.solve_global(coeffs, grid, ens, c4=0.0)
+    sol = ff.solve_global(coeffs, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
-    ff.export_solution(sol, fde.forward_rows(sol, coeffs, ens, 1), tmp_path / "two.csv", side,
+    ff.export_solution(sol, fde.forward_rows(sol, ens, 1), tmp_path / "two.csv", side,
                        path_limit=1, config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
 
 
 def test_solve_rejects_mismatched_ensemble(unit_ensemble_1d):
-    grid, ens = unit_ensemble_1d
-    other_grid = ff.build_uniform_grid(1.0, 8)
-    with pytest.raises(InvalidArgumentError):
-        ff.solve_global(_coeffs(), other_grid, ens)
+    _, ens = unit_ensemble_1d
     coeffs2 = ff.CoefficientSet(
         n=1, d=2, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.zeros((y.shape[0], 2)),
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
     with pytest.raises(InvalidArgumentError):
-        ff.solve_global(coeffs2, grid, ens)
+        ff.solve_global(coeffs2, ens)

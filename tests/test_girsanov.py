@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fdeflow as ff
+from fdeflow import girsanov
 from fdeflow.errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 
 from _helpers import brownian_paths, replayed_paths
@@ -9,16 +10,16 @@ from _helpers import brownian_paths, replayed_paths
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     assert np.all(mc.weights == 1.0)
     # with f == 0 the shifted motion W = X is B
-    assert np.allclose(replayed_paths(sol, coeffs, ens)[1], brownian_paths(ens), atol=0.0)
+    assert np.allclose(replayed_paths(sol, ens)[1], brownian_paths(ens), atol=0.0)
 
 
 def test_constant_drift_weights_match_closed_form(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     b_t = ens.increments[:, :, 0].sum(axis=1)
     assert np.abs(mc.weights - np.exp(-c * b_t - 0.5 * c * c * T)).max() <= 1e-12
     assert np.all(mc.weights > 0)
@@ -27,14 +28,14 @@ def test_constant_drift_weights_match_closed_form(const_forward_solution):
 
 def test_weights_are_the_discrete_stochastic_exponential(const_forward_solution,
                                                          merton_small):
-    coeffs, _, ens_1d, sol_1d = const_forward_solution
+    _, _, ens_1d, sol_1d = const_forward_solution
     _, _, ens_2d, psol = merton_small
-    cases = [(ff.build_measure_change(sol_1d, coeffs, ens_1d), ens_1d, sol_1d, coeffs),
-             (psol.measure_change, ens_2d, psol.fde_sol, psol.coeffs)]
-    for mc, ens, sol, cs in cases:
+    cases = [(ff.build_measure_change(sol_1d, ens_1d), ens_1d, sol_1d),
+             (psol.measure_change, ens_2d, psol.fde_sol)]
+    for mc, ens, sol in cases:
         t = ens.grid.points
         # the left-endpoint drifts, rebuilt from the stored (Y, Z), step-major
-        f_values = np.stack([cs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
+        f_values = np.stack([sol.coeffs.eval_f(t[k], sol.Y[:, k], sol.Z[:, k])
                              for k in range(ens.grid.num_steps)]).transpose(1, 0, 2)
         assert f_values.shape == ens.increments.shape
         assert np.any(f_values != 0.0)
@@ -53,7 +54,7 @@ def test_weights_are_the_discrete_stochastic_exponential(const_forward_solution,
 def test_reweighted_terminal_moments(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     w_t = sol.X_T[:, 0]
     # raw mean drifts by c*T; the reweighted mean recenters at the start point
     assert abs(w_t.mean() - c * T) <= 5 / np.sqrt(ens.num_paths)
@@ -65,7 +66,7 @@ def test_reweighted_terminal_moments(const_forward_solution):
 
 def test_change_of_measure_identity_against_fresh_ensemble(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     fresh = ff.sample_ensemble(ff.build_uniform_grid(grid.horizon, 1),
                                ens.num_paths, 1, 777)
     fresh_bt = fresh.increments[:, 0, 0]
@@ -84,16 +85,16 @@ def test_weak_solution_trivial_residual(unit_ensemble_1d):
         n=1, d=1, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.full((y.shape[0], 1), 0.5),
         phi=lambda x: np.ones((x.shape[0], 1)), c1=0.0, c2=0.0, m_bound=1.0)
-    sol = ff.solve_global(coeffs, grid, ens)
-    mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
+    sol = ff.solve_global(coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
+    residual = ff.assemble_weak_solution(sol, mc, ens)
     assert residual["weighted_rms"] <= 1e-6
     assert np.array_equal(sol.Y[:, -1], coeffs.eval_phi(sol.X_T))
 
 
 def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, monkeypatch):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     phi = coeffs.eval_phi
 
     def nan_on_path_9(x):
@@ -103,13 +104,13 @@ def test_weak_assembly_rejects_a_non_finite_residual(const_forward_solution, mon
 
     monkeypatch.setattr(coeffs, "eval_phi", nan_on_path_9)
     with pytest.raises(InvalidStateError, match="non-finite residual"):
-        ff.assemble_weak_solution(sol, mc, coeffs, ens)
+        ff.assemble_weak_solution(sol, mc, ens)
 
 
 def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
+    residual = ff.assemble_weak_solution(sol, mc, ens)
     # f == 0: the weak residual telescopes the per-step backward residuals
     zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
     telescoped = sol.Y[:, 0] - sol.Y[:, -1] + (np.diff(sol.Y, axis=1) - zdb).sum(axis=1) \
@@ -122,8 +123,8 @@ def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
 
 def test_z_invariance_on_drifted_problem(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
-    report = ff.check_z_invariance(sol, mc, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
+    report = ff.check_z_invariance(sol, mc, ens)
     assert report["max_discrepancy"] <= 0.05
     assert len(report["per_probe"]) == 3
 
@@ -133,8 +134,8 @@ def test_z_invariance_probes_a_single_step_grid():
     grid = ff.build_uniform_grid(1.0, 1)
     ens = ff.sample_ensemble(grid, 3000, 1, 31)
     coeffs = ff.get_fixture("const_forward").build()
-    sol = ff.solve_global(coeffs, grid, ens, c4=1.0)
-    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, coeffs, ens), coeffs, ens)
+    sol = ff.solve_global(coeffs, ens, c4=1.0)
+    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, ens), ens)
     assert [row["step"] for row in report["per_probe"]] == [0]
     assert np.isfinite(report["max_discrepancy"])
 
@@ -145,19 +146,19 @@ def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
         n=1, d=1, h=lambda t, y, z: np.zeros_like(y),
         f=lambda t, y, z: np.full((y.shape[0], 1), 5.0),
         phi=lambda x: np.tanh(x[:, :1]), c1=0.0, c2=1.0, m_bound=1.0)
-    sol = ff.solve_global(coeffs, grid, ens, c4=1.0,
+    sol = ff.solve_global(coeffs, ens, c4=1.0,
                           basis=ff.polynomial_basis(7, 1))
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     with pytest.raises(InsufficientWeightError):
-        ff.check_z_invariance(sol, mc, coeffs, ens)
+        ff.check_z_invariance(sol, mc, ens)
 
 
 def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution):
-    coeffs0, grid, ens, sol0 = tanh_solution
-    rep0 = ff.bmo_diagnostic(sol0, coeffs0, ens, [0.0, 0.5])
+    _, grid, ens, sol0 = tanh_solution
+    rep0 = ff.bmo_diagnostic(sol0, ens, [0.0, 0.5])
     assert rep0["sup_p99"] <= 1e-12
     coeffs, grid, ens, sol = const_forward_solution
-    rep = ff.bmo_diagnostic(sol, coeffs, ens, [0.0, 0.25, 0.5])
+    rep = ff.bmo_diagnostic(sol, ens, [0.0, 0.25, 0.5])
     c, T = 0.5, grid.horizon
     for row in rep["per_probe"]:
         expected = c * c * (T - row["t"])
@@ -166,27 +167,35 @@ def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution)
     assert all(a >= b - 1e-9 for a, b in zip(means, means[1:]))
 
 
-def test_bmo_rejects_off_grid_probe(tanh_solution):
+def test_bmo_rejects_off_grid_probe(tanh_solution, monkeypatch):
+    # every probe is checked before X is replayed or the (P, K) target is built
     coeffs, grid, ens, sol = tanh_solution
-    with pytest.raises(InvalidArgumentError):
-        ff.bmo_diagnostic(sol, coeffs, ens, [0.123456])
+    replays = []
+    replay = girsanov.replay_forward
+    monkeypatch.setattr(girsanov, "replay_forward", lambda *a: replays.append(a) or replay(*a))
+    for probes in ([0.123456], [0.0, 0.33]):
+        with pytest.raises(InvalidArgumentError, match=f"probe time {probes[-1]} "):
+            ff.bmo_diagnostic(sol, ens, probes)
+    assert replays == []
+    ff.bmo_diagnostic(sol, ens, [0.0, 0.25])   # grid points replay, through the patch
+    assert len(replays) == 1
 
 
 def test_weight_tail_mass_is_small(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
     assert mc.tail_mass_above_quantile(0.999) < 0.01
 
 
 def test_weak_export(tmp_path, const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    mc = ff.build_measure_change(sol, coeffs, ens)
-    residual = ff.assemble_weak_solution(sol, mc, coeffs, ens)
+    mc = ff.build_measure_change(sol, ens)
+    residual = ff.assemble_weak_solution(sol, mc, ens)
     csv = tmp_path / "weak.csv"
     side = tmp_path / "weak.json"
-    ff.export_weak_solution(sol, mc, residual, ff.fde.forward_rows(sol, coeffs, ens, 2), csv,
+    ff.export_weak_solution(sol, mc, residual, ff.fde.forward_rows(sol, ens, 2), csv,
                             side, path_limit=2, config_echo={})
-    X = replayed_paths(sol, coeffs, ens)[1]
+    X = replayed_paths(sol, ens)[1]
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,Y0,Z00,W0"
     assert len(lines) == 1 + 2 * (grid.num_steps + 1)

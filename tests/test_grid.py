@@ -141,7 +141,7 @@ def test_brownian_paths_are_the_cumsum_of_a_c_order_copy():
     ens = ff.sample_ensemble(g, 500, 2, 8)
     inc = np.ascontiguousarray(ens.increments)
     ref = np.concatenate([np.zeros((500, 1, 2)), np.cumsum(inc, axis=1)], axis=1)
-    for e in (ens, BrownianEnsemble(g, 500, 2, 8, increments=inc)):
+    for e in (ens, BrownianEnsemble(g, 8, increments=inc)):
         w = brownian_paths(e)
         assert np.array_equal(w.view(np.uint64), ref.view(np.uint64))
         assert w[:, 4].flags.c_contiguous
@@ -171,7 +171,7 @@ def load_ensemble(path) -> BrownianEnsemble:
         pts = np.frombuffer(fh.read(8 * (K + 1)), dtype="<f8")
         inc = np.frombuffer(fh.read(8 * num_paths * K * dim), dtype="<f8")
     grid = TimeGrid(pts.copy())
-    return BrownianEnsemble(grid=grid, num_paths=num_paths, dim=dim, seed=seed,
+    return BrownianEnsemble(grid=grid, seed=seed,
                             increments=inc.reshape(num_paths, K, dim).copy())
 
 
@@ -202,3 +202,12 @@ def test_ensemble_sampler_validation():
         ff.sample_ensemble(g, 0, 1, 1)
     with pytest.raises(InvalidArgumentError):
         ff.sample_ensemble(g, 5, 0, 1)
+
+
+def test_an_ensemble_reads_its_counts_off_its_increments():
+    g = ff.build_uniform_grid(1.0, 4)
+    ens = BrownianEnsemble(g, 3, increments=np.zeros((7, 4, 2)))
+    assert (ens.num_paths, ens.dim) == (7, 2)
+    for bad in (np.zeros((7, 5, 2)), np.zeros((7, 4)), np.zeros((7, 4, 2, 1))):
+        with pytest.raises(InvalidArgumentError):
+            BrownianEnsemble(g, 3, increments=bad)

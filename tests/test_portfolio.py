@@ -127,7 +127,7 @@ def test_value_scales_exactly_with_initial_wealth(merton_small):
     model, grid, ens, psol = merton_small
     shifted = ff.MarketModel(mu_s=0.1, sigma_bar_s=0.2, mu_v=0.05, sigma_v=0.3,
                              sigma_bar_v=0.1, gamma=1.0, x0=model.x0 + 0.7)
-    psol2 = ff.solve_portfolio(shifted, grid, ens, c4=0.0,
+    psol2 = ff.solve_portfolio(shifted, ens, c4=0.0,
                                basis=ff.polynomial_basis(3, 2))
     assert psol2.y0 == psol.y0  # wealth does not enter the auxiliary system
     assert psol2.value == pytest.approx(psol.value * np.exp(-1.0 * 0.7), rel=1e-12)
@@ -140,7 +140,7 @@ def test_constant_endowment_shifts_y0(merton_small):
                              sigma_bar_v=0.1, gamma=1.0,
                              g=lambda v, s: np.full(np.shape(v), k),
                              g_bound=k, g_lip_log=1e-9)
-    psol2 = ff.solve_portfolio(shifted, grid, ens, c4=0.0,
+    psol2 = ff.solve_portfolio(shifted, ens, c4=0.0,
                                basis=ff.polynomial_basis(3, 2))
     assert abs(psol2.y0 - (k + 0.125)) <= 0.01
     assert np.sqrt(np.mean(psol2.fde_sol.Z ** 2)) <= 1e-3
@@ -150,7 +150,7 @@ def test_no_investment_opportunity(merton_small):
     _, grid, ens, _ = merton_small
     model = ff.MarketModel(mu_s=0.0, sigma_bar_s=0.2, mu_v=0.05, sigma_v=0.3,
                            sigma_bar_v=0.1, gamma=1.0, x0=0.4)
-    psol = ff.solve_portfolio(model, grid, ens, c4=0.0,
+    psol = ff.solve_portfolio(model, ens, c4=0.0,
                               basis=ff.polynomial_basis(3, 2))
     assert abs(psol.y0) <= 1e-4
     assert psol.value == pytest.approx(-np.exp(-0.4), abs=1e-3)
@@ -174,6 +174,14 @@ def test_optimality_refuses_solve_ensemble(merton_small):
     model, grid, ens, psol = merton_small
     with pytest.raises(InvalidArgumentError):
         ff.verify_martingale_optimality(psol, (0.5,), ens)
+
+
+def test_optimality_refuses_an_ensemble_on_another_horizon(merton_small):
+    # the same step count on [0, 4]: the fitted maps belong to the solve grid's times
+    model, grid, ens, psol = merton_small
+    other = ff.sample_ensemble(ff.build_uniform_grid(4.0, grid.num_steps), 2_000, 2, 6066)
+    with pytest.raises(InvalidArgumentError, match="solve grid"):
+        ff.verify_martingale_optimality(psol, (0.5,), other)
 
 
 def test_optimality_rejects_a_non_finite_surface_or_drift(merton_small, monkeypatch):
@@ -240,7 +248,7 @@ def test_optimality_zero_market(merton_small):
     _, grid, ens, _ = merton_small
     model = ff.MarketModel(mu_s=0.0, sigma_bar_s=0.2, mu_v=0.05, sigma_v=0.3,
                            sigma_bar_v=0.1, gamma=1.0)
-    psol = ff.solve_portfolio(model, grid, ens, c4=0.0,
+    psol = ff.solve_portfolio(model, ens, c4=0.0,
                               basis=ff.polynomial_basis(3, 2))
     fresh = ff.sample_ensemble(grid, 100_000, 2, 6061)
     report = ff.verify_martingale_optimality(psol, (1.0,), fresh)
@@ -257,7 +265,7 @@ def endowment_small():
     grid = ff.build_uniform_grid(1.0, 50)
     ens = ff.sample_ensemble(grid, 20_000, 2, 2222)
     model = ff.get_fixture("endowment").build()
-    psol = ff.solve_portfolio(model, grid, ens, c4=0.5,
+    psol = ff.solve_portfolio(model, ens, c4=0.5,
                               basis=ff.polynomial_basis(3, 2))
     return grid, ens, psol
 
@@ -267,7 +275,7 @@ def test_endowment_pipeline_runs(endowment_small):
     assert psol.weak_residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
-    rep = ff.bmo_diagnostic(psol.fde_sol, psol.coeffs, ens, [0.0, 0.24, 0.48])
+    rep = ff.bmo_diagnostic(psol.fde_sol, ens, [0.0, 0.24, 0.48])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -352,8 +360,8 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     peak = _traced_peak(ff.verify_martingale_optimality, psol, (0.5, 1.0, -0.5, -1.0), fresh)
     assert peak < P * (K + 1) * 2 * 8
     # one (P, K, d) float64 array: the drift at every step
-    peak = _traced_peak(ff.build_measure_change, psol.fde_sol, psol.coeffs, ens)
+    peak = _traced_peak(ff.build_measure_change, psol.fde_sol, ens)
     assert peak < P * K * 2 * 8
     # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
-    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, psol.coeffs, ens, [0.0, 0.24, 0.48])
+    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, ens, [0.0, 0.24, 0.48])
     assert peak < 2 * P * K * 8
