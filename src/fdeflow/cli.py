@@ -30,7 +30,7 @@ from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError
 from .fde import export_solution, forward_rows, replay_forward, solve_global, write_json
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
-                       check_z_invariance, export_weak_solution)
+                       check_z_invariance, export_weak_solution, z_invariance_probes)
 from .grid import build_uniform_grid, sample_ensemble
 from .portfolio import export_portfolio_results, solve_portfolio, verify_martingale_optimality
 from .regression import polynomial_basis
@@ -242,9 +242,9 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
-    """Solve a fixture and build what its checks and exports read: a market's solution,
-    its solve-ensemble reports and optimality report, or an fbsde fixture's solution and
-    ensemble, with a measure change and weak residual for const_forward or qbsde-weak."""
+    """Solve a fixture and build what its checks and exports read: a market's solution and
+    optimality report, or an fbsde fixture's solution and ensemble (with a measure change and
+    weak residual for const_forward or qbsde-weak); one replay records rows and probe states."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
@@ -258,24 +258,29 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         if fixture.kind == "portfolio":
             psol = solve_portfolio(built, ensemble, **settings)
             sol, mc = psol.fde_sol, psol.measure_change
-            bundle = {"sol": sol, "portfolio": psol,
-                      "forward": forward_rows(sol, ensemble, cfg.export_paths),
-                      "z_invariance": check_z_invariance(sol, mc, ensemble)}
-            if built.g is not None:
-                bundle["bmo"] = bmo_diagnostic(sol, ensemble, [
-                    float(grid.points[i]) for i in (0, K // 4, K // 2, (3 * K) // 4)])
-            del ensemble   # freed before the evaluation ensemble is sampled
+            bundle, probes = {"sol": sol, "portfolio": psol}, z_invariance_probes(K)
+            bmo_steps = [0, K // 4, K // 2, (3 * K) // 4] if built.g is not None else []
+        else:
+            sol = solve_global(built, ensemble, **settings)
+            bundle, probes, bmo_steps = {"ensemble": ensemble, "sol": sol}, [], []
+            if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
+                mc = bundle["measure_change"] = build_measure_change(sol, ensemble)
+                bundle["weak_residual"] = assemble_weak_solution(sol, mc, ensemble)
+            if fixture.name == "const_forward":
+                probes, bmo_steps = z_invariance_probes(K), sorted({0, K // 4, K // 2})
+        bundle["forward"], states = forward_rows(
+            sol, ensemble, cfg.export_paths, {j for pair in probes for j in pair} | {*bmo_steps})
+        del ensemble   # a market's goes here, before its checks and the evaluation ensemble
+        if probes:
+            bundle["z_invariance"] = check_z_invariance(sol, mc, states)
+        if bmo_steps:
+            bundle["bmo"] = bmo_diagnostic(sol, states, [float(grid.points[i]) for i in bmo_steps])
+        del states
+        if "portfolio" in bundle:
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
                 cfg.seed, "portfolio:evaluation-ensemble"))
             bundle["optimality"] = verify_martingale_optimality(
                 psol, (0.5, 1.0, -0.5, -1.0), eval_ens)
-            return bundle
-        sol = solve_global(built, ensemble, **settings)
-        bundle = {"ensemble": ensemble, "sol": sol,
-                  "forward": forward_rows(sol, ensemble, cfg.export_paths)}
-        if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
-            mc = bundle["measure_change"] = build_measure_change(sol, ensemble)
-            bundle["weak_residual"] = assemble_weak_solution(sol, mc, ensemble)
         return bundle
     except MemoryError as exc:
         raise ConfigError(f"{exc}: num_paths = {paths} and K = {K} are too large") from None
@@ -385,12 +390,9 @@ def _fixture_assertions(name, bundle, cfg) -> list:
                 np.var(mc.weights * fn(w_t), ddof=1) / ensemble.num_paths
                 + ref_vals.var(ddof=1) / fresh.num_paths))
             out.append(_dev(f"reweighted_mean_dev_sigma_{label}", abs(wtd - ref) / se, 3.0))
-        zinv = check_z_invariance(sol, mc, ensemble)
-        out.append(_dev("z_invariance_max", zinv["max_discrepancy"], 0.05))
-        probes = sorted({0, grid.num_steps // 4, grid.num_steps // 2})   # grid steps
-        bmo = bmo_diagnostic(sol, ensemble, [float(grid.points[i]) for i in probes])
+        out.append(_dev("z_invariance_max", bundle["z_invariance"]["max_discrepancy"], 0.05))
         bmo_dev = max(_ratio(abs(row["mean"] - c * c * (T - row["t"])), c * c * (T - row["t"]))
-                      for row in bmo["per_probe"])
+                      for row in bundle["bmo"]["per_probe"])
         out.append(_dev("bmo_const_rel_dev", bmo_dev, 0.05))
     if cfg.problem == "qbsde-weak" and name != "const_forward":   # checked above otherwise
         out.append(_weight_mean_check(bundle["measure_change"]))
@@ -418,7 +420,8 @@ def _portfolio_assertions(bundle, cfg) -> list:
         out.append(_dev("y0_dev", abs(psol.y0 - y0_ref), 0.01))
         value_ref = -np.exp(-model.gamma * (model.x0 + y0_ref))
         out.append(_dev("value_dev", abs(psol.value - value_ref), 0.01))
-        out.append(_dev("pi_star_dev", float(np.abs(pi_star - frac).max()), 0.05))
+        out.append(_dev("pi_star_dev", _step_max(np.abs(p - frac) for p in pi_star.T), 0.05))
+        del pi_star   # before _z_rms squares Z into a new array
         out.append(_dev("y0_stderr", psol.y0_stderr, cfg.tol / 3))
         out.append(_dev("merton_z_rms", _z_rms(sol), 1e-3))
     else:

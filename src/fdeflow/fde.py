@@ -391,10 +391,15 @@ def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
         offset = offset + vloc
 
 
-def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int):
-    """The replayed V and X of the first ``paths`` paths, shaped (paths, K+1, .)."""
-    rows = [(v[:paths].copy(), x[:paths].copy()) for v, x in replay_forward(sol, ensemble)]
-    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
+def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=()):
+    """One replay's record: the (V, X) rows of the first ``paths`` paths, each shaped
+    (paths, K+1, .), and {k: X_k} at each of ``steps``, the states the probe checks read."""
+    rows, states = [], {}
+    for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
+        rows.append((v[:paths].copy(), x[:paths].copy()))
+        if k in steps:
+            states[k] = x   # a new array each step, never written again
+    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows)), states
 
 
 def _exploration_rng(seed: int, window_index: int):

@@ -12,21 +12,21 @@ with Z invariant under the measure change (the density representation does
 not depend on the equivalent measure). The discrete exponential uses
 exp(N - [N]/2), which is positive by construction. W is not built here: the
 forward state X of the solve is the same Euler recursion, so X is W path by
-path, replayed one step at a time. The measure change keeps only the terminal
-weights; a stage that needs the drift f(t_k, Y_k, Z_k) evaluates it at the
-steps it reads, so no (P, K, d) array of drift values is held.
+path, replayed one step at a time (the probe checks read one replay's record).
+The measure change keeps its solution and the terminal weights; a stage needing
+f(t_k, Y_k, Z_k) evaluates it at the steps it reads: no (P, K, d) drift array is held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 from .fde import FdeSolution, replay_forward, write_grid_csv, write_json
-from .grid import BrownianEnsemble, TimeGrid
+from .grid import BrownianEnsemble
 from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
                          polynomial_basis)
 
@@ -35,13 +35,13 @@ from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
 class MeasureChange:
     """Exponential-martingale reweighting data.
 
-    Keeps only the terminal weights: the Radon-Nikodym values
+    Keeps the terminal weights: the Radon-Nikodym values
     exp(N_K - [N]_K / 2), with N_K = -sum <f_k, dB_k> and
     [N]_K = sum |f_k|^2 dt_k over the left-endpoint drifts f_k. The shifted
-    motion W is the solve's forward state X.
+    motion W is the solve's forward state X, and ``sol`` the solution they came from.
     """
 
-    grid: TimeGrid
+    sol: FdeSolution = field(repr=False)
     weights: np.ndarray             # (P,) terminal
 
     @property
@@ -68,10 +68,16 @@ def _drift(sol: FdeSolution, k: int) -> np.ndarray:
     return sol.coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
 
 
-def _states_at(sol: FdeSolution, ensemble, steps) -> dict:
-    """X_k at each of ``steps``, from one replay that stops after the last."""
-    rows = zip(range(max(steps, default=-1) + 1), replay_forward(sol, ensemble))
-    return {k: x for k, (_, x) in rows if k in steps}
+def _recorded(states: dict, steps) -> None:
+    """Raise, naming it, on the first of ``steps`` that ``states`` holds no X_k for."""
+    if missing := [k for k in steps if k not in states]:
+        raise InvalidArgumentError(f"no recorded forward state at step {missing[0]}")
+
+
+def z_invariance_probes(K: int) -> list:
+    """(k, k + 1) at each Z-invariance probe k: K/4, K/2 and 3K/4 held in [1, K - 1] or 0."""
+    return [(k, k + 1) for k in sorted({min(K - 1, max(1, j))
+                                        for j in (K // 4, K // 2, (3 * K) // 4)})]
 
 
 def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> MeasureChange:
@@ -94,7 +100,7 @@ def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> Measur
     weights = np.exp(n_int - 0.5 * qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(grid=sol.grid, weights=weights)
+    return MeasureChange(sol=sol, weights=weights)
 
 
 def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
@@ -106,10 +112,10 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     The per-path residual is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
     reported as a weighted rms since the equation lives under the target
-    measure; f is evaluated again at each step the recurrence reads.
+    measure; f is evaluated again at each step it reads; ``mc`` must come from ``sol``.
     """
-    if not np.array_equal(mc.grid.points, sol.grid.points):
-        raise InvalidArgumentError("measure change and solution grids differ")
+    if mc.sol is not sol:
+        raise InvalidArgumentError("measure change was built from another solution")
     coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
     resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T)
     for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, ensemble))):
@@ -128,47 +134,48 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
             "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(sol: FdeSolution, mc: MeasureChange,
-                       ensemble: BrownianEnsemble) -> dict:
+def check_z_invariance(sol: FdeSolution, mc: MeasureChange, states: dict) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
     (dY + (h + Z f) dt) * dW / dt on the state with terminal weights; the
     sampling-measure surface is the solve's stored fit. Both sides use the
     stored fit's basis, so the discrepancy measures the measure change, not
-    the basis. The probes are the steps near a quarter, a half and three
-    quarters of the horizon, each on a grid of 21 points per dimension within
-    2 of the origin. Returns the maximum absolute discrepancy over the probe
-    steps and evaluation grid.
+    the basis. The probes are ``z_invariance_probes``' steps, each on a grid of
+    21 points per dimension within 2 of the origin; ``states`` maps k and k + 1
+    to the replayed X (``fde.forward_rows``), and ``mc`` must come from ``sol``.
+    Returns the maximum absolute discrepancy over the probe steps and grid.
     """
+    if mc.sol is not sol:
+        raise InvalidArgumentError("measure change was built from another solution")
     K, d = sol.grid.num_steps, sol.coeffs.d
+    probes = z_invariance_probes(K)
+    _recorded(states, [j for pair in probes for j in pair])
     basis = sol.z_fits[K // 2].basis
     ess = mc.effective_sample_size
     if ess < MIN_PATHS_PER_FUNCTION * basis.n_functions:
         raise InsufficientWeightError(
             f"effective sample size {ess:.1f} below "
             f"{MIN_PATHS_PER_FUNCTION * basis.n_functions}")
-    probe_steps = sorted({min(K - 1, max(1, j)) for j in (K // 4, K // 2, (3 * K) // 4)})
 
-    def probe_mesh(states):
+    def probe_mesh(x):
         # central region clipped to the bulk of the actual states: the
         # reweighted fit has no data beyond them
-        lo = np.maximum(-2.0, np.quantile(states, 0.01, axis=0))
-        hi = np.minimum(2.0, np.quantile(states, 0.99, axis=0))
+        lo = np.maximum(-2.0, np.quantile(x, 0.01, axis=0))
+        hi = np.minimum(2.0, np.quantile(x, 0.99, axis=0))
         axes = [np.linspace(a, b, 21) for a, b in zip(lo, hi)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
     t, dt = sol.grid.points, sol.grid.dt
-    X = _states_at(sol, ensemble, [j for k in probe_steps for j in (k, k + 1)])
     per_probe = []
     worst = 0.0
-    for k in probe_steps:
-        mesh = probe_mesh(X[k])
+    for k, k_next in probes:
+        mesh = probe_mesh(states[k])
         hk = sol.coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
         zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, k))
-        dmp = sol.Y[:, k + 1] - sol.Y[:, k] + (hk + zf) * dt[k]
-        dw = X[k + 1] - X[k]
-        p_fit = StepRegression(X[k], basis, weights=mc.weights)
+        dmp = sol.Y[:, k_next] - sol.Y[:, k] + (hk + zf) * dt[k]
+        dw = states[k_next] - states[k]
+        p_fit = StepRegression(states[k], basis, weights=mc.weights)
         zp = p_fit.fit(density_target(dmp, dw, dt[k])).evaluate(mesh)
         zq = sol.z_fits[k].evaluate(mesh).reshape(zp.shape)
         disc = float(np.abs(zq - zp).max())
@@ -177,20 +184,22 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange,
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, ensemble: BrownianEnsemble, probe_times) -> dict:
+def bmo_diagnostic(sol: FdeSolution, states: dict, probe_times) -> dict:
     """Conditional remaining quadratic variation of N at deterministic probes.
 
     For each probe, regress sum_{k >= probe} |f_k|^2 dt_k on the probe state
     in a quadratic polynomial basis and report the mean and 99th percentile
     of the fitted values. Probes at deterministic times stand in for
-    stopping times; this is a diagnostic, not a proof device.
+    stopping times; this is a diagnostic, not a proof device. ``states`` maps each
+    probe step to its replayed X (``fde.forward_rows``); an off-grid probe time or a
+    missing state raises InvalidArgumentError before any state is read.
     """
     K, t, dt = sol.grid.num_steps, sol.grid.points, sol.grid.dt
     steps = [int(np.argmin(np.abs(t - pt))) for pt in probe_times]
-    for pt, idx in zip(probe_times, steps):   # before any replay or (P, K) target
+    for pt, idx in zip(probe_times, steps):   # before any state or (P, K) target is read
         if abs(t[idx] - pt) > 1e-9 * max(1.0, sol.grid.horizon):
             raise InvalidArgumentError(f"probe time {pt} is not a grid point")
-    X = _states_at(sol, ensemble, steps)
+    _recorded(states, steps)
     basis = polynomial_basis(2, sol.coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
@@ -206,9 +215,9 @@ def bmo_diagnostic(sol: FdeSolution, ensemble: BrownianEnsemble, probe_times) ->
         if idx >= K:
             est = np.zeros(sol.num_paths)
         else:
-            sr = StepRegression(X[idx], basis)
+            sr = StepRegression(states[idx], basis)
             fit = sr.fit(remaining[:, idx][:, None])
-            est = fit.evaluate(X[idx])[:, 0]
+            est = fit.evaluate(states[idx])[:, 0]
         p99 = float(np.quantile(est, 0.99))
         per_probe.append({"t": float(t[idx]), "mean": float(est.mean()), "p99": p99})
         sup99 = max(sup99, p99)

@@ -98,6 +98,12 @@ def replayed_paths(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble):
     return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
 
 
+def recorded_states(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble) -> dict:
+    """{k: X_k} at every step k = 0..K of a global solution, from one ``fde.forward_rows``
+    replay; what ``check_z_invariance`` and ``bmo_diagnostic`` read."""
+    return ff.fde.forward_rows(sol, ensemble, 0, range(sol.grid.num_steps + 1))[1]
+
+
 def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
     """Cumulative sums with a zero step prepended; shape (P, K+1, dim),
     stored step-major like the increments."""

@@ -16,7 +16,7 @@ import fdeflow as ff
 from fdeflow import cli
 from fdeflow.oracles import CrankNicolsonOracle, heat_value, merton_y0
 
-from _helpers import empirical_pathwise_uniqueness
+from _helpers import empirical_pathwise_uniqueness, recorded_states
 
 ACCEPT_SEED = 20260808
 FBSDE_FIXTURES = ("trivial", "const_driver", "tanh_terminal", "linear_driver",
@@ -152,7 +152,7 @@ def test_criterion_06_z_invariance(acceptance):
             rep = b["z_invariance"]
         else:
             mc = ff.build_measure_change(b["sol"], b["ensemble"])
-            rep = ff.check_z_invariance(b["sol"], mc, b["ensemble"])
+            rep = ff.check_z_invariance(b["sol"], mc, recorded_states(b["sol"], b["ensemble"]))
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
     _report(6, "z invariance", ok, f"max surface discrepancy {worst:.4f} <= 0.05")

@@ -738,6 +738,7 @@ def test_market_section_selects_the_fixture_and_is_echoed_once():
 
 
 def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypatch):
+    # and before the Z-invariance and BMO checks, which read the recorded probe states
     import gc
     import weakref
     from fdeflow.fixtures import get_fixture
@@ -750,10 +751,38 @@ def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypat
         sampled.append(weakref.ref(ensemble))
         return ensemble
 
+    def checked(check):
+        def run(*args):
+            gc.collect()
+            alive.append((check.__name__, sampled[0]() is not None))
+            return check(*args)
+        return run
+
     monkeypatch.setattr(cli, "sample_ensemble", recording)
+    for name in ("check_z_invariance", "bmo_diagnostic"):
+        monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
     cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
     cli._solve_fixture(get_fixture("endowment"), cfg)
-    assert alive == [[], [False]]
+    assert alive == [[], ("check_z_invariance", False), ("bmo_diagnostic", False), [False]]
+
+
+def test_market_run_replays_its_forward_pass_four_times(monkeypatch):
+    # the assembly, the residual, the weak assembly and the one recorder after the solve
+    import sys
+    from fdeflow import fde, girsanov
+    from fdeflow.fixtures import get_fixture
+    replay, callers = fde.replay_forward, []
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return replay(*args)
+
+    for module in (fde, girsanov, cli):
+        monkeypatch.setattr(module, "replay_forward", counted)
+    cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
+    cli._solve_fixture(get_fixture("endowment"), cfg)
+    assert callers == ["solve_global", "check_fbsde_residual", "assemble_weak_solution",
+                       "forward_rows"]
 
 
 @pytest.mark.parametrize("name", ["fbsde.cfg", "qbsde_weak.cfg", "portfolio.cfg"])

@@ -603,7 +603,7 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     csv = tmp_path / "sol.csv"
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, fde.forward_rows(sol, ens, 3), csv, side, path_limit=3,
+    ff.export_solution(sol, fde.forward_rows(sol, ens, 3)[0], csv, side, path_limit=3,
                        config_echo={"fixture": "tanh"})
     V, X = replayed_paths(sol, ens)
     lines = csv.read_text().splitlines()
@@ -644,7 +644,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
     assert sol.window_bounds == [(0, 8), (8, 16)]
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
-    ff.export_solution(sol, fde.forward_rows(sol, ens, 1), tmp_path / "two.csv", side,
+    ff.export_solution(sol, fde.forward_rows(sol, ens, 1)[0], tmp_path / "two.csv", side,
                        path_limit=1, config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
 

@@ -5,7 +5,7 @@ import fdeflow as ff
 from fdeflow import girsanov
 from fdeflow.errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
 
-from _helpers import brownian_paths, replayed_paths
+from _helpers import brownian_paths, recorded_states, replayed_paths
 
 
 def test_zero_drift_measure_change_is_identity(tanh_solution):
@@ -124,7 +124,7 @@ def test_weak_residual_reduces_to_backward_residual_when_f_zero(tanh_solution):
 def test_z_invariance_on_drifted_problem(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     mc = ff.build_measure_change(sol, ens)
-    report = ff.check_z_invariance(sol, mc, ens)
+    report = ff.check_z_invariance(sol, mc, recorded_states(sol, ens))
     assert report["max_discrepancy"] <= 0.05
     assert len(report["per_probe"]) == 3
 
@@ -135,7 +135,8 @@ def test_z_invariance_probes_a_single_step_grid():
     ens = ff.sample_ensemble(grid, 3000, 1, 31)
     coeffs = ff.get_fixture("const_forward").build()
     sol = ff.solve_global(coeffs, ens, c4=1.0)
-    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, ens), ens)
+    report = ff.check_z_invariance(sol, ff.build_measure_change(sol, ens),
+                                   recorded_states(sol, ens))
     assert [row["step"] for row in report["per_probe"]] == [0]
     assert np.isfinite(report["max_discrepancy"])
 
@@ -150,15 +151,15 @@ def test_z_invariance_requires_effective_sample_size(unit_ensemble_1d):
                           basis=ff.polynomial_basis(7, 1))
     mc = ff.build_measure_change(sol, ens)
     with pytest.raises(InsufficientWeightError):
-        ff.check_z_invariance(sol, mc, ens)
+        ff.check_z_invariance(sol, mc, recorded_states(sol, ens))
 
 
 def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution):
     _, grid, ens, sol0 = tanh_solution
-    rep0 = ff.bmo_diagnostic(sol0, ens, [0.0, 0.5])
+    rep0 = ff.bmo_diagnostic(sol0, recorded_states(sol0, ens), [0.0, 0.5])
     assert rep0["sup_p99"] <= 1e-12
     coeffs, grid, ens, sol = const_forward_solution
-    rep = ff.bmo_diagnostic(sol, ens, [0.0, 0.25, 0.5])
+    rep = ff.bmo_diagnostic(sol, recorded_states(sol, ens), [0.0, 0.25, 0.5])
     c, T = 0.5, grid.horizon
     for row in rep["per_probe"]:
         expected = c * c * (T - row["t"])
@@ -168,17 +169,51 @@ def test_bmo_diagnostic_zero_and_constant(tanh_solution, const_forward_solution)
 
 
 def test_bmo_rejects_off_grid_probe(tanh_solution, monkeypatch):
-    # every probe is checked before X is replayed or the (P, K) target is built
+    # every probe is checked before any state is read or the (P, K) target is built:
+    # with no recorded state at all, the off-grid probe is what raises
     coeffs, grid, ens, sol = tanh_solution
-    replays = []
-    replay = girsanov.replay_forward
-    monkeypatch.setattr(girsanov, "replay_forward", lambda *a: replays.append(a) or replay(*a))
+    drifts = []
+    drift = girsanov._drift
+    monkeypatch.setattr(girsanov, "_drift", lambda *a: drifts.append(a[1]) or drift(*a))
     for probes in ([0.123456], [0.0, 0.33]):
         with pytest.raises(InvalidArgumentError, match=f"probe time {probes[-1]} "):
-            ff.bmo_diagnostic(sol, ens, probes)
-    assert replays == []
-    ff.bmo_diagnostic(sol, ens, [0.0, 0.25])   # grid points replay, through the patch
-    assert len(replays) == 1
+            ff.bmo_diagnostic(sol, {}, probes)
+    # grid probes with no recorded state name the missing step, still before the target
+    with pytest.raises(InvalidArgumentError, match="no recorded forward state at step 0"):
+        ff.bmo_diagnostic(sol, {}, [0.0, 0.25])
+    with pytest.raises(InvalidArgumentError, match="no recorded forward state at step 4"):
+        ff.bmo_diagnostic(sol, {0: np.zeros((ens.num_paths, 1))}, [0.0, 0.25])
+    assert drifts == []
+    ff.bmo_diagnostic(sol, recorded_states(sol, ens), [0.0, 0.25])   # the target, built
+    assert drifts == list(range(grid.num_steps))
+
+
+def test_z_invariance_names_a_missing_state(const_forward_solution):
+    coeffs, grid, ens, sol = const_forward_solution
+    mc = ff.build_measure_change(sol, ens)
+    states = recorded_states(sol, ens)
+    assert girsanov.z_invariance_probes(16) == [(4, 5), (8, 9), (12, 13)]
+    assert girsanov.z_invariance_probes(1) == [(0, 1)]   # the recorder must reach step K
+    del states[9]
+    with pytest.raises(InvalidArgumentError, match="no recorded forward state at step 9"):
+        ff.check_z_invariance(sol, mc, states)
+
+
+def test_weights_of_another_solution_are_refused():
+    # const_forward's weights on tanh_terminal's solution: the grids are the same, so only
+    # the solution the weights came from tells them apart
+    grid = ff.build_uniform_grid(1.0, 16)
+    ens = ff.sample_ensemble(grid, 5000, 1, 7)
+    sols = {name: ff.solve_global(ff.get_fixture(name).build(), ens, c4=1.0,
+                                  basis=ff.polynomial_basis(5, 1))
+            for name in ("const_forward", "tanh_terminal")}
+    mc = ff.build_measure_change(sols["const_forward"], ens)
+    other = sols["tanh_terminal"]
+    with pytest.raises(InvalidArgumentError, match="another solution"):
+        ff.assemble_weak_solution(other, mc, ens)
+    with pytest.raises(InvalidArgumentError, match="another solution"):
+        ff.check_z_invariance(other, mc, recorded_states(other, ens))
+    assert mc.sol is sols["const_forward"]
 
 
 def test_weight_tail_mass_is_small(const_forward_solution):
@@ -193,7 +228,7 @@ def test_weak_export(tmp_path, const_forward_solution):
     residual = ff.assemble_weak_solution(sol, mc, ens)
     csv = tmp_path / "weak.csv"
     side = tmp_path / "weak.json"
-    ff.export_weak_solution(sol, mc, residual, ff.fde.forward_rows(sol, ens, 2), csv,
+    ff.export_weak_solution(sol, mc, residual, ff.fde.forward_rows(sol, ens, 2)[0], csv,
                             side, path_limit=2, config_echo={})
     X = replayed_paths(sol, ens)[1]
     lines = csv.read_text().splitlines()

@@ -11,7 +11,7 @@ from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
 from _helpers import (endowment_oracle, girsanov_integrand, pi_star_reference, prices,
-                      whole_array_optimality)
+                      recorded_states, whole_array_optimality)
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -275,7 +275,7 @@ def test_endowment_pipeline_runs(endowment_small):
     assert psol.weak_residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
-    rep = ff.bmo_diagnostic(psol.fde_sol, ens, [0.0, 0.24, 0.48])
+    rep = ff.bmo_diagnostic(psol.fde_sol, recorded_states(psol.fde_sol, ens), [0.0, 0.24, 0.48])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -363,5 +363,6 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     peak = _traced_peak(ff.build_measure_change, psol.fde_sol, ens)
     assert peak < P * K * 2 * 8
     # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
-    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, ens, [0.0, 0.24, 0.48])
+    states = recorded_states(psol.fde_sol, ens)   # the replay is not the stage measured
+    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, states, [0.0, 0.24, 0.48])
     assert peak < 2 * P * K * 8
