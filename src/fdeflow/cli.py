@@ -265,16 +265,16 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
             bundle, probes, bmo_steps = {"ensemble": ensemble, "sol": sol}, [], []
             if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
                 mc = bundle["measure_change"] = build_measure_change(sol, ensemble)
-                bundle["weak_residual"] = assemble_weak_solution(sol, mc, ensemble)
+                bundle["weak_residual"] = assemble_weak_solution(mc, ensemble)
             if fixture.name == "const_forward":
                 probes, bmo_steps = z_invariance_probes(K), sorted({0, K // 4, K // 2})
         bundle["forward"], states = forward_rows(
             sol, ensemble, cfg.export_paths, {j for pair in probes for j in pair} | {*bmo_steps})
         del ensemble   # a market's goes here, before its checks and the evaluation ensemble
         if probes:
-            bundle["z_invariance"] = check_z_invariance(sol, mc, states)
+            bundle["z_invariance"] = check_z_invariance(mc, states)
         if bmo_steps:
-            bundle["bmo"] = bmo_diagnostic(sol, states, [float(grid.points[i]) for i in bmo_steps])
+            bundle["bmo"] = bmo_diagnostic(sol, states, bmo_steps)
         del states
         if "portfolio" in bundle:
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
@@ -291,7 +291,8 @@ def _common_assertions(bundle) -> list:
     out = []
     factor = max((r.empirical_factor for r in sol.iteration_log), default=0.0)
     out.append(Assertion("contraction_factor", factor, "<= 0.6", factor <= 0.6))
-    iters = max((r.iterations_to(1e-4) for r in sol.iteration_log), default=0)
+    reached = [r.iterations_to(1e-4) for r in sol.iteration_log]
+    iters = -1 if -1 in reached else max(reached, default=0)
     out.append(Assertion("picard_iterations_at_1e-4", iters, "<= 10", 0 < iters <= 10))
     res = sol.residuals
     out.append(Assertion("backward_residual_rms", res["backward_rms"], "<= 0.01",
@@ -496,8 +497,7 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
         assertions += _fixture_assertions(name, bundle, cfg)
     csv_path = out_dir / f"{name}_paths.csv"
     side_path = out_dir / f"{name}_summary.json"
-    export_solution(bundle["sol"], bundle["forward"], csv_path, side_path,
-                    path_limit=cfg.export_paths, config_echo=cfg.echo())
+    export_solution(bundle["sol"], bundle["forward"], csv_path, side_path, config_echo=cfg.echo())
     report.outputs += [csv_path, side_path]
     if fixture.kind == "portfolio":
         pj = out_dir / f"{name}_portfolio.json"
@@ -507,9 +507,8 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
     if cfg.problem == "qbsde-weak":
         wcsv = out_dir / f"{name}_weak.csv"
         wjson = out_dir / f"{name}_weak.json"
-        export_weak_solution(bundle["sol"], bundle["measure_change"], bundle["weak_residual"],
-                             bundle["forward"], wcsv, wjson, path_limit=cfg.export_paths,
-                             config_echo=cfg.echo())
+        export_weak_solution(bundle["measure_change"], bundle["weak_residual"],
+                             bundle["forward"], wcsv, wjson, config_echo=cfg.echo())
         report.outputs += [wcsv, wjson]
     report.wall_clock[f"{name}:total"] = time.perf_counter() - t0
     return assertions

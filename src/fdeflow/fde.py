@@ -35,8 +35,8 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
                    segment_windows, uniform_steps_within)
-from .regression import (RegressionBasis, StepRegression, bitwise_equal, density_target,
-                         polynomial_basis)
+from .regression import (RegressionBasis, StepRegression, as_2d, bitwise_equal,
+                         density_target, polynomial_basis)
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 50
@@ -50,15 +50,6 @@ _VALIDATION_SEED = 0x5EED
 # _EXPLORATION_RADIUS * sqrt(_EXPLORATION_FLOOR**2 + t) + |f| * t
 _EXPLORATION_RADIUS = 2.2
 _EXPLORATION_FLOOR = 1.0
-
-
-def _as_2d(arr, n, name):
-    out = np.asarray(arr, dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.ndim != 2 or out.shape[1] != n:
-        raise InvalidArgumentError(f"{name} must have {n} columns, got shape {out.shape}")
-    return out
 
 
 def _require_finite(name, *outputs):
@@ -97,13 +88,13 @@ class CoefficientSet:
         self._spot_check()
 
     def eval_h(self, t, y, z):
-        return _as_2d(self.h(t, y, z), self.n, "h output")
+        return as_2d(self.h(t, y, z), self.n, "h output")
 
     def eval_f(self, t, y, z):
-        return _as_2d(self.f(t, y, z), self.d, "f output")
+        return as_2d(self.f(t, y, z), self.d, "f output")
 
     def eval_phi(self, x):
-        return _as_2d(self.phi(x), self.n, "phi output")
+        return as_2d(self.phi(x), self.n, "phi output")
 
     def _spot_check(self):
         rng = np.random.Generator(np.random.Philox(key=_VALIDATION_SEED))
@@ -160,11 +151,11 @@ class PicardReport:
                 "empirical_factor": float(self.empirical_factor)}
 
     def iterations_to(self, tol: float) -> int:
-        """Correction passes needed to first reach the given tolerance."""
+        """Correction passes needed to first reach the given tolerance; -1 if none did."""
         for i, dist in enumerate(self.distances):
             if dist <= tol:
                 return i + 1
-        return self.iterations if self.converged else -1
+        return -1
 
 
 @dataclass
@@ -254,7 +245,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     dt = window_grid.dt
     start = _start_states(start_x, P, d)
 
-    y_init = (_as_2d(terminal_map(start), n, "terminal_map output") if initial_guess is None
+    y_init = (as_2d(terminal_map(start), n, "terminal_map output") if initial_guess is None
               else np.atleast_1d(np.asarray(initial_guess, float)))
     # Y and Z of the last backward sweep, one row per step, written in place
     Y = np.broadcast_to(y_init, (m + 1, P, n)).copy()
@@ -302,7 +293,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             if dist == 0.0 and repeated.all() and bitwise_equal(V, V_last):
                 break
         if not repeated[m]:
-            phi_T = _as_2d(terminal_map(X[m]), n, "terminal_map output")
+            phi_T = as_2d(terminal_map(X[m]), n, "terminal_map output")
         xi = phi_T + V[m]
 
         y_fits = [None] * m
@@ -542,19 +533,18 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_grid_csv(path, grid: TimeGrid, named, path_limit: int) -> None:
+def write_grid_csv(path, grid: TimeGrid, named) -> None:
     """Write rows ``path,step,t,<named columns>`` at every point of ``grid``.
 
     ``named`` lists (letter, array) pairs in column order: a (P, K+1, c)
     array gives columns ``<letter>0..``, and a (P, K, n, d) array, such as
-    the left-endpoint Z, gives ``<letter><i><j>`` with zeros at step K. Only
-    the first ``path_limit`` paths are written. Values are written with
+    the left-endpoint Z, gives ``<letter><i><j>`` with zeros at step K. Every
+    array holds the same paths, and each is written. Values are written with
     ``repr``, so every cell parses back to the exact float64 it came from.
     """
     K = grid.num_steps
     cols, blocks = ["t"], []
     for letter, arr in named:
-        arr = arr[:path_limit]
         if arr.ndim == 4:
             P, _, n, d = arr.shape
             cols += [f"{letter}{i}{j}" for i in range(n) for j in range(d)]
@@ -574,13 +564,12 @@ def write_grid_csv(path, grid: TimeGrid, named, path_limit: int) -> None:
                           for k, row in enumerate(rows))
 
 
-def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, path_limit: int,
-                    config_echo: dict):
-    """Write rows (path, step, t, V.., X.., Y.., Z..), (V, X) being ``forward_rows``'s,
+def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, config_echo: dict):
+    """Write rows (path, step, t, V.., X.., Y.., Z..) of ``forward_rows``' paths (V, X),
     plus a JSON sidecar; it counts the steps of each window whose fit set a warning."""
     V, X = forward
-    write_grid_csv(csv_path, sol.grid, [("V", V), ("X", X), ("Y", sol.Y), ("Z", sol.Z)],
-                   path_limit)
+    write_grid_csv(csv_path, sol.grid,
+                   [("V", V), ("X", X), ("Y", sol.Y[:len(V)]), ("Z", sol.Z[:len(V)])])
     side = {
         "seed": sol.seed,
         "y0_mean": None if sol.y0_mean is None else [float(v) for v in sol.y0_mean],

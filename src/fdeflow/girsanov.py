@@ -13,8 +13,9 @@ not depend on the equivalent measure). The discrete exponential uses
 exp(N - [N]/2), which is positive by construction. W is not built here: the
 forward state X of the solve is the same Euler recursion, so X is W path by
 path, replayed one step at a time (the probe checks read one replay's record).
-The measure change keeps its solution and the terminal weights; a stage needing
-f(t_k, Y_k, Z_k) evaluates it at the steps it reads: no (P, K, d) drift array is held.
+The measure change keeps its solution and the terminal weights, and the weak
+readers take it alone; a stage needing f(t_k, Y_k, Z_k) evaluates it at the
+steps it reads: no (P, K, d) drift array is held.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> Measur
     return MeasureChange(sol=sol, weights=weights)
 
 
-def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
-                           ensemble: BrownianEnsemble) -> dict:
+def assemble_weak_solution(mc: MeasureChange, ensemble: BrownianEnsemble) -> dict:
     """Residual report of the weak integral equation for (Y, Z, W = X).
 
     The weak solution is the solve's (Y, Z) with W its forward state X; Z is
@@ -112,10 +112,9 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
     The per-path residual is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
     reported as a weighted rms since the equation lives under the target
-    measure; f is evaluated again at each step it reads; ``mc`` must come from ``sol``.
+    measure; f is evaluated again at each step it reads. The solution is ``mc.sol``.
     """
-    if mc.sol is not sol:
-        raise InvalidArgumentError("measure change was built from another solution")
+    sol = mc.sol
     coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
     resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T)
     for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, ensemble))):
@@ -134,7 +133,7 @@ def assemble_weak_solution(sol: FdeSolution, mc: MeasureChange,
             "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(sol: FdeSolution, mc: MeasureChange, states: dict) -> dict:
+def check_z_invariance(mc: MeasureChange, states: dict) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
@@ -143,11 +142,10 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, states: dict) -> dic
     stored fit's basis, so the discrepancy measures the measure change, not
     the basis. The probes are ``z_invariance_probes``' steps, each on a grid of
     21 points per dimension within 2 of the origin; ``states`` maps k and k + 1
-    to the replayed X (``fde.forward_rows``), and ``mc`` must come from ``sol``.
+    to the replayed X (``fde.forward_rows``) of the solution ``mc.sol``.
     Returns the maximum absolute discrepancy over the probe steps and grid.
     """
-    if mc.sol is not sol:
-        raise InvalidArgumentError("measure change was built from another solution")
+    sol = mc.sol
     K, d = sol.grid.num_steps, sol.coeffs.d
     probes = z_invariance_probes(K)
     _recorded(states, [j for pair in probes for j in pair])
@@ -184,21 +182,17 @@ def check_z_invariance(sol: FdeSolution, mc: MeasureChange, states: dict) -> dic
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, states: dict, probe_times) -> dict:
-    """Conditional remaining quadratic variation of N at deterministic probes.
+def bmo_diagnostic(sol: FdeSolution, states: dict, steps) -> dict:
+    """Conditional remaining quadratic variation of N at deterministic probe steps.
 
-    For each probe, regress sum_{k >= probe} |f_k|^2 dt_k on the probe state
-    in a quadratic polynomial basis and report the mean and 99th percentile
-    of the fitted values. Probes at deterministic times stand in for
+    At each grid step j of ``steps``, regress sum_{k >= j} |f_k|^2 dt_k on X_j in a
+    quadratic polynomial basis and report the mean and 99th percentile of the
+    fitted values. Probes at deterministic times stand in for
     stopping times; this is a diagnostic, not a proof device. ``states`` maps each
-    probe step to its replayed X (``fde.forward_rows``); an off-grid probe time or a
-    missing state raises InvalidArgumentError before any state is read.
+    probe step to its replayed X (``fde.forward_rows``); a missing state raises
+    InvalidArgumentError, naming its step, before the (P, K) target is built.
     """
     K, t, dt = sol.grid.num_steps, sol.grid.points, sol.grid.dt
-    steps = [int(np.argmin(np.abs(t - pt))) for pt in probe_times]
-    for pt, idx in zip(probe_times, steps):   # before any state or (P, K) target is read
-        if abs(t[idx] - pt) > 1e-9 * max(1.0, sol.grid.horizon):
-            raise InvalidArgumentError(f"probe time {pt} is not a grid point")
     _recorded(states, steps)
     basis = polynomial_basis(2, sol.coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
@@ -224,11 +218,12 @@ def bmo_diagnostic(sol: FdeSolution, states: dict, probe_times) -> dict:
     return {"sup_p99": sup99, "per_probe": per_probe}
 
 
-def export_weak_solution(sol: FdeSolution, mc: MeasureChange, residual: dict, forward,
-                         csv_path, sidecar_path, *, path_limit: int, config_echo: dict):
-    """CSV of (path, step, t, Y.., Z.., W..), W being forward's X, plus a sidecar."""
-    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y), ("Z", sol.Z), ("W", forward[1])],
-                   path_limit)
+def export_weak_solution(mc: MeasureChange, residual: dict, forward, csv_path,
+                         sidecar_path, *, config_echo: dict):
+    """CSV of (path, step, t, Y.., Z.., W..) of ``mc.sol`` at ``forward``'s paths, W
+    being its X, plus a sidecar."""
+    sol, W = mc.sol, forward[1]
+    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y[:len(W)]), ("Z", sol.Z[:len(W)]), ("W", W)])
     side = {"residual": {k: float(v) for k, v in residual.items()},
             "weights": {
                 "mean": float(mc.weights.mean()),

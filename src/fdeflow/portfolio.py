@@ -156,8 +156,12 @@ class PortfolioSolution:
     y0_stderr: float
     value: float
     weak_residual: dict
-    fde_sol: FdeSolution
     measure_change: MeasureChange
+
+    @property
+    def fde_sol(self) -> FdeSolution:
+        """The solution ``measure_change`` was built from."""
+        return self.measure_change.sol
 
     @property
     def pi_star(self) -> np.ndarray:
@@ -183,7 +187,7 @@ def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
     coeffs = build_portfolio_fbsde(model, ensemble.grid.horizon)
     sol = solve_global(coeffs, ensemble, **solve_kwargs)
     mc = build_measure_change(sol, ensemble)
-    weak_residual = assemble_weak_solution(sol, mc, ensemble)
+    weak_residual = assemble_weak_solution(mc, ensemble)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     with np.errstate(over="ignore"):
@@ -193,7 +197,7 @@ def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
             f"value overflow: -exp(-gamma (x0 + y0)) is not finite at x0 = {model.x0:.6g}, "
             f"y0 = {y0:.6g}")
     return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
-                             weak_residual=weak_residual, fde_sol=sol, measure_change=mc)
+                             weak_residual=weak_residual, measure_change=mc)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite drift fails by step below

@@ -85,14 +85,14 @@ def _monomial_design(u: np.ndarray, exps) -> np.ndarray:
     return A
 
 
-def _as_states(states, state_dim: int) -> np.ndarray:
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if states.shape[1] != state_dim:
-        raise InvalidArgumentError(
-            f"state dim {states.shape[1]} != basis dim {state_dim}")
-    return states
+def as_2d(arr, n: int, name: str) -> np.ndarray:
+    """``arr`` as a float (rows, n) array; a 1-D array is one column."""
+    out = np.asarray(arr, dtype=float)
+    if out.ndim == 1:
+        out = out[:, None]
+    if out.ndim != 2 or out.shape[1] != n:
+        raise InvalidArgumentError(f"{name} must have {n} columns, got shape {out.shape}")
+    return out
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -215,7 +215,7 @@ class FittedConditional:
     def design(self, states: np.ndarray) -> EvaluationDesign:
         """Evaluation design of ``states``; any fit of the same StepRegression
         can evaluate from it."""
-        states = _as_states(states, self.basis.state_dim)
+        states = as_2d(states, self.basis.state_dim, "states")
         return EvaluationDesign(self._surface, states.shape[0], self._surface.design(states))
 
     def evaluate_on(self, design: EvaluationDesign) -> np.ndarray:
@@ -259,7 +259,7 @@ class StepRegression:
 
     def __init__(self, states: np.ndarray, basis: RegressionBasis,
                  fit_window: tuple | None = None, weights: np.ndarray | None = None):
-        states = _as_states(states, basis.state_dim)
+        states = as_2d(states, basis.state_dim, "states")
         n_req = MIN_PATHS_PER_FUNCTION * basis.n_functions
         if states.shape[0] < n_req:
             raise InvalidArgumentError(

@@ -152,7 +152,7 @@ def test_criterion_06_z_invariance(acceptance):
             rep = b["z_invariance"]
         else:
             mc = ff.build_measure_change(b["sol"], b["ensemble"])
-            rep = ff.check_z_invariance(b["sol"], mc, recorded_states(b["sol"], b["ensemble"]))
+            rep = ff.check_z_invariance(mc, recorded_states(b["sol"], b["ensemble"]))
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
     _report(6, "z invariance", ok, f"max surface discrepancy {worst:.4f} <= 0.05")

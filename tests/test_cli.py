@@ -273,6 +273,35 @@ def test_coarse_grid_probes_stay_on_the_grid(tmp_path, capsys, K):
     assert any(a["name"] == "heat_oracle_sup" for a in report["assertions"])
 
 
+def test_picard_count_fails_a_run_that_never_reached_1e_4(tmp_path, capsys):
+    # tol = 10 stops each window after its first distance, about 0.0125 here
+    body = """
+[run]
+problem = fbsde
+num_paths = 5000
+out = {out}
+
+[coefficients]
+fixture = linear_driver
+
+[solver]
+tol = 10
+"""
+    cfg = _write(tmp_path, body.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 1
+    assert "FAIL  picard_iterations_at_1e-4  value=-1 " in capsys.readouterr().out
+
+
+def test_one_window_short_of_1e_4_fails_the_picard_count():
+    from types import SimpleNamespace
+    from fdeflow.fde import PicardReport
+    log = [PicardReport((0.0, 0.5), [1e-5], True), PicardReport((0.5, 1.0), [0.0125], True)]
+    sol = SimpleNamespace(iteration_log=log,
+                          residuals=dict(backward_rms=0.0, forward_max=0.0, terminal_rms=0.0))
+    picard = cli._common_assertions({"sol": sol})[1]
+    assert (picard.name, picard.value, picard.passed) == ("picard_iterations_at_1e-4", -1, False)
+
+
 @pytest.mark.parametrize("K", [1, 50])
 def test_weak_run_takes_its_bmo_probes_from_the_grid(tmp_path, K):
     # the BMO probes are steps 0, K // 4 and K // 2, so a grid whose K is not

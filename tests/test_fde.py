@@ -444,9 +444,14 @@ def test_solve_global_non_scalar_system_decouples():
     assert np.abs(sol.Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
     mc, mc_ref = (ff.build_measure_change(s, ens) for s in (sol, ref))
     assert np.all(mc.weights == 1.0)
-    weak, weak_ref = (ff.assemble_weak_solution(s, m, ens)["weighted_rms"]
-                      for s, m in ((sol, mc), (ref, mc_ref)))
+    weak, weak_ref = (ff.assemble_weak_solution(m, ens)["weighted_rms"] for m in (mc, mc_ref))
     assert weak == pytest.approx(weak_ref, rel=1e-6)
+
+
+def test_iterations_to_is_minus_one_when_no_distance_reached_tol():
+    report = ff.PicardReport(window=(0.0, 1.0), distances=[0.5, 0.0125], converged=True)
+    assert report.iterations_to(0.1) == 2
+    assert report.iterations_to(1e-4) == -1
 
 
 def test_solve_global_rejects_too_coarse_grid():
@@ -603,7 +608,7 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     csv = tmp_path / "sol.csv"
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, fde.forward_rows(sol, ens, 3)[0], csv, side, path_limit=3,
+    ff.export_solution(sol, fde.forward_rows(sol, ens, 3)[0], csv, side,
                        config_echo={"fixture": "tanh"})
     V, X = replayed_paths(sol, ens)
     lines = csv.read_text().splitlines()
@@ -631,7 +636,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
                               fit_window_fn=lambda t: (-50.0, 50.0) if t < 0.5 else (90.0, 91.0))
     assert [f.warning for f in sol.phi_fits] == [False] * 4 + [True] * 4
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, (sol.V, sol.X), tmp_path / "sol.csv", side, path_limit=1,
+    ff.export_solution(sol, (sol.V[:1], sol.X[:1]), tmp_path / "sol.csv", side,
                        config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [4]
     # a global solve of two windows places each count in its window
@@ -645,7 +650,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
     ff.export_solution(sol, fde.forward_rows(sol, ens, 1)[0], tmp_path / "two.csv", side,
-                       path_limit=1, config_echo={})
+                       config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
 
 

@@ -275,7 +275,7 @@ def test_endowment_pipeline_runs(endowment_small):
     assert psol.weak_residual["weighted_rms"] <= 0.02
     assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
     assert -1.0 < psol.value < 0.0
-    rep = ff.bmo_diagnostic(psol.fde_sol, recorded_states(psol.fde_sol, ens), [0.0, 0.24, 0.48])
+    rep = ff.bmo_diagnostic(psol.fde_sol, recorded_states(psol.fde_sol, ens), [0, 12, 24])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -364,5 +364,5 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     assert peak < P * K * 2 * 8
     # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
     states = recorded_states(psol.fde_sol, ens)   # the replay is not the stage measured
-    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, states, [0.0, 0.24, 0.48])
+    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, states, [0, 12, 24])
     assert peak < 2 * P * K * 8
