@@ -11,7 +11,7 @@ backward equation, which drives the exponential-utility portfolio module.
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
-                   contraction_window_length, sample_ensemble, segment_windows)
+                   contraction_window_length, contraction_windows, sample_ensemble)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis)
 from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
@@ -29,7 +29,7 @@ __all__ = [
     "FdeflowError", "InvalidArgumentError", "InvalidStateError",
     "InsufficientWeightError", "PicardDivergedError",
     "TimeGrid", "BrownianEnsemble",
-    "build_uniform_grid", "contraction_window_length", "segment_windows",
+    "build_uniform_grid", "contraction_window_length", "contraction_windows",
     "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis",

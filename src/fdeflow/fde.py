@@ -11,12 +11,13 @@ finite-variation part of Y and
     Y_t = E[phi(X_T) + V_T | F_t] - V_t,
     int Z dB = phi(X_T) + V_T - E[phi(X_T) + V_T | F_tau].
 
-On a window short enough that sqrt(length) <= 1/(8*C1*(1+C2)) the map is a
-contraction and plain Picard iteration converges. The global solve sweeps
-windows backward to learn the per-step value maps, then assembles the whole
-solution in a single forward pass: V is glued by a running offset, X restarts
-each window at the previous terminal state, and (Y, Z) are read off the
-fitted maps windowwise.
+On a window short enough that sqrt(length) <= 1/(8*C1*(1+C)), C the Lipschitz
+constant of the terminal map it consumes (C2 for phi, c4 for a fitted map),
+the map contracts and Picard iteration converges. ``grid.contraction_windows``
+plans the windows; the global solve sweeps them backward to learn the per-step
+value maps, then assembles the whole solution in a single forward pass: V is
+glued by a running offset, X restarts each window at the previous terminal
+state, and (Y, Z) are read off the fitted maps windowwise.
 
 Conditional expectations are least-squares Monte Carlo fits against the
 forward state; the path-dependent part of the target is removed exactly by
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
-                   segment_windows, uniform_steps_within)
+                   contraction_windows)
 from .regression import (RegressionBasis, StepRegression, as_2d, bitwise_equal,
                          density_target, polynomial_basis)
 
@@ -199,8 +200,7 @@ def _start_states(start_x, num_paths, d):
 def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                   start_x, increments: np.ndarray, *, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, basis: RegressionBasis | None = None,
-                  terminal_lipschitz: float | None = None, force: bool = False,
-                  initial_guess=None, fit_window_fn=None,
+                  force: bool = False, initial_guess=None, fit_window_fn=None,
                   clip_bound: float | None = None):
     """Solve the window fixed-point problem by Picard iteration.
 
@@ -210,8 +210,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     terminal_map : x -> (P, n) terminal values (phi, or a fitted map)
     start_x : shared point or per-path (P, d) start states
     increments : (P, m, d) Brownian increments for the window's steps
-    terminal_lipschitz : Lipschitz constant of terminal_map for the mesh
-        precondition; defaults to the terminal constant of ``coeffs``
+    force : skip the precondition length <= contraction_window_length(c1, c2);
+        ``solve_global`` passes it, its windows planned by ``contraction_windows``
     initial_guess : optional constant overriding Y^(0) = terminal_map(start)
     fit_window_fn : optional t -> (lo, hi) box restricting each step's design
     clip_bound : optional cap applied to fitted Y evaluations
@@ -222,8 +222,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
 
     Raises
     ------
-    InvalidArgumentError if the window violates the contraction mesh rule
-    (unless force=True); PicardDivergedError on non-convergence.
+    InvalidArgumentError if the window is longer than the contraction window
+    length (unless force=True); PicardDivergedError on non-convergence.
     """
     P, m, d = increments.shape
     if d != coeffs.d:
@@ -232,10 +232,9 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
         raise InvalidArgumentError("increments do not match the window grid")
     n = coeffs.n
     basis = basis or polynomial_basis(3, d)
-    lip = coeffs.c2 if terminal_lipschitz is None else terminal_lipschitz
     length = float(window_grid.points[-1] - window_grid.points[0])
     if coeffs.c1 > 0 and not force:
-        ell = contraction_window_length(coeffs.c1, lip)
+        ell = contraction_window_length(coeffs.c1, coeffs.c2)
         if length > ell * (1 + WINDOW_RTOL):
             raise InvalidArgumentError(
                 f"window length {length:.6g} exceeds the contraction window "
@@ -336,19 +335,6 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
     return sol, report
 
 
-def _segment_backward(grid: TimeGrid, ell_interior: float, ell_last: float):
-    """Windows covering the grid: the rightmost respects ell_last, the rest
-    ell_interior."""
-    K = grid.num_steps
-    pts = grid.points
-    a = K - 1
-    while a > 0 and pts[K] - pts[a - 1] <= ell_last * (1 + WINDOW_RTOL):
-        a -= 1
-    if a == 0:
-        return [(0, K)]
-    return segment_windows(grid.window(0, a), ell_interior) + [(a, K)]
-
-
 def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
     """The Y and Z maps of one step at ``states``, read from one shared design.
 
@@ -359,13 +345,22 @@ def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
     return y_fit.evaluate_on(design), z_fit.evaluate_on(design)
 
 
+def check_solve_ensemble(sol: FdeSolution, ensemble: BrownianEnsemble) -> None:
+    """Raise unless ``ensemble`` has the seed, path count, dim and grid ``sol`` was solved on."""
+    solved_on = (sol.seed, sol.num_paths, sol.coeffs.d)
+    if (solved_on != (ensemble.seed, ensemble.num_paths, ensemble.dim)
+            or not np.array_equal(sol.grid.points, ensemble.grid.points)):
+        about = lambda o, d: (f"seed {o.seed}, {o.num_paths} paths of dim {d}, "
+                              f"{o.grid.num_steps} steps to T = {o.grid.horizon:g}")
+        raise InvalidArgumentError(
+            f"solution was not produced on this ensemble: solved with {about(sol, sol.coeffs.d)}"
+            f", given {about(ensemble, ensemble.dim)}")
+
+
 def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
     """Yield a global solution's (V_k, X_k), k = 0..K, from X_0 = 0 on its solve ensemble, one
     step at a time; the forward assembly runs these very steps, so each row is bitwise its own."""
-    if sol.seed != ensemble.seed:
-        raise InvalidArgumentError("solution was not produced on this ensemble")
-    if sol.num_paths != ensemble.num_paths or sol.grid.num_steps != ensemble.grid.num_steps:
-        raise InvalidArgumentError("ensemble shape does not match the solution")
+    check_solve_ensemble(sol, ensemble)
     coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
     x = np.zeros((ensemble.num_paths, coeffs.d))
     offset = np.zeros((x.shape[0], coeffs.n))
@@ -385,6 +380,8 @@ def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
 def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=()):
     """One replay's record: the (V, X) rows of the first ``paths`` paths, each shaped
     (paths, K+1, .), and {k: X_k} at each of ``steps``, the states the probe checks read."""
+    if paths < 0:
+        raise InvalidArgumentError(f"path count must be non-negative, got {paths}")
     rows, states = [], {}
     for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
         rows.append((v[:paths].copy(), x[:paths].copy()))
@@ -413,11 +410,11 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     running offset) and X are held one step at a time. Another start x is the
     terminal map phi(. + x) from the origin.
 
-    The windows come from the declared constants alone: the last one from
-    (c1, c2), the interior ones from (c1, c4) through
-    ``contraction_window_length``. ``c4`` is the gradient bound of the fitted
-    maps the interior windows consume; it defaults to the terminal Lipschitz
-    constant and must be finite and non-negative. The reported y0 is the
+    The windows come from the declared constants alone, planned once by
+    ``contraction_windows``: the last one from (c1, c2), the interior ones
+    from (c1, c4). ``c4`` is the gradient bound of the fitted maps the
+    interior windows consume; it defaults to the terminal Lipschitz constant
+    and must be finite and non-negative. The reported y0 is the
     plain path average of phi(X_T) + V_T on the actual ensemble, with its
     standard error.
     """
@@ -432,16 +429,7 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     if not 0 <= c4_eff < np.inf:
         raise InvalidArgumentError(f"c4 must be finite and non-negative, got {c4}")
 
-    # the last window's terminal map is phi (constant c2); interior windows
-    # consume fitted maps whose gradient bound is the c4 config
-    ell_interior = contraction_window_length(coeffs.c1, c4_eff)
-    ell_last = contraction_window_length(coeffs.c1, coeffs.c2)
-    ell = min(ell_interior, ell_last)
-    if grid.mesh > ell * (1 + WINDOW_RTOL):
-        raise InvalidArgumentError(
-            f"grid mesh {grid.mesh:.6g} is coarser than the contraction window "
-            f"length {ell:.6g}; use at least {uniform_steps_within(grid.horizon, ell)} steps")
-    windows = _segment_backward(grid, ell_interior, ell_last)
+    windows = contraction_windows(grid, coeffs.c1, coeffs.c2, c4_eff)
 
     # exploration geometry: uniform box widened with time plus a drift margin
     y_ref = coeffs.eval_phi(np.zeros((1, d)))
@@ -469,10 +457,9 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
         rng = _exploration_rng(ensemble.seed, wi)
         lo, hi = box(grid.points[a])
         starts = rng.uniform(lo, hi, size=(P, d))
-        lip = coeffs.c2 if wi == len(windows) - 1 else c4_eff
         wsol, wrep = picard_window(
-            coeffs, grid.window(a, b), terminal_map, starts, ensemble.increments[:, a:b],
-            tol=tol, max_iter=max_iter, basis=basis, terminal_lipschitz=lip,
+            coeffs, TimeGrid(grid.points[a:b + 1]), terminal_map, starts,
+            ensemble.increments[:, a:b], tol=tol, max_iter=max_iter, basis=basis, force=True,
             initial_guess=initial_guess, fit_window_fn=box, clip_bound=clip_bound)
         reports[wi] = wrep
         phi_fits[a:b] = wsol.phi_fits

@@ -26,7 +26,7 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import FdeSolution, replay_forward, write_grid_csv, write_json
+from .fde import FdeSolution, check_solve_ensemble, replay_forward, write_grid_csv, write_json
 from .grid import BrownianEnsemble
 from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
                          polynomial_basis)
@@ -87,8 +87,7 @@ def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> Measur
     f is evaluated at left endpoints on the stored (Y, Z), the values the
     forward solve stepped X with, so X is the shifted motion W.
     """
-    if sol.seed != ensemble.seed:
-        raise InvalidArgumentError("solution was not produced on this ensemble")
+    check_solve_ensemble(sol, ensemble)
     P, dt = sol.num_paths, sol.grid.dt
     n_int = np.zeros(P)
     qv = np.zeros(P)

@@ -24,8 +24,8 @@ _SAMPLE_BLOCK_WORDS = 1 << 16   # raw words drawn per sampling block (512 KiB)
 class TimeGrid:
     """Ordered time points t_0 < t_1 < ... < t_K.
 
-    Grids produced by the public constructors start at 0; window views carry
-    the absolute times of their slice.
+    Grids produced by the public constructors start at 0; a window's grid
+    carries the absolute times of its slice.
     """
 
     points: np.ndarray
@@ -54,12 +54,6 @@ class TimeGrid:
     @property
     def mesh(self) -> float:
         return float(self.dt.max())
-
-    def window(self, start: int, stop: int) -> "TimeGrid":
-        """Sub-grid over step indices [start, stop]; keeps absolute times."""
-        if not (0 <= start < stop <= self.num_steps):
-            raise InvalidArgumentError(f"bad window indices ({start}, {stop})")
-        return TimeGrid(self.points[start:stop + 1].copy())
 
 
 def contraction_window_length(c1: float, c_grad: float) -> float:
@@ -104,24 +98,35 @@ def uniform_steps_within(T: float, length: float) -> int:
     return int(np.ceil(T / room))
 
 
-def segment_windows(grid: TimeGrid, max_length: float) -> list[tuple[int, int]]:
-    """Split grid steps into contiguous windows of length <= max_length.
+def contraction_windows(grid: TimeGrid, c1: float, c_last: float,
+                        c_interior: float) -> list[tuple[int, int]]:
+    """The Picard windows of a global solve: (a, b) step-index pairs tiling 0..K.
 
-    Greedy left-to-right; every window holds at least one step, so a grid
-    coarser than ``max_length`` yields single-step windows.
+    The last window consumes phi, of Lipschitz constant ``c_last``, and is the
+    longest suffix within ``contraction_window_length(c1, c_last)``; the rest
+    consume fitted maps of gradient bound ``c_interior``, split greedily from
+    step 0 within ``contraction_window_length(c1, c_interior)``. A mesh above
+    the shorter length raises, naming a step count that passes.
     """
-    if not (max_length > 0):
-        raise InvalidArgumentError("max_length must be positive")
-    pts = grid.points
-    windows = []
-    a = 0
-    while a < grid.num_steps:
+    ell_last = contraction_window_length(c1, c_last)
+    ell_interior = contraction_window_length(c1, c_interior)
+    ell, slack = min(ell_interior, ell_last), 1 + WINDOW_RTOL
+    if grid.mesh > ell * slack:
+        raise InvalidArgumentError(
+            f"grid mesh {grid.mesh:.6g} is coarser than the contraction window "
+            f"length {ell:.6g}; use at least {uniform_steps_within(grid.horizon, ell)} steps")
+    pts, K = grid.points, grid.num_steps
+    last = K - 1
+    while last > 0 and pts[K] - pts[last - 1] <= ell_last * slack:
+        last -= 1
+    windows, a = [], 0
+    while a < last:
         b = a + 1
-        while b < grid.num_steps and pts[b + 1] - pts[a] <= max_length * (1 + WINDOW_RTOL):
+        while b < last and pts[b + 1] - pts[a] <= ell_interior * slack:
             b += 1
         windows.append((a, b))
         a = b
-    return windows
+    return windows + [(last, K)]
 
 
 @dataclass

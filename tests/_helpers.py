@@ -28,8 +28,8 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, ensemble: ff.Browni
 def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid, terminal_map,
                             start_x, increments: np.ndarray, *, tol: float = ff.fde.DEFAULT_TOL,
                             max_iter: int = ff.fde.DEFAULT_MAX_ITER, basis=None,
-                            terminal_lipschitz=None, force=False, initial_guess=None,
-                            fit_window_fn=None, clip_bound=None):
+                            force=False, initial_guess=None, fit_window_fn=None,
+                            clip_bound=None):
     """Plain Picard iteration of the window map, for comparison with ``picard_window``.
 
     ``terminal_map`` returns (P, n) arrays. Every pass runs the forward Euler
@@ -39,8 +39,8 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
     DEFAULT_POLISH``. A pass that repeats its iterate bitwise refits to the
     same bits, so ``picard_window``'s reuse and early exit must leave every
     output as this gives it. The mesh precondition and the divergence guards
-    are left out (``terminal_lipschitz`` and ``force`` are ignored). Returns
-    (FdeSolution, PicardReport) as ``picard_window`` does.
+    are left out (``force`` is ignored). Returns (FdeSolution, PicardReport)
+    as ``picard_window`` does.
     """
     P, m, d = increments.shape
     n = coeffs.n

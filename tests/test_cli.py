@@ -862,6 +862,35 @@ def test_every_name_the_benchmark_traces_exists():
         assert callable(owner), f"{mod_name}.{attr}"
 
 
+@pytest.mark.parametrize("name, measure_changes", [("linear_driver", 0), ("endowment", 1)])
+def test_the_benchmark_hooks_count_what_the_run_reports(tmp_path, name, measure_changes):
+    # perfbench's traced worker on a copy of its config at 2,000 paths; some
+    # bounds fail at that size, so only the hook counts are checked
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    body = (root / "perfbench" / "configs" / f"{name}.cfg").read_text()
+    assert "num_paths = 100000" in body
+    cfg = _write(tmp_path, body.replace("num_paths = 100000", "num_paths = 2000"))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), cfg, "--out", str(out),
+         "--seed", "20260808", "--spawned-at", repr(time.monotonic()),
+         "--trace-file", str(tmp_path / "trace.json")],
+        env=env, capture_output=True, text=True, timeout=600)
+    layers = json.loads(done.stdout.splitlines()[-1])["layers"]
+    summary = json.loads((out / f"{name}_summary.json").read_text())
+    assert layers["fde.windows"] == len(summary["windows"])
+    assert layers["fde.picard_passes"] == sum(r["iterations"] + 1
+                                              for r in summary["iteration_log"])
+    assert layers["girsanov.measure_changes"] == measure_changes
+    assert layers["regression.designs"] > 0
+
+
 @pytest.mark.parametrize("config, entry", [(None, "solve_global"),
                                            ("portfolio.cfg", "solve_portfolio")])
 def test_run_reaches_the_solver_names_the_benchmark_times(tmp_path, monkeypatch,

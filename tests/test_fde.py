@@ -581,6 +581,30 @@ def test_residual_requires_matching_ensemble(tanh_solution):
         ff.check_fbsde_residual(sol, other)
 
 
+def test_readers_refuse_an_ensemble_of_another_grid_path_count_or_dim(const_forward_solution):
+    # each has the solve ensemble's seed; the first also its step count, on a
+    # horizon of 4, not 1, and replaying on it gave forward_max 3.4
+    coeffs, grid, ens, sol = const_forward_solution
+    others = {"16 steps to T = 4": ff.sample_ensemble(
+                  ff.build_uniform_grid(4.0, 16), ens.num_paths, 1, ens.seed),
+              "4000 paths of dim 1": ff.sample_ensemble(grid, 4000, 1, ens.seed),
+              "paths of dim 2": ff.sample_ensemble(grid, ens.num_paths, 2, ens.seed)}
+    readers = (lambda e: next(ff.replay_forward(sol, e)),
+               lambda e: ff.check_fbsde_residual(sol, e),
+               lambda e: ff.build_measure_change(sol, e))
+    for named, other in others.items():
+        for read in readers:
+            with pytest.raises(InvalidArgumentError, match=f"given seed {ens.seed}, .*{named}"):
+                read(other)
+
+
+def test_forward_rows_refuses_a_negative_path_count(const_forward_solution):
+    coeffs, grid, ens, sol = const_forward_solution
+    with pytest.raises(InvalidArgumentError, match="non-negative, got -1"):
+        fde.forward_rows(sol, ens, -1)
+    assert fde.forward_rows(sol, ens, 0)[0][1].shape == (0, grid.num_steps + 1, 1)
+
+
 def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
     grid, ens = unit_ensemble_1d
     report = empirical_pathwise_uniqueness(_coeffs(), ens)

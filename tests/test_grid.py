@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from scipy.special import ndtri
 import fdeflow as ff
 from fdeflow.errors import InvalidArgumentError
 from fdeflow.grid import WINDOW_RTOL, BrownianEnsemble, TimeGrid, uniform_steps_within
+from fdeflow.portfolio import build_portfolio_fbsde
 
 from _helpers import brownian_paths
 
@@ -74,17 +77,69 @@ def test_refining_never_increases_mesh(T, K):
     assert coarse.mesh == pytest.approx(np.diff(coarse.points).max())
 
 
-def test_segment_windows_cover_and_respect_cap():
-    g = ff.build_uniform_grid(1.0, 64)
-    windows = ff.segment_windows(g, 0.13)
-    assert windows[0][0] == 0 and windows[-1][1] == 64
+def test_contraction_windows_cover_and_respect_cap():
+    # c1 = 1, c4 = 0: interior windows up to 1/64 long; c2 = 3: a last window
+    # up to 1/1024, so on 1024 steps the last window is one step
+    g = ff.build_uniform_grid(1.0, 1024)
+    windows = ff.contraction_windows(g, 1.0, 3.0, 0.0)
+    assert windows[0][0] == 0 and windows[-1] == (1023, 1024)
     for (a, b), (a2, _) in zip(windows, windows[1:]):
         assert b == a2
-    for a, b in windows:
+    for a, b in windows[:-1]:
         assert b > a
-        assert g.points[b] - g.points[a] <= 0.13 * (1 + 1e-9)
-    # cap below the grid step still yields one-step windows
-    assert all(b - a == 1 for a, b in ff.segment_windows(g, 1e-4))
+        assert g.points[b] - g.points[a] <= 1 / 64 * (1 + 1e-9)
+    assert len(windows) == 1 + int(np.ceil(1023 / 16))
+    # c1 = 0: every window may be 1 long, so a horizon of 1 is one window; on
+    # [0, 2.5] the last window takes 1 and the rest split greedily from 0
+    assert ff.contraction_windows(g, 0.0, 3.0, 3.0) == [(0, 1024)]
+    assert ff.contraction_windows(ff.build_uniform_grid(2.5, 10), 0.0, 0.0, 0.0) == [
+        (0, 4), (4, 6), (6, 10)]
+
+
+def _named_steps(T, c1, c_last, c_interior) -> int:
+    """The step count the mesh error names for a one-step grid, or 1 if none is raised."""
+    try:
+        ff.contraction_windows(ff.build_uniform_grid(T, 1), c1, c_last, c_interior)
+    except InvalidArgumentError as err:
+        return int(re.search(r"use at least (\d+) steps", str(err)).group(1))
+    return 1
+
+
+@given(st.floats(0.05, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.1, 4.0),
+       st.integers(0, 40))
+@example(3.0, 4.0, 4.0, 3.0, 0)   # ceil(T / ell) = 43200 steps overshoot; 43201 are named
+@example(1.0 / (8 * np.sqrt(0.5)), 0.0, 0.0, 1.0, 14)   # two windows of 0.5 on 16 steps
+@settings(max_examples=40, deadline=None)
+def test_contraction_windows_plan_each_window_within_its_length(c1, c2, c4, T, extra):
+    # what picard_window would check against the constant of the map each window
+    # consumes holds for every planned window, which is why solve_global forces it
+    K = _named_steps(T, c1, c2, c4) + extra
+    g = ff.build_uniform_grid(T, K)
+    windows = ff.contraction_windows(g, c1, c2, c4)
+    pts, slack = g.points, 1 + WINDOW_RTOL
+    within = lambda a, b, c: pts[b] - pts[a] <= ff.contraction_window_length(c1, c) * slack
+    assert windows[0][0] == 0 and windows[-1][1] == K
+    assert all(a < b == a2 for (a, b), (a2, _) in zip(windows, windows[1:]))
+    last = windows[-1][0]
+    assert within(last, K, c2) and (last == 0 or not within(last - 1, K, c2))
+    for a, b in windows[:-1]:
+        assert within(a, b, c4) or (b == a + 1 and pts[b] - pts[a] <= g.mesh)
+        # greedy: a window that ends before the last one could not take one more step
+        assert b == last or not within(a, b + 1, c4)
+
+
+@pytest.mark.parametrize("name, count", [("linear_driver", 17), ("endowment", 49)])
+def test_shipped_plans_and_the_named_step_count(name, count):
+    fixture = ff.get_fixture(name)
+    built = fixture.build()
+    coeffs = build_portfolio_fbsde(built, fixture.T) if fixture.kind == "portfolio" else built
+    plan = lambda K: ff.contraction_windows(ff.build_uniform_grid(fixture.T, K),
+                                            coeffs.c1, coeffs.c2, fixture.c4)
+    assert len(plan(fixture.K)) == count
+    named = _named_steps(fixture.T, coeffs.c1, coeffs.c2, fixture.c4)
+    assert named > 1 and plan(named)[-1][1] == named
+    with pytest.raises(InvalidArgumentError, match=f"use at least {named} steps"):
+        plan(named - 1)
 
 
 def test_ensemble_seed_determinism():
