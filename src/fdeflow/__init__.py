@@ -9,7 +9,7 @@ backward equation, which drives the exponential-utility portfolio module.
 """
 
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
-                     InvalidStateError, PicardDivergedError)
+                     InvalidStateError, PicardDivergedError, ReleasedArrayError)
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, contraction_windows, sample_ensemble)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FdeflowError", "InvalidArgumentError", "InvalidStateError",
-    "InsufficientWeightError", "PicardDivergedError",
+    "InsufficientWeightError", "PicardDivergedError", "ReleasedArrayError",
     "TimeGrid", "BrownianEnsemble",
     "build_uniform_grid", "contraction_window_length", "contraction_windows",
     "sample_ensemble",

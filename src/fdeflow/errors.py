@@ -13,6 +13,10 @@ class InvalidStateError(FdeflowError, RuntimeError):
     """Inputs produced non-finite or otherwise unusable intermediate values."""
 
 
+class ReleasedArrayError(FdeflowError, RuntimeError):
+    """A whole per-path array of a solution was read after it was released."""
+
+
 class InsufficientWeightError(FdeflowError, RuntimeError):
     """Effective sample size of importance weights is too small for a reliable fit."""
 

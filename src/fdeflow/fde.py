@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
+from .errors import (InvalidArgumentError, InvalidStateError, PicardDivergedError,
+                     ReleasedArrayError)
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
                    contraction_windows)
 from .regression import (RegressionBasis, StepRegression, as_2d, bitwise_equal,
@@ -163,12 +164,13 @@ class PicardReport:
 class FdeSolution:
     """(Y, Z) and X_T on a grid plus the fitted per-step maps of the system ``coeffs``;
     ``replay_forward`` rebuilds V and X. Each array is the (P, ...) transposed view
-    of a step-major buffer, so ``arr[:, k]`` is contiguous."""
+    of a step-major buffer, so ``arr[:, k]`` is contiguous. A market run deletes Y and Z
+    after their last readers; a later read raises ReleasedArrayError."""
 
     grid: TimeGrid
     coeffs: CoefficientSet              # the system solved; every reader evaluates it
-    Y: np.ndarray                       # (P, K+1, n)
-    Z: np.ndarray                       # (P, K, n, d), left endpoints
+    Y: np.ndarray = field(repr=False)   # (P, K+1, n)
+    Z: np.ndarray = field(repr=False)   # (P, K, n, d), left endpoints
     X_T: np.ndarray                     # (P, d), the terminal forward state
     phi_fits: list                      # per-step fitted Y maps, k = 0..K-1
     z_fits: list                        # per-step fitted Z maps, k = 0..K-1
@@ -183,7 +185,14 @@ class FdeSolution:
 
     @property
     def num_paths(self) -> int:
-        return self.Y.shape[0]
+        """The solve's path count, read off X_T, which outlives Y and Z."""
+        return self.X_T.shape[0]
+
+    def __getattr__(self, name):   # reached only when the attribute is not set
+        if name in ("Y", "Z"):
+            raise ReleasedArrayError(f"whole {name} was released; a forward_rows record "
+                                     f"holds the exported rows")
+        raise AttributeError(f"'FdeSolution' object has no attribute {name!r}")
 
 
 def _start_states(start_x, num_paths, d):
@@ -378,8 +387,8 @@ def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
 
 
 def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=()):
-    """One replay's record: the (V, X) rows of the first ``paths`` paths, each shaped
-    (paths, K+1, .), and {k: X_k} at each of ``steps``, the states the probe checks read."""
+    """One replay's record: the (V, X, Y, Z) rows of the first ``paths`` paths, shaped
+    as ``sol``'s, and {k: X_k} at each of ``steps``, the states the probe checks read."""
     if paths < 0:
         raise InvalidArgumentError(f"path count must be non-negative, got {paths}")
     rows, states = [], {}
@@ -387,7 +396,8 @@ def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps
         rows.append((v[:paths].copy(), x[:paths].copy()))
         if k in steps:
             states[k] = x   # a new array each step, never written again
-    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows)), states
+    V, X = (np.stack(arrs, axis=1) for arrs in zip(*rows))
+    return (V, X, sol.Y[:paths].copy(), sol.Z[:paths].copy()), states
 
 
 def _exploration_rng(seed: int, window_index: int):
@@ -473,7 +483,8 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     Y = np.zeros((K + 1, P, n))
     Z = np.zeros((K, P, n, d))
     sol = FdeSolution(
-        grid=grid, coeffs=coeffs, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=None,
+        grid=grid, coeffs=coeffs, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3),
+        X_T=np.broadcast_to(np.nan, (P, d)),   # allocates nothing; num_paths reads its shape
         phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
         seed=ensemble.seed)
     for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
@@ -552,11 +563,10 @@ def write_grid_csv(path, grid: TimeGrid, named) -> None:
 
 
 def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, config_echo: dict):
-    """Write rows (path, step, t, V.., X.., Y.., Z..) of ``forward_rows``' paths (V, X),
+    """Write rows (path, step, t, V.., X.., Y.., Z..) of a ``forward_rows`` record,
     plus a JSON sidecar; it counts the steps of each window whose fit set a warning."""
-    V, X = forward
-    write_grid_csv(csv_path, sol.grid,
-                   [("V", V), ("X", X), ("Y", sol.Y[:len(V)]), ("Z", sol.Z[:len(V)])])
+    V, X, Y, Z = forward
+    write_grid_csv(csv_path, sol.grid, [("V", V), ("X", X), ("Y", Y), ("Z", Z)])
     side = {
         "seed": sol.seed,
         "y0_mean": None if sol.y0_mean is None else [float(v) for v in sol.y0_mean],

@@ -219,10 +219,10 @@ def bmo_diagnostic(sol: FdeSolution, states: dict, steps) -> dict:
 
 def export_weak_solution(mc: MeasureChange, residual: dict, forward, csv_path,
                          sidecar_path, *, config_echo: dict):
-    """CSV of (path, step, t, Y.., Z.., W..) of ``mc.sol`` at ``forward``'s paths, W
-    being its X, plus a sidecar."""
-    sol, W = mc.sol, forward[1]
-    write_grid_csv(csv_path, sol.grid, [("Y", sol.Y[:len(W)]), ("Z", sol.Z[:len(W)]), ("W", W)])
+    """CSV of (path, step, t, Y.., Z.., W..) of a ``forward_rows`` record of ``mc.sol``,
+    W being its X, plus a sidecar."""
+    _, W, Y, Z = forward
+    write_grid_csv(csv_path, mc.sol.grid, [("Y", Y), ("Z", Z), ("W", W)])
     side = {"residual": {k: float(v) for k, v in residual.items()},
             "weights": {
                 "mean": float(mc.weights.mean()),

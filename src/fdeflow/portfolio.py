@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,20 @@ class PortfolioSolution:
         pi_star += self.model.merton_fraction
         return pi_star
 
+    @cached_property
+    def pi_star_summary(self) -> dict:
+        """What is read of whole pi*, from one build, kept after ``fde_sol.Z`` is deleted: its
+        largest gap to -Zbar + mu_S / (gamma sigma_S^2) (step by step: a whole second (P, K)
+        array would set the peak), its per-step mean and std, and its largest distance from
+        the Merton fraction."""
+        pi_star, frac = self.pi_star, self.model.merton_fraction
+        zbar = self.fde_sol.Z[:, :, 0, 1]
+        return {"pi_star_identity": float(np.max([np.abs(p - (-z + frac)).max()
+                                                  for p, z in zip(pi_star.T, zbar.T)])),
+                "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
+                "per_step_std": [float(v) for v in pi_star.std(axis=0)],
+                "pi_star_dev": float(np.max([np.abs(p - frac).max() for p in pi_star.T]))}
+
 
 def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
                     **solve_kwargs) -> PortfolioSolution:
@@ -290,16 +305,17 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
 
 def export_portfolio_results(psol: PortfolioSolution, optimality: dict, json_path, *,
                              config_echo: dict):
-    """Results JSON: y0, value, strategy summary and ``optimality``'s drift table."""
-    pi_star = psol.pi_star
+    """Results JSON: y0, value, pi*'s per-step summary, ``optimality``'s drift table, and pi*'s
+    total drift and claimed-minus-achieved value, each in standard errors."""
+    star = optimality["strategies"]["pi_star"]
+    in_se = lambda gap, se: gap / se if se > 0 else None   # None: a zero standard error
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
         "value": psol.value,
-        "pi_star_summary": {
-            "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
-            "per_step_std": [float(v) for v in pi_star.std(axis=0)],
-        },
+        "pi_star_summary": {k: psol.pi_star_summary[k] for k in ("per_step_mean", "per_step_std")},
+        "pi_star_drift_z": in_se(star["total_drift"], star["total_se"]),
+        "pi_star_value_gap_se": in_se(psol.value - star["value_estimate"], star["value_se"]),
         "weak_residual": {k: float(v) for k, v in psol.weak_residual.items()},
         "seeds": {"solve": psol.fde_sol.seed, "evaluation": optimality["eval_seed"]},
         "drift_table": {

@@ -130,6 +130,20 @@ def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
         psol.model.gamma * psol.model.sigma_bar_s ** 2)
 
 
+def whole_array_market_reads(psol: ff.PortfolioSolution) -> dict:
+    """What a market's checks and export read of whole pi* and Z, each written as one
+    whole-array expression: pi*'s largest gap to ``pi_star_reference``, its per-step
+    mean and std (sums over the columns of a C-order (P, K) array), its largest
+    distance from the Merton fraction, and the rms of Z (summed as a C-order array)."""
+    pi_star = np.ascontiguousarray(pi_star_reference(psol))
+    z = np.ascontiguousarray(psol.fde_sol.Z)
+    return {"pi_star_identity": float(np.abs(psol.pi_star - pi_star).max()),
+            "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
+            "per_step_std": [float(v) for v in pi_star.std(axis=0)],
+            "pi_star_dev": float(np.abs(pi_star - psol.model.merton_fraction).max()),
+            "merton_z_rms": float(np.sqrt(np.mean(z ** 2)))}
+
+
 def endowment_oracle(model: ff.MarketModel, kappa: float, T: float, t: float,
                      x: np.ndarray, nodes: int = 201):
     """Exact (Y, Z) of the endowment market g = kappa tanh(ln(V_T / v0)) at time t

@@ -175,7 +175,9 @@ def test_criterion_08_merton_benchmark(acceptance):
     y0_ref = merton_y0(0.1, 0.2, 1.0, 1.0)
     y0_err = abs(psol.y0 - y0_ref)
     value_err = abs(psol.value - (-np.exp(-0.125)))
-    pi_err = float(np.abs(psol.pi_star - 2.5).max())
+    # the run released whole Z; pi*'s largest distance from mu_S / (gamma sigma_S^2) = 2.5
+    # was read before that
+    pi_err = psol.pi_star_summary["pi_star_dev"]
     runtime = b["solve_seconds"]
     ok = y0_err <= 0.01 and value_err <= 0.01 and pi_err <= 0.05 and runtime <= 120.0
     _report(8, "merton benchmark", ok,

@@ -766,16 +766,51 @@ def test_market_section_selects_the_fixture_and_is_echoed_once():
     assert "market" not in cfg.echo()
 
 
+def _reachable_arrays(root) -> list:
+    """Every numpy array reachable from ``root`` through objects and containers (not
+    through functions or modules), with the buffers that views of them keep alive."""
+    import gc
+    import types
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypatch):
-    # and before the Z-invariance and BMO checks, which read the recorded probe states
+    # and before the Z-invariance and BMO checks, which read the recorded probe states;
+    # whole Y and Z are freed before the evaluation ensemble too
     import gc
     import weakref
+    from fdeflow.errors import ReleasedArrayError
     from fdeflow.fixtures import get_fixture
     sample, sampled, alive = cli.sample_ensemble, [], []
+    solve, solved, at_evaluation = cli.solve_portfolio, [], []
+
+    def solving(*args, **kwargs):
+        psol = solve(*args, **kwargs)
+        sol = psol.fde_sol
+        solved.append((psol, [weakref.ref(a) for a in (sol.Y, sol.Z, sol.Y.base, sol.Z.base)]))
+        return psol
 
     def recording(*args, **kwargs):
         gc.collect()
         alive.append([ref() is not None for ref in sampled])
+        if solved:
+            psol, whole = solved[0]
+            sol = psol.fde_sol
+            at_evaluation.append((
+                [ref() is not None for ref in whole], sol.num_paths,
+                [a.shape for a in _reachable_arrays(sol) if a.ndim > 2 and 2000 in a.shape[:2]]))
         ensemble = sample(*args, **kwargs)
         sampled.append(weakref.ref(ensemble))
         return ensemble
@@ -788,11 +823,23 @@ def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypat
         return run
 
     monkeypatch.setattr(cli, "sample_ensemble", recording)
+    monkeypatch.setattr(cli, "solve_portfolio", solving)
     for name in ("check_z_invariance", "bmo_diagnostic"):
         monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
     cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
-    cli._solve_fixture(get_fixture("endowment"), cfg)
+    bundle = cli._solve_fixture(get_fixture("endowment"), cfg)
     assert alive == [[], ("check_z_invariance", False), ("bmo_diagnostic", False), [False]]
+    # no (P, K+1, n) Y or (P, K, n, d) Z, nor their step-major buffers, is left to reach
+    assert at_evaluation == [([False] * 4, 2000, [])]
+    psol = solved[0][0]
+    for read, name in ((lambda: psol.fde_sol.Y[:, 0], "Y"), (lambda: psol.fde_sol.Z.shape, "Z"),
+                       (lambda: np.asarray(psol.fde_sol.Y), "Y"), (lambda: psol.pi_star, "Z")):
+        with pytest.raises(ReleasedArrayError, match=f"whole {name} was released"):
+            read()
+    # what the checks and the export read instead: the summaries and the recorded rows
+    assert bundle["pi_star"] is psol.pi_star_summary
+    assert [a.shape for a in bundle["forward"]] == [(200, 51, 1), (200, 51, 2), (200, 51, 1),
+                                                    (200, 50, 1, 2)]
 
 
 def test_market_run_replays_its_forward_pass_four_times(monkeypatch):

@@ -660,8 +660,8 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
                               fit_window_fn=lambda t: (-50.0, 50.0) if t < 0.5 else (90.0, 91.0))
     assert [f.warning for f in sol.phi_fits] == [False] * 4 + [True] * 4
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, (sol.V[:1], sol.X[:1]), tmp_path / "sol.csv", side,
-                       config_echo={})
+    ff.export_solution(sol, (sol.V[:1], sol.X[:1], sol.Y[:1], sol.Z[:1]), tmp_path / "sol.csv",
+                       side, config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [4]
     # a global solve of two windows places each count in its window
     coeffs = _coeffs(h=lambda t, y, z: np.full_like(y, 0.3),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import fdeflow as ff
-from fdeflow import portfolio
+from fdeflow import cli, portfolio
 from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
 from _helpers import (endowment_oracle, girsanov_integrand, pi_star_reference, prices,
-                      recorded_states, whole_array_optimality)
+                      recorded_states, whole_array_market_reads, whole_array_optimality)
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -319,6 +319,29 @@ def test_portfolio_export(tmp_path, merton_small):
     payload = json.loads(out.read_text())
     assert payload["y0"] == pytest.approx(psol.y0)
     assert "drift_table" in payload and "pi_star" in payload["drift_table"]
+    # pi*'s measured suboptimality, in standard errors, beside the drift table
+    star = report["strategies"]["pi_star"]
+    assert payload["pi_star_drift_z"] == star["total_drift"] / star["total_se"]
+    assert payload["pi_star_value_gap_se"] == (
+        (psol.value - star["value_estimate"]) / star["value_se"])
+    assert list(payload["drift_table"]) == list(report["strategies"])
+    # a zero standard error leaves the ratio undefined: null, not inf or NaN
+    star.update(total_se=0.0, value_se=0.0)
+    ff.export_portfolio_results(psol, report, out, config_echo={})
+    payload = json.loads(out.read_text())
+    assert payload["pi_star_drift_z"] is None and payload["pi_star_value_gap_se"] is None
+
+
+@pytest.mark.parametrize("market", ["merton_small", "endowment_small"])
+def test_market_reads_are_bitwise_the_whole_array_reads(request, market):
+    # the CLI takes these from pi_star_summary and _z_rms before it releases whole Y and Z
+    psol = request.getfixturevalue(market)[-1]
+    got = {**psol.pi_star_summary, "merton_z_rms": cli._z_rms(psol.fde_sol)}
+    ref = whole_array_market_reads(psol)
+    assert list(got) == list(ref)
+    for key, value in ref.items():
+        assert np.array_equal(_bits(got[key]), _bits(value)), key
+    assert psol.pi_star_summary is psol.pi_star_summary   # pi* is built once
 
 
 def _bits(v):
