@@ -238,3 +238,141 @@ def whole_array_optimality(psol: ff.PortfolioSolution, deltas,
         }
     return {"strategies": results, "eval_seed": eval_ensemble.seed,
             "num_paths": P, "deltas": [float(d) for d in deltas]}
+
+
+def reference_solve_global(coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsemble, c4: float,
+                           basis, *, tol: float = ff.fde.DEFAULT_TOL,
+                           max_iter: int = ff.fde.DEFAULT_MAX_ITER) -> dict:
+    """A plain global solve holding whole arrays, for comparison with ``solve_global``.
+
+    The windows come from ``grid.contraction_windows``; each is solved backward by
+    ``reference_picard_window`` from the exploration starts that ``solve_global`` draws
+    (a box of half-width 2.2 sqrt(1 + t) + |f| t around the origin, the same box
+    restricting each fit, and Y clipped at the a-priori bound), the interior windows
+    consuming the clipped fitted Y map of the next window's first step. One loop then
+    assembles whole step-major V, X, Y and Z from X_0 = 0: (Y_k, Z_k) are the fitted maps
+    at X_k, V is glued by a running offset (each window sums its h dt from zero), and
+    Y_K = phi(X_K). Returns the arrays (path-major views), the fits and the windows.
+    """
+    grid, P = ensemble.grid, ensemble.num_paths
+    n, d, K, T = coeffs.n, coeffs.d, grid.num_steps, grid.horizon
+    t, dt, dB = grid.points, grid.dt, ensemble.increments
+    windows = ff.contraction_windows(grid, coeffs.c1, coeffs.c2, c4)
+    probe_t = t[::max(1, K // 8)]
+    z0 = np.zeros((1, n, d))
+    fmag = max(float(np.abs(coeffs.eval_f(s, coeffs.eval_phi(np.zeros((1, d))), z0)).max())
+               for s in probe_t)
+    h0 = max(float(np.abs(coeffs.eval_h(s, np.zeros((1, n)), z0)).max()) for s in probe_t)
+
+    def box(s):
+        r = ff.fde._EXPLORATION_RADIUS * np.sqrt(ff.fde._EXPLORATION_FLOOR ** 2 + s) + fmag * s
+        return np.full(d, -r), np.full(d, r)
+
+    grow = lambda s: coeffs.m_bound + T * (h0 + coeffs.c1 * (1.0 + s))
+    clip = grow(grow(coeffs.m_bound))
+    phi_fits, z_fits, reports = [None] * K, [None] * K, [None] * len(windows)
+    terminal_map = coeffs.eval_phi
+    for wi in range(len(windows) - 1, -1, -1):
+        a, b = windows[wi]
+        lo, hi = box(t[a])
+        starts = ff.fde._exploration_rng(ensemble.seed, wi).uniform(lo, hi, size=(P, d))
+        wsol, reports[wi] = reference_picard_window(
+            coeffs, ff.TimeGrid(t[a:b + 1]), terminal_map, starts, dB[:, a:b], tol=tol,
+            max_iter=max_iter, basis=basis, fit_window_fn=box, clip_bound=clip)
+        phi_fits[a:b], z_fits[a:b] = wsol.phi_fits, wsol.z_fits
+        terminal_map = lambda x, _f=phi_fits[a]: np.clip(_f.evaluate(x), -clip, clip)
+
+    V, X = np.zeros((K + 1, P, n)), np.zeros((K + 1, P, d))
+    Y, Z = np.zeros((K + 1, P, n)), np.zeros((K, P, n, d))
+    offset = np.zeros((P, n))
+    for a, b in windows:
+        local = np.zeros((P, n))
+        for k in range(a, b):
+            Y[k] = np.clip(phi_fits[k].evaluate(X[k]), -clip, clip)
+            Z[k] = z_fits[k].evaluate(X[k])
+            local = local + coeffs.eval_h(t[k], Y[k], Z[k]) * dt[k]
+            V[k + 1] = offset + local
+            X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[:, k]
+        offset = V[b].copy()
+    Y[K] = coeffs.eval_phi(X[K])
+    return {"V": V.transpose(1, 0, 2), "X": X.transpose(1, 0, 2), "Y": Y.transpose(1, 0, 2),
+            "Z": Z.transpose(1, 0, 2, 3), "phi_fits": phi_fits, "z_fits": z_fits,
+            "windows": windows, "reports": reports}
+
+
+def reference_reads(ref: dict, coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsemble,
+                    paths: int, probes=(), bmo_steps=(), merton_fraction=None) -> dict:
+    """Everything the post-solve readers report, computed from the whole arrays of
+    ``reference_solve_global``: y0 and its error bar; the residuals; the weights
+    exp(N - [N]/2) and the weak residual report; the Z-invariance report at the probe
+    pairs and the BMO report at ``bmo_steps``; pi*'s summary and the rms of Z (each a
+    reduction over a whole path-major array); the largest |Y - 1| and |V|; and the
+    export rows of the first ``paths`` paths."""
+    V, X, Y, Z = ref["V"], ref["X"], ref["Y"], ref["Z"]
+    P, K1, n = Y.shape
+    K, d = K1 - 1, X.shape[2]
+    t, dt, dB = ensemble.grid.points, ensemble.grid.dt, ensemble.increments
+    out = {}
+    xi = Y[:, K] + V[:, K]
+    out["y0"] = (xi.mean(axis=0), xi.std(axis=0, ddof=1) / np.sqrt(P))
+    h = [coeffs.eval_h(t[k], Y[:, k], Z[:, k]) for k in range(K)]
+    f = [coeffs.eval_f(t[k], Y[:, k], Z[:, k]) for k in range(K)]
+    back_sq = 0.0
+    for k in range(K):
+        zdb = np.einsum("pnd,pd->pn", Z[:, k], dB[:, k])
+        back_sq += float(np.mean((Y[:, k + 1] - Y[:, k] + h[k] * dt[k] - zdb) ** 2))
+    phi_T = coeffs.eval_phi(X[:, K])
+    out["residuals"] = {"terminal_rms": float(np.sqrt(np.mean((Y[:, K] - phi_T) ** 2))),
+                        "backward_rms": float(np.sqrt(back_sq / K)), "forward_max": 0.0}
+    n_int, qv, resid = np.zeros(P), np.zeros(P), Y[:, 0] - phi_T
+    for k in range(K):
+        n_int = n_int - np.einsum("pd,pd->p", f[k], dB[:, k])
+        qv = qv + np.einsum("pd,pd->p", f[k], f[k]) * dt[k]
+        zf = np.einsum("pnd,pd->pn", Z[:, k], f[k])
+        zdw = np.einsum("pnd,pd->pn", Z[:, k], X[:, k + 1] - X[:, k])
+        resid = resid - h[k] * dt[k] - zf * dt[k] + zdw
+    w = np.exp(n_int - 0.5 * qv)
+    out["weights"] = w
+    sq = np.einsum("pn,pn->p", resid, resid)
+    out["weak"] = {"weighted_rms": float(np.sqrt(np.sum(w * sq) / np.sum(w))),
+                   "unweighted_rms": float(np.sqrt(sq.mean())),
+                   "weight_mean": float(w.mean()),
+                   "weight_stderr": float(w.std(ddof=1) / np.sqrt(P)),
+                   "effective_sample_size": float(w.sum() * w.sum() / np.sum(w ** 2))}
+    per_probe, worst = [], 0.0
+    for k, k1 in probes:
+        lo = np.maximum(-2.0, np.quantile(X[:, k], 0.01, axis=0))
+        hi = np.minimum(2.0, np.quantile(X[:, k], 0.99, axis=0))
+        axes = [np.linspace(a, b, 21) for a, b in zip(lo, hi)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        zf = np.einsum("pnd,pd->pn", Z[:, k], f[k])
+        dmp = Y[:, k1] - Y[:, k] + (h[k] + zf) * dt[k]
+        fit = ff.StepRegression(X[:, k], ref["z_fits"][K // 2].basis, weights=w).fit(
+            density_target(dmp, X[:, k1] - X[:, k], dt[k]))
+        zp = fit.evaluate(mesh)
+        disc = float(np.abs(ref["z_fits"][k].evaluate(mesh).reshape(zp.shape) - zp).max())
+        per_probe.append({"step": k, "t": float(t[k]), "discrepancy": disc})
+        worst = max(worst, disc)
+    out["z_invariance"] = {"max_discrepancy": worst, "per_probe": per_probe}
+    step_qv = np.ascontiguousarray(
+        np.stack([np.einsum("pd,pd->p", f[k], f[k]) * dt[k] for k in range(K)], axis=1))
+    remaining = np.cumsum(step_qv[:, ::-1], axis=1)[:, ::-1]
+    per_probe, sup99 = [], 0.0
+    for j in bmo_steps:
+        est = np.zeros(P) if j >= K else ff.StepRegression(
+            X[:, j], ff.polynomial_basis(2, d)).fit(remaining[:, j][:, None]).evaluate(X[:, j])[:, 0]
+        p99 = float(np.quantile(est, 0.99))
+        per_probe.append({"t": float(t[j]), "mean": float(est.mean()), "p99": p99})
+        sup99 = max(sup99, p99)
+    out["bmo"] = {"sup_p99": sup99, "per_probe": per_probe}
+    if merton_fraction is not None:
+        pi = np.ascontiguousarray(-Z[:, :, 0, 1] + merton_fraction)
+        out["pi_star"] = {"pi_star_identity": float(np.abs(pi - (-Z[:, :, 0, 1] + merton_fraction)).max()),
+                          "per_step_mean": [float(v) for v in pi.mean(axis=0)],
+                          "per_step_std": [float(v) for v in pi.std(axis=0)],
+                          "pi_star_dev": float(np.abs(pi - merton_fraction).max())}
+    out["z_rms"] = float(np.sqrt(np.mean(np.ascontiguousarray(Z) ** 2)))
+    out["y_dev_from_one"] = float(np.abs(Y - 1.0).max())
+    out["v_max"] = float(np.abs(V).max())
+    out["rows"] = (V[:paths], X[:paths], Y[:paths], Z[:paths])
+    return out
