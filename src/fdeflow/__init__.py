@@ -9,13 +9,13 @@ backward equation, which drives the exponential-utility portfolio module.
 """
 
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
-                     InvalidStateError, PicardDivergedError, ReleasedArrayError)
+                     InvalidStateError, PicardDivergedError)
 from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, contraction_windows, sample_ensemble)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis)
-from .fde import (CoefficientSet, FdeSolution, PicardReport, check_fbsde_residual,
-                  export_solution, picard_window, replay_forward, solve_global)
+from .fde import (CoefficientSet, FdeSolution, ForwardRecord, PicardReport, check_fbsde_residual,
+                  export_solution, forward_record, picard_window, replay_forward, solve_global)
 from .girsanov import (MeasureChange, assemble_weak_solution, bmo_diagnostic,
                        build_measure_change, check_z_invariance, export_weak_solution)
 from .portfolio import (MarketModel, PortfolioSolution, build_portfolio_fbsde,
@@ -27,14 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FdeflowError", "InvalidArgumentError", "InvalidStateError",
-    "InsufficientWeightError", "PicardDivergedError", "ReleasedArrayError",
+    "InsufficientWeightError", "PicardDivergedError",
     "TimeGrid", "BrownianEnsemble",
     "build_uniform_grid", "contraction_window_length", "contraction_windows",
     "sample_ensemble",
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis",
     "CoefficientSet", "FdeSolution", "PicardReport", "replay_forward",
-    "picard_window", "solve_global", "check_fbsde_residual", "export_solution",
+    "picard_window", "solve_global", "ForwardRecord", "forward_record",
+    "check_fbsde_residual", "export_solution",
     "MeasureChange", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",
     "export_weak_solution",

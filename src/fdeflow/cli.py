@@ -27,12 +27,15 @@ import numpy as np
 from . import fde, oracles
 from .errors import (FdeflowError, InsufficientWeightError, InvalidArgumentError,
                      InvalidStateError, PicardDivergedError)
-from .fde import export_solution, forward_rows, replay_forward, solve_global, write_json
+from .fde import (check_fbsde_residual, export_solution, forward_record, solve_global,
+                  write_json)
 from .fixtures import FIXTURES, Fixture, get_fixture
-from .girsanov import (assemble_weak_solution, bmo_diagnostic, build_measure_change,
-                       check_z_invariance, export_weak_solution, z_invariance_probes)
+from .girsanov import (REMAINING, assemble_weak_solution, bmo_diagnostic, build_measure_change,
+                       check_z_invariance, export_weak_solution, remaining_column,
+                       z_invariance_probes)
 from .grid import build_uniform_grid, sample_ensemble
-from .portfolio import export_portfolio_results, solve_portfolio, verify_martingale_optimality
+from .portfolio import (ZBAR, export_portfolio_results, pi_star_summary, solve_portfolio,
+                        verify_martingale_optimality, zbar_column)
 from .regression import polynomial_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
@@ -242,47 +245,55 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
-    """Solve a fixture and build what its checks and exports read: a market's solution and
-    optimality report, or an fbsde fixture's solution and ensemble (with a measure change and
-    weak residual for const_forward or qbsde-weak); one replay records rows and probe states.
-    A market deletes whole Y and Z after their last readers, before the next ensemble."""
+    """Solve a fixture, replay it once (``forward_record``) and build what its checks and
+    exports read from that record: the residuals and export rows; a market's measure change,
+    weak residual, probe checks, pi*'s summary and optimality report; an fbsde fixture's
+    maxima, and for const_forward or qbsde-weak its measure change and weak residual (the
+    bundle keeps an fbsde ensemble for the weight-formula check). A market frees its solve
+    ensemble after the record, before its checks and the evaluation ensemble."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
     settings = dict(c4=cfg.c4 if cfg.c4 is not None else fixture.c4, tol=cfg.tol,
                     basis=_basis_for(cfg, fixture), max_iter=cfg.max_iter)
+    market, name = fixture.kind == "portfolio", fixture.name
     try:
         grid = build_uniform_grid(T, K)
-        seed = substream_seed(cfg.seed, f"{fixture.name}:ensemble")
-        ensemble = sample_ensemble(grid, paths, 2 if fixture.kind == "portfolio" else 1, seed)
+        seed = substream_seed(cfg.seed, f"{name}:ensemble")
+        ensemble = sample_ensemble(grid, paths, 2 if market else 1, seed)
         built = fixture.build(**cfg.fixture_params)
-        if fixture.kind == "portfolio":
+        probes = z_invariance_probes(K) if market or name == "const_forward" else []
+        bmo_steps = ([0, K // 4, K // 2, (3 * K) // 4] if market and built.g is not None
+                     else sorted({0, K // 4, K // 2}) if name == "const_forward" else [])
+        columns = {REMAINING: remaining_column} if bmo_steps else {}
+        if name in ("trivial", "const_driver") or market and built.g is None:
+            columns["z_sq"] = lambda y, z, f, dt: np.square(z)
+        if market:
             psol = solve_portfolio(built, ensemble, **settings)
-            sol, mc = psol.fde_sol, psol.measure_change
-            bundle, probes = {"sol": sol, "portfolio": psol}, z_invariance_probes(K)
-            bmo_steps = [0, K // 4, K // 2, (3 * K) // 4] if built.g is not None else []
+            sol, bundle, columns[ZBAR] = psol.fde_sol, {"portfolio": psol}, zbar_column
         else:
             sol = solve_global(built, ensemble, **settings)
-            bundle, probes, bmo_steps = {"ensemble": ensemble, "sol": sol}, [], []
-            if fixture.name == "const_forward" or cfg.problem == "qbsde-weak":
-                mc = bundle["measure_change"] = build_measure_change(sol, ensemble)
-                bundle["weak_residual"] = assemble_weak_solution(mc, ensemble)
-            if fixture.name == "const_forward":
-                probes, bmo_steps = z_invariance_probes(K), sorted({0, K // 4, K // 2})
-        bundle["forward"], states = forward_rows(
-            sol, ensemble, cfg.export_paths, {j for pair in probes for j in pair} | {*bmo_steps})
+            bundle = {"ensemble": ensemble}
+        record = forward_record(sol, ensemble, cfg.export_paths,
+                                {j for pair in probes for j in pair} | {*bmo_steps}, columns,
+                                _maxima(name, {**fixture.params, **cfg.fixture_params}, grid))
         del ensemble   # a market's goes here, before its checks and the evaluation ensemble
+        sol.residuals = check_fbsde_residual(record)
+        bundle.update(sol=sol, forward=record.rows, maxima=record.maxima)
+        if market or name == "const_forward" or cfg.problem == "qbsde-weak":
+            mc = bundle["measure_change"] = build_measure_change(record)
+            bundle["weak_residual"] = assemble_weak_solution(mc, record)
         if probes:
-            bundle["z_invariance"] = check_z_invariance(mc, states)
+            bundle["z_invariance"] = check_z_invariance(mc, record)
         if bmo_steps:
-            bundle["bmo"] = bmo_diagnostic(sol, states, bmo_steps)
-        del states
-        if "portfolio" in bundle:
-            # Y's last readers were the probe checks; Z's are pi*'s summary and merton's Z rms
-            del sol.Y
-            bundle["pi_star"] = psol.pi_star_summary
-            bundle["z_rms"] = _z_rms(sol) if built.g is None else None
-            del sol.Z
+            bundle["bmo"] = bmo_diagnostic(record, bmo_steps)
+        if "z_sq" in columns:
+            bundle["z_rms"] = _z_rms(record.columns.pop("z_sq"))
+        if market:
+            zbar = record.columns.pop(ZBAR)
+            del record
+            bundle["pi_star"] = pi_star_summary(built, zbar)
+            del zbar
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
                 cfg.seed, "portfolio:evaluation-ensemble"))
             bundle["optimality"] = verify_martingale_optimality(
@@ -290,6 +301,17 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         return bundle
     except MemoryError as exc:
         raise ConfigError(f"{exc}: num_paths = {paths} and K = {K} are too large") from None
+
+
+def _maxima(name, params, grid) -> dict:
+    """The maxima over steps that trivial's and const_driver's checks read, as
+    ``forward_record`` fns of (k, V_k, Y_k)."""
+    t, T, c = grid.points, grid.horizon, params.get("c")
+    return {"trivial": {"y_deviation_max": lambda k, v, y: np.abs(y - 1.0),
+                        "v_max": lambda k, v, y: np.abs(v)},
+            "const_driver": {"v_affine_dev": lambda k, v, y: np.abs(v[:, 0] - c * t[k]),
+                             "y_affine_dev": lambda k, v, y: np.abs(y[:, 0] - c * (T - t[k]))},
+            }.get(name, {})
 
 
 def _common_assertions(bundle) -> list:
@@ -310,14 +332,10 @@ def _common_assertions(bundle) -> list:
     return out
 
 
-def _z_rms(sol) -> float:
-    """Root mean square of Z, summed in the order of a path-major (C-order) array."""
-    return float(np.sqrt(np.mean(np.square(sol.Z, out=np.empty(sol.Z.shape)))))
-
-
-def _step_max(per_step) -> float:
-    """Max over per-step arrays, without a whole-array temporary (max is exact)."""
-    return float(np.max([v.max() for v in per_step]))
+def _z_rms(squares) -> float:
+    """Root mean square of Z from a record's path-major (P, K, n, d) column of its squares,
+    summed in the order of a whole C-order array."""
+    return float(np.sqrt(np.mean(squares)))
 
 
 def _oracle_sup(sol, exact) -> float:
@@ -350,23 +368,17 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     grid = sol.grid
     ensemble = bundle["ensemble"]
     T = grid.horizon
-    steps = range(grid.num_steps + 1)
+    maxima = bundle["maxima"]
     out = []
     params = {**get_fixture(name).params, **cfg.fixture_params}
     if name == "trivial":
-        out.append(_dev("y_deviation_max",
-                        _step_max(np.abs(sol.Y[:, k] - 1.0) for k in steps), 1e-6))
-        out.append(_dev("z_rms", _z_rms(sol), 1e-6))
-        v_max = _step_max(np.abs(v) for v, _ in replay_forward(sol, ensemble))
-        out.append(_dev("v_max", v_max, 0.0, exact=True))
+        out.append(_dev("y_deviation_max", maxima["y_deviation_max"], 1e-6))
+        out.append(_dev("z_rms", bundle["z_rms"], 1e-6))
+        out.append(_dev("v_max", maxima["v_max"], 0.0, exact=True))
     elif name == "const_driver":
-        c = params["c"]
-        v_dev = _step_max(np.abs(v[:, 0] - c * grid.points[k])
-                          for k, (v, _) in enumerate(replay_forward(sol, ensemble)))
-        out.append(_dev("v_affine_dev", v_dev, 1e-9))
-        y_dev = _step_max(np.abs(sol.Y[:, k, 0] - c * (T - grid.points[k])) for k in steps)
-        out.append(_dev("y_affine_dev", y_dev, 1e-2))
-        out.append(_dev("z_rms", _z_rms(sol), 1e-6))
+        out.append(_dev("v_affine_dev", maxima["v_affine_dev"], 1e-9))
+        out.append(_dev("y_affine_dev", maxima["y_affine_dev"], 1e-2))
+        out.append(_dev("z_rms", bundle["z_rms"], 1e-6))
     elif name == "tanh_terminal":
         worst = _oracle_sup(sol, lambda t, xs: oracles.heat_value(np.tanh, t, xs, T))
         out.append(_dev("heat_oracle_sup", worst, 0.02))
@@ -408,12 +420,12 @@ def _fixture_assertions(name, bundle, cfg) -> list:
 
 def _portfolio_assertions(bundle, cfg) -> list:
     psol = bundle["portfolio"]
-    model, mc, sol = psol.model, psol.measure_change, psol.fde_sol
+    model, mc, sol = psol.model, bundle["measure_change"], psol.fde_sol
     grid = sol.grid
     out = []
     out.append(_weight_mean_check(mc))
     out.append(_dev("weight_tail_mass_999", mc.tail_mass_above_quantile(0.999), 0.01))
-    out.append(_dev("weak_residual_weighted_rms", psol.weak_residual["weighted_rms"], 0.01))
+    out.append(_dev("weak_residual_weighted_rms", bundle["weak_residual"]["weighted_rms"], 0.01))
     pi_star = bundle["pi_star"]
     out.append(_dev("pi_star_identity", pi_star["pi_star_identity"], 0.0, exact=True))
     out.append(_dev("z_invariance_max", bundle["z_invariance"]["max_discrepancy"], 0.05))
@@ -501,8 +513,8 @@ def _evaluate_fixture(name, cfg, out_dir, report) -> list:
     report.outputs += [csv_path, side_path]
     if fixture.kind == "portfolio":
         pj = out_dir / f"{name}_portfolio.json"
-        export_portfolio_results(bundle["portfolio"], bundle["optimality"], pj,
-                                 config_echo=cfg.echo())
+        export_portfolio_results(bundle["portfolio"], bundle["weak_residual"], bundle["pi_star"],
+                                 bundle["optimality"], pj, config_echo=cfg.echo())
         report.outputs.append(pj)
     if cfg.problem == "qbsde-weak":
         wcsv = out_dir / f"{name}_weak.csv"

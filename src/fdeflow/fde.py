@@ -15,9 +15,11 @@ On a window short enough that sqrt(length) <= 1/(8*C1*(1+C)), C the Lipschitz
 constant of the terminal map it consumes (C2 for phi, c4 for a fitted map),
 the map contracts and Picard iteration converges. ``grid.contraction_windows``
 plans the windows; the global solve sweeps them backward to learn the per-step
-value maps, then assembles the whole solution in a single forward pass: V is
-glued by a running offset, X restarts each window at the previous terminal
-state, and (Y, Z) are read off the fitted maps windowwise.
+value maps, which are the solution. A forward pass replays (V, X, Y, Z) one
+step at a time: V is glued by a running offset, X restarts each window at the
+previous terminal state, and (Y_k, Z_k) are the fitted maps at X_k. The solve
+runs it once for X_T and y0, and one record pass (``forward_record``) again for
+every post-solve reader, so no whole (P, K) Y or Z is ever held.
 
 Conditional expectations are least-squares Monte Carlo fits against the
 forward state; the path-dependent part of the target is removed exactly by
@@ -33,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, InvalidStateError, PicardDivergedError,
-                     ReleasedArrayError)
+from .errors import InvalidArgumentError, InvalidStateError, PicardDivergedError
 from .grid import (WINDOW_RTOL, BrownianEnsemble, TimeGrid, contraction_window_length,
                    contraction_windows)
 from .regression import (RegressionBasis, StepRegression, as_2d, bitwise_equal,
@@ -162,37 +163,32 @@ class PicardReport:
 
 @dataclass
 class FdeSolution:
-    """(Y, Z) and X_T on a grid plus the fitted per-step maps of the system ``coeffs``;
-    ``replay_forward`` rebuilds V and X. Each array is the (P, ...) transposed view
-    of a step-major buffer, so ``arr[:, k]`` is contiguous. A market run deletes Y and Z
-    after their last readers; a later read raises ReleasedArrayError."""
+    """The fitted per-step maps of the system ``coeffs`` on a grid, with X_T. A global
+    solution holds no whole path array (``replay_forward`` rebuilds them a step at a time);
+    a window solution also holds its (P, ...) V, X, Y and Z, each the transposed view of a
+    step-major buffer, so ``arr[:, k]`` is contiguous."""
 
     grid: TimeGrid
     coeffs: CoefficientSet              # the system solved; every reader evaluates it
-    Y: np.ndarray = field(repr=False)   # (P, K+1, n)
-    Z: np.ndarray = field(repr=False)   # (P, K, n, d), left endpoints
     X_T: np.ndarray                     # (P, d), the terminal forward state
     phi_fits: list                      # per-step fitted Y maps, k = 0..K-1
     z_fits: list                        # per-step fitted Z maps, k = 0..K-1
     iteration_log: list                 # PicardReport per window
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)   # check_fbsde_residual of a record
     window_bounds: list = field(default_factory=list)   # (a, b) step-index pairs
     y0_mean: np.ndarray | None = None
     y0_stderr: np.ndarray | None = None
     seed: int | None = None             # the solve ensemble's, global solutions only
+    clip_bound: float | None = None     # the cap on every fitted Y, global solutions only
     V: np.ndarray | None = None         # (P, K+1, n), window solutions only
     X: np.ndarray | None = None         # (P, K+1, d), window solutions only
+    Y: np.ndarray | None = field(default=None, repr=False)   # (P, K+1, n), window only
+    Z: np.ndarray | None = field(default=None, repr=False)   # (P, K, n, d), window only
 
     @property
     def num_paths(self) -> int:
-        """The solve's path count, read off X_T, which outlives Y and Z."""
+        """The solve's path count, read off X_T."""
         return self.X_T.shape[0]
-
-    def __getattr__(self, name):   # reached only when the attribute is not set
-        if name in ("Y", "Z"):
-            raise ReleasedArrayError(f"whole {name} was released; a forward_rows record "
-                                     f"holds the exported rows")
-        raise AttributeError(f"'FdeSolution' object has no attribute {name!r}")
 
 
 def _start_states(start_x, num_paths, d):
@@ -367,37 +363,94 @@ def check_solve_ensemble(sol: FdeSolution, ensemble: BrownianEnsemble) -> None:
 
 
 def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
-    """Yield a global solution's (V_k, X_k), k = 0..K, from X_0 = 0 on its solve ensemble, one
-    step at a time; the forward assembly runs these very steps, so each row is bitwise its own."""
+    """Yield a global solution's (V_k, X_k, Y_k, Z_k), k = 0..K, from X_0 = 0 on its solve
+    ensemble: (Y_k, Z_k) are step k's fitted maps at X_k, Y capped at ``sol.clip_bound``,
+    Y_K = phi(X_K) and Z_K None. Each yielded array is new and never written again."""
     check_solve_ensemble(sol, ensemble)
-    coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
+    coeffs, t, dt, cap = sol.coeffs, sol.grid.points, sol.grid.dt, sol.clip_bound
     x = np.zeros((ensemble.num_paths, coeffs.d))
     offset = np.zeros((x.shape[0], coeffs.n))
-    yield offset, x
     for a, b in sol.window_bounds:
         vloc = np.zeros_like(offset)
         for k in range(a, b):
-            yk, zk = sol.Y[:, k], sol.Z[:, k]   # read only after X_k was yielded
-            vloc = vloc + coeffs.eval_h(t[k], yk, zk) * dt[k]
-            if not all(np.isfinite(v).all() for v in (yk, zk, vloc)):
+            y, z = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], x)
+            np.clip(y, -cap, cap, out=y)
+            yield offset + vloc, x, y, z
+            vloc = vloc + coeffs.eval_h(t[k], y, z) * dt[k]
+            if not all(np.isfinite(v).all() for v in (y, z, vloc)):
                 raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
-            x = x + coeffs.eval_f(t[k], yk, zk) * dt[k] + ensemble.increments[:, k]
-            yield offset + vloc, x
+            x = x + coeffs.eval_f(t[k], y, z) * dt[k] + ensemble.increments[:, k]
         offset = offset + vloc
+    yield offset, x, coeffs.eval_phi(x), None
 
 
-def forward_rows(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=()):
-    """One replay's record: the (V, X, Y, Z) rows of the first ``paths`` paths, shaped
-    as ``sol``'s, and {k: X_k} at each of ``steps``, the states the probe checks read."""
+@dataclass
+class ForwardRecord:
+    """What one replay of the global solution ``sol`` records for its readers; each sum
+    runs over the steps in order, as a reader of whole arrays would."""
+
+    sol: FdeSolution = field(repr=False)
+    rows: tuple = ()                    # (V, X, Y, Z) of the first paths, shaped as whole
+    states: dict = field(default_factory=dict)      # {k: X_k} at the recorded steps
+    increments: dict = field(default_factory=dict)  # {k: Y_{k+1} - Y_k + (h_k + Z_k f_k) dt_k}
+    columns: dict = field(default_factory=dict)
+    maxima: dict = field(default_factory=dict)
+    backward_sq: float = 0.0            # sum over k of mean |Y_{k+1} - Y_k + h dt - Z dB|^2
+    terminal_gap: np.ndarray | None = None   # Y_K - phi(X_T)
+    x_K: np.ndarray | None = None            # the replayed X_K
+    n_int: np.ndarray | None = None          # N per path
+    qv: np.ndarray | None = None             # [N] per path
+    weak: np.ndarray | None = None           # Y_0 - phi(X_T) - sum (h + Z f) dt + sum Z dX
+
+
+def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=(),
+                   columns=None, maxima=None) -> ForwardRecord:
+    """Replay ``sol`` once and record what every post-solve reader needs: the rows of the
+    first ``paths`` paths, X_k at each of ``steps`` (with step k's martingale increment
+    when k + 1 is recorded too), the residual, exponent and weak sums, and for each
+    ``columns`` name -> fn(Y_k, Z_k, f_k, dt_k) a path-major (P, K, ...) buffer filled a
+    column per step, so that a reduction over it sums as over a whole array; for each
+    ``maxima`` name -> fn(k, V_k, Y_k), the largest value over k = 0..K."""
     if paths < 0:
         raise InvalidArgumentError(f"path count must be non-negative, got {paths}")
-    rows, states = [], {}
-    for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
-        rows.append((v[:paths].copy(), x[:paths].copy()))
+    coeffs, t, dt, dB = sol.coeffs, sol.grid.points, sol.grid.dt, ensemble.increments
+    P, K = sol.num_paths, sol.grid.num_steps
+    rec = ForwardRecord(sol=sol, n_int=np.zeros(P), qv=np.zeros(P))
+    phi_T = coeffs.eval_phi(sol.X_T)
+    rows, z_rows = [], []
+    for k, (v, x, y, z) in enumerate(replay_forward(sol, ensemble)):
+        rows.append([a[:paths].copy() for a in (v, x, y)])
         if k in steps:
-            states[k] = x   # a new array each step, never written again
-    V, X = (np.stack(arrs, axis=1) for arrs in zip(*rows))
-    return (V, X, sol.Y[:paths].copy(), sol.Z[:paths].copy()), states
+            rec.states[k] = x
+        for name, fn in (maxima or {}).items():
+            rec.maxima[name] = max(rec.maxima.get(name, -np.inf), float(fn(k, v, y).max()))
+        if k == 0:
+            rec.weak = y - phi_T
+        else:   # step j = k - 1 closes on this step's Y and X
+            j = k - 1
+            zdb = np.einsum("pnd,pd->pn", z_j, dB[:, j])
+            rec.backward_sq += float(np.mean((y - y_j + h_j * dt[j] - zdb) ** 2))
+            rec.weak = rec.weak - h_j * dt[j] - zf_j * dt[j] + np.einsum("pnd,pd->pn", z_j, x - x_j)
+            if j in steps and k in steps:
+                rec.increments[j] = y - y_j + (h_j + zf_j) * dt[j]
+        if z is None:
+            rec.terminal_gap, rec.x_K = y - phi_T, x
+            break
+        z_rows.append(z[:paths].copy())
+        f = coeffs.eval_f(t[k], y, z)
+        if not np.all(np.isfinite(f)):
+            raise InvalidStateError(f"drift f produced non-finite values at step {k}")
+        rec.n_int = rec.n_int - np.einsum("pd,pd->p", f, dB[:, k])
+        rec.qv = rec.qv + np.einsum("pd,pd->p", f, f) * dt[k]
+        for name, fn in (columns or {}).items():
+            col = fn(y, z, f, dt[k])
+            if name not in rec.columns:
+                rec.columns[name] = np.empty((P, K) + col.shape[1:])
+            rec.columns[name][:, k] = col
+        x_j, y_j, z_j = x, y, z
+        h_j, zf_j = coeffs.eval_h(t[k], y, z), np.einsum("pnd,pd->pn", z, f)
+    rec.rows = (*(np.stack(arrs, axis=1) for arrs in zip(*rows)), np.stack(z_rows, axis=1))
+    return rec
 
 
 def _exploration_rng(seed: int, window_index: int):
@@ -416,9 +469,10 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     around the origin, widened with time and the drift scale) so the fitted
     value maps are reliable wherever later passes evaluate them. A single
     forward pass on the actual ensemble (``replay_forward``) then reads (Y, Z)
-    windowwise off the fitted maps and keeps them and X_T; V (glued by a
-    running offset) and X are held one step at a time. Another start x is the
-    terminal map phi(. + x) from the origin.
+    windowwise off the fitted maps, one step at a time with V (glued by a
+    running offset) and X, and keeps only X_T and y0: the solution is its maps,
+    and ``forward_record`` replays them for every later reader, the residuals
+    included. Another start x is the terminal map phi(. + x) from the origin.
 
     The windows come from the declared constants alone, planned once by
     ``contraction_windows``: the last one from (c1, c2), the interior ones
@@ -478,50 +532,34 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
                         np.clip(_f.evaluate(x), -clip_bound, clip_bound))
     del wsol   # the assembly reads only the fits; the window's arrays go now
 
-    # forward assembly, one step of (V, X) at a time: the replay reads (Y_k, Z_k)
-    # after it yields X_k, so the fitted maps fill them in first
-    Y = np.zeros((K + 1, P, n))
-    Z = np.zeros((K, P, n, d))
+    # forward assembly: one replay of the maps, a step at a time, for X_T and y0
     sol = FdeSolution(
-        grid=grid, coeffs=coeffs, Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3),
+        grid=grid, coeffs=coeffs,
         X_T=np.broadcast_to(np.nan, (P, d)),   # allocates nothing; num_paths reads its shape
         phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
-        seed=ensemble.seed)
-    for k, (v, x) in enumerate(replay_forward(sol, ensemble)):
-        if k < K:
-            Y[k], Z[k] = evaluate_step_maps(phi_fits[k], z_fits[k], x)
-            np.clip(Y[k], -clip_bound, clip_bound, out=Y[k])
-    sol.X_T = x   # the last step's (v, x) is (V_K, X_K)
-    Y[K] = coeffs.eval_phi(x)
-    xi = Y[K] + v
+        seed=ensemble.seed, clip_bound=clip_bound)
+    for v, x, y, _ in replay_forward(sol, ensemble):
+        pass
+    sol.X_T = x   # the last step's row is (V_K, X_K, phi(X_K))
+    xi = y + v
     sol.y0_mean = xi.mean(axis=0)
     sol.y0_stderr = xi.std(axis=0, ddof=1) / np.sqrt(P)
-    sol.residuals = check_fbsde_residual(sol, ensemble)
     return sol
 
 
-def check_fbsde_residual(sol: FdeSolution, ensemble: BrownianEnsemble) -> dict:
-    """Discrete residuals of both equations on the solve ensemble.
+def check_fbsde_residual(record: ForwardRecord) -> dict:
+    """Discrete residuals of both equations of ``record.sol`` on its solve ensemble.
 
     Backward: Y_{k+1} - Y_k + h dt - Z dB per path and step (rms reported).
-    Forward: the X_K that ``replay_forward`` rebuilds from (Y, Z) against the
+    Forward: the X_K that the record's replay rebuilt from the maps against the
     stored X_T, exactly zero since both come from one recursion. Terminal: rms
     of Y_K - phi(X_T). Returns the dict that ``FdeSolution.residuals`` stores:
     ``terminal_rms``, ``backward_rms`` and ``forward_max``.
     """
-    for _, x_K in replay_forward(sol, ensemble):
-        pass
-    coeffs, t, dt, K = sol.coeffs, sol.grid.points, sol.grid.dt, sol.grid.num_steps
-    back_sq = 0.0
-    for k in range(K):
-        hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zdb = np.einsum("pnd,pd->pn", sol.Z[:, k], ensemble.increments[:, k])
-        rb = sol.Y[:, k + 1] - sol.Y[:, k] + hk * dt[k] - zdb
-        back_sq += float(np.mean(rb ** 2))
-    terminal = float(np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X_T)) ** 2)))
-    return {"terminal_rms": terminal,
-            "backward_rms": float(np.sqrt(back_sq / K)),
-            "forward_max": float(np.abs(x_K - sol.X_T).max())}
+    sol = record.sol
+    return {"terminal_rms": float(np.sqrt(np.mean(record.terminal_gap ** 2))),
+            "backward_rms": float(np.sqrt(record.backward_sq / sol.grid.num_steps)),
+            "forward_max": float(np.abs(record.x_K - sol.X_T).max())}
 
 
 def write_json(path, obj) -> None:
@@ -563,7 +601,7 @@ def write_grid_csv(path, grid: TimeGrid, named) -> None:
 
 
 def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, config_echo: dict):
-    """Write rows (path, step, t, V.., X.., Y.., Z..) of a ``forward_rows`` record,
+    """Write rows (path, step, t, V.., X.., Y.., Z..) of a ``forward_record``'s rows,
     plus a JSON sidecar; it counts the steps of each window whose fit set a warning."""
     V, X, Y, Z = forward
     write_grid_csv(csv_path, sol.grid, [("V", V), ("X", X), ("Y", Y), ("Z", Z)])

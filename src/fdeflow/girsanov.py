@@ -12,24 +12,23 @@ with Z invariant under the measure change (the density representation does
 not depend on the equivalent measure). The discrete exponential uses
 exp(N - [N]/2), which is positive by construction. W is not built here: the
 forward state X of the solve is the same Euler recursion, so X is W path by
-path, replayed one step at a time (the probe checks read one replay's record).
-The measure change keeps its solution and the terminal weights, and the weak
-readers take it alone; a stage needing f(t_k, Y_k, Z_k) evaluates it at the
-steps it reads: no (P, K, d) drift array is held.
+path. Every reader here reads one ``fde.forward_record`` pass of the solution:
+its sums of N, [N] and the weak residual, its probe states and increments, and
+BMO's column of |f_k|^2 dt_k; no (P, K, d) drift array is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 
 from .errors import InsufficientWeightError, InvalidArgumentError, InvalidStateError
-from .fde import FdeSolution, check_solve_ensemble, replay_forward, write_grid_csv, write_json
-from .grid import BrownianEnsemble
+from .fde import FdeSolution, ForwardRecord, write_grid_csv, write_json
 from .regression import (MIN_PATHS_PER_FUNCTION, StepRegression, density_target,
                          polynomial_basis)
+
+REMAINING = "remaining"   # the record column of |f_k|^2 dt_k that BMO's target sums
 
 
 @dataclass
@@ -64,9 +63,14 @@ class MeasureChange:
         return float(self.weights[self.weights > cutoff].sum() / self.weights.sum())
 
 
-def _drift(sol: FdeSolution, k: int) -> np.ndarray:
-    """f(t_k, Y_k, Z_k), the drift the forward solve stepped X with at step k."""
-    return sol.coeffs.eval_f(sol.grid.points[k], sol.Y[:, k], sol.Z[:, k])
+def remaining_column(y, z, f, dt) -> np.ndarray:
+    """|f_k|^2 dt_k per path: a ``forward_record`` column fn for ``REMAINING``."""
+    return np.einsum("pd,pd->p", f, f) * dt
+
+
+def _same_solution(mc: MeasureChange, record: ForwardRecord) -> None:
+    if record.sol is not mc.sol:
+        raise InvalidArgumentError("the record is of another solution than the measure change")
 
 
 def _recorded(states: dict, steps) -> None:
@@ -81,49 +85,31 @@ def z_invariance_probes(K: int) -> list:
                                         for j in (K // 4, K // 2, (3 * K) // 4)})]
 
 
-def build_measure_change(sol: FdeSolution, ensemble: BrownianEnsemble) -> MeasureChange:
-    """Terminal weights exp(N - [N]/2), accumulated one step at a time.
+def build_measure_change(record: ForwardRecord) -> MeasureChange:
+    """Terminal weights exp(N - [N]/2) from the sums of one record pass.
 
-    f is evaluated at left endpoints on the stored (Y, Z), the values the
+    f is evaluated at left endpoints on the replayed (Y, Z), the values the
     forward solve stepped X with, so X is the shifted motion W.
     """
-    check_solve_ensemble(sol, ensemble)
-    P, dt = sol.num_paths, sol.grid.dt
-    n_int = np.zeros(P)
-    qv = np.zeros(P)
-    for k in range(sol.grid.num_steps):
-        fk = _drift(sol, k)
-        if not np.all(np.isfinite(fk)):
-            raise InvalidStateError(f"drift f produced non-finite values at step {k}")
-        n_int = n_int - np.einsum("pd,pd->p", fk, ensemble.increments[:, k])
-        qv = qv + np.einsum("pd,pd->p", fk, fk) * dt[k]
-    weights = np.exp(n_int - 0.5 * qv)
+    weights = np.exp(record.n_int - 0.5 * record.qv)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
         raise InvalidStateError("exponential weights overflowed or degenerated")
-    return MeasureChange(sol=sol, weights=weights)
+    return MeasureChange(sol=record.sol, weights=weights)
 
 
-def assemble_weak_solution(mc: MeasureChange, ensemble: BrownianEnsemble) -> dict:
+def assemble_weak_solution(mc: MeasureChange, record: ForwardRecord) -> dict:
     """Residual report of the weak integral equation for (Y, Z, W = X).
 
     The weak solution is the solve's (Y, Z) with W its forward state X; Z is
     unchanged (invariance realized literally), so only the weights are new.
-    The per-path residual is
+    The per-path residual, summed by the record pass of ``mc.sol``, is
         Y_0 - phi(W_T) - sum h dt - sum (Z f) dt + sum Z dW,
-    reported as a weighted rms since the equation lives under the target
-    measure; f is evaluated again at each step it reads. The solution is ``mc.sol``.
+    reported as a weighted rms since the equation lives under the target measure.
     """
-    sol = mc.sol
-    coeffs, t, dt = sol.coeffs, sol.grid.points, sol.grid.dt
-    resid = sol.Y[:, 0] - coeffs.eval_phi(sol.X_T)
-    for k, ((_, x), (_, x_next)) in enumerate(pairwise(replay_forward(sol, ensemble))):
-        hk = coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, k))
-        zdw = np.einsum("pnd,pd->pn", sol.Z[:, k], x_next - x)
-        resid = resid - hk * dt[k] - zf * dt[k] + zdw
-    if not np.all(np.isfinite(resid)):
+    _same_solution(mc, record)
+    if not np.all(np.isfinite(record.weak)):
         raise InvalidStateError("weak solution: non-finite residual")
-    sq = np.einsum("pn,pn->p", resid, resid)
+    sq = np.einsum("pn,pn->p", record.weak, record.weak)
     weighted_rms = float(np.sqrt(np.sum(mc.weights * sq) / np.sum(mc.weights)))
     return {"weighted_rms": weighted_rms,
             "unweighted_rms": float(np.sqrt(sq.mean())),
@@ -132,7 +118,7 @@ def assemble_weak_solution(mc: MeasureChange, ensemble: BrownianEnsemble) -> dic
             "effective_sample_size": mc.effective_sample_size}
 
 
-def check_z_invariance(mc: MeasureChange, states: dict) -> dict:
+def check_z_invariance(mc: MeasureChange, record: ForwardRecord) -> dict:
     """Compare Z surfaces estimated under both measures on the central region.
 
     The target-measure estimate regresses the reweighted martingale increment
@@ -140,11 +126,13 @@ def check_z_invariance(mc: MeasureChange, states: dict) -> dict:
     sampling-measure surface is the solve's stored fit. Both sides use the
     stored fit's basis, so the discrepancy measures the measure change, not
     the basis. The probes are ``z_invariance_probes``' steps, each on a grid of
-    21 points per dimension within 2 of the origin; ``states`` maps k and k + 1
-    to the replayed X (``fde.forward_rows``) of the solution ``mc.sol``.
+    21 points per dimension within 2 of the origin; ``record``, a pass of the
+    solution ``mc.sol``, holds X_k and X_{k+1} and the increment
+    dY + (h + Z f) dt of each probe step k.
     Returns the maximum absolute discrepancy over the probe steps and grid.
     """
-    sol = mc.sol
+    _same_solution(mc, record)
+    sol, states = mc.sol, record.states
     K, d = sol.grid.num_steps, sol.coeffs.d
     probes = z_invariance_probes(K)
     _recorded(states, [j for pair in probes for j in pair])
@@ -168,12 +156,9 @@ def check_z_invariance(mc: MeasureChange, states: dict) -> dict:
     worst = 0.0
     for k, k_next in probes:
         mesh = probe_mesh(states[k])
-        hk = sol.coeffs.eval_h(t[k], sol.Y[:, k], sol.Z[:, k])
-        zf = np.einsum("pnd,pd->pn", sol.Z[:, k], _drift(sol, k))
-        dmp = sol.Y[:, k_next] - sol.Y[:, k] + (hk + zf) * dt[k]
         dw = states[k_next] - states[k]
         p_fit = StepRegression(states[k], basis, weights=mc.weights)
-        zp = p_fit.fit(density_target(dmp, dw, dt[k])).evaluate(mesh)
+        zp = p_fit.fit(density_target(record.increments[k], dw, dt[k])).evaluate(mesh)
         zq = sol.z_fits[k].evaluate(mesh).reshape(zp.shape)
         disc = float(np.abs(zq - zp).max())
         per_probe.append({"step": int(k), "t": float(t[k]), "discrepancy": disc})
@@ -181,25 +166,23 @@ def check_z_invariance(mc: MeasureChange, states: dict) -> dict:
     return {"max_discrepancy": worst, "per_probe": per_probe}
 
 
-def bmo_diagnostic(sol: FdeSolution, states: dict, steps) -> dict:
+def bmo_diagnostic(record: ForwardRecord, steps) -> dict:
     """Conditional remaining quadratic variation of N at deterministic probe steps.
 
     At each grid step j of ``steps``, regress sum_{k >= j} |f_k|^2 dt_k on X_j in a
     quadratic polynomial basis and report the mean and 99th percentile of the
-    fitted values. Probes at deterministic times stand in for
-    stopping times; this is a diagnostic, not a proof device. ``states`` maps each
-    probe step to its replayed X (``fde.forward_rows``); a missing state raises
-    InvalidArgumentError, naming its step, before the (P, K) target is built.
+    fitted values. Probes at deterministic times stand in for stopping times; this is
+    a diagnostic, not a proof device. A probe step with no X in ``record`` raises
+    InvalidArgumentError, naming it; then the record's ``REMAINING`` column is taken
+    from it and summed in place into the target.
     """
-    K, t, dt = sol.grid.num_steps, sol.grid.points, sol.grid.dt
+    sol, states = record.sol, record.states
+    K, t = sol.grid.num_steps, sol.grid.points
     _recorded(states, steps)
     basis = polynomial_basis(2, sol.coeffs.d)
     # path-major: a probe's column of ``remaining`` is a fit target, and the
     # fit's product sums it in an order that depends on its strides
-    remaining = np.empty((sol.num_paths, K))
-    for k in range(K):
-        fk = _drift(sol, k)
-        remaining[:, k] = np.einsum("pd,pd->p", fk, fk) * dt[k]
+    remaining = record.columns.pop(REMAINING)
     np.cumsum(remaining[:, ::-1], axis=1, out=remaining[:, ::-1])   # in place: one (P, K) array
 
     per_probe = []
@@ -219,7 +202,7 @@ def bmo_diagnostic(sol: FdeSolution, states: dict, steps) -> dict:
 
 def export_weak_solution(mc: MeasureChange, residual: dict, forward, csv_path,
                          sidecar_path, *, config_echo: dict):
-    """CSV of (path, step, t, Y.., Z.., W..) of a ``forward_rows`` record of ``mc.sol``,
+    """CSV of (path, step, t, Y.., Z.., W..) of a ``forward_record``'s rows of ``mc.sol``,
     W being its X, plus a sidecar."""
     _, W, Y, Z = forward
     write_grid_csv(csv_path, mc.sol.grid, [("Y", Y), ("Z", Z), ("W", W)])

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
 from .fde import CoefficientSet, FdeSolution, evaluate_step_maps, solve_global, write_json
-from .girsanov import MeasureChange, assemble_weak_solution, build_measure_change
 from .grid import BrownianEnsemble
 
 _G_CHECK_SAMPLES = 64
@@ -150,59 +148,51 @@ def build_portfolio_fbsde(model: MarketModel, T: float) -> CoefficientSet:
 
 @dataclass
 class PortfolioSolution:
-    """Outputs of the portfolio solve; its grid, seed, coefficients and Z are ``fde_sol``'s."""
+    """The solved auxiliary system of a market and its value; its grid, seed and coefficients
+    are ``fde_sol``'s. The measure change, the weak solution and pi* are read off one
+    ``fde.forward_record`` pass of ``fde_sol``."""
 
     model: MarketModel
+    fde_sol: FdeSolution
     y0: float
     y0_stderr: float
     value: float
-    weak_residual: dict
-    measure_change: MeasureChange
 
-    @property
-    def fde_sol(self) -> FdeSolution:
-        """The solution ``measure_change`` was built from."""
-        return self.measure_change.sol
 
-    @property
-    def pi_star(self) -> np.ndarray:
-        """Optimal strategy -Zbar + mu_S / (gamma sigma_S^2), a new (P, K) array per read."""
-        sol = self.fde_sol
-        # path-major: the per-step mean and std sum a column of a C-order array
-        pi_star = np.empty((sol.num_paths, sol.grid.num_steps))
-        np.negative(sol.Z[:, :, 0, 1], out=pi_star)
-        pi_star += self.model.merton_fraction
-        return pi_star
+ZBAR = "zbar"   # the record column of Zbar_k, the Z entry of the tradeable asset
 
-    @cached_property
-    def pi_star_summary(self) -> dict:
-        """What is read of whole pi*, from one build, kept after ``fde_sol.Z`` is deleted: its
-        largest gap to -Zbar + mu_S / (gamma sigma_S^2) (step by step: a whole second (P, K)
-        array would set the peak), its per-step mean and std, and its largest distance from
-        the Merton fraction."""
-        pi_star, frac = self.pi_star, self.model.merton_fraction
-        zbar = self.fde_sol.Z[:, :, 0, 1]
-        return {"pi_star_identity": float(np.max([np.abs(p - (-z + frac)).max()
-                                                  for p, z in zip(pi_star.T, zbar.T)])),
-                "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
-                "per_step_std": [float(v) for v in pi_star.std(axis=0)],
-                "pi_star_dev": float(np.max([np.abs(p - frac).max() for p in pi_star.T]))}
+
+def zbar_column(y, z, f, dt) -> np.ndarray:
+    """Zbar_k per path: a ``forward_record`` column fn for ``ZBAR``."""
+    return z[:, 0, 1]
+
+
+def pi_star_summary(model: MarketModel, zbar: np.ndarray) -> dict:
+    """What is read of pi* = mu_S / (gamma sigma_S^2) - Zbar, built in place in a record's
+    path-major (P, K) ``ZBAR`` column: its largest gap to -Zbar + mu_S / (gamma sigma_S^2)
+    (a step at a time, before the buffer is overwritten), its per-step mean and std (sums
+    over the columns of the C-order buffer) and its largest distance from the Merton fraction."""
+    frac = model.merton_fraction
+    identity = max(float(np.abs((frac - z) - (-z + frac)).max()) for z in zbar.T)
+    pi_star = np.subtract(frac, zbar, out=zbar)
+    return {"pi_star_identity": identity,
+            "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
+            "per_step_std": [float(v) for v in pi_star.std(axis=0)],
+            "pi_star_dev": float(np.max([np.abs(p - frac).max() for p in pi_star.T]))}
 
 
 def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
                     **solve_kwargs) -> PortfolioSolution:
-    """End-to-end portfolio pipeline on the ensemble's grid; ``solve_kwargs`` go to solve_global.
+    """Solve a market's linear auxiliary system on the ensemble's grid and extract its value;
+    ``solve_kwargs`` go to solve_global.
 
-    Solves the linear auxiliary system, applies the change of measure with
-    the coupling integrand, assembles the weak solution of the quadratic
-    equation, and extracts the value. y0 is reported as the path average of
-    the terminal reconstruction with its standard error (the smallness of
-    the latter is itself a check that Y_0 is deterministic).
+    y0 is reported as the path average of the terminal reconstruction with its
+    standard error (the smallness of the latter is itself a check that Y_0 is
+    deterministic). The change of measure and the weak solution of the quadratic
+    equation are read off a record of ``fde_sol`` (``fde.forward_record``).
     """
     coeffs = build_portfolio_fbsde(model, ensemble.grid.horizon)
     sol = solve_global(coeffs, ensemble, **solve_kwargs)
-    mc = build_measure_change(sol, ensemble)
-    weak_residual = assemble_weak_solution(mc, ensemble)
     y0 = float(sol.y0_mean[0])
     y0_stderr = float(sol.y0_stderr[0])
     with np.errstate(over="ignore"):
@@ -211,8 +201,7 @@ def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,
         raise InvalidStateError(
             f"value overflow: -exp(-gamma (x0 + y0)) is not finite at x0 = {model.x0:.6g}, "
             f"y0 = {y0:.6g}")
-    return PortfolioSolution(model=model, y0=y0, y0_stderr=y0_stderr, value=value,
-                             weak_residual=weak_residual, measure_change=mc)
+    return PortfolioSolution(model=model, fde_sol=sol, y0=y0, y0_stderr=y0_stderr, value=value)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite drift fails by step below
@@ -303,20 +292,21 @@ def verify_martingale_optimality(psol: PortfolioSolution, deltas,
             "num_paths": P, "deltas": [float(d) for d in deltas]}
 
 
-def export_portfolio_results(psol: PortfolioSolution, optimality: dict, json_path, *,
-                             config_echo: dict):
-    """Results JSON: y0, value, pi*'s per-step summary, ``optimality``'s drift table, and pi*'s
-    total drift and claimed-minus-achieved value, each in standard errors."""
+def export_portfolio_results(psol: PortfolioSolution, weak_residual: dict, pi_star: dict,
+                             optimality: dict, json_path, *, config_echo: dict):
+    """Results JSON: y0, value, the weak residual report, pi*'s per-step summary (of
+    ``pi_star_summary``), ``optimality``'s drift table, and pi*'s total drift and
+    claimed-minus-achieved value, each in standard errors."""
     star = optimality["strategies"]["pi_star"]
     in_se = lambda gap, se: gap / se if se > 0 else None   # None: a zero standard error
     summary = {
         "y0": psol.y0,
         "y0_stderr": psol.y0_stderr,
         "value": psol.value,
-        "pi_star_summary": {k: psol.pi_star_summary[k] for k in ("per_step_mean", "per_step_std")},
+        "pi_star_summary": {k: pi_star[k] for k in ("per_step_mean", "per_step_std")},
         "pi_star_drift_z": in_se(star["total_drift"], star["total_se"]),
         "pi_star_value_gap_se": in_se(psol.value - star["value_estimate"], star["value_se"]),
-        "weak_residual": {k: float(v) for k, v in psol.weak_residual.items()},
+        "weak_residual": {k: float(v) for k, v in weak_residual.items()},
         "seeds": {"solve": psol.fde_sol.seed, "evaluation": optimality["eval_seed"]},
         "drift_table": {
             label: {"total_drift": r["total_drift"], "total_se": r["total_se"],

@@ -12,15 +12,17 @@ def empirical_pathwise_uniqueness(coeffs: ff.CoefficientSet, ensemble: ff.Browni
 
     Both solves share the ensemble and exploration noise; only the Picard
     starting point differs. Contraction makes the fixed point guess-free, so
-    the gap should stay within a small multiple of the Picard tolerance.
+    the gap should stay within a small multiple of the Picard tolerance. The
+    whole Y and Z compared are ``reference_paths`` of each solution.
     """
     if guesses is None:
         g0 = max(coeffs.m_bound, 1.0)
         guesses = (g0, -g0)
     sols = [ff.solve_global(coeffs, ensemble, initial_guess=g, **solve_kwargs)
             for g in guesses]
-    y_gap = float(np.abs(sols[0].Y - sols[1].Y).max())
-    z_gap = float(np.abs(sols[0].Z - sols[1].Z).max())
+    (_, _, Y0, Z0), (_, _, Y1, Z1) = (reference_paths(s, ensemble) for s in sols)
+    y_gap = float(np.abs(Y0 - Y1).max())
+    z_gap = float(np.abs(Z0 - Z1).max())
     return {"y_gap": y_gap, "z_gap": z_gap, "max_gap": max(y_gap, z_gap),
             "solutions": sols}
 
@@ -91,17 +93,12 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
     return sol, report
 
 
-def replayed_paths(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble):
-    """A global solution's whole V (P, K+1, n) and X (P, K+1, d), stacked from
-    the rows of ``replay_forward``."""
-    rows = list(ff.replay_forward(sol, ensemble))
-    return tuple(np.stack(arrs, axis=1) for arrs in zip(*rows))
-
-
-def recorded_states(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble) -> dict:
-    """{k: X_k} at every step k = 0..K of a global solution, from one ``fde.forward_rows``
-    replay; what ``check_z_invariance`` and ``bmo_diagnostic`` read."""
-    return ff.fde.forward_rows(sol, ensemble, 0, range(sol.grid.num_steps + 1))[1]
+def full_record(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble, paths: int = 0,
+                columns=None) -> ff.ForwardRecord:
+    """One ``forward_record`` pass of a global solution with X_k recorded at every step
+    k = 0..K and BMO's column, which every reader of the record can read."""
+    columns = {ff.girsanov.REMAINING: ff.girsanov.remaining_column, **(columns or {})}
+    return ff.forward_record(sol, ensemble, paths, range(sol.grid.num_steps + 1), columns)
 
 
 def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
@@ -124,24 +121,31 @@ def girsanov_integrand(model: ff.MarketModel, t, y, z) -> np.ndarray:
                             np.full(z.shape[0], model.mu_s / model.sigma_bar_s)])
 
 
-def pi_star_reference(psol: ff.PortfolioSolution) -> np.ndarray:
-    """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on the stored arrays."""
-    return -psol.fde_sol.Z[:, :, 0, 1] + psol.model.mu_s / (
-        psol.model.gamma * psol.model.sigma_bar_s ** 2)
+def pi_star_reference(model: ff.MarketModel, Z: np.ndarray) -> np.ndarray:
+    """Pointwise identity -Zbar + mu_S/(gamma sigma_S^2) on a whole (P, K, 1, 2) Z."""
+    return -Z[:, :, 0, 1] + model.mu_s / (model.gamma * model.sigma_bar_s ** 2)
 
 
-def whole_array_market_reads(psol: ff.PortfolioSolution) -> dict:
+def market_record(psol: ff.PortfolioSolution, ensemble: ff.BrownianEnsemble,
+                  paths: int = 0) -> ff.ForwardRecord:
+    """A ``full_record`` of a market solution that also keeps pi*'s ``ZBAR`` column and
+    the squares of Z (column ``"z_sq"``), as the CLI's record of merton does."""
+    return full_record(psol.fde_sol, ensemble, paths,
+                       {ff.portfolio.ZBAR: ff.portfolio.zbar_column,
+                        "z_sq": lambda y, z, f, dt: np.square(z)})
+
+
+def whole_array_market_reads(model: ff.MarketModel, Z: np.ndarray) -> dict:
     """What a market's checks and export read of whole pi* and Z, each written as one
     whole-array expression: pi*'s largest gap to ``pi_star_reference``, its per-step
     mean and std (sums over the columns of a C-order (P, K) array), its largest
     distance from the Merton fraction, and the rms of Z (summed as a C-order array)."""
-    pi_star = np.ascontiguousarray(pi_star_reference(psol))
-    z = np.ascontiguousarray(psol.fde_sol.Z)
-    return {"pi_star_identity": float(np.abs(psol.pi_star - pi_star).max()),
+    pi_star = np.ascontiguousarray(pi_star_reference(model, Z))
+    return {"pi_star_identity": float(np.abs(pi_star - pi_star_reference(model, Z)).max()),
             "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
             "per_step_std": [float(v) for v in pi_star.std(axis=0)],
-            "pi_star_dev": float(np.abs(pi_star - psol.model.merton_fraction).max()),
-            "merton_z_rms": float(np.sqrt(np.mean(z ** 2)))}
+            "pi_star_dev": float(np.abs(pi_star - model.merton_fraction).max()),
+            "merton_z_rms": float(np.sqrt(np.mean(np.ascontiguousarray(Z) ** 2)))}
 
 
 def endowment_oracle(model: ff.MarketModel, kappa: float, T: float, t: float,
@@ -281,7 +285,19 @@ def reference_solve_global(coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsem
             max_iter=max_iter, basis=basis, fit_window_fn=box, clip_bound=clip)
         phi_fits[a:b], z_fits[a:b] = wsol.phi_fits, wsol.z_fits
         terminal_map = lambda x, _f=phi_fits[a]: np.clip(_f.evaluate(x), -clip, clip)
+    V, X, Y, Z = reference_assembly(coeffs, ensemble, phi_fits, z_fits, windows, clip)
+    return {"V": V, "X": X, "Y": Y, "Z": Z, "phi_fits": phi_fits, "z_fits": z_fits,
+            "windows": windows, "reports": reports}
 
+
+def reference_assembly(coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsemble, phi_fits,
+                       z_fits, windows, clip):
+    """Whole (V, X, Y, Z) of fitted maps, assembled in one loop from X_0 = 0: (Y_k, Z_k)
+    are step k's maps at X_k, Y clipped at ``clip``, V is glued by a running offset (each
+    window sums its h dt from zero), and Y_K = phi(X_K). Each array is the path-major view
+    of a step-major buffer."""
+    grid, P, n, d = ensemble.grid, ensemble.num_paths, coeffs.n, coeffs.d
+    K, t, dt, dB = grid.num_steps, grid.points, grid.dt, ensemble.increments
     V, X = np.zeros((K + 1, P, n)), np.zeros((K + 1, P, d))
     Y, Z = np.zeros((K + 1, P, n)), np.zeros((K, P, n, d))
     offset = np.zeros((P, n))
@@ -295,9 +311,13 @@ def reference_solve_global(coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsem
             X[k + 1] = X[k] + coeffs.eval_f(t[k], Y[k], Z[k]) * dt[k] + dB[:, k]
         offset = V[b].copy()
     Y[K] = coeffs.eval_phi(X[K])
-    return {"V": V.transpose(1, 0, 2), "X": X.transpose(1, 0, 2), "Y": Y.transpose(1, 0, 2),
-            "Z": Z.transpose(1, 0, 2, 3), "phi_fits": phi_fits, "z_fits": z_fits,
-            "windows": windows, "reports": reports}
+    return V.transpose(1, 0, 2), X.transpose(1, 0, 2), Y.transpose(1, 0, 2), Z.transpose(1, 0, 2, 3)
+
+
+def reference_paths(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble):
+    """A global solution's whole (V, X, Y, Z), from ``reference_assembly`` of its maps."""
+    return reference_assembly(sol.coeffs, ensemble, sol.phi_fits, sol.z_fits,
+                              sol.window_bounds, sol.clip_bound)
 
 
 def reference_reads(ref: dict, coeffs: ff.CoefficientSet, ensemble: ff.BrownianEnsemble,

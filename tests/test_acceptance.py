@@ -16,7 +16,7 @@ import fdeflow as ff
 from fdeflow import cli
 from fdeflow.oracles import CrankNicolsonOracle, heat_value, merton_y0
 
-from _helpers import empirical_pathwise_uniqueness, recorded_states
+from _helpers import empirical_pathwise_uniqueness, full_record
 
 ACCEPT_SEED = 20260808
 FBSDE_FIXTURES = ("trivial", "const_driver", "tanh_terminal", "linear_driver",
@@ -120,7 +120,7 @@ def test_criterion_05_girsanov_weights(acceptance):
     sol, ens = b["sol"], b["ensemble"]
     grid = sol.grid
     c, T = 0.5, grid.horizon
-    mc = ff.build_measure_change(sol, ens)
+    mc = b["measure_change"]
     b_t = ens.increments[:, :, 0].sum(axis=1)
     formula_dev = float(np.abs(mc.weights - np.exp(-c * b_t - 0.5 * c * c * T)).max())
     mean_dev_se = abs(mc.weight_mean - 1.0) / mc.weight_stderr
@@ -151,8 +151,8 @@ def test_criterion_06_z_invariance(acceptance):
         if "portfolio" in b:   # its solve ensemble is freed once the report is made
             rep = b["z_invariance"]
         else:
-            mc = ff.build_measure_change(b["sol"], b["ensemble"])
-            rep = ff.check_z_invariance(mc, recorded_states(b["sol"], b["ensemble"]))
+            record = full_record(b["sol"], b["ensemble"])
+            rep = ff.check_z_invariance(ff.build_measure_change(record), record)
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
     _report(6, "z invariance", ok, f"max surface discrepancy {worst:.4f} <= 0.05")
@@ -160,8 +160,8 @@ def test_criterion_06_z_invariance(acceptance):
 
 
 def test_criterion_07_weak_solution_residual(acceptance):
-    psol = acceptance("merton")["portfolio"]
-    rms = psol.weak_residual["weighted_rms"]
+    b = acceptance("merton")
+    psol, rms = b["portfolio"], b["weak_residual"]["weighted_rms"]
     ok = rms <= 1e-2
     _report(7, "weak-solution residual", ok, f"weighted rms {rms:.2e} <= 1e-2 "
             f"at {psol.fde_sol.num_paths} paths, {psol.fde_sol.grid.num_steps} steps")
@@ -175,9 +175,8 @@ def test_criterion_08_merton_benchmark(acceptance):
     y0_ref = merton_y0(0.1, 0.2, 1.0, 1.0)
     y0_err = abs(psol.y0 - y0_ref)
     value_err = abs(psol.value - (-np.exp(-0.125)))
-    # the run released whole Z; pi*'s largest distance from mu_S / (gamma sigma_S^2) = 2.5
-    # was read before that
-    pi_err = psol.pi_star_summary["pi_star_dev"]
+    # pi*'s largest distance from mu_S / (gamma sigma_S^2) = 2.5, read off the run's record
+    pi_err = b["pi_star"]["pi_star_dev"]
     runtime = b["solve_seconds"]
     ok = y0_err <= 0.01 and value_err <= 0.01 and pi_err <= 0.05 and runtime <= 120.0
     _report(8, "merton benchmark", ok,

@@ -3,9 +3,10 @@ import re
 
 import fdeflow as ff
 
-# a solution carries its coefficient set, and a measure change its solution: no
-# public callable takes a solution together with either, so none can pair them wrongly
-_CARRIED_BY_A_SOLUTION = {"CoefficientSet", "MeasureChange"}
+# a solution carries its coefficient set, and a measure change and a record their
+# solution: no public callable takes a solution together with any of them, so none
+# can pair them wrongly
+_CARRIED_BY_A_SOLUTION = {"CoefficientSet", "MeasureChange", "ForwardRecord"}
 
 
 def _annotated_types(obj) -> set:
@@ -26,5 +27,5 @@ def test_no_public_callable_takes_a_solution_with_what_it_carries():
             paired[name] = sorted(types & _CARRIED_BY_A_SOLUTION)
     assert paired == {}
     # the walk reads the annotations it is meant to
-    assert {"MeasureChange", "BrownianEnsemble"} <= _annotated_types(ff.assemble_weak_solution)
-    assert "FdeSolution" in _annotated_types(ff.bmo_diagnostic)
+    assert {"MeasureChange", "ForwardRecord"} <= _annotated_types(ff.assemble_weak_solution)
+    assert {"FdeSolution", "BrownianEnsemble"} <= _annotated_types(ff.forward_record)

@@ -324,13 +324,13 @@ def test_exported_rows_are_the_replayed_forward_states(tmp_path):
     # const_forward has f = c, so X is not the Brownian path; the run writes
     # V and X to the paths CSV and X as W to the weak CSV
     from fdeflow.fixtures import get_fixture
-    from _helpers import replayed_paths
+    from _helpers import reference_paths
     cfg = cli.load_config(_shipped_config("qbsde_weak.cfg", tmp_path, K=16, num_paths=3000,
                                           export_paths=5, out=tmp_path / "out"))
     cli.run(cfg)
     bundle = cli._solve_fixture(get_fixture("const_forward"), cfg)
     sol = bundle["sol"]
-    V, X = replayed_paths(sol, bundle["ensemble"])
+    V, X, _, _ = reference_paths(sol, bundle["ensemble"])
     bits = lambda a: np.ascontiguousarray(a, dtype=float).view(np.uint64)
     assert np.array_equal(bits(X[:, -1]), bits(sol.X_T))
     paths = _read_rows(tmp_path / "out" / "const_forward_paths.csv")
@@ -787,30 +787,42 @@ def _reachable_arrays(root) -> list:
 
 
 def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypatch):
-    # and before the Z-invariance and BMO checks, which read the recorded probe states;
-    # whole Y and Z are freed before the evaluation ensemble too
+    # and before the Z-invariance and BMO checks, which read the record; no whole Y or
+    # Z is ever built: the global solution holds no array of P rows and several steps,
+    # no (K+1, P, n) or (K, P, n, d) buffer is allocated, and between the solve and the
+    # evaluation ensemble the only P-row, multi-step buffers are the record's columns
     import gc
     import weakref
-    from fdeflow.errors import ReleasedArrayError
     from fdeflow.fixtures import get_fixture
+    P, K = 2000, 50
     sample, sampled, alive = cli.sample_ensemble, [], []
-    solve, solved, at_evaluation = cli.solve_portfolio, [], []
+    solve, solved, reachable = cli.solve_portfolio, [], []
+    allocated, after_solve, evaluating = [], [], []
+
+    def allocating(make):
+        def run(shape, *args, **kwargs):
+            dims = tuple(int(n) for n in np.atleast_1d(shape))
+            allocated.append(dims)
+            if solved and not evaluating and P in dims[:2] and np.prod(dims) >= P * K:
+                after_solve.append(dims)
+            return make(shape, *args, **kwargs)
+        return run
+
+    def whole_arrays(sol):
+        return [a.shape for a in _reachable_arrays(sol) if a.size >= P * K]
 
     def solving(*args, **kwargs):
         psol = solve(*args, **kwargs)
-        sol = psol.fde_sol
-        solved.append((psol, [weakref.ref(a) for a in (sol.Y, sol.Z, sol.Y.base, sol.Z.base)]))
+        solved.append(psol)
+        reachable.append(whole_arrays(psol.fde_sol))
         return psol
 
     def recording(*args, **kwargs):
         gc.collect()
         alive.append([ref() is not None for ref in sampled])
         if solved:
-            psol, whole = solved[0]
-            sol = psol.fde_sol
-            at_evaluation.append((
-                [ref() is not None for ref in whole], sol.num_paths,
-                [a.shape for a in _reachable_arrays(sol) if a.ndim > 2 and 2000 in a.shape[:2]]))
+            reachable.append(whole_arrays(solved[0].fde_sol))
+            evaluating.append(True)
         ensemble = sample(*args, **kwargs)
         sampled.append(weakref.ref(ensemble))
         return ensemble
@@ -819,6 +831,7 @@ def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypat
         def run(*args):
             gc.collect()
             alive.append((check.__name__, sampled[0]() is not None))
+            reachable.append(whole_arrays(solved[0].fde_sol))
             return check(*args)
         return run
 
@@ -826,24 +839,23 @@ def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypat
     monkeypatch.setattr(cli, "solve_portfolio", solving)
     for name in ("check_z_invariance", "bmo_diagnostic"):
         monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
-    cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, allocating(getattr(np, name)))
+    cfg = cli.ExperimentConfig(problem="portfolio", num_paths=P, K=K)
     bundle = cli._solve_fixture(get_fixture("endowment"), cfg)
     assert alive == [[], ("check_z_invariance", False), ("bmo_diagnostic", False), [False]]
-    # no (P, K+1, n) Y or (P, K, n, d) Z, nor their step-major buffers, is left to reach
-    assert at_evaluation == [([False] * 4, 2000, [])]
-    psol = solved[0][0]
-    for read, name in ((lambda: psol.fde_sol.Y[:, 0], "Y"), (lambda: psol.fde_sol.Z.shape, "Z"),
-                       (lambda: np.asarray(psol.fde_sol.Y), "Y"), (lambda: psol.pi_star, "Z")):
-        with pytest.raises(ReleasedArrayError, match=f"whole {name} was released"):
-            read()
+    assert reachable == [[]] * 4
+    assert not [dims for dims in allocated if dims in ((K + 1, P, 1), (K, P, 1, 2))]
+    assert after_solve == [(P, K), (P, K)]   # pi*'s and BMO's columns
     # what the checks and the export read instead: the summaries and the recorded rows
-    assert bundle["pi_star"] is psol.pi_star_summary
+    assert set(bundle["pi_star"]) == {"pi_star_identity", "per_step_mean", "per_step_std",
+                                      "pi_star_dev"}
     assert [a.shape for a in bundle["forward"]] == [(200, 51, 1), (200, 51, 2), (200, 51, 1),
                                                     (200, 50, 1, 2)]
 
 
-def test_market_run_replays_its_forward_pass_four_times(monkeypatch):
-    # the assembly, the residual, the weak assembly and the one recorder after the solve
+def test_a_run_replays_its_forward_pass_twice(monkeypatch):
+    # the assembly and the one record pass after the solve, in a market and in linear_driver
     import sys
     from fdeflow import fde, girsanov
     from fdeflow.fixtures import get_fixture
@@ -853,12 +865,13 @@ def test_market_run_replays_its_forward_pass_four_times(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return replay(*args)
 
-    for module in (fde, girsanov, cli):
-        monkeypatch.setattr(module, "replay_forward", counted)
-    cfg = cli.ExperimentConfig(problem="portfolio", num_paths=2000, K=50)
-    cli._solve_fixture(get_fixture("endowment"), cfg)
-    assert callers == ["solve_global", "check_fbsde_residual", "assemble_weak_solution",
-                       "forward_rows"]
+    assert not [m for m in (girsanov, cli) if hasattr(m, "replay_forward")]   # fde's is all
+    monkeypatch.setattr(fde, "replay_forward", counted)
+    for name, problem in (("endowment", "portfolio"), ("linear_driver", "fbsde")):
+        callers.clear()
+        cfg = cli.ExperimentConfig(problem=problem, fixture=name, num_paths=2000)
+        cli._solve_fixture(get_fixture(name), cfg)
+        assert callers == ["solve_global", "forward_record"], name
 
 
 @pytest.mark.parametrize("name", ["fbsde.cfg", "qbsde_weak.cfg", "portfolio.cfg"])

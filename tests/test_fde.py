@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -14,8 +15,8 @@ from fdeflow.errors import (FdeflowError, InvalidArgumentError, InvalidStateErro
 from fdeflow.oracles import CrankNicolsonOracle, heat_value
 from fdeflow.regression import StepRegression
 
-from _helpers import (brownian_paths, empirical_pathwise_uniqueness, reference_picard_window,
-                      replayed_paths)
+from _helpers import (brownian_paths, empirical_pathwise_uniqueness, reference_paths,
+                      reference_picard_window)
 
 # frozen quadrature oracle: E[tanh(0.3 + B_{0.5})]
 TANH_AT_HALF = 0.21501332187374472
@@ -77,11 +78,13 @@ def test_drawn_coefficient_sets_solve_or_fail_by_name(a, s, f_of_z, c1_scale, c2
         return
     coeffs = build()
     grid = ff.build_uniform_grid(0.1, 8)
+    ens = ff.sample_ensemble(grid, 600, 1, 4242)
     try:
-        sol = ff.solve_global(coeffs, ff.sample_ensemble(grid, 600, 1, 4242))
+        sol = ff.solve_global(coeffs, ens)
+        residuals = ff.check_fbsde_residual(ff.forward_record(sol, ens, 0))
     except FdeflowError:
         return
-    assert np.isfinite(sol.y0_mean).all() and sol.residuals["forward_max"] == 0.0
+    assert np.isfinite(sol.y0_mean).all() and residuals["forward_max"] == 0.0
 
 
 def test_picard_window_trivial_problem():
@@ -321,8 +324,8 @@ def test_repeating_window_peaks_below_seven_window_arrays():
 
 
 def test_global_solve_peaks_below_three_whole_path_arrays():
-    # the solve keeps (Y, Z), about two (K+1, P) arrays, and X_T; the forward
-    # assembly and the residual hold one step of (V, X) at a time
+    # the solve keeps its maps and X_T, no whole path array; the sweep holds a
+    # window's arrays and designs, and the assembly and the record one step at a time
     fixture = ff.get_fixture("linear_driver")
     P = 20_000
     grid = ff.build_uniform_grid(fixture.T, fixture.K)
@@ -331,11 +334,16 @@ def test_global_solve_peaks_below_three_whole_path_arrays():
     try:
         sol = ff.solve_global(fixture.build(), ens, c4=fixture.c4,
                               basis=fixture.basis)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        residuals = ff.check_fbsde_residual(ff.forward_record(sol, ens, 0))
+        record_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.residuals["forward_max"] == 0.0 and sol.V is None and sol.X is None
-    assert peak < 3 * (grid.num_steps + 1) * P * 8
+    assert residuals["forward_max"] == 0.0
+    assert all(getattr(sol, name) is None for name in ("V", "X", "Y", "Z"))
+    whole = (grid.num_steps + 1) * P * 8
+    assert solve_peak < 3 * whole and record_peak < whole
 
 
 def test_contraction_factor_on_compliant_window():
@@ -357,9 +365,10 @@ def test_solve_global_single_window_equals_picard(unit_ensemble_1d):
     coeffs = _coeffs()
     sol = ff.solve_global(coeffs, ens)
     assert len(sol.window_bounds) >= 1
-    assert np.abs(sol.Y - 1.0).max() <= 1e-6
-    assert np.abs(replayed_paths(sol, ens)[0]).max() == 0.0
-    assert sol.residuals["forward_max"] == 0.0
+    V, _, Y, _ = reference_paths(sol, ens)
+    assert np.abs(Y - 1.0).max() <= 1e-6
+    assert np.abs(V).max() == 0.0
+    assert ff.check_fbsde_residual(ff.forward_record(sol, ens, 0))["forward_max"] == 0.0
     # y0 statistics: terminal reconstruction of a constant is exact
     assert sol.y0_mean[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.y0_stderr[0] == pytest.approx(0.0, abs=1e-12)
@@ -381,16 +390,17 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
     runs = []
     for e in (ens, c_order):
         sol = ff.solve_global(coeffs, e, c4=fixture.c4, basis=fixture.basis)
-        runs.append((sol, ff.build_measure_change(sol, e)))
-    (sol, mc), (ref, ref_mc) = runs
+        record = ff.forward_record(sol, e, 0)
+        runs.append((sol, ff.check_fbsde_residual(record), ff.build_measure_change(record)))
+    (sol, res, mc), (ref, ref_res, ref_mc) = runs
     assert coeffs.c1 > 0
-    for field in ("Y", "Z", "X_T", "y0_mean"):
+    for field in ("X_T", "y0_mean"):
         assert np.array_equal(_bits(getattr(sol, field)), _bits(getattr(ref, field))), field
-    for got, want in zip(replayed_paths(sol, ens), replayed_paths(ref, c_order)):
+    for got, want in zip(reference_paths(sol, ens), reference_paths(ref, c_order)):
         assert np.array_equal(_bits(got), _bits(want))
-    assert sol.residuals == ref.residuals
+    assert res == ref_res
     assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
-    assert all(x.flags.c_contiguous for _, x in ff.replay_forward(sol, ens))
+    assert all(x.flags.c_contiguous for _, x, _, _ in ff.replay_forward(sol, ens))
 
 
 def test_solve_global_offset_gluing_identity():
@@ -404,7 +414,7 @@ def test_solve_global_offset_gluing_identity():
     ens = ff.sample_ensemble(grid, 3000, 1, 12)
     sol = ff.solve_global(coeffs, ens, c4=0.0)
     assert sol.window_bounds == [(0, 8), (8, 16)]
-    V, _ = replayed_paths(sol, ens)
+    V = reference_paths(sol, ens)[0]
     assert np.abs(V[:, :, 0] - c * grid.points[None, :]).max() <= 1e-9
 
 
@@ -437,14 +447,17 @@ def test_solve_global_non_scalar_system_decouples():
     settings = dict(c4=0.0, basis=ff.polynomial_basis(7, 1))
     sol = ff.solve_global(coeffs, ens, **settings)
     ref = ff.solve_global(scalar, ens, **settings)
-    assert np.abs(sol.Y[:, :, 0] - ref.Y[:, :, 0]).max() <= 1e-9
-    assert np.abs(sol.Z[:, :, 0] - ref.Z[:, :, 0]).max() <= 1e-9
-    assert np.abs(replayed_paths(sol, ens)[0][:, :, 1]
-                  - c * grid.points[None, :]).max() <= 1e-9
-    assert np.abs(sol.Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
-    mc, mc_ref = (ff.build_measure_change(s, ens) for s in (sol, ref))
+    V, _, Y, Z = reference_paths(sol, ens)
+    _, _, Y_ref, Z_ref = reference_paths(ref, ens)
+    assert np.abs(Y[:, :, 0] - Y_ref[:, :, 0]).max() <= 1e-9
+    assert np.abs(Z[:, :, 0] - Z_ref[:, :, 0]).max() <= 1e-9
+    assert np.abs(V[:, :, 1] - c * grid.points[None, :]).max() <= 1e-9
+    assert np.abs(Y[:, :, 1] - c * (1.0 - grid.points[None, :])).max() <= 1e-2
+    records = [ff.forward_record(s, ens, 0) for s in (sol, ref)]
+    mc, mc_ref = (ff.build_measure_change(r) for r in records)
     assert np.all(mc.weights == 1.0)
-    weak, weak_ref = (ff.assemble_weak_solution(m, ens)["weighted_rms"] for m in (mc, mc_ref))
+    weak, weak_ref = (ff.assemble_weak_solution(m, r)["weighted_rms"]
+                      for m, r in zip((mc, mc_ref), records))
     assert weak == pytest.approx(weak_ref, rel=1e-6)
 
 
@@ -528,24 +541,31 @@ def test_cn_oracle_matches_analytic_solution():
         assert np.abs(oracle.at(t, xs) - np.sin(xs)).max() <= 2e-3
 
 
+class _ZeroMap:
+    """A fitted Z map that is zero everywhere."""
+
+    def evaluate_on(self, design):
+        return np.zeros((design.rows, 1, 1))
+
+
 def test_check_residual_detects_zeroed_z(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
-    base = ff.check_fbsde_residual(sol, ens)
+    base = ff.check_fbsde_residual(ff.forward_record(sol, ens, 0))
     assert base["forward_max"] == 0.0
     # coarse unit-test grid: the sqrt(dt) discretization floor dominates
     assert base["backward_rms"] <= 0.02
-    stripped = ff.FdeSolution(
-        grid=sol.grid, coeffs=sol.coeffs, Y=sol.Y, Z=np.zeros_like(sol.Z), X_T=sol.X_T,
-        phi_fits=sol.phi_fits, z_fits=sol.z_fits, iteration_log=sol.iteration_log,
-        residuals={}, window_bounds=sol.window_bounds, seed=sol.seed)
-    inflated = ff.check_fbsde_residual(stripped, ens)
+    # f is constant here, so zero Z maps leave X, and with it Y, as solved
+    stripped = dataclasses.replace(sol, z_fits=[_ZeroMap()] * grid.num_steps)
+    inflated = ff.check_fbsde_residual(ff.forward_record(stripped, ens, 0))
+    assert inflated["forward_max"] == 0.0
     # the replayed X_K is checked against the stored X_T
     stripped.X_T = sol.X_T + 1e-3
-    assert ff.check_fbsde_residual(stripped, ens)["forward_max"] > 0.0
+    assert ff.check_fbsde_residual(ff.forward_record(stripped, ens, 0))["forward_max"] > 0.0
     # h ignores z here, so r_new = r_old + Z dB exactly; predict the inflation
-    # from the stored arrays
-    zdb = np.einsum("pknd,pkd->pkn", sol.Z, ens.increments)
-    r_old = np.diff(sol.Y, axis=1) - zdb  # h == 0 for this fixture
+    # from the whole arrays
+    _, _, Y, Z = reference_paths(sol, ens)
+    zdb = np.einsum("pknd,pkd->pkn", Z, ens.increments)
+    r_old = np.diff(Y, axis=1) - zdb  # h == 0 for this fixture
     predicted = np.sqrt(np.mean((r_old + zdb) ** 2))
     assert inflated["backward_rms"] == pytest.approx(predicted, rel=1e-9)
     assert inflated["backward_rms"] > 3 * base["backward_rms"]
@@ -561,7 +581,7 @@ def test_a_window_solution_is_not_replayed():
     with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
         next(ff.replay_forward(sol, ens))
     with pytest.raises(InvalidArgumentError, match="not produced on this ensemble"):
-        ff.build_measure_change(sol, ens)
+        ff.forward_record(sol, ens, 0)
 
 
 def test_another_start_is_the_shifted_terminal_map(unit_ensemble_1d):
@@ -578,7 +598,7 @@ def test_residual_requires_matching_ensemble(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     other = ff.sample_ensemble(grid, ens.num_paths, 1, ens.seed + 1)
     with pytest.raises(InvalidArgumentError):
-        ff.check_fbsde_residual(sol, other)
+        ff.forward_record(sol, other, 0)
 
 
 def test_readers_refuse_an_ensemble_of_another_grid_path_count_or_dim(const_forward_solution):
@@ -589,20 +609,21 @@ def test_readers_refuse_an_ensemble_of_another_grid_path_count_or_dim(const_forw
                   ff.build_uniform_grid(4.0, 16), ens.num_paths, 1, ens.seed),
               "4000 paths of dim 1": ff.sample_ensemble(grid, 4000, 1, ens.seed),
               "paths of dim 2": ff.sample_ensemble(grid, ens.num_paths, 2, ens.seed)}
+    # every other reader reads a record of the solution, never an ensemble
     readers = (lambda e: next(ff.replay_forward(sol, e)),
-               lambda e: ff.check_fbsde_residual(sol, e),
-               lambda e: ff.build_measure_change(sol, e))
+               lambda e: ff.forward_record(sol, e, 0))
     for named, other in others.items():
         for read in readers:
             with pytest.raises(InvalidArgumentError, match=f"given seed {ens.seed}, .*{named}"):
                 read(other)
 
 
-def test_forward_rows_refuses_a_negative_path_count(const_forward_solution):
+def test_forward_record_refuses_a_negative_path_count(const_forward_solution):
     coeffs, grid, ens, sol = const_forward_solution
     with pytest.raises(InvalidArgumentError, match="non-negative, got -1"):
-        fde.forward_rows(sol, ens, -1)
-    assert fde.forward_rows(sol, ens, 0)[0][1].shape == (0, grid.num_steps + 1, 1)
+        fde.forward_record(sol, ens, -1)
+    rows = fde.forward_record(sol, ens, 0).rows
+    assert [a.shape for a in rows] == [(0, grid.num_steps + 1, 1)] * 3 + [(0, grid.num_steps, 1, 1)]
 
 
 def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
@@ -619,22 +640,25 @@ def test_pathwise_uniqueness_trivial_and_tanh(unit_ensemble_1d):
 def test_terminal_consistency_invariant(tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     K = grid.num_steps
-    term_rms = np.sqrt(np.mean((sol.Y[:, K] - coeffs.eval_phi(sol.X_T)) ** 2))
+    _, X, Y, _ = reference_paths(sol, ens)
+    term_rms = np.sqrt(np.mean((Y[:, K] - coeffs.eval_phi(sol.X_T)) ** 2))
     assert term_rms == 0.0
+    assert ff.check_fbsde_residual(ff.forward_record(sol, ens, 0))["terminal_rms"] == 0.0
     # Y_k equals fitted conditional minus V_k by construction
     k = K // 2
-    refit = sol.phi_fits[k].evaluate(replayed_paths(sol, ens)[1][:, k])
-    clip = np.abs(sol.Y[:, k]).max() + 1.0
-    assert np.allclose(np.clip(refit, -clip, clip), sol.Y[:, k], atol=1e-9)
+    refit = sol.phi_fits[k].evaluate(X[:, k])
+    clip = np.abs(Y[:, k]).max() + 1.0
+    assert np.allclose(np.clip(refit, -clip, clip), Y[:, k], atol=1e-9)
 
 
 def test_solution_export_roundtrip(tmp_path, tanh_solution):
     coeffs, grid, ens, sol = tanh_solution
     csv = tmp_path / "sol.csv"
     side = tmp_path / "sol.json"
-    ff.export_solution(sol, fde.forward_rows(sol, ens, 3)[0], csv, side,
-                       config_echo={"fixture": "tanh"})
-    V, X = replayed_paths(sol, ens)
+    record = fde.forward_record(sol, ens, 3)
+    sol.residuals = ff.check_fbsde_residual(record)
+    ff.export_solution(sol, record.rows, csv, side, config_echo={"fixture": "tanh"})
+    V, X, Y, Z = reference_paths(sol, ens)
     lines = csv.read_text().splitlines()
     assert lines[0] == "path,step,t,V0,X0,Y0,Z00"
     assert len(lines) == 1 + 3 * (grid.num_steps + 1)
@@ -642,8 +666,8 @@ def test_solution_export_roundtrip(tmp_path, tanh_solution):
     for line in lines[1:]:
         p, k, *cells = line.split(",")
         p, k = int(p), int(k)
-        z = sol.Z[p, k, 0, 0] if k < K else 0.0
-        expected = [grid.points[k], V[p, k, 0], X[p, k, 0], sol.Y[p, k, 0], z]
+        z = Z[p, k, 0, 0] if k < K else 0.0
+        expected = [grid.points[k], V[p, k, 0], X[p, k, 0], Y[p, k, 0], z]
         assert [float(c) for c in cells] == expected
     payload = json.loads(side.read_text())
     assert payload["config"] == {"fixture": "tanh"}
@@ -673,7 +697,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
     assert sol.window_bounds == [(0, 8), (8, 16)]
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
-    ff.export_solution(sol, fde.forward_rows(sol, ens, 1)[0], tmp_path / "two.csv", side,
+    ff.export_solution(sol, fde.forward_record(sol, ens, 1).rows, tmp_path / "two.csv", side,
                        config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
 

@@ -10,8 +10,9 @@ from fdeflow import cli, portfolio
 from fdeflow.errors import InvalidArgumentError, InvalidStateError
 from fdeflow.oracles import merton_drift_factor, merton_y0
 
-from _helpers import (endowment_oracle, girsanov_integrand, pi_star_reference, prices,
-                      recorded_states, whole_array_market_reads, whole_array_optimality)
+from _helpers import (endowment_oracle, full_record, girsanov_integrand, market_record,
+                      pi_star_reference, prices, reference_paths, whole_array_market_reads,
+                      whole_array_optimality)
 
 MERTON_VALUE = -0.8824969025845953  # -exp(-0.125)
 
@@ -104,23 +105,34 @@ def test_merton_benchmark_small(merton_small):
     model, grid, ens, psol = merton_small
     assert abs(psol.y0 - 0.125) <= 0.01
     assert abs(psol.value - MERTON_VALUE) <= 0.01
-    assert np.abs(psol.pi_star - 2.5).max() <= 0.05
+    pi_ref = pi_star_reference(model, reference_paths(psol.fde_sol, ens)[3])
+    assert np.abs(pi_ref - 2.5).max() <= 0.05
     assert psol.y0_stderr <= 1e-4 / 3
-    # identity holds on the stored arrays exactly
-    assert np.abs(psol.pi_star - pi_star_reference(psol)).max() == 0.0
-    assert psol.weak_residual["weighted_rms"] <= 0.01
+    # the identity holds exactly on pi* as the summary builds it from the record
+    record = market_record(psol, ens)
+    pi_star = record.columns[portfolio.ZBAR]
+    assert portfolio.pi_star_summary(model, pi_star)["pi_star_identity"] == 0.0
+    assert np.abs(pi_star - pi_ref).max() == 0.0
+    weak = ff.assemble_weak_solution(ff.build_measure_change(record), record)
+    assert weak["weighted_rms"] <= 0.01
     # quadrature oracle agrees with the closed form
     assert merton_y0(0.1, 0.2, 1.0, 1.0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_pi_star_is_read_from_z_not_stored(merton_small):
-    _, grid, ens, psol = merton_small
+    # no solution holds pi* or Z: a record pass writes Zbar into one path-major (P, K)
+    # column, and pi*'s summary builds pi* in its place
+    model, grid, ens, psol = merton_small
     assert "pi_star" not in {f.name for f in dataclasses.fields(ff.PortfolioSolution)}
     shape = (ens.num_paths, grid.num_steps)
-    assert not [name for name, v in vars(psol).items() if np.shape(v) == shape]
-    first, second = psol.pi_star, psol.pi_star
-    assert first is not second and not np.shares_memory(first, second)
-    assert first.shape == shape and first.tobytes() == second.tobytes()
+    for held in (psol, psol.fde_sol):   # X_T, (P, 2), is the largest
+        assert not [name for name, v in vars(held).items() if np.size(v) >= np.prod(shape)]
+    column = market_record(psol, ens).columns[portfolio.ZBAR]
+    assert column.shape == shape and column.flags.c_contiguous
+    zbar = column.copy()
+    summary = portfolio.pi_star_summary(model, column)
+    assert np.array_equal(column, model.merton_fraction - zbar)
+    assert summary["per_step_mean"] == [float(v) for v in column.mean(axis=0)]
 
 
 def test_value_scales_exactly_with_initial_wealth(merton_small):
@@ -143,7 +155,7 @@ def test_constant_endowment_shifts_y0(merton_small):
     psol2 = ff.solve_portfolio(shifted, ens, c4=0.0,
                                basis=ff.polynomial_basis(3, 2))
     assert abs(psol2.y0 - (k + 0.125)) <= 0.01
-    assert np.sqrt(np.mean(psol2.fde_sol.Z ** 2)) <= 1e-3
+    assert np.sqrt(np.mean(reference_paths(psol2.fde_sol, ens)[3] ** 2)) <= 1e-3
 
 
 def test_no_investment_opportunity(merton_small):
@@ -154,14 +166,14 @@ def test_no_investment_opportunity(merton_small):
                               basis=ff.polynomial_basis(3, 2))
     assert abs(psol.y0) <= 1e-4
     assert psol.value == pytest.approx(-np.exp(-0.4), abs=1e-3)
-    assert np.abs(psol.pi_star).max() <= 1e-6
+    assert np.abs(pi_star_reference(model, reference_paths(psol.fde_sol, ens)[3])).max() <= 1e-6
 
 
 def test_reweighted_asset_drift(merton_small):
     # the measure change moves the tradeable drift into the shifted motion:
     # E[S_T] under the target measure is s0 * exp(int mu dt)
     model, grid, ens, psol = merton_small
-    mc = psol.measure_change
+    mc = ff.build_measure_change(full_record(psol.fde_sol, ens))
     v_t, s_t = prices(model, grid.horizon, psol.fde_sol.X_T)
     for price, drift in ((s_t, 0.1), (v_t, 0.05)):
         weighted = mc.weights * price
@@ -272,10 +284,12 @@ def endowment_small():
 
 def test_endowment_pipeline_runs(endowment_small):
     grid, ens, psol = endowment_small
-    assert psol.weak_residual["weighted_rms"] <= 0.02
-    assert abs(psol.measure_change.weight_mean - 1.0) <= 5 * psol.measure_change.weight_stderr
+    record = full_record(psol.fde_sol, ens)
+    mc = ff.build_measure_change(record)
+    assert ff.assemble_weak_solution(mc, record)["weighted_rms"] <= 0.02
+    assert abs(mc.weight_mean - 1.0) <= 5 * mc.weight_stderr
     assert -1.0 < psol.value < 0.0
-    rep = ff.bmo_diagnostic(psol.fde_sol, recorded_states(psol.fde_sol, ens), [0, 12, 24])
+    rep = ff.bmo_diagnostic(record, [0, 12, 24])
     means = [row["mean"] for row in rep["per_probe"]]
     assert all(b <= a * 1.10 + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -295,7 +309,8 @@ def test_endowment_matches_the_exact_oracle(endowment_small):
         assert np.abs(sol.phi_fits[k].evaluate(mesh)[:, 0] - y).max() <= 0.0125
         assert np.abs(sol.z_fits[k].evaluate(mesh)[:, 0, 1] - z[:, 1]).max() <= 0.022
     pi_star_0 = model.merton_fraction - z0[0, 1]
-    assert abs(psol.pi_star[:, 0].mean() - pi_star_0) <= 0.01
+    pi_star = portfolio.pi_star_summary(model, market_record(psol, ens).columns[portfolio.ZBAR])
+    assert abs(pi_star["per_step_mean"][0] - pi_star_0) <= 0.01
 
 
 def test_endowment_oracle_reduces_to_merton():
@@ -314,10 +329,15 @@ def test_portfolio_export(tmp_path, merton_small):
     fresh = ff.sample_ensemble(grid, 20_000, 2, 6062)
     report = ff.verify_martingale_optimality(psol, (0.5,), fresh)
     out = tmp_path / "portfolio.json"
-    ff.export_portfolio_results(psol, report, out, config_echo={})
+    record = market_record(psol, ens)
+    weak = ff.assemble_weak_solution(ff.build_measure_change(record), record)
+    pi_star = portfolio.pi_star_summary(model, record.columns[portfolio.ZBAR])
+    ff.export_portfolio_results(psol, weak, pi_star, report, out, config_echo={})
     import json
     payload = json.loads(out.read_text())
     assert payload["y0"] == pytest.approx(psol.y0)
+    assert payload["weak_residual"] == weak
+    assert payload["pi_star_summary"]["per_step_mean"] == pi_star["per_step_mean"]
     assert "drift_table" in payload and "pi_star" in payload["drift_table"]
     # pi*'s measured suboptimality, in standard errors, beside the drift table
     star = report["strategies"]["pi_star"]
@@ -327,21 +347,22 @@ def test_portfolio_export(tmp_path, merton_small):
     assert list(payload["drift_table"]) == list(report["strategies"])
     # a zero standard error leaves the ratio undefined: null, not inf or NaN
     star.update(total_se=0.0, value_se=0.0)
-    ff.export_portfolio_results(psol, report, out, config_echo={})
+    ff.export_portfolio_results(psol, weak, pi_star, report, out, config_echo={})
     payload = json.loads(out.read_text())
     assert payload["pi_star_drift_z"] is None and payload["pi_star_value_gap_se"] is None
 
 
 @pytest.mark.parametrize("market", ["merton_small", "endowment_small"])
 def test_market_reads_are_bitwise_the_whole_array_reads(request, market):
-    # the CLI takes these from pi_star_summary and _z_rms before it releases whole Y and Z
-    psol = request.getfixturevalue(market)[-1]
-    got = {**psol.pi_star_summary, "merton_z_rms": cli._z_rms(psol.fde_sol)}
-    ref = whole_array_market_reads(psol)
+    # the CLI reads these off the record's path-major columns, never off whole Y and Z
+    psol, ens = request.getfixturevalue(market)[-1], request.getfixturevalue(market)[-2]
+    record = market_record(psol, ens)
+    got = {**portfolio.pi_star_summary(psol.model, record.columns.pop(portfolio.ZBAR)),
+           "merton_z_rms": cli._z_rms(record.columns.pop("z_sq"))}
+    ref = whole_array_market_reads(psol.model, reference_paths(psol.fde_sol, ens)[3])
     assert list(got) == list(ref)
     for key, value in ref.items():
         assert np.array_equal(_bits(got[key]), _bits(value)), key
-    assert psol.pi_star_summary is psol.pi_star_summary   # pi* is built once
 
 
 def _bits(v):
@@ -382,10 +403,15 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     # one (P, K+1, 2) float64 array: the Brownian paths of the fresh ensemble
     peak = _traced_peak(ff.verify_martingale_optimality, psol, (0.5, 1.0, -0.5, -1.0), fresh)
     assert peak < P * (K + 1) * 2 * 8
-    # one (P, K, d) float64 array: the drift at every step
-    peak = _traced_peak(ff.build_measure_change, psol.fde_sol, ens)
-    assert peak < P * K * 2 * 8
-    # two (P, K) float64 arrays: the per-step |f|^2 dt and its reversed cumsum
-    states = recorded_states(psol.fde_sol, ens)   # the replay is not the stage measured
-    peak = _traced_peak(ff.bmo_diagnostic, psol.fde_sol, states, [0, 12, 24])
-    assert peak < 2 * P * K * 8
+    # the CLI's record: pi*'s and BMO's (P, K) columns, then a step's arrays at a time
+    columns = {portfolio.ZBAR: portfolio.zbar_column,
+               ff.girsanov.REMAINING: ff.girsanov.remaining_column}
+    peak = _traced_peak(ff.forward_record, psol.fde_sol, ens, 200, [0, 12, 24], columns)
+    assert peak < 3 * P * K * 8
+    record = market_record(psol, ens)   # the record pass is not the stage measured below
+    # the weights: a few (P,) arrays
+    peak = _traced_peak(ff.build_measure_change, record)
+    assert peak < 4 * P * 8
+    # the target sums the record's column in place: a few (P,) arrays and the designs
+    peak = _traced_peak(ff.bmo_diagnostic, record, [0, 12, 24])
+    assert peak < P * K * 8

@@ -48,14 +48,11 @@ def _library_reads(name, cfg):
     reads = {"y0": (sol.y0_mean, sol.y0_stderr), "residuals": sol.residuals,
              "rows": bundle["forward"], "windows": sol.window_bounds,
              "distances": [r.distances for r in sol.iteration_log]}
+    if "measure_change" in bundle:
+        reads["weights"] = bundle["measure_change"].weights
+        reads["weak"] = bundle["weak_residual"]
     if fixture.kind == "portfolio":
-        psol = bundle["portfolio"]
-        mc, reads["weak"] = psol.measure_change, psol.weak_residual
         reads["pi_star"] = bundle["pi_star"]
-    elif "measure_change" in bundle:
-        mc, reads["weak"] = bundle["measure_change"], bundle["weak_residual"]
-    if "weak" in reads:
-        reads["weights"] = mc.weights
     for key in ("z_invariance", "bmo"):
         if key in bundle:
             reads[key] = bundle[key]
