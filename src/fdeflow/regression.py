@@ -160,7 +160,7 @@ class _PolynomialSurface:
             u[j] /= self.scale[j]
         tails = []
         for j in range(u.shape[0]):
-            rows = np.flatnonzero(over[j])
+            rows = np.flatnonzero(over[j] != 0)   # a bool scan: faster than a float one
             if rows.size:
                 tails.append((j, rows, _monomial_design(u[:, rows].T, self._slopes[j][2]),
                               over[j, rows][:, None]))

@@ -532,3 +532,29 @@ def test_design_tails_carry_the_indices_of_rows_past_the_box():
         over = probes[:, j] - np.clip(probes[:, j], s.lo[j], s.hi[j])
         assert rows.dtype.kind == "i" and np.array_equal(rows, np.flatnonzero(over))
         assert bitwise_equal(step[:, 0], over[rows])
+
+
+def test_design_tails_hold_the_rows_just_past_the_box_and_none_on_its_edge():
+    states, basis, box, _ = _sharing_case("poly_2d_deg3")
+    fit = StepRegression(states, basis, fit_window=box).fit(np.sin(states.sum(axis=1)))
+    s = fit._surface
+    mid = 0.5 * (s.lo + s.hi)
+    probes, past = [], {0: [], 1: []}
+    for j in range(2):
+        for value, outside in ((s.lo[j], False), (s.hi[j], False),
+                               (np.nextafter(s.lo[j], -np.inf), True),
+                               (np.nextafter(s.hi[j], np.inf), True), (mid[j], False)):
+            row = mid.copy()
+            row[j] = value
+            if outside:
+                past[j].append(len(probes))
+            probes.append(row)
+    probes = np.array(probes)
+    tails = fit.design(probes).data[1]
+    assert {j: rows.tolist() for j, rows, _, _ in tails} == past
+    for j, rows, _, step in tails:
+        assert np.all(step[:, 0] != 0.0) and np.all(np.abs(step[:, 0]) < 1e-12)
+    # a state on the edge reads the box's own surface: no tail, the clip changes nothing
+    on_edge = [i for i in range(len(probes)) if all(i not in r for r in past.values())]
+    inside = fit.evaluate(np.clip(probes[on_edge], s.lo, s.hi))
+    assert bitwise_equal(fit.evaluate(probes[on_edge]), inside)
