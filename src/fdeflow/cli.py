@@ -34,8 +34,8 @@ from .girsanov import (REMAINING, assemble_weak_solution, bmo_diagnostic, build_
                        check_z_invariance, export_weak_solution, remaining_column,
                        z_invariance_probes)
 from .grid import build_uniform_grid, sample_ensemble
-from .portfolio import (ZBAR, export_portfolio_results, pi_star_summary, solve_portfolio,
-                        verify_martingale_optimality, zbar_column)
+from .portfolio import (PI_STAR, export_portfolio_results, pi_star_read, pi_star_summary,
+                        solve_portfolio, verify_martingale_optimality)
 from .regression import polynomial_basis
 
 PROBLEMS = ("fbsde", "qbsde-weak", "portfolio", "verify-suite")
@@ -246,11 +246,8 @@ def _basis_for(cfg: ExperimentConfig, fixture: Fixture):
 
 def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
     """Solve a fixture, replay it once (``forward_record``) and build what its checks and
-    exports read from that record: the residuals and export rows; a market's measure change,
-    weak residual, probe checks, pi*'s summary and optimality report; an fbsde fixture's
-    maxima, and for const_forward or qbsde-weak its measure change and weak residual (the
-    bundle keeps an fbsde ensemble for the weight-formula check). A market frees its solve
-    ensemble after the record, before its checks and the evaluation ensemble."""
+    exports read off that record; the bundle keeps an fbsde ensemble for the weight-formula
+    check, and a market frees its own before its checks and the evaluation ensemble."""
     T = cfg.T if cfg.T is not None else fixture.T
     K = cfg.K if cfg.K is not None else fixture.K
     paths = cfg.num_paths if cfg.num_paths is not None else fixture.num_paths
@@ -268,18 +265,18 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         columns = {REMAINING: remaining_column} if bmo_steps else {}
         if name in ("trivial", "const_driver") or market and built.g is None:
             columns["z_sq"] = lambda y, z, f, dt: np.square(z)
+        reads = _maxima(name, {**fixture.params, **cfg.fixture_params}, grid)
         if market:
             psol = solve_portfolio(built, ensemble, **settings)
-            sol, bundle, columns[ZBAR] = psol.fde_sol, {"portfolio": psol}, zbar_column
+            sol, bundle, reads[PI_STAR] = psol.fde_sol, {"portfolio": psol}, pi_star_read(built)
         else:
             sol = solve_global(built, ensemble, **settings)
             bundle = {"ensemble": ensemble}
         record = forward_record(sol, ensemble, cfg.export_paths,
-                                {j for pair in probes for j in pair} | {*bmo_steps}, columns,
-                                _maxima(name, {**fixture.params, **cfg.fixture_params}, grid))
+                                {j for pair in probes for j in pair} | {*bmo_steps}, columns, reads)
         del ensemble   # a market's goes here, before its checks and the evaluation ensemble
         sol.residuals = check_fbsde_residual(record)
-        bundle.update(sol=sol, forward=record.rows, maxima=record.maxima)
+        bundle.update(sol=sol, forward=record.rows, reads=record.reads)
         if market or name == "const_forward" or cfg.problem == "qbsde-weak":
             mc = bundle["measure_change"] = build_measure_change(record)
             bundle["weak_residual"] = assemble_weak_solution(mc, record)
@@ -290,10 +287,8 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
         if "z_sq" in columns:
             bundle["z_rms"] = _z_rms(record.columns.pop("z_sq"))
         if market:
-            zbar = record.columns.pop(ZBAR)
+            bundle["pi_star"] = pi_star_summary(record.reads[PI_STAR])
             del record
-            bundle["pi_star"] = pi_star_summary(built, zbar)
-            del zbar
             eval_ens = sample_ensemble(grid, paths, 2, substream_seed(
                 cfg.seed, "portfolio:evaluation-ensemble"))
             bundle["optimality"] = verify_martingale_optimality(
@@ -304,13 +299,13 @@ def _solve_fixture(fixture: Fixture, cfg: ExperimentConfig):
 
 
 def _maxima(name, params, grid) -> dict:
-    """The maxima over steps that trivial's and const_driver's checks read, as
-    ``forward_record`` fns of (k, V_k, Y_k)."""
+    """Per-step maxima that trivial's and const_driver's checks read, as ``forward_record`` reads."""
     t, T, c = grid.points, grid.horizon, params.get("c")
-    return {"trivial": {"y_deviation_max": lambda k, v, y: np.abs(y - 1.0),
-                        "v_max": lambda k, v, y: np.abs(v)},
-            "const_driver": {"v_affine_dev": lambda k, v, y: np.abs(v[:, 0] - c * t[k]),
-                             "y_affine_dev": lambda k, v, y: np.abs(y[:, 0] - c * (T - t[k]))},
+    return {"trivial": {"y_deviation_max": lambda k, v, y, z: np.abs(y - 1.0).max(),
+                        "v_max": lambda k, v, y, z: np.abs(v).max()},
+            "const_driver": {
+                "v_affine_dev": lambda k, v, y, z: np.abs(v[:, 0] - c * t[k]).max(),
+                "y_affine_dev": lambda k, v, y, z: np.abs(y[:, 0] - c * (T - t[k])).max()},
             }.get(name, {})
 
 
@@ -368,16 +363,16 @@ def _fixture_assertions(name, bundle, cfg) -> list:
     grid = sol.grid
     ensemble = bundle["ensemble"]
     T = grid.horizon
-    maxima = bundle["maxima"]
+    top = lambda read: float(np.max(bundle["reads"][read]))   # the largest over the steps
     out = []
     params = {**get_fixture(name).params, **cfg.fixture_params}
     if name == "trivial":
-        out.append(_dev("y_deviation_max", maxima["y_deviation_max"], 1e-6))
+        out.append(_dev("y_deviation_max", top("y_deviation_max"), 1e-6))
         out.append(_dev("z_rms", bundle["z_rms"], 1e-6))
-        out.append(_dev("v_max", maxima["v_max"], 0.0, exact=True))
+        out.append(_dev("v_max", top("v_max"), 0.0, exact=True))
     elif name == "const_driver":
-        out.append(_dev("v_affine_dev", maxima["v_affine_dev"], 1e-9))
-        out.append(_dev("y_affine_dev", maxima["y_affine_dev"], 1e-2))
+        out.append(_dev("v_affine_dev", top("v_affine_dev"), 1e-9))
+        out.append(_dev("y_affine_dev", top("y_affine_dev"), 1e-2))
         out.append(_dev("z_rms", bundle["z_rms"], 1e-6))
     elif name == "tanh_terminal":
         worst = _oracle_sup(sol, lambda t, xs: oracles.heat_value(np.tanh, t, xs, T))

@@ -15,11 +15,10 @@ On a window short enough that sqrt(length) <= 1/(8*C1*(1+C)), C the Lipschitz
 constant of the terminal map it consumes (C2 for phi, c4 for a fitted map),
 the map contracts and Picard iteration converges. ``grid.contraction_windows``
 plans the windows; the global solve sweeps them backward to learn the per-step
-value maps, which are the solution. A forward pass replays (V, X, Y, Z) one
-step at a time: V is glued by a running offset, X restarts each window at the
-previous terminal state, and (Y_k, Z_k) are the fitted maps at X_k. The solve
-runs it once for X_T and y0, and one record pass (``forward_record``) again for
-every post-solve reader, so no whole (P, K) Y or Z is ever held.
+value maps, which are the solution. A forward pass replays (V, X, Y, Z) a step at
+a time: V is glued by a running offset, X restarts each window at the previous
+terminal state, and (Y_k, Z_k) are the fitted maps at X_k. The solve runs it for
+X_T and y0, and one record pass (``forward_record``) for every later reader.
 
 Conditional expectations are least-squares Monte Carlo fits against the
 forward state; the path-dependent part of the target is removed exactly by
@@ -163,10 +162,9 @@ class PicardReport:
 
 @dataclass
 class FdeSolution:
-    """The fitted per-step maps of the system ``coeffs`` on a grid, with X_T. A global
-    solution holds no whole path array (``replay_forward`` rebuilds them a step at a time);
-    a window solution also holds its (P, ...) V, X, Y and Z, each the transposed view of a
-    step-major buffer, so ``arr[:, k]`` is contiguous."""
+    """The fitted per-step maps of the system ``coeffs`` on a grid, with X_T. A global solution
+    holds no whole path array; a window solution also holds its (P, ...) V, X, Y and Z, each
+    the transposed view of a step-major buffer, so ``arr[:, k]`` is contiguous."""
 
     grid: TimeGrid
     coeffs: CoefficientSet              # the system solved; every reader evaluates it
@@ -394,7 +392,7 @@ class ForwardRecord:
     states: dict = field(default_factory=dict)      # {k: X_k} at the recorded steps
     increments: dict = field(default_factory=dict)  # {k: Y_{k+1} - Y_k + (h_k + Z_k f_k) dt_k}
     columns: dict = field(default_factory=dict)
-    maxima: dict = field(default_factory=dict)
+    reads: dict = field(default_factory=dict)       # {name: [value at k = 0..K]}
     backward_sq: float = 0.0            # sum over k of mean |Y_{k+1} - Y_k + h dt - Z dB|^2
     terminal_gap: np.ndarray | None = None   # Y_K - phi(X_T)
     x_K: np.ndarray | None = None            # the replayed X_K
@@ -404,26 +402,26 @@ class ForwardRecord:
 
 
 def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, steps=(),
-                   columns=None, maxima=None) -> ForwardRecord:
+                   columns=None, reads=None) -> ForwardRecord:
     """Replay ``sol`` once and record what every post-solve reader needs: the rows of the
     first ``paths`` paths, X_k at each of ``steps`` (with step k's martingale increment
     when k + 1 is recorded too), the residual, exponent and weak sums, and for each
     ``columns`` name -> fn(Y_k, Z_k, f_k, dt_k) a path-major (P, K, ...) buffer filled a
     column per step, so that a reduction over it sums as over a whole array; for each
-    ``maxima`` name -> fn(k, V_k, Y_k), the largest value over k = 0..K."""
+    ``reads`` name -> fn(k, V_k, Y_k, Z_k), its value at every k = 0..K (Z_K is None)."""
     if paths < 0:
         raise InvalidArgumentError(f"path count must be non-negative, got {paths}")
     coeffs, t, dt, dB = sol.coeffs, sol.grid.points, sol.grid.dt, ensemble.increments
     P, K = sol.num_paths, sol.grid.num_steps
     rec = ForwardRecord(sol=sol, n_int=np.zeros(P), qv=np.zeros(P))
     phi_T = coeffs.eval_phi(sol.X_T)
-    rows, z_rows = [], []
+    rows = []
     for k, (v, x, y, z) in enumerate(replay_forward(sol, ensemble)):
-        rows.append([a[:paths].copy() for a in (v, x, y)])
+        rows.append([a[:paths].copy() for a in (v, x, y, z) if a is not None])
         if k in steps:
             rec.states[k] = x
-        for name, fn in (maxima or {}).items():
-            rec.maxima[name] = max(rec.maxima.get(name, -np.inf), float(fn(k, v, y).max()))
+        for name, fn in (reads or {}).items():
+            rec.reads.setdefault(name, []).append(fn(k, v, y, z))
         if k == 0:
             rec.weak = y - phi_T
         else:   # step j = k - 1 closes on this step's Y and X
@@ -436,7 +434,6 @@ def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, ste
         if z is None:
             rec.terminal_gap, rec.x_K = y - phi_T, x
             break
-        z_rows.append(z[:paths].copy())
         f = coeffs.eval_f(t[k], y, z)
         if not np.all(np.isfinite(f)):
             raise InvalidStateError(f"drift f produced non-finite values at step {k}")
@@ -449,7 +446,8 @@ def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, ste
             rec.columns[name][:, k] = col
         x_j, y_j, z_j = x, y, z
         h_j, zf_j = coeffs.eval_h(t[k], y, z), np.einsum("pnd,pd->pn", z, f)
-    rec.rows = (*(np.stack(arrs, axis=1) for arrs in zip(*rows)), np.stack(z_rows, axis=1))
+    rec.rows = tuple(np.stack([r[i] for r in rows if len(r) > i], axis=1)   # no Z row at K
+                     for i in range(4))
     return rec
 
 
@@ -469,10 +467,9 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     around the origin, widened with time and the drift scale) so the fitted
     value maps are reliable wherever later passes evaluate them. A single
     forward pass on the actual ensemble (``replay_forward``) then reads (Y, Z)
-    windowwise off the fitted maps, one step at a time with V (glued by a
-    running offset) and X, and keeps only X_T and y0: the solution is its maps,
-    and ``forward_record`` replays them for every later reader, the residuals
-    included. Another start x is the terminal map phi(. + x) from the origin.
+    windowwise off the fitted maps, a step at a time with V (glued by a running
+    offset) and X, and keeps only X_T and y0: ``forward_record`` replays the maps
+    for every later reader. Another start x is the terminal map phi(. + x) from the origin.
 
     The windows come from the declared constants alone, planned once by
     ``contraction_windows``: the last one from (c1, c2), the interior ones
@@ -551,10 +548,10 @@ def check_fbsde_residual(record: ForwardRecord) -> dict:
     """Discrete residuals of both equations of ``record.sol`` on its solve ensemble.
 
     Backward: Y_{k+1} - Y_k + h dt - Z dB per path and step (rms reported).
-    Forward: the X_K that the record's replay rebuilt from the maps against the
-    stored X_T, exactly zero since both come from one recursion. Terminal: rms
-    of Y_K - phi(X_T). Returns the dict that ``FdeSolution.residuals`` stores:
-    ``terminal_rms``, ``backward_rms`` and ``forward_max``.
+    Forward: the X_K that the record's replay rebuilt against the stored X_T, exactly
+    zero since both come from one recursion. Terminal: rms of Y_K - phi(X_T). Returns
+    the dict that ``FdeSolution.residuals`` stores: ``terminal_rms``, ``backward_rms``
+    and ``forward_max``.
     """
     sol = record.sol
     return {"terminal_rms": float(np.sqrt(np.mean(record.terminal_gap ** 2))),

@@ -126,9 +126,8 @@ def check_z_invariance(mc: MeasureChange, record: ForwardRecord) -> dict:
     sampling-measure surface is the solve's stored fit. Both sides use the
     stored fit's basis, so the discrepancy measures the measure change, not
     the basis. The probes are ``z_invariance_probes``' steps, each on a grid of
-    21 points per dimension within 2 of the origin; ``record``, a pass of the
-    solution ``mc.sol``, holds X_k and X_{k+1} and the increment
-    dY + (h + Z f) dt of each probe step k.
+    21 points per dimension within 2 of the origin; ``record``, a pass of ``mc.sol``,
+    holds X_k, X_{k+1} and the increment dY + (h + Z f) dt of each probe step k.
     Returns the maximum absolute discrepancy over the probe steps and grid.
     """
     _same_solution(mc, record)

@@ -148,9 +148,8 @@ def build_portfolio_fbsde(model: MarketModel, T: float) -> CoefficientSet:
 
 @dataclass
 class PortfolioSolution:
-    """The solved auxiliary system of a market and its value; its grid, seed and coefficients
-    are ``fde_sol``'s. The measure change, the weak solution and pi* are read off one
-    ``fde.forward_record`` pass of ``fde_sol``."""
+    """The solved auxiliary system of a market and its value; the measure change, the weak
+    solution and pi* are read off one ``fde.forward_record`` pass of ``fde_sol``."""
 
     model: MarketModel
     fde_sol: FdeSolution
@@ -159,26 +158,36 @@ class PortfolioSolution:
     value: float
 
 
-ZBAR = "zbar"   # the record column of Zbar_k, the Z entry of the tradeable asset
+PI_STAR = "pi_star"   # the record read of pi*'s per-step statistics
 
 
-def zbar_column(y, z, f, dt) -> np.ndarray:
-    """Zbar_k per path: a ``forward_record`` column fn for ``ZBAR``."""
-    return z[:, 0, 1]
-
-
-def pi_star_summary(model: MarketModel, zbar: np.ndarray) -> dict:
-    """What is read of pi* = mu_S / (gamma sigma_S^2) - Zbar, built in place in a record's
-    path-major (P, K) ``ZBAR`` column: its largest gap to -Zbar + mu_S / (gamma sigma_S^2)
-    (a step at a time, before the buffer is overwritten), its per-step mean and std (sums
-    over the columns of the C-order buffer) and its largest distance from the Merton fraction."""
+def pi_star_read(model: MarketModel):
+    """A ``forward_record`` read fn of pi*_k = mu_S / (gamma sigma_S^2) - Zbar_k at k < K: its
+    mean and std over the paths, summed in path order (``cumsum``) as numpy's axis-0 reduction
+    of a C-order (P, K) array adds its rows, so bitwise those of whole pi*; its largest gap to
+    -Zbar_k + mu_S / (gamma sigma_S^2); and its largest distance from the Merton fraction."""
     frac = model.merton_fraction
-    identity = max(float(np.abs((frac - z) - (-z + frac)).max()) for z in zbar.T)
-    pi_star = np.subtract(frac, zbar, out=zbar)
-    return {"pi_star_identity": identity,
-            "per_step_mean": [float(v) for v in pi_star.mean(axis=0)],
-            "per_step_std": [float(v) for v in pi_star.std(axis=0)],
-            "pi_star_dev": float(np.max([np.abs(p - frac).max() for p in pi_star.T]))}
+
+    def read(k, v, y, z):
+        if z is None:
+            return None
+        zbar = z[:, 0, 1]
+        pi = frac - zbar
+        mean = np.cumsum(pi)[-1] / pi.size
+        dev = pi - mean
+        return (mean, np.sqrt(np.cumsum(dev * dev)[-1] / pi.size),
+                np.abs(pi - (-zbar + frac)).max(), np.abs(pi - frac).max())
+    return read
+
+
+def pi_star_summary(steps) -> dict:
+    """What the checks and the export read of pi*, from the per-step values of
+    ``pi_star_read``: the largest gap and distance, and the per-step mean and std."""
+    mean, std, gap, dev = zip(*(s for s in steps if s is not None))
+    return {"pi_star_identity": float(np.max(gap)),
+            "per_step_mean": [float(v) for v in mean],
+            "per_step_std": [float(v) for v in std],
+            "pi_star_dev": float(np.max(dev))}
 
 
 def solve_portfolio(model: MarketModel, ensemble: BrownianEnsemble,

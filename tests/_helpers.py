@@ -94,11 +94,12 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
 
 
 def full_record(sol: ff.FdeSolution, ensemble: ff.BrownianEnsemble, paths: int = 0,
-                columns=None) -> ff.ForwardRecord:
+                columns=None, reads=None) -> ff.ForwardRecord:
     """One ``forward_record`` pass of a global solution with X_k recorded at every step
     k = 0..K and BMO's column, which every reader of the record can read."""
     columns = {ff.girsanov.REMAINING: ff.girsanov.remaining_column, **(columns or {})}
-    return ff.forward_record(sol, ensemble, paths, range(sol.grid.num_steps + 1), columns)
+    return ff.forward_record(sol, ensemble, paths, range(sol.grid.num_steps + 1), columns,
+                             reads)
 
 
 def brownian_paths(ensemble: ff.BrownianEnsemble) -> np.ndarray:
@@ -128,11 +129,11 @@ def pi_star_reference(model: ff.MarketModel, Z: np.ndarray) -> np.ndarray:
 
 def market_record(psol: ff.PortfolioSolution, ensemble: ff.BrownianEnsemble,
                   paths: int = 0) -> ff.ForwardRecord:
-    """A ``full_record`` of a market solution that also keeps pi*'s ``ZBAR`` column and
-    the squares of Z (column ``"z_sq"``), as the CLI's record of merton does."""
-    return full_record(psol.fde_sol, ensemble, paths,
-                       {ff.portfolio.ZBAR: ff.portfolio.zbar_column,
-                        "z_sq": lambda y, z, f, dt: np.square(z)})
+    """A ``full_record`` of a market solution that also reads pi*'s per-step statistics
+    (``portfolio.PI_STAR``) and keeps the squares of Z (column ``"z_sq"``), as the CLI's
+    record of merton does."""
+    return full_record(psol.fde_sol, ensemble, paths, {"z_sq": lambda y, z, f, dt: np.square(z)},
+                       {ff.portfolio.PI_STAR: ff.portfolio.pi_star_read(psol.model)})
 
 
 def whole_array_market_reads(model: ff.MarketModel, Z: np.ndarray) -> dict:

@@ -846,7 +846,7 @@ def test_market_solve_ensemble_is_freed_before_the_evaluation_ensemble(monkeypat
     assert alive == [[], ("check_z_invariance", False), ("bmo_diagnostic", False), [False]]
     assert reachable == [[]] * 4
     assert not [dims for dims in allocated if dims in ((K + 1, P, 1), (K, P, 1, 2))]
-    assert after_solve == [(P, K), (P, K)]   # pi*'s and BMO's columns
+    assert after_solve == [(P, K)]   # BMO's column; pi* is read a step at a time
     # what the checks and the export read instead: the summaries and the recorded rows
     assert set(bundle["pi_star"]) == {"pi_star_identity", "per_step_mean", "per_step_std",
                                       "pi_star_dev"}

@@ -108,11 +108,11 @@ def test_merton_benchmark_small(merton_small):
     pi_ref = pi_star_reference(model, reference_paths(psol.fde_sol, ens)[3])
     assert np.abs(pi_ref - 2.5).max() <= 0.05
     assert psol.y0_stderr <= 1e-4 / 3
-    # the identity holds exactly on pi* as the summary builds it from the record
+    # the identity holds exactly on pi* as the record reads it, a step at a time
     record = market_record(psol, ens)
-    pi_star = record.columns[portfolio.ZBAR]
-    assert portfolio.pi_star_summary(model, pi_star)["pi_star_identity"] == 0.0
-    assert np.abs(pi_star - pi_ref).max() == 0.0
+    summary = portfolio.pi_star_summary(record.reads[portfolio.PI_STAR])
+    assert summary["pi_star_identity"] == 0.0
+    assert summary["pi_star_dev"] == float(np.abs(pi_ref - model.merton_fraction).max())
     weak = ff.assemble_weak_solution(ff.build_measure_change(record), record)
     assert weak["weighted_rms"] <= 0.01
     # quadrature oracle agrees with the closed form
@@ -120,19 +120,20 @@ def test_merton_benchmark_small(merton_small):
 
 
 def test_pi_star_is_read_from_z_not_stored(merton_small):
-    # no solution holds pi* or Z: a record pass writes Zbar into one path-major (P, K)
-    # column, and pi*'s summary builds pi* in its place
+    # no solution holds pi* or Z, and no (P, K) array of pi* is built: a record pass
+    # reads pi*'s statistics a step at a time, bitwise those of the whole C-order array
     model, grid, ens, psol = merton_small
     assert "pi_star" not in {f.name for f in dataclasses.fields(ff.PortfolioSolution)}
     shape = (ens.num_paths, grid.num_steps)
     for held in (psol, psol.fde_sol):   # X_T, (P, 2), is the largest
         assert not [name for name, v in vars(held).items() if np.size(v) >= np.prod(shape)]
-    column = market_record(psol, ens).columns[portfolio.ZBAR]
-    assert column.shape == shape and column.flags.c_contiguous
-    zbar = column.copy()
-    summary = portfolio.pi_star_summary(model, column)
-    assert np.array_equal(column, model.merton_fraction - zbar)
-    assert summary["per_step_mean"] == [float(v) for v in column.mean(axis=0)]
+    record = ff.forward_record(psol.fde_sol, ens, 0, (), None,
+                               {portfolio.PI_STAR: portfolio.pi_star_read(model)})
+    assert record.columns == {}
+    whole = np.ascontiguousarray(pi_star_reference(model, reference_paths(psol.fde_sol, ens)[3]))
+    summary = portfolio.pi_star_summary(record.reads[portfolio.PI_STAR])
+    assert summary["per_step_mean"] == [float(v) for v in whole.mean(axis=0)]
+    assert summary["per_step_std"] == [float(v) for v in whole.std(axis=0)]
 
 
 def test_value_scales_exactly_with_initial_wealth(merton_small):
@@ -309,7 +310,7 @@ def test_endowment_matches_the_exact_oracle(endowment_small):
         assert np.abs(sol.phi_fits[k].evaluate(mesh)[:, 0] - y).max() <= 0.0125
         assert np.abs(sol.z_fits[k].evaluate(mesh)[:, 0, 1] - z[:, 1]).max() <= 0.022
     pi_star_0 = model.merton_fraction - z0[0, 1]
-    pi_star = portfolio.pi_star_summary(model, market_record(psol, ens).columns[portfolio.ZBAR])
+    pi_star = portfolio.pi_star_summary(market_record(psol, ens).reads[portfolio.PI_STAR])
     assert abs(pi_star["per_step_mean"][0] - pi_star_0) <= 0.01
 
 
@@ -331,7 +332,7 @@ def test_portfolio_export(tmp_path, merton_small):
     out = tmp_path / "portfolio.json"
     record = market_record(psol, ens)
     weak = ff.assemble_weak_solution(ff.build_measure_change(record), record)
-    pi_star = portfolio.pi_star_summary(model, record.columns[portfolio.ZBAR])
+    pi_star = portfolio.pi_star_summary(record.reads[portfolio.PI_STAR])
     ff.export_portfolio_results(psol, weak, pi_star, report, out, config_echo={})
     import json
     payload = json.loads(out.read_text())
@@ -357,7 +358,7 @@ def test_market_reads_are_bitwise_the_whole_array_reads(request, market):
     # the CLI reads these off the record's path-major columns, never off whole Y and Z
     psol, ens = request.getfixturevalue(market)[-1], request.getfixturevalue(market)[-2]
     record = market_record(psol, ens)
-    got = {**portfolio.pi_star_summary(psol.model, record.columns.pop(portfolio.ZBAR)),
+    got = {**portfolio.pi_star_summary(record.reads[portfolio.PI_STAR]),
            "merton_z_rms": cli._z_rms(record.columns.pop("z_sq"))}
     ref = whole_array_market_reads(psol.model, reference_paths(psol.fde_sol, ens)[3])
     assert list(got) == list(ref)
@@ -403,11 +404,12 @@ def test_post_solve_stages_hold_no_whole_path_array(endowment_small):
     # one (P, K+1, 2) float64 array: the Brownian paths of the fresh ensemble
     peak = _traced_peak(ff.verify_martingale_optimality, psol, (0.5, 1.0, -0.5, -1.0), fresh)
     assert peak < P * (K + 1) * 2 * 8
-    # the CLI's record: pi*'s and BMO's (P, K) columns, then a step's arrays at a time
-    columns = {portfolio.ZBAR: portfolio.zbar_column,
-               ff.girsanov.REMAINING: ff.girsanov.remaining_column}
-    peak = _traced_peak(ff.forward_record, psol.fde_sol, ens, 200, [0, 12, 24], columns)
-    assert peak < 3 * P * K * 8
+    # the CLI's record: BMO's (P, K) column, then a step's arrays at a time; pi* is read
+    # a step at a time
+    columns = {ff.girsanov.REMAINING: ff.girsanov.remaining_column}
+    reads = {portfolio.PI_STAR: portfolio.pi_star_read(psol.model)}
+    peak = _traced_peak(ff.forward_record, psol.fde_sol, ens, 200, [0, 12, 24], columns, reads)
+    assert peak < 2 * P * K * 8
     record = market_record(psol, ens)   # the record pass is not the stage measured below
     # the weights: a few (P,) arrays
     peak = _traced_peak(ff.build_measure_change, record)
