@@ -16,7 +16,7 @@ import fdeflow as ff
 from fdeflow import cli
 from fdeflow.oracles import CrankNicolsonOracle, heat_value, merton_y0
 
-from _helpers import empirical_pathwise_uniqueness, full_record
+from _helpers import empirical_pathwise_uniqueness
 
 ACCEPT_SEED = 20260808
 FBSDE_FIXTURES = ("trivial", "const_driver", "tanh_terminal", "linear_driver",
@@ -151,7 +151,8 @@ def test_criterion_06_z_invariance(acceptance):
         if "portfolio" in b:   # its solve ensemble is freed once the report is made
             rep = b["z_invariance"]
         else:
-            record = full_record(b["sol"], b["ensemble"])
+            probes = ff.girsanov.z_invariance_probes(b["sol"].grid.num_steps)
+            record = ff.forward_record(b["sol"], b["ensemble"], 0, {j for p in probes for j in p})
             rep = ff.check_z_invariance(ff.build_measure_change(record), record)
         worst = max(worst, rep["max_discrepancy"])
     ok = worst <= 0.05
