@@ -14,8 +14,9 @@ from .grid import (BrownianEnsemble, TimeGrid, build_uniform_grid,
                    contraction_window_length, contraction_windows, sample_ensemble)
 from .regression import (FittedConditional, RegressionBasis, StepRegression,
                          polynomial_basis)
-from .fde import (CoefficientSet, FdeSolution, ForwardRecord, PicardReport, check_fbsde_residual,
-                  export_solution, forward_record, picard_window, replay_forward, solve_global)
+from .fde import (CoefficientSet, FdeSolution, ForwardRecord, PicardReport, WindowSolution,
+                  check_fbsde_residual, export_solution, forward_record, picard_window,
+                  replay_forward, solve_global)
 from .girsanov import (MeasureChange, assemble_weak_solution, bmo_diagnostic,
                        build_measure_change, check_z_invariance, export_weak_solution)
 from .portfolio import (MarketModel, PortfolioSolution, build_portfolio_fbsde,
@@ -34,7 +35,7 @@ __all__ = [
     "RegressionBasis", "StepRegression", "FittedConditional",
     "polynomial_basis",
     "CoefficientSet", "FdeSolution", "PicardReport", "replay_forward",
-    "picard_window", "solve_global", "ForwardRecord", "forward_record",
+    "picard_window", "WindowSolution", "solve_global", "ForwardRecord", "forward_record",
     "check_fbsde_residual", "export_solution",
     "MeasureChange", "build_measure_change",
     "assemble_weak_solution", "check_z_invariance", "bmo_diagnostic",

@@ -15,10 +15,11 @@ On a window short enough that sqrt(length) <= 1/(8*C1*(1+C)), C the Lipschitz
 constant of the terminal map it consumes (C2 for phi, c4 for a fitted map),
 the map contracts and Picard iteration converges. ``grid.contraction_windows``
 plans the windows; the global solve sweeps them backward to learn the per-step
-value maps, which are the solution. A forward pass replays (V, X, Y, Z) a step at
-a time: V is glued by a running offset, X restarts each window at the previous
-terminal state, and (Y_k, Z_k) are the fitted maps at X_k. The solve runs it for
-X_T and y0, and one record pass (``forward_record``) for every later reader.
+value maps, which are the solution (``FdeSolution``); a ``WindowSolution`` is
+only a window's local fixed point on the way. A forward pass replays (V, X, Y, Z)
+and h, f a step at a time: V is glued by a running offset, X restarts each window
+at the previous terminal state, and (Y_k, Z_k) are the fitted maps at X_k. The solve
+runs it for X_T and y0, and one record pass (``forward_record``) for every reader.
 
 Conditional expectations are least-squares Monte Carlo fits against the
 forward state; the path-dependent part of the target is removed exactly by
@@ -161,10 +162,23 @@ class PicardReport:
 
 
 @dataclass
+class WindowSolution:
+    """One Picard window's local fixed point: its last pass's states, the fits built on them,
+    and X_T. Each (P, ...) array is the transposed view of a step-major buffer."""
+
+    V: np.ndarray                       # (P, m+1, n)
+    X: np.ndarray                       # (P, m+1, d)
+    Y: np.ndarray                       # (P, m+1, n)
+    Z: np.ndarray                       # (P, m, n, d)
+    X_T: np.ndarray                     # (P, d), the window's terminal forward state
+    phi_fits: list                      # per-step fitted Y maps, k = 0..m-1
+    z_fits: list                        # per-step fitted Z maps, k = 0..m-1
+
+
+@dataclass
 class FdeSolution:
-    """The fitted per-step maps of the system ``coeffs`` on a grid, with X_T. A global solution
-    holds no whole path array; a window solution also holds its (P, ...) V, X, Y and Z, each
-    the transposed view of a step-major buffer, so ``arr[:, k]`` is contiguous."""
+    """The solution of ``coeffs`` on its solve ensemble: the fitted per-step maps, off which
+    every path quantity is read, with X_T, y0 and the sweep's record; no whole path array."""
 
     grid: TimeGrid
     coeffs: CoefficientSet              # the system solved; every reader evaluates it
@@ -172,16 +186,12 @@ class FdeSolution:
     phi_fits: list                      # per-step fitted Y maps, k = 0..K-1
     z_fits: list                        # per-step fitted Z maps, k = 0..K-1
     iteration_log: list                 # PicardReport per window
+    window_bounds: list                 # (a, b) step-index pairs
+    seed: int                           # the solve ensemble's
+    clip_bound: float                   # the cap on every fitted Y
+    y0_mean: np.ndarray
+    y0_stderr: np.ndarray
     residuals: dict = field(default_factory=dict)   # check_fbsde_residual of a record
-    window_bounds: list = field(default_factory=list)   # (a, b) step-index pairs
-    y0_mean: np.ndarray | None = None
-    y0_stderr: np.ndarray | None = None
-    seed: int | None = None             # the solve ensemble's, global solutions only
-    clip_bound: float | None = None     # the cap on every fitted Y, global solutions only
-    V: np.ndarray | None = None         # (P, K+1, n), window solutions only
-    X: np.ndarray | None = None         # (P, K+1, d), window solutions only
-    Y: np.ndarray | None = field(default=None, repr=False)   # (P, K+1, n), window only
-    Z: np.ndarray | None = field(default=None, repr=False)   # (P, K, n, d), window only
 
     @property
     def num_paths(self) -> int:
@@ -189,44 +199,47 @@ class FdeSolution:
         return self.X_T.shape[0]
 
 
-def _start_states(start_x, num_paths, d):
-    arr = np.asarray(start_x, dtype=float)
-    if arr.ndim <= 1:
-        arr = np.broadcast_to(np.atleast_1d(arr), (num_paths, d))
-    if arr.shape != (num_paths, d):
-        raise InvalidArgumentError(f"start states must broadcast to ({num_paths}, {d})")
+def _path_rows(name, value, num_paths, width):
+    """``value`` as finite (P, width) rows: a scalar, one (width,) point or per-path rows."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim <= 1 and arr.size in (1, width):
+        arr = np.broadcast_to(arr.reshape(-1), (num_paths, width))
+    if arr.shape != (num_paths, width):
+        raise InvalidArgumentError(
+            f"{name} must broadcast to ({num_paths}, {width}), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("start states must be finite")
-    return np.ascontiguousarray(arr)
+        raise InvalidArgumentError(f"{name} must be finite")
+    return arr
 
 
 def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                   start_x, increments: np.ndarray, *, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, basis: RegressionBasis | None = None,
                   force: bool = False, initial_guess=None, fit_window_fn=None,
-                  clip_bound: float | None = None):
-    """Solve the window fixed-point problem by Picard iteration.
+                  clip_bound: float | None = None) -> tuple[WindowSolution, PicardReport]:
+    """Solve the window fixed-point problem by Picard iteration; its last pass is the solution.
 
     Parameters
     ----------
     window_grid : TimeGrid carrying the absolute times of the window
     terminal_map : x -> (P, n) terminal values (phi, or a fitted map)
-    start_x : shared point or per-path (P, d) start states
+    start_x : a scalar, one (d,) point or per-path (P, d) start states, finite
     increments : (P, m, d) Brownian increments for the window's steps
     force : skip the precondition length <= contraction_window_length(c1, c2);
         ``solve_global`` passes it, its windows planned by ``contraction_windows``
-    initial_guess : optional constant overriding Y^(0) = terminal_map(start)
+    initial_guess : optional finite scalar, (n,) point or (P, n) rows for Y^(0) = phi(start)
     fit_window_fn : optional t -> (lo, hi) box restricting each step's design
     clip_bound : optional cap applied to fitted Y evaluations
 
     Returns
     -------
-    (FdeSolution on the window, PicardReport)
+    (WindowSolution, PicardReport)
 
     Raises
     ------
-    InvalidArgumentError if the window is longer than the contraction window
-    length (unless force=True); PicardDivergedError on non-convergence.
+    InvalidArgumentError if the window is longer than the contraction window length
+    (unless force=True) or a start or guess has another shape or is not finite;
+    PicardDivergedError on non-convergence.
     """
     P, m, d = increments.shape
     if d != coeffs.d:
@@ -243,12 +256,11 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
                 f"window length {length:.6g} exceeds the contraction window "
                 f"length {ell:.6g}; pass force=True to override")
 
-    t = window_grid.points
-    dt = window_grid.dt
-    start = _start_states(start_x, P, d)
+    t, dt = window_grid.points, window_grid.dt
+    start = np.ascontiguousarray(_path_rows("start states", start_x, P, d))
 
     y_init = (as_2d(terminal_map(start), n, "terminal_map output") if initial_guess is None
-              else np.atleast_1d(np.asarray(initial_guess, float)))
+              else _path_rows("initial_guess", initial_guess, P, n))
     # Y and Z of the last backward sweep, one row per step, written in place
     Y = np.broadcast_to(y_init, (m + 1, P, n)).copy()
     Z = np.zeros((m, P, n, d))
@@ -298,8 +310,7 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             phi_T = as_2d(terminal_map(X[m]), n, "terminal_map output")
         xi = phi_T + V[m]
 
-        y_fits = [None] * m
-        z_fits = [None] * m
+        y_fits, z_fits = [None] * m, [None] * m
         Y[m] = xi - V[m]
         M_next = xi
         for k in range(m - 1, -1, -1):
@@ -330,11 +341,8 @@ def picard_window(coeffs: CoefficientSet, window_grid: TimeGrid, terminal_map,
             f"(last distance {report.distances[-1] if report.distances else float('nan'):.3g})",
             report)
 
-    # the last sweep is the solution
-    sol = FdeSolution(
-        grid=window_grid, coeffs=coeffs, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
-        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
-        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
+    sol = WindowSolution(V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2), Y=Y.transpose(1, 0, 2),
+                         Z=Z.transpose(1, 0, 2, 3), X_T=X[m], phi_fits=y_fits, z_fits=z_fits)
     return sol, report
 
 
@@ -349,7 +357,11 @@ def evaluate_step_maps(y_fit, z_fit, states: np.ndarray):
 
 
 def check_solve_ensemble(sol: FdeSolution, ensemble: BrownianEnsemble) -> None:
-    """Raise unless ``ensemble`` has the seed, path count, dim and grid ``sol`` was solved on."""
+    """Raise unless ``sol`` is a global solution and ``ensemble`` has the seed, path count,
+    dim and grid it was solved on."""
+    if not isinstance(sol, FdeSolution):
+        raise InvalidArgumentError("solution was not produced on this ensemble: only a global "
+                                   f"solution is replayed, given a {type(sol).__name__}")
     solved_on = (sol.seed, sol.num_paths, sol.coeffs.d)
     if (solved_on != (ensemble.seed, ensemble.num_paths, ensemble.dim)
             or not np.array_equal(sol.grid.points, ensemble.grid.points)):
@@ -361,9 +373,10 @@ def check_solve_ensemble(sol: FdeSolution, ensemble: BrownianEnsemble) -> None:
 
 
 def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
-    """Yield a global solution's (V_k, X_k, Y_k, Z_k), k = 0..K, from X_0 = 0 on its solve
-    ensemble: (Y_k, Z_k) are step k's fitted maps at X_k, Y capped at ``sol.clip_bound``,
-    Y_K = phi(X_K) and Z_K None. Each yielded array is new and never written again."""
+    """Yield a global solution's (V_k, X_k, Y_k, Z_k, h_k, f_k), k = 0..K, from X_0 = 0 on its
+    solve ensemble: (Y_k, Z_k) are step k's fitted maps at X_k, Y capped at ``sol.clip_bound``,
+    h_k and f_k the coefficients there; Y_K = phi(X_K), and Z_K, h_K and f_K are None. Each
+    yielded array is new and never written again."""
     check_solve_ensemble(sol, ensemble)
     coeffs, t, dt, cap = sol.coeffs, sol.grid.points, sol.grid.dt, sol.clip_bound
     x = np.zeros((ensemble.num_paths, coeffs.d))
@@ -373,13 +386,15 @@ def replay_forward(sol: FdeSolution, ensemble: BrownianEnsemble):
         for k in range(a, b):
             y, z = evaluate_step_maps(sol.phi_fits[k], sol.z_fits[k], x)
             np.clip(y, -cap, cap, out=y)
-            yield offset + vloc, x, y, z
-            vloc = vloc + coeffs.eval_h(t[k], y, z) * dt[k]
-            if not all(np.isfinite(v).all() for v in (y, z, vloc)):
-                raise InvalidStateError(f"forward assembly: non-finite Y, Z or V at step {k}")
-            x = x + coeffs.eval_f(t[k], y, z) * dt[k] + ensemble.increments[:, k]
+            h, f = coeffs.eval_h(t[k], y, z), coeffs.eval_f(t[k], y, z)
+            v_next = vloc + h * dt[k]   # a non-finite h shows in V
+            if not all(np.isfinite(v).all() for v in (y, z, v_next, f)):
+                raise InvalidStateError(f"forward assembly: non-finite Y, Z, V or f at step {k}")
+            yield offset + vloc, x, y, z, h, f
+            vloc = v_next
+            x = x + f * dt[k] + ensemble.increments[:, k]
         offset = offset + vloc
-    yield offset, x, coeffs.eval_phi(x), None
+    yield offset, x, coeffs.eval_phi(x), None, None, None
 
 
 @dataclass
@@ -411,12 +426,13 @@ def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, ste
     ``reads`` name -> fn(k, V_k, Y_k, Z_k), its value at every k = 0..K (Z_K is None)."""
     if paths < 0:
         raise InvalidArgumentError(f"path count must be non-negative, got {paths}")
-    coeffs, t, dt, dB = sol.coeffs, sol.grid.points, sol.grid.dt, ensemble.increments
+    check_solve_ensemble(sol, ensemble)   # before the first read of sol; the replay checks too
+    dt, dB = sol.grid.dt, ensemble.increments
     P, K = sol.num_paths, sol.grid.num_steps
     rec = ForwardRecord(sol=sol, n_int=np.zeros(P), qv=np.zeros(P))
-    phi_T = coeffs.eval_phi(sol.X_T)
+    phi_T = sol.coeffs.eval_phi(sol.X_T)
     rows = []
-    for k, (v, x, y, z) in enumerate(replay_forward(sol, ensemble)):
+    for k, (v, x, y, z, h, f) in enumerate(replay_forward(sol, ensemble)):
         rows.append([a[:paths].copy() for a in (v, x, y, z) if a is not None])
         if k in steps:
             rec.states[k] = x
@@ -434,9 +450,6 @@ def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, ste
         if z is None:
             rec.terminal_gap, rec.x_K = y - phi_T, x
             break
-        f = coeffs.eval_f(t[k], y, z)
-        if not np.all(np.isfinite(f)):
-            raise InvalidStateError(f"drift f produced non-finite values at step {k}")
         rec.n_int = rec.n_int - np.einsum("pd,pd->p", f, dB[:, k])
         rec.qv = rec.qv + np.einsum("pd,pd->p", f, f) * dt[k]
         for name, fn in (columns or {}).items():
@@ -444,8 +457,7 @@ def forward_record(sol: FdeSolution, ensemble: BrownianEnsemble, paths: int, ste
             if name not in rec.columns:
                 rec.columns[name] = np.empty((P, K) + col.shape[1:])
             rec.columns[name][:, k] = col
-        x_j, y_j, z_j = x, y, z
-        h_j, zf_j = coeffs.eval_h(t[k], y, z), np.einsum("pnd,pd->pn", z, f)
+        x_j, y_j, z_j, h_j, zf_j = x, y, z, h, np.einsum("pnd,pd->pn", z, f)
     rec.rows = tuple(np.stack([r[i] for r in rows if len(r) > i], axis=1)   # no Z row at K
                      for i in range(4))
     return rec
@@ -465,11 +477,12 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     Runs a backward sweep over contraction-compliant windows, each solved by
     ``picard_window`` from freshly drawn exploration start states (uniform box
     around the origin, widened with time and the drift scale) so the fitted
-    value maps are reliable wherever later passes evaluate them. A single
-    forward pass on the actual ensemble (``replay_forward``) then reads (Y, Z)
-    windowwise off the fitted maps, a step at a time with V (glued by a running
-    offset) and X, and keeps only X_T and y0: ``forward_record`` replays the maps
-    for every later reader. Another start x is the terminal map phi(. + x) from the origin.
+    value maps are reliable wherever later passes evaluate them; of each
+    ``WindowSolution`` only the fits are kept. A single forward pass on the actual
+    ensemble (``replay_forward``) then reads (Y, Z) windowwise off the fitted maps,
+    a step at a time with V (glued by a running offset) and X, and keeps only X_T
+    and y0: ``forward_record`` replays the maps for every later reader. Another
+    start x is the terminal map phi(. + x) from the origin.
 
     The windows come from the declared constants alone, planned once by
     ``contraction_windows``: the last one from (c1, c2), the interior ones
@@ -509,33 +522,29 @@ def solve_global(coeffs: CoefficientSet, ensemble: BrownianEnsemble,
     grow = lambda s: coeffs.m_bound + T * (h0 + coeffs.c1 * (1.0 + s))
     clip_bound = grow(grow(coeffs.m_bound))
 
-    phi_fits = [None] * K
-    z_fits = [None] * K
-    reports = [None] * len(windows)
+    phi_fits, z_fits, reports = [None] * K, [None] * K, [None] * len(windows)
     terminal_map = coeffs.eval_phi
     for wi in range(len(windows) - 1, -1, -1):
         a, b = windows[wi]
         rng = _exploration_rng(ensemble.seed, wi)
         lo, hi = box(grid.points[a])
         starts = rng.uniform(lo, hi, size=(P, d))
-        wsol, wrep = picard_window(
+        wsol, reports[wi] = picard_window(
             coeffs, TimeGrid(grid.points[a:b + 1]), terminal_map, starts,
             ensemble.increments[:, a:b], tol=tol, max_iter=max_iter, basis=basis, force=True,
             initial_guess=initial_guess, fit_window_fn=box, clip_bound=clip_bound)
-        reports[wi] = wrep
-        phi_fits[a:b] = wsol.phi_fits
-        z_fits[a:b] = wsol.z_fits
+        phi_fits[a:b], z_fits[a:b] = wsol.phi_fits, wsol.z_fits
         terminal_map = (lambda x, _f=phi_fits[a]:
                         np.clip(_f.evaluate(x), -clip_bound, clip_bound))
     del wsol   # the assembly reads only the fits; the window's arrays go now
 
-    # forward assembly: one replay of the maps, a step at a time, for X_T and y0
+    # forward assembly: one replay for X_T and y0, NaN until it ends (this X_T allocates nothing)
+    unset = np.full(n, np.nan)
     sol = FdeSolution(
-        grid=grid, coeffs=coeffs,
-        X_T=np.broadcast_to(np.nan, (P, d)),   # allocates nothing; num_paths reads its shape
-        phi_fits=phi_fits, z_fits=z_fits, iteration_log=reports, window_bounds=windows,
-        seed=ensemble.seed, clip_bound=clip_bound)
-    for v, x, y, _ in replay_forward(sol, ensemble):
+        grid=grid, coeffs=coeffs, X_T=np.broadcast_to(np.nan, (P, d)), phi_fits=phi_fits,
+        z_fits=z_fits, iteration_log=reports, window_bounds=windows, seed=ensemble.seed,
+        clip_bound=clip_bound, y0_mean=unset, y0_stderr=unset)
+    for v, x, y, *_ in replay_forward(sol, ensemble):
         pass
     sol.X_T = x   # the last step's row is (V_K, X_K, phi(X_K))
     xi = y + v
@@ -604,8 +613,8 @@ def export_solution(sol: FdeSolution, forward, csv_path, sidecar_path, *, config
     write_grid_csv(csv_path, sol.grid, [("V", V), ("X", X), ("Y", Y), ("Z", Z)])
     side = {
         "seed": sol.seed,
-        "y0_mean": None if sol.y0_mean is None else [float(v) for v in sol.y0_mean],
-        "y0_stderr": None if sol.y0_stderr is None else [float(v) for v in sol.y0_stderr],
+        "y0_mean": [float(v) for v in sol.y0_mean],
+        "y0_stderr": [float(v) for v in sol.y0_stderr],
         "residuals": {k: float(v) for k, v in sol.residuals.items()},
         "windows": [[int(a), int(b)] for a, b in sol.window_bounds],
         "iteration_log": [r.to_json() for r in sol.iteration_log],

@@ -41,7 +41,7 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
     DEFAULT_POLISH``. A pass that repeats its iterate bitwise refits to the
     same bits, so ``picard_window``'s reuse and early exit must leave every
     output as this gives it. The mesh precondition and the divergence guards
-    are left out (``force`` is ignored). Returns (FdeSolution, PicardReport)
+    are left out (``force`` is ignored). Returns (WindowSolution, PicardReport)
     as ``picard_window`` does.
     """
     P, m, d = increments.shape
@@ -86,10 +86,9 @@ def reference_picard_window(coeffs: ff.CoefficientSet, window_grid: ff.TimeGrid,
             M_next = M_k
         if dist is not None and dist <= tol * ff.fde.DEFAULT_POLISH:
             break
-    sol = ff.FdeSolution(
-        grid=window_grid, coeffs=coeffs, V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2),
-        Y=Y.transpose(1, 0, 2), Z=Z.transpose(1, 0, 2, 3), X_T=X[m],
-        phi_fits=y_fits, z_fits=z_fits, iteration_log=[report], window_bounds=[(0, m)])
+    sol = ff.WindowSolution(
+        V=V.transpose(1, 0, 2), X=X.transpose(1, 0, 2), Y=Y.transpose(1, 0, 2),
+        Z=Z.transpose(1, 0, 2, 3), X_T=X[m], phi_fits=y_fits, z_fits=z_fits)
     return sol, report
 
 

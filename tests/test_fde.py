@@ -146,6 +146,31 @@ def test_picard_window_mesh_precondition_and_divergence():
     assert err.value.report.iterations >= 1
 
 
+def test_picard_window_rejects_start_states_of_another_shape():
+    coeffs = _coeffs()
+    ens = ff.sample_ensemble(ff.build_uniform_grid(1.0, 8), 2000, 1, 10)
+    with pytest.raises(InvalidArgumentError, match=r"start states must broadcast to \(2000, 1\)"):
+        ff.picard_window(coeffs, ens.grid, coeffs.eval_phi, np.zeros(3), ens.increments)
+
+
+def test_picard_window_and_solve_global_reject_an_initial_guess_of_another_shape():
+    coeffs = _coeffs()
+    ens = ff.sample_ensemble(ff.build_uniform_grid(1.0, 8), 2000, 1, 10)
+    with pytest.raises(InvalidArgumentError, match=r"initial_guess must broadcast to \(2000, 1\)"):
+        ff.picard_window(coeffs, ens.grid, coeffs.eval_phi, 0.0, ens.increments,
+                         initial_guess=[1, 2, 3])
+    with pytest.raises(InvalidArgumentError, match=r"initial_guess must broadcast to \(2000, 1\)"):
+        ff.solve_global(coeffs, ens, initial_guess=[1, 2, 3])
+
+
+def test_picard_window_rejects_a_non_finite_initial_guess():
+    coeffs = _coeffs()
+    ens = ff.sample_ensemble(ff.build_uniform_grid(1.0, 8), 2000, 1, 10)
+    with pytest.raises(InvalidArgumentError, match="initial_guess must be finite"):
+        ff.picard_window(coeffs, ens.grid, coeffs.eval_phi, 0.0, ens.increments,
+                         initial_guess=np.nan)
+
+
 def _record_designs(monkeypatch):
     """Record (box lower edge, states) of every StepRegression built, and the
     operands of every bitwise compare the Picard loop makes."""
@@ -341,7 +366,7 @@ def test_global_solve_peaks_below_three_whole_path_arrays():
     finally:
         tracemalloc.stop()
     assert residuals["forward_max"] == 0.0
-    assert all(getattr(sol, name) is None for name in ("V", "X", "Y", "Z"))
+    assert not {"V", "X", "Y", "Z"} & {f.name for f in dataclasses.fields(sol)}
     whole = (grid.num_steps + 1) * P * 8
     assert solve_peak < 3 * whole and record_peak < whole
 
@@ -400,7 +425,7 @@ def test_solve_is_bitwise_the_same_on_a_c_order_ensemble(name):
         assert np.array_equal(_bits(got), _bits(want))
     assert res == ref_res
     assert np.array_equal(_bits(mc.weights), _bits(ref_mc.weights))
-    assert all(x.flags.c_contiguous for _, x, _, _ in ff.replay_forward(sol, ens))
+    assert all(x.flags.c_contiguous for _, x, *_ in ff.replay_forward(sol, ens))
 
 
 def test_solve_global_offset_gluing_identity():
@@ -507,6 +532,22 @@ def test_forward_assembly_rejects_a_non_finite_step(monkeypatch, bad):
     with pytest.raises(InvalidStateError, match="step 5"):
         ff.solve_global(_coeffs(), ens)
     assert len(calls) == 6
+
+
+def test_replay_and_record_reject_a_drift_that_is_not_finite_between_spot_checks():
+    # f is inf only at t = 0.5, which the coefficient spot check (t = 0, 0.37, 1) never
+    # reads; the replay checks each step's f, so every reader stops at step 4
+    grid = ff.build_uniform_grid(1.0, 8)
+    assert grid.points[4] == 0.5
+    ens = ff.sample_ensemble(grid, 2000, 1, 16)
+    sol = ff.solve_global(_coeffs(f=lambda t, y, z: np.full((y.shape[0], 1), 0.5)), ens)
+    spiked = _coeffs(f=lambda t, y, z: np.full((y.shape[0], 1), np.inf if t == 0.5 else 0.5))
+    swapped = dataclasses.replace(sol, coeffs=spiked)
+    with pytest.raises(InvalidStateError, match="non-finite Y, Z, V or f at step 4$"):
+        for _ in ff.replay_forward(swapped, ens):
+            pass
+    with pytest.raises(InvalidStateError, match="non-finite Y, Z, V or f at step 4$"):
+        ff.forward_record(swapped, ens, 0)
 
 
 def test_solve_global_frees_window_solutions_before_assembly(monkeypatch):
@@ -683,10 +724,6 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
     sol, _ = ff.picard_window(coeffs, grid, coeffs.eval_phi, 0.0, ens.increments,
                               fit_window_fn=lambda t: (-50.0, 50.0) if t < 0.5 else (90.0, 91.0))
     assert [f.warning for f in sol.phi_fits] == [False] * 4 + [True] * 4
-    side = tmp_path / "sol.json"
-    ff.export_solution(sol, (sol.V[:1], sol.X[:1], sol.Y[:1], sol.Z[:1]), tmp_path / "sol.csv",
-                       side, config_echo={})
-    assert json.loads(side.read_text())["regression_warning_steps"] == [4]
     # a global solve of two windows places each count in its window
     coeffs = _coeffs(h=lambda t, y, z: np.full_like(y, 0.3),
                      phi=lambda x: np.zeros((x.shape[0], 1)),
@@ -697,6 +734,7 @@ def test_summary_counts_the_regression_warnings_of_each_window(tmp_path):
     assert sol.window_bounds == [(0, 8), (8, 16)]
     for k in (3, 8, 15):
         sol.phi_fits[k].warning = True
+    side = tmp_path / "two.json"
     ff.export_solution(sol, fde.forward_record(sol, ens, 1).rows, tmp_path / "two.csv", side,
                        config_echo={})
     assert json.loads(side.read_text())["regression_warning_steps"] == [1, 2]
